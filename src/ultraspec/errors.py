@@ -22,7 +22,7 @@ class GridTooLarge(UltraspecError):
 
 
 class HermiticityDefect(UltraspecError):
-    """Assembled operator failed the Hermiticity check before symmetrization."""
+    """The closed-form kinetic kernel disagrees with the exact-phase Fourier kernel."""
 
 
 class NoConvergence(UltraspecError):

@@ -9,6 +9,13 @@ in the digit coordinates, so D * phase(x_i * x_j) mod D is a plain integer
 matrix product, and kernel entries are table lookups of exact roots of
 unity.  The dense kernel is materialized only up to ``FOURIER_DENSE_CAP``
 rows; above that, rows are generated on the fly in blocks.
+
+The kinetic operator F* diag(|xi|**alpha) F is a convolution by a radial
+kernel, so its entry (i, j) depends only on s, the first digit position
+where x_i and x_j differ: the grid is a q-ary tree of depth 2n and the
+operator takes 2n + 1 values kappa_s.  Assembly computes them in closed
+form from rank-zero character sums, checks them against the exact-phase
+Fourier kernel, and fills the Hamiltonian from them without a transform.
 """
 
 from __future__ import annotations
@@ -123,6 +130,15 @@ class Grid:
 
     def abs_values(self) -> np.ndarray:
         return float(self.field.q) ** self.shells
+
+    def depth_representatives(self) -> list:
+        """One index per tree depth d = 0, ..., 2n: a point on shell n - d.
+
+        Entry d is the point with a single digit 1 at position d, whose
+        digits first differ from 0 at d; the last entry is the zero point.
+        """
+        width = 2 * self.n
+        return [self.field.q ** (width - 1 - d) for d in range(width)] + [self.zero_index]
 
     def index_of_digits(self, row) -> int:
         return int(np.dot(np.asarray(row, dtype=np.int64), self._weights))
@@ -261,12 +277,6 @@ def _phase_table(grid: Grid) -> _PhaseTable:
     if grid._phase_cache is None:
         grid._phase_cache = _PhaseTable(grid)
     return grid._phase_cache
-
-
-def pair_phase_numerator(grid: Grid, i: int, j: int):
-    """Exact D * phase(x_i * x_j) mod D together with D (test/debug helper)."""
-    table = _phase_table(grid)
-    return int(table.numerators(rows=[i])[0, j]), table.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +484,14 @@ def position_diagonal(grid: Grid, potential, convention=ZeroCellConvention.AVERA
 
 @dataclass(eq=False)
 class HamiltonianModel:
-    """H_n = a * F* diag(|xi|**alpha) F + diag(v), with its provenance."""
+    """H_n = a * F* diag(|xi|**alpha) F + diag(v), with its provenance.
+
+    ``kernel[s]`` is the entry of a * F* diag(|xi|**alpha) F between two
+    points whose digits first differ at position s (s = 2n on the diagonal);
+    ``matrix`` is built from it.  ``presym_defect`` is the largest deviation
+    of the closed-form kernel from 2n + 1 rows of the exact-phase Fourier
+    kernel, relative to max(1, max|kernel|); 0.0 when a = 0.
+    """
 
     grid: Grid
     alpha: float
@@ -484,6 +501,7 @@ class HamiltonianModel:
     matrix: np.ndarray
     kinetic_diagonal: np.ndarray
     potential_diagonal: np.ndarray
+    kernel: np.ndarray
     presym_defect: float
 
     @property
@@ -491,18 +509,47 @@ class HamiltonianModel:
         return self.grid.size
 
 
-def _kinetic_matrix(grid: Grid, kin: np.ndarray) -> np.ndarray:
-    if grid.size <= FOURIER_DENSE_CAP:
-        fmat = fourier_matrix(grid)
-        return fmat.conj().T @ (kin[:, None] * fmat)
-    table = _phase_table(grid)
+def _tree_kernel(grid: Grid, kin: np.ndarray) -> np.ndarray:
+    """kappa_s of F* diag(kin) F in closed form, s = 0, ..., 2n.
+
+    kappa(x) = q**(-2n) sum_xi kin(xi) chi(x xi), and the character sum
+    over B_j / B_{-n} is q**(j+n) when |x| q**j <= 1 and 0 otherwise.  For
+    |x| = q**(n-s) only the shells at depth >= 2n - s sum in full, and the
+    shell at depth 2n - s - 1 contributes -q**s times its value.
+    """
+    q, width = grid.field.q, 2 * grid.n
+    reps = grid.depth_representatives()
+    values = kin[reps]  # by depth: shell n - d, zero cell last
+    sizes = np.array([grid.shell_sizes[k] for k in grid.shells[reps]], dtype=np.float64)
+    tail = np.cumsum((sizes * values)[::-1])[::-1]  # tail[d] = sum over depths >= d
+    kappa = np.empty(width + 1)
+    for s in range(width + 1):
+        kappa[s] = tail[width - s]
+        if s < width:
+            kappa[s] -= float(q) ** s * values[width - s - 1]
+    return kappa * float(q) ** (-width)
+
+
+def _exact_kernel(grid: Grid, kin: np.ndarray) -> np.ndarray:
+    """kappa_s from 2n + 1 rows of the exact-phase Fourier kernel."""
     scale = float(grid.field.q) ** (-grid.n)
-    out = np.zeros((grid.size, grid.size), dtype=np.complex128)
-    block = max(1, FOURIER_DENSE_CAP * FOURIER_DENSE_CAP // grid.size)
-    for start in range(0, grid.size, block):
-        rows = slice(start, min(start + block, grid.size))
-        kb = table.kernel_rows(scale, rows=rows)
-        out += kb.conj().T @ (kin[rows, None] * kb)
+    rows = _phase_table(grid).kernel_rows(scale, rows=grid.depth_representatives(), inverse=True)
+    return scale * (rows @ kin)
+
+
+def _tree_matrix(grid: Grid, kernel: np.ndarray) -> np.ndarray:
+    """Dense matrix with entry kernel[s] where the digits first differ at s.
+
+    Points sharing their first s digits form contiguous blocks of
+    q**(2n - s) indices; nested blocks overwrite their parents.
+    """
+    q, width, size = grid.field.q, 2 * grid.n, grid.size
+    out = np.full((size, size), kernel[0])
+    for s in range(1, width + 1):
+        blocks = q**s
+        view = out.reshape(blocks, size // blocks, blocks, size // blocks)
+        diagonal = np.arange(blocks)
+        view[diagonal, :, diagonal, :] = kernel[s]
     return out
 
 
@@ -514,7 +561,11 @@ def assemble_hamiltonian(
     convention=ZeroCellConvention.AVERAGE_OF_POWER,
     hermiticity_tol: float = 1e-10,
 ) -> HamiltonianModel:
-    """Assemble the finite Hamiltonian; symmetrized, with the defect recorded."""
+    """Assemble the finite Hamiltonian from the closed-form kinetic kernel.
+
+    The kernel is checked against the exact-phase Fourier kernel; a
+    relative deviation above ``hermiticity_tol`` raises HermiticityDefect.
+    """
     if alpha <= 0:
         raise ValueError(f"alpha = {alpha} must be > 0")
     if a < 0:
@@ -528,21 +579,18 @@ def assemble_hamiltonian(
     )
     pot = position_diagonal(grid, potential, pot_convention)
     if a == 0:
-        matrix = np.diag(pot)
+        kernel = np.zeros(2 * grid.n + 1)
         defect = 0.0
     else:
-        raw = a * _kinetic_matrix(grid, kin)
-        scale = max(1.0, float(np.abs(raw).max()))
-        defect = float(np.abs(raw - raw.conj().T).max()) / scale
+        kernel = a * _tree_kernel(grid, kin)
+        exact = a * _exact_kernel(grid, kin)
+        defect = float(np.abs(exact - kernel).max()) / max(1.0, float(np.abs(exact).max()))
         if defect > hermiticity_tol:
             raise HermiticityDefect(
-                f"pre-symmetrization defect {defect:.3e} exceeds {hermiticity_tol:.1e}"
+                f"kinetic kernel defect {defect:.3e} exceeds {hermiticity_tol:.1e}"
             )
-        matrix = (raw + raw.conj().T) / 2.0
-        matrix[np.diag_indices_from(matrix)] = matrix.diagonal().real
-        np.fill_diagonal(matrix, matrix.diagonal() + pot)
-        if np.iscomplexobj(matrix) and float(np.abs(matrix.imag).max()) <= 1e-13 * scale:
-            matrix = np.ascontiguousarray(matrix.real)
+    matrix = _tree_matrix(grid, kernel)
+    matrix[np.diag_indices_from(matrix)] += pot
     return HamiltonianModel(
         grid=grid,
         alpha=float(alpha),
@@ -552,5 +600,6 @@ def assemble_hamiltonian(
         matrix=matrix,
         kinetic_diagonal=kin,
         potential_diagonal=pot,
+        kernel=kernel,
         presym_defect=defect,
     )

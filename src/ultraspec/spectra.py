@@ -1,12 +1,20 @@
 """Spectral analysis of the finite models.
 
-Diagonalizes the assembled Hermitian matrices, groups eigenvalues into
-multiplicity clusters, rotates degenerate eigenspaces onto a shell-adapted
-basis (a generic eigensolver returns arbitrary bases inside a degenerate
-cluster; the shell projections restricted to the cluster span are jointly
-block-diagonalized to make the shell structure reproducible), classifies
-eigenvectors as radial / shell / mixed, and tracks clusters across grid
-levels.
+The eigenpairs come from the tree structure of H_n (see ``finite``): the
+kinetic entry between two points depends only on the first digit position
+where they differ, and the potential is constant on shells, each shell a
+union of subtrees hanging off the path to 0.  So H_n splits exactly into
+the (2n+1)-dimensional radial block on the shell-constant functions and
+Haar wavelets, which are eigenvectors in closed form and lie on a single
+shell each.  This is the finite form of the result that p-adic wavelets
+diagonalize Vladimirov operators (S. V. Kozyrev, "Wavelet theory as p-adic
+spectral analysis", Izv. Math. 66, 2002).
+
+On top of that, eigenvalues are grouped into multiplicity clusters,
+degenerate radial eigenspaces are rotated onto a shell-adapted basis (the
+shell projections restricted to the span are jointly block-diagonalized to
+make the shell structure reproducible), eigenvectors are classified as
+radial / shell / mixed, and clusters are tracked across grid levels.
 """
 
 from __future__ import annotations
@@ -188,8 +196,6 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
         pivot = col[i]
         if pivot != 0:
             out[:, j] = col * (abs(pivot) / pivot)
-    if not np.iscomplexobj(out):
-        return out
     return out
 
 
@@ -282,6 +288,82 @@ class SpectrumReport:
         return [(c.mean, c.multiplicity, self.cluster_kind(c)) for c in self.clusters]
 
 
+def _zero_sum_basis(m: int) -> np.ndarray:
+    """Orthonormal Helmert basis (m x (m-1)) of the zero-sum vectors in R**m."""
+    basis = np.zeros((m, m - 1))
+    for k in range(1, m):
+        basis[:k, k - 1] = 1.0
+        basis[k, k - 1] = -k
+        basis[:, k - 1] /= np.sqrt(k * (k + 1))
+    return basis
+
+
+def _tree_eigensystem(model: HamiltonianModel):
+    """Eigenpairs of H_n from its tree structure, ascending.
+
+    With c = model.kernel, depths d = 0..2n (shell n - d, the zero cell at
+    2n), shell sizes m_d and S_d = sum_{s>=d} m_s c_s (the kinetic row sum
+    over a depth-d subtree), the spectrum is the union of
+      * the radial block P^T H P on the normalized shell indicators P:
+        sqrt(m_d m_e) c_min(d,e) off the diagonal, and
+        S_{d+1} + (q-2) q**(2n-d-1) c_d + v_d on it (c_2n + v_2n at zero);
+      * Haar wavelets on the children of every tree node at depth d < 2n,
+        with eigenvalue S_{d+1} - c_d q**(2n-d-1) + v(shell): q - 1 per node
+        off the path to 0, and q - 2 per node on it (those spanning the
+        nonzero children only; the rest of that node is radial).
+    Returns the eigenvalues, the eigenvectors as columns and a mask of the
+    radial (shell-constant) columns.
+    """
+    grid = model.grid
+    q, n, size = grid.field.q, grid.n, grid.size
+    width = 2 * n
+    c = model.kernel
+    pot = model.potential_diagonal
+    reps = grid.depth_representatives()
+    v = pot[reps]
+    m = np.array([grid.shell_sizes[k] for k in grid.shells[reps]], dtype=np.float64)
+    row_sums = np.cumsum((m * c)[::-1])[::-1]  # S_d
+
+    depths = np.arange(width + 1)
+    radial_block = np.sqrt(np.outer(m, m)) * c[np.minimum.outer(depths, depths)]
+    for d in range(width):
+        radial_block[d, d] = row_sums[d + 1] + (q - 2) * q ** (width - d - 1) * c[d] + v[d]
+    radial_block[width, width] = c[width] + v[width]
+    try:
+        radial_values, radial_vectors = np.linalg.eigh(radial_block)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigensolver failed: {exc}") from exc
+
+    vectors = np.zeros((size, size))
+    values = []
+    col = 0
+    for d in range(width):
+        child = q ** (width - d - 1)
+        node = q * child
+        wavelet = row_sums[d + 1] - c[d] * child
+        # node 0 (the zero path): wavelets on its nonzero children, shell n - d
+        template = np.vstack([np.zeros((1, q - 2)), _zero_sum_basis(q - 1)])
+        vectors[:node, col : col + q - 2] = np.repeat(template, child, axis=0) / np.sqrt(child)
+        values.append(np.full(q - 2, wavelet + v[d]))
+        col += q - 2
+        # nodes 1 .. q**d - 1 lie inside one shell each
+        nodes = np.arange(1, q**d)
+        block = np.repeat(_zero_sum_basis(q), child, axis=0) / np.sqrt(child)
+        rows = nodes[:, None] * node + np.arange(node)
+        cols = col + (nodes[:, None] - 1) * (q - 1) + np.arange(q - 1)
+        vectors[rows[:, :, None], cols[:, None, :]] = block
+        values.append(np.repeat(wavelet + pot[nodes * node], q - 1))
+        col += nodes.size * (q - 1)
+    point_depth = np.where(grid.shells == ZERO_SHELL, width, n - grid.shells).astype(np.int64)
+    vectors[:, col:] = radial_vectors[point_depth] / np.sqrt(m[point_depth])[:, None]
+    values.append(radial_values)
+    radial = np.arange(size) >= col
+
+    values = np.concatenate(values)
+    order = np.argsort(values, kind="stable")
+    return values[order], vectors[:, order], radial[order]
+
+
 def eigensolve(
     model: HamiltonianModel,
     tol: float = DEFAULT_RESIDUAL_TOL,
@@ -290,19 +372,26 @@ def eigensolve(
     shell_tol: float = DEFAULT_SHELL_TOL,
     adapt: bool = True,
 ) -> SpectrumReport:
-    """Dense Hermitian eigendecomposition with residual enforcement.
+    """Eigendecomposition by the exact tree reduction, with residual enforcement.
 
-    Eigenvectors are Euclidean-normalized and phase-fixed (largest entry
-    real positive, ties to the lowest index).  Residuals ||Hv - lambda v||
-    are measured on the solver output and checked against
-    tol * max|H| * size; shell adaptation afterwards only rotates bases
-    inside clusters, which can move residuals by at most the cluster width.
+    The eigenpairs are the radial block's, lifted to the grid, and the
+    closed-form Haar wavelets (see ``_tree_eigensystem``); with a = 0 they
+    are the point basis sorted by potential.  Eigenvectors are
+    Euclidean-normalized and phase-fixed (largest entry real positive, ties
+    to the lowest index).  Residuals ||Hv - lambda v|| against
+    ``model.matrix`` are checked against tol * max|H| * size.  Shell
+    adaptation then rotates the radial members of each cluster; wavelets
+    and point vectors lie on a single shell already.  Rotating inside a
+    cluster moves residuals by at most the cluster width.
     """
     matrix = model.matrix
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigensolver failed: {exc}") from exc
+    if model.kinetic_coeff == 0:
+        order = np.argsort(model.potential_diagonal, kind="stable")
+        eigenvalues = model.potential_diagonal[order]
+        eigenvectors = np.eye(model.size)[:, order]
+        radial = np.zeros(model.size, dtype=bool)
+    else:
+        eigenvalues, eigenvectors, radial = _tree_eigensystem(model)
     residuals = np.linalg.norm(matrix @ eigenvectors - eigenvectors * eigenvalues, axis=0)
     scale = max(1.0, float(np.abs(matrix).max()))
     threshold = tol * scale * model.size
@@ -313,8 +402,8 @@ def eigensolve(
     clusters = cluster_eigenvalues(eigenvalues, cluster_tol)
     if adapt:
         for cluster in clusters:
-            if cluster.multiplicity > 1:
-                idx = cluster.indices
+            idx = [i for i in cluster.indices if radial[i]]
+            if len(idx) > 1:
                 eigenvectors[:, idx] = shell_adapt(
                     model.grid, eigenvectors[:, idx], split_tol=max(shell_tol, 1e-9)
                 )

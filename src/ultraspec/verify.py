@@ -217,10 +217,26 @@ def run_verify(config: RunConfig, kernel_hook=None) -> VerifyOutcome:
     record("negation_round_trip", neg_failures, 0.0)
 
     # --- Hamiltonian ---------------------------------------------------------
+    # the suite records a kernel defect instead of raising it
     model = assemble_hamiltonian(
-        grid, config.alpha, config.kinetic_coeff, config.potential, config.convention
+        grid,
+        config.alpha,
+        config.kinetic_coeff,
+        config.potential,
+        config.convention,
+        hermiticity_tol=float("inf"),
     )
-    record("hamiltonian_hermiticity", model.presym_defect)
+    kin, pot = model.kinetic_diagonal, model.potential_diagonal
+    operator_defect = max(
+        np.abs(
+            model.kinetic_coeff * apply_finv(kin * apply_f(f)) + pot * f - model.matrix @ f
+        ).max()
+        for f in probes
+    )
+    record(
+        "hamiltonian_hermiticity",
+        operator_defect / max(1.0, float(np.abs(model.matrix).max())),
+    )
     record(
         "potential_diagonal_nonnegative",
         max(0.0, -float(model.potential_diagonal.min())),

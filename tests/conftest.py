@@ -1,5 +1,6 @@
 import warnings
 
+import numpy as np
 import pytest
 
 from ultraspec import (
@@ -11,8 +12,36 @@ from ultraspec import (
     assemble_hamiltonian,
     build_grid,
     eigensolve,
+    fourier_matrix,
     make_field,
 )
+import ultraspec.finite as finite
+
+
+@pytest.fixture(scope="session")
+def fourier_operator():
+    """Dense oracle a * F* diag(kin) F + diag(pot) from the public Fourier kernel."""
+
+    def build(model):
+        fmat = fourier_matrix(model.grid)
+        h = model.kinetic_coeff * (fmat.conj().T @ (model.kinetic_diagonal[:, None] * fmat))
+        h[np.diag_indices_from(h)] += model.potential_diagonal
+        return h
+
+    return build
+
+
+@pytest.fixture
+def perturbed_kernel(monkeypatch):
+    """Shift kappa_1 of the closed-form kinetic kernel by 1e-6."""
+    closed_form = finite._tree_kernel
+
+    def perturbed(grid, kin):
+        kappa = closed_form(grid, kin)
+        kappa[1] += 1e-6
+        return kappa
+
+    monkeypatch.setattr(finite, "_tree_kernel", perturbed)
 
 
 @pytest.fixture(scope="session")

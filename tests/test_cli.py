@@ -236,6 +236,13 @@ def test_corrupted_kernel_trips_unitarity():
     assert "fourier_unitary" in failed
 
 
+def test_verify_compares_kernel_with_fourier_operator(tmp_path, perturbed_kernel, capsys):
+    code = main(["verify", "--config", str(REPO_CONFIG), "--out", str(tmp_path)])
+    assert code == 2
+    failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert failed == ["hamiltonian_hermiticity"]
+
+
 def test_verify_exit_code_two_on_failure(tmp_path, monkeypatch, capsys):
     from ultraspec.verify import CheckResult, VerifyOutcome
 

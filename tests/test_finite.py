@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -323,21 +325,21 @@ def test_assembly_validates_parameters(grid_n1, ho_potential):
         assemble_hamiltonian(grid_n1, alpha=2.0, a=-1.0, potential=ho_potential)
 
 
-def test_blocked_assembly_matches_dense(grid_n1, ho_potential, monkeypatch):
-    dense = assemble_hamiltonian(grid_n1, 2.0, 0.5, ho_potential).matrix
-    monkeypatch.setattr(finite, "FOURIER_DENSE_CAP", 4)
-    blocked = assemble_hamiltonian(grid_n1, 2.0, 0.5, ho_potential).matrix
-    assert np.abs(dense - blocked).max() < 1e-13
+def test_tree_assembly_matches_fourier_operator(grid_n1, grid_n2, ho_potential, fourier_operator):
+    for grid in (grid_n1, grid_n2):
+        for convention in ZeroCellConvention:
+            model = assemble_hamiltonian(grid, 2.0, 0.5, ho_potential, convention)
+            oracle = fourier_operator(model)
+            scale = np.abs(oracle).max()
+            assert np.abs(model.matrix - oracle).max() <= 1e-12 * scale
 
 
-def test_hermiticity_defect_raises(grid_n1, ho_potential, monkeypatch):
+def test_hermiticity_defect_raises(grid_n1, ho_potential, perturbed_kernel, tmp_path, capsys):
     from ultraspec import HermiticityDefect
+    from ultraspec.cli import main
 
-    def skewed(grid, kin):
-        out = np.diag(kin.astype(complex))
-        out[0, 1] = 1.0  # no matching conjugate entry
-        return out
-
-    monkeypatch.setattr(finite, "_kinetic_matrix", skewed)
     with pytest.raises(HermiticityDefect):
         assemble_hamiltonian(grid_n1, 2.0, 0.5, ho_potential)
+    config = Path(__file__).resolve().parents[1] / "configs" / "q3sqrt3_ho.cfg"
+    assert main(["spectrum", "--config", str(config), "--out", str(tmp_path)]) == 3
+    assert "kinetic kernel defect" in capsys.readouterr().err

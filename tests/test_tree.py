@@ -1,0 +1,96 @@
+"""The tree solver against the dense Fourier oracle on every grid with N <= 729.
+
+The oracle is the operator a * F* diag(kin) F + diag(pot) built from the
+public Fourier kernel, diagonalized by dense ``eigh`` and then clustered,
+shell-adapted and classified with the public spectral toolkit.
+"""
+
+import numpy as np
+import pytest
+
+from ultraspec import (
+    EisensteinExtension,
+    LaurentField,
+    MonomialPotential,
+    SpectrumReport,
+    TablePotential,
+    ZeroCellConvention,
+    assemble_hamiltonian,
+    build_grid,
+    classify_eigenvector,
+    cluster_eigenvalues,
+    eigensolve,
+    make_field,
+    shell_adapt,
+)
+
+GRIDS = [
+    (EisensteinExtension(p=3, e=2), 2),
+    (EisensteinExtension(p=3, e=2), 3),
+    (EisensteinExtension(p=3, e=1), 3),
+    (EisensteinExtension(p=2, e=1), 4),
+    (EisensteinExtension(p=2, e=3), 3),
+    (EisensteinExtension(p=5, e=1), 2),
+    (LaurentField(p=3, f=1), 3),
+    (LaurentField(p=2, f=2), 2),
+    (LaurentField(p=2, f=1), 4),
+]
+TOL = 1e-10
+
+
+def potentials(n):
+    table = TablePotential(
+        values={k: 0.4 * (k + n) ** 2 + 0.2 for k in range(-n + 1, n + 1)}, w0=0.1
+    )
+    return {"monomial": MonomialPotential(c=0.5, s=2.0), "table": table}
+
+
+def dense_report(model, h):
+    """Dense eigh, then the public clustering, shell adaptation and classification."""
+    grid = model.grid
+    values, vectors = np.linalg.eigh(h)
+    clusters = cluster_eigenvalues(values)
+    for cluster in clusters:
+        if cluster.multiplicity > 1:
+            idx = cluster.indices
+            vectors[:, idx] = shell_adapt(grid, vectors[:, idx], split_tol=1e-9)
+    classifications = [classify_eigenvector(grid, vectors[:, i]) for i in range(grid.size)]
+    return SpectrumReport(
+        eigenvalues=values,
+        eigenvectors=vectors,
+        residuals=np.zeros(grid.size),
+        clusters=clusters,
+        classifications=classifications,
+        grid=grid,
+        model=model,
+    )
+
+
+def grid_id(param):
+    spec, n = param
+    if isinstance(spec, LaurentField):
+        return f"F{spec.p ** spec.f}t-n{n}"
+    return f"Q{spec.p}e{spec.e}-n{n}"
+
+
+@pytest.fixture(scope="module", params=GRIDS, ids=grid_id)
+def grid(request):
+    spec, n = request.param
+    return build_grid(make_field(spec), n)
+
+
+@pytest.mark.parametrize("convention", list(ZeroCellConvention), ids=lambda c: c.value)
+@pytest.mark.parametrize("potential_kind", ["monomial", "table"])
+def test_tree_solver_matches_dense_oracle(grid, convention, potential_kind, fourier_operator):
+    potential = potentials(grid.n)[potential_kind]
+    model = assemble_hamiltonian(grid, 1.5, 0.75, potential, convention)
+    h = fourier_operator(model)
+    tree = eigensolve(model)
+    oracle = dense_report(model, h)
+
+    scale = max(1.0, float(np.abs(oracle.eigenvalues).max()))
+    assert np.abs(tree.eigenvalues - oracle.eigenvalues).max() <= TOL * scale
+    v = tree.eigenvectors
+    residuals = np.linalg.norm(h @ v - v * tree.eigenvalues, axis=0)
+    assert residuals.max() <= TOL * max(1.0, float(np.abs(h).max()))
+    assert [row[1:] for row in tree.summary_rows()] == [row[1:] for row in oracle.summary_rows()]
