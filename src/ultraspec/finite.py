@@ -564,7 +564,8 @@ def assemble_hamiltonian(
     """Assemble the finite Hamiltonian from the closed-form kinetic kernel.
 
     The kernel is checked against the exact-phase Fourier kernel; a
-    relative deviation above ``hermiticity_tol`` raises HermiticityDefect.
+    relative deviation above ``hermiticity_tol``, or a NaN one, raises
+    HermiticityDefect.
     """
     if alpha <= 0:
         raise ValueError(f"alpha = {alpha} must be > 0")
@@ -585,7 +586,7 @@ def assemble_hamiltonian(
         kernel = a * _tree_kernel(grid, kin)
         exact = a * _exact_kernel(grid, kin)
         defect = float(np.abs(exact - kernel).max()) / max(1.0, float(np.abs(exact).max()))
-        if defect > hermiticity_tol:
+        if not defect <= hermiticity_tol:  # a NaN defect fails too
             raise HermiticityDefect(
                 f"kinetic kernel defect {defect:.3e} exceeds {hermiticity_tol:.1e}"
             )

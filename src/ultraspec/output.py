@@ -1,13 +1,17 @@
 """CSV/JSON writers for grids, spectra and convergence traces.
 
 Floats are serialized with ``repr`` (shortest round-trip form), so reruns of
-the same configuration produce byte-identical files.
+the same configuration produce byte-identical files.  The N**2-row
+eigenvector bundle is streamed one vector at a time by
+``write_eigenvector_bundle``, which writes the bytes ``write_table`` would.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +27,9 @@ __all__ = [
     "trajectory_rows",
     "level_cluster_rows",
     "write_table",
+    "write_eigenvector_bundle",
     "write_spectrum_outputs",
     "write_convergence_outputs",
-    "write_matrix_text",
 ]
 
 GRID_HEADER = ["index", "digits", "shell", "abs_value", "mass"]
@@ -39,10 +43,7 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if value == ZERO_SHELL:
-            return "-inf"
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -54,17 +55,25 @@ def _profile_str(profile: dict) -> str:
     return ";".join(f"{_shell_str(k)}:{repr(float(v))}" for k, v in sorted(profile.items()))
 
 
+# (digits, shell) label strings of each grid's points, formatted once per grid;
+# a pure function of the grid, held only while the grid lives
+_LABELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _point_labels(grid: Grid) -> list:
+    labels = _LABELS.get(grid)
+    if labels is None:
+        labels = _LABELS[grid] = [
+            (format_element(point), _shell_str(shell))
+            for point, shell in zip(grid.points, grid.shells)
+        ]
+    return labels
+
+
 def grid_rows(grid: Grid):
     q = float(grid.field.q)
-    for i, point in enumerate(grid.points):
-        shell = grid.shells[i]
-        yield [
-            i,
-            format_element(point),
-            _shell_str(shell),
-            q**shell if shell != ZERO_SHELL else 0.0,
-            grid.mass,
-        ]
+    for i, ((digits, shell_label), shell) in enumerate(zip(_point_labels(grid), grid.shells)):
+        yield [i, digits, shell_label, q**shell if shell != ZERO_SHELL else 0.0, grid.mass]
 
 
 def spectrum_rows(report: SpectrumReport):
@@ -87,15 +96,9 @@ def spectrum_rows(report: SpectrumReport):
 
 def eigenvector_rows(grid: Grid, vector: np.ndarray):
     vector = np.asarray(vector)
-    for i, point in enumerate(grid.points):
+    for i, (digits, shell) in enumerate(_point_labels(grid)):
         value = complex(vector[i])
-        yield [
-            i,
-            format_element(point),
-            _shell_str(grid.shells[i]),
-            value.real,
-            value.imag,
-        ]
+        yield [i, digits, shell, value.real, value.imag]
 
 
 def trajectory_rows(trace: ConvergenceTrace):
@@ -131,6 +134,68 @@ def write_table(path, header, rows, fmt: str = "csv"):
     return path
 
 
+# json.dump spells these floats its own way; repr gives "nan", "inf", "-inf"
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(values: np.ndarray, fmt: str):
+    """The cells ``write_table`` gives the floats ``values``, in order."""
+    values = np.asarray(values, dtype=np.float64)
+    texts = map(repr, values.tolist())
+    if fmt == "json" and not np.isfinite(values).all():
+        texts = (_JSON_NONFINITE.get(t, t) for t in texts)
+    return texts
+
+
+def write_eigenvector_bundle(path, grid: Grid, vectors: np.ndarray, fmt: str = "csv"):
+    """Write ``eigenvector_rows`` of every column of ``vectors``, led by its index.
+
+    The file is byte-identical to ``write_table`` with the header ``vector``
+    + EIGENVECTOR_HEADER, but each point's label is encoded once and the
+    rows are formatted and written one vector at a time.
+    """
+    path = Path(path)
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown output format {fmt!r}")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    vectors = np.asarray(vectors)
+    labels = _point_labels(grid)
+
+    def columns():
+        for j in range(vectors.shape[1]):
+            column = vectors[:, j]
+            yield j, _float_texts(np.real(column), fmt), _float_texts(np.imag(column), fmt)
+
+    if fmt == "csv":
+        # csv.writer quotes the digits cell, which joins digit pairs with commas
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(
+            [i, digits, shell] for i, (digits, shell) in enumerate(labels)
+        )
+        prefixes = buffer.getvalue().splitlines()
+        with open(path, "w", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerow(["vector"] + EIGENVECTOR_HEADER)
+            for j, re, im in columns():
+                handle.write("".join(f"{j},{p},{r},{m}\n" for p, r, m in zip(prefixes, re, im)))
+    else:
+        # one record of json.dump(indent=1, sort_keys=True), cut around the
+        # per-vector values; the keys sort as digits, im, point_index, re, shell, vector
+        heads = [f' {{\n  "digits": {json.dumps(digits)},\n  "im": ' for digits, _ in labels]
+        mids = [f',\n  "point_index": {i},\n  "re": ' for i in range(len(labels))]
+        tails = [f',\n  "shell": {json.dumps(shell)},\n  "vector": ' for _, shell in labels]
+        with open(path, "w") as handle:
+            for j, re, im in columns():
+                handle.write("[\n" if j == 0 else ",\n")
+                handle.write(
+                    ",\n".join(
+                        f"{h}{m}{x}{r}{t}{j}\n }}"
+                        for h, m, x, r, t in zip(heads, im, mids, re, tails)
+                    )
+                )
+            handle.write("\n]\n" if vectors.shape[1] else "[]\n")
+    return path
+
+
 def write_spectrum_outputs(outdir, report: SpectrumReport, fmt: str = "csv"):
     """Write the standard spectrum artifacts; returns the file paths."""
     outdir = Path(outdir)
@@ -145,13 +210,9 @@ def write_spectrum_outputs(outdir, report: SpectrumReport, fmt: str = "csv"):
             fmt,
         ),
     ]
-    bundle = []
-    for j in range(report.eigenvectors.shape[1]):
-        for row in eigenvector_rows(report.grid, report.eigenvectors[:, j]):
-            bundle.append([j] + row)
     paths.append(
-        write_table(
-            outdir / f"eigenvectors.{ext}", ["vector"] + EIGENVECTOR_HEADER, bundle, fmt
+        write_eigenvector_bundle(
+            outdir / f"eigenvectors.{ext}", report.grid, report.eigenvectors, fmt
         )
     )
     return paths
@@ -167,17 +228,3 @@ def write_convergence_outputs(outdir, trace: ConvergenceTrace, fmt: str = "csv")
             outdir / f"trajectories.{fmt}", TRAJECTORY_HEADER, trajectory_rows(trace), fmt
         ),
     ]
-
-
-def write_matrix_text(path, matrix: np.ndarray):
-    """Debug dump: row-major complex pairs, one row per line."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    matrix = np.asarray(matrix)
-    with open(path, "w") as handle:
-        for row in matrix:
-            handle.write(
-                " ".join(f"({repr(float(np.real(v)))},{repr(float(np.imag(v)))})" for v in row)
-            )
-            handle.write("\n")
-    return path

@@ -379,10 +379,10 @@ def eigensolve(
     are the point basis sorted by potential.  Eigenvectors are
     Euclidean-normalized and phase-fixed (largest entry real positive, ties
     to the lowest index).  Residuals ||Hv - lambda v|| against
-    ``model.matrix`` are checked against tol * max|H| * size.  Shell
-    adaptation then rotates the radial members of each cluster; wavelets
-    and point vectors lie on a single shell already.  Rotating inside a
-    cluster moves residuals by at most the cluster width.
+    ``model.matrix`` are checked against tol * max|H| * size; a NaN residual
+    fails the check.  Shell adaptation then rotates the radial members of
+    each cluster; wavelets and point vectors lie on a single shell already.
+    Rotating inside a cluster moves residuals by at most the cluster width.
     """
     matrix = model.matrix
     if model.kinetic_coeff == 0:
@@ -396,7 +396,7 @@ def eigensolve(
     scale = max(1.0, float(np.abs(matrix).max()))
     threshold = tol * scale * model.size
     worst = float(residuals.max())
-    if worst > threshold:
+    if not worst <= threshold:  # a NaN residual fails too
         raise ResidualTooLarge(f"residual {worst:.3e} exceeds {threshold:.3e}")
     eigenvectors = _fix_phases(eigenvectors)
     clusters = cluster_eigenvalues(eigenvalues, cluster_tol)

@@ -217,7 +217,7 @@ def run_verify(config: RunConfig, kernel_hook=None) -> VerifyOutcome:
     record("negation_round_trip", neg_failures, 0.0)
 
     # --- Hamiltonian ---------------------------------------------------------
-    # the suite records a kernel defect instead of raising it
+    # the suite records a finite kernel defect instead of raising it (NaN still raises)
     model = assemble_hamiltonian(
         grid,
         config.alpha,

@@ -32,13 +32,14 @@ def fourier_operator():
 
 
 @pytest.fixture
-def perturbed_kernel(monkeypatch):
-    """Shift kappa_1 of the closed-form kinetic kernel by 1e-6."""
+def perturbed_kernel(request, monkeypatch):
+    """Shift kappa_1 of the closed-form kinetic kernel by 1e-6, or by an indirect param."""
     closed_form = finite._tree_kernel
+    shift = getattr(request, "param", 1e-6)
 
     def perturbed(grid, kin):
         kappa = closed_form(grid, kin)
-        kappa[1] += 1e-6
+        kappa[1] += shift
         return kappa
 
     monkeypatch.setattr(finite, "_tree_kernel", perturbed)

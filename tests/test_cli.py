@@ -170,17 +170,6 @@ def test_spectrum_ground_state_file_layout(tmp_path):
     assert spectrum_header == "rank,eigenvalue,cluster_id,multiplicity,classification,shell_profile"
 
 
-def test_matrix_debug_dump(tmp_path, grid_n1):
-    from ultraspec import assemble_hamiltonian
-    from ultraspec.output import write_matrix_text
-
-    model = assemble_hamiltonian(grid_n1, 2.0, 0.5, MonomialPotential(c=0.5, s=2.0))
-    path = write_matrix_text(tmp_path / "h.txt", model.matrix)
-    lines = path.read_text().splitlines()
-    assert len(lines) == grid_n1.size
-    assert lines[0].startswith("(") and lines[0].count("(") == grid_n1.size
-
-
 def test_convention_override_flag(tmp_path, capsys):
     out = tmp_path / "pow"
     code = main(

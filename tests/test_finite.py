@@ -343,3 +343,18 @@ def test_hermiticity_defect_raises(grid_n1, ho_potential, perturbed_kernel, tmp_
     config = Path(__file__).resolve().parents[1] / "configs" / "q3sqrt3_ho.cfg"
     assert main(["spectrum", "--config", str(config), "--out", str(tmp_path)]) == 3
     assert "kinetic kernel defect" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("perturbed_kernel", [np.nan], indirect=True)
+def test_nan_kernel_raises_hermiticity_defect(
+    grid_n1, ho_potential, perturbed_kernel, tmp_path, capsys
+):
+    from ultraspec import HermiticityDefect
+    from ultraspec.cli import main
+
+    with pytest.raises(HermiticityDefect, match="defect nan"):
+        assemble_hamiltonian(grid_n1, 2.0, 0.5, ho_potential)
+    config = Path(__file__).resolve().parents[1] / "configs" / "q3sqrt3_ho.cfg"
+    assert main(["spectrum", "--config", str(config), "--out", str(tmp_path)]) == 3
+    assert "kinetic kernel defect nan" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -1,0 +1,92 @@
+"""The streamed eigenvector bundle against the row functions and stdlib encoders."""
+
+import csv
+
+import numpy as np
+import pytest
+
+from ultraspec import ZERO_SHELL, assemble_hamiltonian, build_grid, eigensolve, format_element
+from ultraspec.output import (
+    EIGENVECTOR_HEADER,
+    GRID_HEADER,
+    eigenvector_rows,
+    grid_rows,
+    write_eigenvector_bundle,
+    write_spectrum_outputs,
+    write_table,
+)
+
+FORMATS = ("csv", "json")
+
+
+@pytest.fixture(
+    scope="module", params=[("q3sqrt3", 1), ("q3sqrt3", 2), ("f3_laurent", 1), ("f3_laurent", 2)]
+)
+def report(request, ho_potential):
+    field, n = request.param
+    grid = build_grid(request.getfixturevalue(field), n)
+    return eigensolve(assemble_hamiltonian(grid, 2.0, 0.5, ho_potential))
+
+
+def oracle_bundle(path, grid, vectors, fmt):
+    """The bundle through ``write_table``, i.e. the stdlib csv/json encoders."""
+    rows = [
+        [j] + row for j in range(vectors.shape[1]) for row in eigenvector_rows(grid, vectors[:, j])
+    ]
+    return write_table(path, ["vector"] + EIGENVECTOR_HEADER, rows, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_spectrum_outputs_match_row_path(report, fmt, tmp_path):
+    grid = report.grid
+    written = {p.name: p.read_bytes() for p in write_spectrum_outputs(tmp_path / "new", report, fmt)}
+    old = tmp_path / "old"
+    expected = [
+        write_table(old / f"grid.{fmt}", GRID_HEADER, grid_rows(grid), fmt),
+        write_table(
+            old / f"ground_state.{fmt}",
+            EIGENVECTOR_HEADER,
+            eigenvector_rows(grid, report.eigenvectors[:, 0]),
+            fmt,
+        ),
+        oracle_bundle(old / f"eigenvectors.{fmt}", grid, report.eigenvectors, fmt),
+    ]
+    for path in expected:
+        assert written[path.name] == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_complex_and_nonfinite_vectors_match_row_path(grid_n1, fmt, tmp_path):
+    size = grid_n1.size
+    rng = np.random.default_rng(3)
+    vectors = rng.normal(size=(size, 3)) + 1j * rng.normal(size=(size, 3))
+    vectors[0, 0] = complex(-0.0, -0.0)
+    vectors[1, 0] = complex(0.0, -0.0)
+    vectors[2, 0] = complex(-0.0, 0.0)
+    vectors[:3, 2] = [complex(np.nan, 1.0), complex(np.inf, -np.inf), complex(-np.inf, np.nan)]
+    new = write_eigenvector_bundle(tmp_path / f"new.{fmt}", grid_n1, vectors, fmt)
+    old = oracle_bundle(tmp_path / f"old.{fmt}", grid_n1, vectors, fmt)
+    assert new.read_bytes() == old.read_bytes()
+
+
+def test_rows_label_points_with_format_element(grid_n2):
+    expected = [
+        [i, format_element(point), "-inf" if shell == ZERO_SHELL else str(int(shell))]
+        for i, (point, shell) in enumerate(zip(grid_n2.points, grid_n2.shells))
+    ]
+    assert [row[:3] for row in grid_rows(grid_n2)] == expected
+    assert [row[:3] for row in eigenvector_rows(grid_n2, np.ones(grid_n2.size))] == expected
+
+
+def test_csv_quotes_comma_bearing_digits(grid_n1, tmp_path):
+    path = write_eigenvector_bundle(tmp_path / "v.csv", grid_n1, np.eye(grid_n1.size), "csv")
+    index = next(i for i, p in enumerate(grid_n1.points) if "," in format_element(p))
+    digits = format_element(grid_n1.points[index])
+    line = path.read_text().splitlines()[1 + index]
+    assert line.startswith(f'0,{index},"{digits}",')
+    assert next(csv.reader([line]))[2] == digits
+
+
+def test_bundle_rejects_unknown_format(grid_n1, tmp_path):
+    with pytest.raises(ValueError, match="unknown output format"):
+        write_eigenvector_bundle(tmp_path / "v.txt", grid_n1, np.eye(grid_n1.size), "txt")

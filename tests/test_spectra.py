@@ -84,6 +84,29 @@ def test_eigensolve_enforces_residual_tolerance(canonical_model):
         eigensolve(canonical_model, tol=1e-30)
 
 
+def test_nan_residual_raises(canonical_model, monkeypatch, tmp_path, capsys):
+    from pathlib import Path
+
+    from ultraspec import ResidualTooLarge
+    from ultraspec.cli import main
+    import ultraspec.spectra as spectra
+
+    exact = spectra._tree_eigensystem
+
+    def poisoned(model):
+        values, vectors, radial = exact(model)
+        vectors[0, 0] = np.nan
+        return values, vectors, radial
+
+    monkeypatch.setattr(spectra, "_tree_eigensystem", poisoned)
+    with pytest.raises(ResidualTooLarge, match="residual nan"):
+        eigensolve(canonical_model)
+    config = Path(__file__).resolve().parents[1] / "configs" / "q3sqrt3_ho.cfg"
+    assert main(["spectrum", "--config", str(config), "--out", str(tmp_path)]) == 3
+    assert "residual nan" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # clustering
 # ---------------------------------------------------------------------------
