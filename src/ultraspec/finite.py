@@ -14,8 +14,9 @@ The kinetic operator F* diag(|xi|**alpha) F is a convolution by a radial
 kernel, so its entry (i, j) depends only on s, the first digit position
 where x_i and x_j differ: the grid is a q-ary tree of depth 2n and the
 operator takes 2n + 1 values kappa_s.  Assembly computes them in closed
-form from rank-zero character sums, checks them against the exact-phase
-Fourier kernel, and fills the Hamiltonian from them without a transform.
+form from rank-zero character sums and checks them against the exact-phase
+Fourier kernel; the Hamiltonian is held as those values plus the potential
+diagonal and applied by block sums over the tree, never as a dense matrix.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Mapping, Union
 
 import numpy as np
 
 from .errors import GridTooLarge, HermiticityDefect, NonConfiningPotentialWarning
-from .fields import Field, FieldElement, beta_monomial_phase, elem_add, elem_from_pairs, elem_neg
+from .fields import Field, FieldElement, beta_monomial_phase, elem_from_pairs, elem_neg
 
 __all__ = [
     "ZERO_SHELL",
@@ -92,7 +92,6 @@ class Grid:
         q = field.q
         self.size = q ** (2 * n)
         self.mass = float(q) ** (-n)
-        self.mass_fraction = Fraction(1, q**n)
 
         width = 2 * n
         # lexicographic enumeration == big-endian base-q counting
@@ -128,9 +127,6 @@ class Grid:
         """Shell labels in ascending order (ZERO_SHELL first)."""
         return sorted(self.shell_sizes)
 
-    def abs_values(self) -> np.ndarray:
-        return float(self.field.q) ** self.shells
-
     def depth_representatives(self) -> list:
         """One index per tree depth d = 0, ..., 2n: a point on shell n - d.
 
@@ -155,10 +151,6 @@ class Grid:
         """Index of x modulo b**n (digits at exponents >= n dropped)."""
         row = [x.digit_at(pos - self.n) for pos in range(2 * self.n)]
         return self.index_of_digits(row)
-
-    def add_indices(self, i: int, j: int) -> int:
-        s = elem_add(self.field, self.points[i], self.points[j])
-        return self.reduce_element(s)
 
     def neg_index(self, i: int) -> int:
         x = elem_neg(self.field, self.points[i], mod_exp=self.n)
@@ -487,10 +479,12 @@ class HamiltonianModel:
     """H_n = a * F* diag(|xi|**alpha) F + diag(v), with its provenance.
 
     ``kernel[s]`` is the entry of a * F* diag(|xi|**alpha) F between two
-    points whose digits first differ at position s (s = 2n on the diagonal);
-    ``matrix`` is built from it.  ``presym_defect`` is the largest deviation
-    of the closed-form kernel from 2n + 1 rows of the exact-phase Fourier
-    kernel, relative to max(1, max|kernel|); 0.0 when a = 0.
+    points whose digits first differ at position s (s = 2n on the diagonal).
+    With ``potential_diagonal`` it is the whole operator: ``apply`` computes
+    H v from them and ``max_abs`` the largest entry, and no dense matrix is
+    built.  ``presym_defect`` is the largest deviation of the closed-form
+    kernel from 2n + 1 rows of the exact-phase Fourier kernel, relative to
+    max(1, max|kernel|); 0.0 when a = 0.
     """
 
     grid: Grid
@@ -498,7 +492,6 @@ class HamiltonianModel:
     kinetic_coeff: float
     potential: RadialPotential
     convention: ZeroCellConvention
-    matrix: np.ndarray
     kinetic_diagonal: np.ndarray
     potential_diagonal: np.ndarray
     kernel: np.ndarray
@@ -507,6 +500,38 @@ class HamiltonianModel:
     @property
     def size(self) -> int:
         return self.grid.size
+
+    def apply(self, v) -> np.ndarray:
+        """H v for an (N,) or (N, k) array v, by block sums over the digit tree.
+
+        Points sharing their first s digits form contiguous blocks of
+        q**(2n - s) indices.  With B_s v the sum of v over each point's
+        block, H v = sum_s (kappa_s - kappa_{s-1}) B_s v + pot * v, where
+        kappa_{-1} = 0 and B_2n v = v.  The block sums are taken up the tree
+        and their terms accumulated down it, O(N) per vector.
+        """
+        v = np.asarray(v)
+        q, width = self.grid.field.q, 2 * self.grid.n
+        cols = v.reshape(self.size, -1)
+        k = cols.shape[1]
+        steps = np.diff(self.kernel, prepend=0.0)
+        sums = [cols]  # sums[t] has one row per block of the first 2n - t digits
+        for _ in range(width):
+            sums.append(sums[-1].reshape(-1, q, k).sum(axis=1))
+        terms = steps[0] * sums[width]
+        for s in range(1, width):
+            terms = np.repeat(terms, q, axis=0) + steps[s] * sums[width - s]
+        out = (self.potential_diagonal + steps[width])[:, None] * cols
+        leaves = out.reshape(-1, q, k)  # splits the leading axis only: a view of out
+        leaves += terms[:, None, :]
+        return out.reshape(v.shape)
+
+    def max_abs(self) -> float:
+        """Largest |entry| of H, O(N): kernel[s < 2n] off the diagonal, kernel[2n] + pot on it."""
+        return max(
+            float(np.abs(self.kernel[:-1]).max()),
+            float(np.abs(self.kernel[-1] + self.potential_diagonal).max()),
+        )
 
 
 def _tree_kernel(grid: Grid, kin: np.ndarray) -> np.ndarray:
@@ -535,22 +560,6 @@ def _exact_kernel(grid: Grid, kin: np.ndarray) -> np.ndarray:
     scale = float(grid.field.q) ** (-grid.n)
     rows = _phase_table(grid).kernel_rows(scale, rows=grid.depth_representatives(), inverse=True)
     return scale * (rows @ kin)
-
-
-def _tree_matrix(grid: Grid, kernel: np.ndarray) -> np.ndarray:
-    """Dense matrix with entry kernel[s] where the digits first differ at s.
-
-    Points sharing their first s digits form contiguous blocks of
-    q**(2n - s) indices; nested blocks overwrite their parents.
-    """
-    q, width, size = grid.field.q, 2 * grid.n, grid.size
-    out = np.full((size, size), kernel[0])
-    for s in range(1, width + 1):
-        blocks = q**s
-        view = out.reshape(blocks, size // blocks, blocks, size // blocks)
-        diagonal = np.arange(blocks)
-        view[diagonal, :, diagonal, :] = kernel[s]
-    return out
 
 
 def assemble_hamiltonian(
@@ -590,15 +599,12 @@ def assemble_hamiltonian(
             raise HermiticityDefect(
                 f"kinetic kernel defect {defect:.3e} exceeds {hermiticity_tol:.1e}"
             )
-    matrix = _tree_matrix(grid, kernel)
-    matrix[np.diag_indices_from(matrix)] += pot
     return HamiltonianModel(
         grid=grid,
         alpha=float(alpha),
         kinetic_coeff=float(a),
         potential=potential,
         convention=convention,
-        matrix=matrix,
         kinetic_diagonal=kin,
         potential_diagonal=pot,
         kernel=kernel,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .fields import format_element
 from .finite import Grid, ZERO_SHELL
-from .spectra import ConvergenceTrace, SpectrumReport
+from .spectra import ConvergenceTrace, SpectrumReport, _format_shell
 
 __all__ = [
     "grid_rows",
@@ -47,12 +47,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _shell_str(k: float) -> str:
-    return "-inf" if k == ZERO_SHELL else str(int(k))
-
-
 def _profile_str(profile: dict) -> str:
-    return ";".join(f"{_shell_str(k)}:{repr(float(v))}" for k, v in sorted(profile.items()))
+    return ";".join(f"{_format_shell(k)}:{repr(float(v))}" for k, v in sorted(profile.items()))
 
 
 # (digits, shell) label strings of each grid's points, formatted once per grid;
@@ -64,7 +60,7 @@ def _point_labels(grid: Grid) -> list:
     labels = _LABELS.get(grid)
     if labels is None:
         labels = _LABELS[grid] = [
-            (format_element(point), _shell_str(shell))
+            (format_element(point), _format_shell(shell))
             for point, shell in zip(grid.points, grid.shells)
         ]
     return labels

@@ -212,14 +212,15 @@ def shell_adapt(
     matrix; the family is jointly block-diagonalized by sequential
     refinement, so every output vector is concentrated on as few shells as
     the eigenspace allows.  When ``model`` is given, the columns are first
-    checked to span a common eigenspace (raises NotAnEigenspace).
+    checked to span a common eigenspace, with H applied through
+    ``model.apply`` (raises NotAnEigenspace).
     """
     v = np.asarray(vectors)
     if v.ndim == 1:
         v = v[:, None]
     m = v.shape[1]
     if model is not None:
-        hv = model.matrix @ v
+        hv = model.apply(v)
         rayleigh = np.real(np.einsum("ij,ij->j", v.conj(), hv))
         lam = float(rayleigh.mean())
         residual = float(np.linalg.norm(hv - lam * v, axis=0).max())
@@ -268,12 +269,6 @@ class SpectrumReport:
     classifications: list
     grid: Grid
     model: HamiltonianModel
-
-    def cluster_of(self, index: int) -> EigenCluster:
-        for c in self.clusters:
-            if index in c.indices:
-                return c
-        raise IndexError(index)
 
     def cluster_kind(self, cluster: EigenCluster) -> str:
         kinds = {self.classifications[i].kind for i in cluster.indices}
@@ -361,7 +356,8 @@ def _tree_eigensystem(model: HamiltonianModel):
 
     values = np.concatenate(values)
     order = np.argsort(values, kind="stable")
-    return values[order], vectors[:, order], radial[order]
+    # take keeps the columns in C order, which model.apply sums fastest
+    return values[order], np.take(vectors, order, axis=1), radial[order]
 
 
 def eigensolve(
@@ -378,13 +374,13 @@ def eigensolve(
     closed-form Haar wavelets (see ``_tree_eigensystem``); with a = 0 they
     are the point basis sorted by potential.  Eigenvectors are
     Euclidean-normalized and phase-fixed (largest entry real positive, ties
-    to the lowest index).  Residuals ||Hv - lambda v|| against
-    ``model.matrix`` are checked against tol * max|H| * size; a NaN residual
-    fails the check.  Shell adaptation then rotates the radial members of
-    each cluster; wavelets and point vectors lie on a single shell already.
-    Rotating inside a cluster moves residuals by at most the cluster width.
+    to the lowest index).  Residuals ||Hv - lambda v||, with H applied by
+    ``model.apply``, are checked against tol * max(1, max|H|) * size; a NaN
+    residual fails the check.  Shell adaptation then rotates the radial
+    members of each cluster; wavelets and point vectors lie on a single
+    shell already.  Rotating inside a cluster moves residuals by at most the
+    cluster width.
     """
-    matrix = model.matrix
     if model.kinetic_coeff == 0:
         order = np.argsort(model.potential_diagonal, kind="stable")
         eigenvalues = model.potential_diagonal[order]
@@ -392,8 +388,8 @@ def eigensolve(
         radial = np.zeros(model.size, dtype=bool)
     else:
         eigenvalues, eigenvectors, radial = _tree_eigensystem(model)
-    residuals = np.linalg.norm(matrix @ eigenvectors - eigenvectors * eigenvalues, axis=0)
-    scale = max(1.0, float(np.abs(matrix).max()))
+    residuals = np.linalg.norm(model.apply(eigenvectors) - eigenvectors * eigenvalues, axis=0)
+    scale = max(1.0, model.max_abs())
     threshold = tol * scale * model.size
     worst = float(residuals.max())
     if not worst <= threshold:  # a NaN residual fails too
@@ -532,7 +528,6 @@ def convergence_report(
             radial_tol=radial_tol,
             shell_tol=shell_tol,
         )
-        grids[n] = grid
         reports[n] = report
         lowest = float(report.eigenvalues[0])
         per_level.append(

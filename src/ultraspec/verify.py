@@ -228,15 +228,10 @@ def run_verify(config: RunConfig, kernel_hook=None) -> VerifyOutcome:
     )
     kin, pot = model.kinetic_diagonal, model.potential_diagonal
     operator_defect = max(
-        np.abs(
-            model.kinetic_coeff * apply_finv(kin * apply_f(f)) + pot * f - model.matrix @ f
-        ).max()
+        np.abs(model.kinetic_coeff * apply_finv(kin * apply_f(f)) + pot * f - model.apply(f)).max()
         for f in probes
     )
-    record(
-        "hamiltonian_hermiticity",
-        operator_defect / max(1.0, float(np.abs(model.matrix).max())),
-    )
+    record("hamiltonian_hermiticity", operator_defect / max(1.0, model.max_abs()))
     record(
         "potential_diagonal_nonnegative",
         max(0.0, -float(model.potential_diagonal.min())),

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -167,7 +168,7 @@ def test_free_model_oracle_in_positive_characteristic(zero_potential):
     f4 = make_field(LaurentField(p=2, f=2))
     grid = build_grid(f4, 2)  # 256 points, q = 4
     model = assemble_hamiltonian(grid, alpha=1.0, a=1.0, potential=zero_potential)
-    spectrum = np.linalg.eigvalsh(model.matrix)
+    spectrum = np.linalg.eigvalsh(model.apply(np.eye(grid.size)))
     assert np.abs(spectrum - np.sort(model.kinetic_diagonal)).max() < 1e-10
 
 
@@ -299,18 +300,20 @@ def test_table_potential_must_cover_grid(grid_n2):
 
 def test_free_model_spectrum_is_kinetic_diagonal(grid_n2, zero_potential):
     model = assemble_hamiltonian(grid_n2, alpha=2.0, a=1.0, potential=zero_potential)
-    spectrum = np.linalg.eigvalsh(model.matrix)
+    spectrum = np.linalg.eigvalsh(model.apply(np.eye(grid_n2.size)))
     assert np.abs(spectrum - np.sort(model.kinetic_diagonal)).max() < 1e-10
 
 
 def test_diagonal_model_when_kinetic_coefficient_vanishes(grid_n2):
     pot = MonomialPotential(c=1.0, s=1.0)
     model = assemble_hamiltonian(grid_n2, alpha=2.0, a=0.0, potential=pot)
-    assert np.array_equal(model.matrix, np.diag(model.potential_diagonal))
+    oracle = np.diag(model.potential_diagonal)
+    assert np.array_equal(model.apply(np.eye(grid_n2.size)), oracle)
+    assert model.max_abs() == np.abs(oracle).max()
 
 
 def test_assembled_matrix_is_hermitian(canonical_model):
-    m = canonical_model.matrix
+    m = canonical_model.apply(np.eye(canonical_model.size))
     scale = max(1.0, np.abs(m).max())
     assert np.abs(m - m.conj().T).max() / scale < 1e-12
     assert canonical_model.presym_defect < 1e-12
@@ -326,12 +329,47 @@ def test_assembly_validates_parameters(grid_n1, ho_potential):
 
 
 def test_tree_assembly_matches_fourier_operator(grid_n1, grid_n2, ho_potential, fourier_operator):
+    rng = np.random.default_rng(11)
     for grid in (grid_n1, grid_n2):
+        probes = (rand_fn(rng, grid.size), rand_fn(rng, (grid.size, 3)))
         for convention in ZeroCellConvention:
-            model = assemble_hamiltonian(grid, 2.0, 0.5, ho_potential, convention)
-            oracle = fourier_operator(model)
-            scale = np.abs(oracle).max()
-            assert np.abs(model.matrix - oracle).max() <= 1e-12 * scale
+            for a in (0.0, 0.5):
+                model = assemble_hamiltonian(grid, 2.0, a, ho_potential, convention)
+                oracle = fourier_operator(model)
+                scale = np.abs(oracle).max()
+                assert model.max_abs() == pytest.approx(scale, rel=1e-12)
+                tol = 1e-12 * scale
+                assert np.abs(model.apply(np.eye(grid.size)) - oracle).max() <= tol
+                for v in probes:
+                    hv = model.apply(v)
+                    assert hv.shape == v.shape
+                    assert np.abs(hv - oracle @ v).max() <= tol * np.abs(v).sum(axis=0).max()
+
+
+def test_apply_follows_first_differing_digit(grid_n2, ho_potential):
+    # any kernel, including ones whose largest entry lies off the diagonal
+    digits = grid_n2.digits
+    differ = digits[:, None, :] != digits[None, :, :]
+    depth = np.where(differ.any(axis=2), differ.argmax(axis=2), digits.shape[1])
+    model = assemble_hamiltonian(grid_n2, 2.0, 0.5, ho_potential)
+    rng = np.random.default_rng(12)
+    for kernel in (rng.standard_normal(5) * 100, np.array([-500.0, 3.0, 0.0, 2.0, 1.0])):
+        model.kernel = kernel
+        oracle = kernel[depth] + np.diag(model.potential_diagonal)
+        assert model.max_abs() == np.abs(oracle).max()
+        block = rand_fn(rng, (grid_n2.size, 2))
+        assert np.abs(model.apply(block) - oracle @ block).max() <= 1e-12 * np.abs(oracle).sum()
+
+
+def test_assembly_memory_is_linear_in_grid_size(q3sqrt3, ho_potential):
+    grid = build_grid(q3sqrt3, 4)  # N = 6561; one dense N x N float64 matrix is 344 MB
+    tracemalloc.start()
+    try:
+        assemble_hamiltonian(grid, alpha=2.0, a=0.5, potential=ho_potential)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.size**2 / 10
 
 
 def test_hermiticity_defect_raises(grid_n1, ho_potential, perturbed_kernel, tmp_path, capsys):

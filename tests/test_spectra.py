@@ -59,15 +59,16 @@ def test_reference_ground_state_column_has_unit_euclidean_norm(grid_n2):
     assert total == pytest.approx(1.0, abs=1e-4)
 
 
-def test_eigensolve_invariants(canonical_report, canonical_model):
+def test_eigensolve_invariants(canonical_report, canonical_model, fourier_operator):
     report = canonical_report
     n = canonical_model.size
+    oracle = fourier_operator(canonical_model)
     assert (np.diff(report.eigenvalues) >= -1e-12).all()
     gram = report.eigenvectors.conj().T @ report.eigenvectors
     assert np.abs(gram - np.eye(n)).max() < 1e-10
-    bound = 1e-9 * np.abs(canonical_model.matrix).max() * n
+    bound = 1e-9 * np.abs(oracle).max() * n
     assert report.residuals.max() < bound
-    trace = float(np.trace(canonical_model.matrix).real)
+    trace = float(np.trace(oracle).real)
     assert float(report.eigenvalues.sum()) == pytest.approx(trace, rel=1e-8)
 
 
