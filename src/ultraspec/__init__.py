@@ -54,7 +54,6 @@ from .finite import (
     GRID_CAP_DEFAULT,
     ZERO_SHELL,
     Grid,
-    GridFunction,
     HamiltonianModel,
     MonomialPotential,
     TablePotential,

@@ -114,7 +114,6 @@ def cmd_converge(config: RunConfig) -> int:
         config.require_levels(),
         convention=config.convention,
         cluster_tol=tols.cluster_tol,
-        radial_tol=tols.radial_tol,
         shell_tol=tols.shell_tol,
         residual_tol=tols.residual_tol,
         ground_state_bound=config.ground_state_upper_bound,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Union
 
 import numpy as np
@@ -36,7 +37,6 @@ __all__ = [
     "GRID_CAP_DEFAULT",
     "FOURIER_DENSE_CAP",
     "Grid",
-    "GridFunction",
     "MonomialPotential",
     "TablePotential",
     "RadialPotential",
@@ -109,11 +109,6 @@ class Grid:
         self.shells = shells
         self.zero_index = 0  # all-zero tuple is lexicographically first
 
-        self.points = [
-            elem_from_pairs(field, [(pos - n, int(d)) for pos, d in enumerate(row) if d])
-            for row in digits
-        ]
-
         labels, counts = np.unique(shells, return_counts=True)
         self.shell_sizes = {float(k): int(c) for k, c in zip(labels, counts)}
 
@@ -122,6 +117,15 @@ class Grid:
 
     def __len__(self) -> int:
         return self.size
+
+    @cached_property
+    def points(self) -> list:
+        """The points as field elements, in index order; built on first read."""
+        n = self.n
+        return [
+            elem_from_pairs(self.field, [(pos - n, int(d)) for pos, d in enumerate(row) if d])
+            for row in self.digits
+        ]
 
     def shell_labels(self):
         """Shell labels in ascending order (ZERO_SHELL first)."""
@@ -165,25 +169,6 @@ def build_grid(field: Field, n: int, cap: int = GRID_CAP_DEFAULT) -> Grid:
     if size > cap:
         raise GridTooLarge(f"q**(2n) = {size} exceeds the grid cap {cap}")
     return Grid(field, n)
-
-
-@dataclass
-class GridFunction:
-    """A complex-valued function on a grid (one value per grid point)."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if self.values.shape != (self.grid.size,):
-            raise ValueError(
-                f"expected {self.grid.size} values, got shape {self.values.shape}"
-            )
-
-
-def _values_of(f) -> np.ndarray:
-    return np.asarray(f.values if isinstance(f, GridFunction) else f)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +278,7 @@ def fourier_matrix(grid: Grid, inverse: bool = False) -> np.ndarray:
 
 def fourier_apply(grid: Grid, f, inverse: bool = False) -> np.ndarray:
     """Apply the finite Fourier transform (or its inverse) to a grid function."""
-    v = _values_of(f).astype(np.complex128, copy=False)
+    v = np.asarray(f).astype(np.complex128, copy=False)
     if grid.size <= FOURIER_DENSE_CAP:
         return fourier_matrix(grid, inverse=inverse) @ v
     table = _phase_table(grid)
@@ -313,7 +298,7 @@ def fourier_apply(grid: Grid, f, inverse: bool = False) -> np.ndarray:
 
 def project_cutoff(grid: Grid, k: int, f) -> np.ndarray:
     """Finite-level cutoff: zero the values at points with |x| > q**k."""
-    v = _values_of(f)
+    v = np.asarray(f)
     return np.where(grid.shells <= k, v, np.zeros((), dtype=v.dtype))
 
 
@@ -326,7 +311,7 @@ def project_smooth(grid: Grid, k: int, f) -> np.ndarray:
     n = grid.n
     if not -n <= k < n:
         raise ValueError(f"smoothing level k = {k} must satisfy -n <= k < n (n = {n})")
-    v = _values_of(f)
+    v = np.asarray(f)
     block = grid.field.q ** (n - k)
     means = v.reshape(-1, block).mean(axis=1)
     return np.repeat(means, block)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -61,6 +62,8 @@ DEFAULT_CLUSTER_TOL = 1e-6
 DEFAULT_RADIAL_TOL = 1e-8
 DEFAULT_SHELL_TOL = 1e-10
 DEFAULT_RESIDUAL_TOL = 1e-9
+EIGENSPACE_TOL = 1e-6  # shell_adapt's relative eigen-residual bound
+MATCH_WINDOW = 0.5  # convergence_report's largest cluster drift between levels
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +206,6 @@ def shell_adapt(
     grid: Grid,
     vectors: np.ndarray,
     model: Optional[HamiltonianModel] = None,
-    tol: float = 1e-6,
     split_tol: float = 1e-7,
 ) -> np.ndarray:
     """Rotate an eigenspace basis onto shell-concentrated vectors.
@@ -213,7 +215,8 @@ def shell_adapt(
     refinement, so every output vector is concentrated on as few shells as
     the eigenspace allows.  When ``model`` is given, the columns are first
     checked to span a common eigenspace, with H applied through
-    ``model.apply`` (raises NotAnEigenspace).
+    ``model.apply``: an eigen-residual above EIGENSPACE_TOL * max(1, |lambda|)
+    raises NotAnEigenspace.
     """
     v = np.asarray(vectors)
     if v.ndim == 1:
@@ -224,7 +227,7 @@ def shell_adapt(
         rayleigh = np.real(np.einsum("ij,ij->j", v.conj(), hv))
         lam = float(rayleigh.mean())
         residual = float(np.linalg.norm(hv - lam * v, axis=0).max())
-        if residual > tol * max(1.0, abs(lam)):
+        if residual > EIGENSPACE_TOL * max(1.0, abs(lam)):
             raise NotAnEigenspace(
                 f"eigen-residual {residual:.3e} at lambda = {lam:.6g} exceeds tolerance"
             )
@@ -260,15 +263,28 @@ def shell_adapt(
 
 @dataclass
 class SpectrumReport:
-    """Eigendecomposition plus clustering and per-vector classifications."""
+    """Eigendecomposition plus clustering; per-vector classifications on first read.
+
+    ``classifications`` runs ``classify_eigenvector`` on every column with
+    the report's ``radial_tol`` and ``shell_tol`` (those ``eigensolve`` was
+    given) the first time it is read, and keeps the list.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # orthonormal columns, phase-fixed
     residuals: np.ndarray
     clusters: list
-    classifications: list
     grid: Grid
-    model: HamiltonianModel
+    radial_tol: float = DEFAULT_RADIAL_TOL
+    shell_tol: float = DEFAULT_SHELL_TOL
+
+    @cached_property
+    def classifications(self) -> list:
+        vectors, grid = self.eigenvectors, self.grid
+        return [
+            classify_eigenvector(grid, vectors[:, i], self.radial_tol, self.shell_tol)
+            for i in range(grid.size)
+        ]
 
     def cluster_kind(self, cluster: EigenCluster) -> str:
         kinds = {self.classifications[i].kind for i in cluster.indices}
@@ -366,7 +382,6 @@ def eigensolve(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     radial_tol: float = DEFAULT_RADIAL_TOL,
     shell_tol: float = DEFAULT_SHELL_TOL,
-    adapt: bool = True,
 ) -> SpectrumReport:
     """Eigendecomposition by the exact tree reduction, with residual enforcement.
 
@@ -379,7 +394,9 @@ def eigensolve(
     residual fails the check.  Shell adaptation then rotates the radial
     members of each cluster; wavelets and point vectors lie on a single
     shell already.  Rotating inside a cluster moves residuals by at most the
-    cluster width.
+    cluster width.  ``radial_tol`` and ``shell_tol`` are kept on the report,
+    which classifies the eigenvectors only when its ``classifications`` are
+    first read.
     """
     if model.kinetic_coeff == 0:
         order = np.argsort(model.potential_diagonal, kind="stable")
@@ -388,7 +405,9 @@ def eigensolve(
         radial = np.zeros(model.size, dtype=bool)
     else:
         eigenvalues, eigenvectors, radial = _tree_eigensystem(model)
-    residuals = np.linalg.norm(model.apply(eigenvectors) - eigenvectors * eigenvalues, axis=0)
+    hv = model.apply(eigenvectors)
+    hv -= eigenvectors * eigenvalues
+    residuals = np.linalg.norm(hv, axis=0)
     scale = max(1.0, model.max_abs())
     threshold = tol * scale * model.size
     worst = float(residuals.max())
@@ -396,25 +415,20 @@ def eigensolve(
         raise ResidualTooLarge(f"residual {worst:.3e} exceeds {threshold:.3e}")
     eigenvectors = _fix_phases(eigenvectors)
     clusters = cluster_eigenvalues(eigenvalues, cluster_tol)
-    if adapt:
-        for cluster in clusters:
-            idx = [i for i in cluster.indices if radial[i]]
-            if len(idx) > 1:
-                eigenvectors[:, idx] = shell_adapt(
-                    model.grid, eigenvectors[:, idx], split_tol=max(shell_tol, 1e-9)
-                )
-    classifications = [
-        classify_eigenvector(model.grid, eigenvectors[:, i], radial_tol, shell_tol)
-        for i in range(model.size)
-    ]
+    for cluster in clusters:
+        idx = [i for i in cluster.indices if radial[i]]
+        if len(idx) > 1:
+            eigenvectors[:, idx] = shell_adapt(
+                model.grid, eigenvectors[:, idx], split_tol=max(shell_tol, 1e-9)
+            )
     return SpectrumReport(
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
         residuals=residuals,
         clusters=clusters,
-        classifications=classifications,
         grid=model.grid,
-        model=model,
+        radial_tol=radial_tol,
+        shell_tol=shell_tol,
     )
 
 
@@ -489,20 +503,19 @@ def convergence_report(
     levels: Sequence[int],
     convention=ZeroCellConvention.AVERAGE_OF_POWER,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    radial_tol: float = DEFAULT_RADIAL_TOL,
     shell_tol: float = DEFAULT_SHELL_TOL,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    window: float = 0.5,
     ground_state_bound: Optional[float] = None,
     grid_cap: Optional[int] = None,
 ) -> ConvergenceTrace:
     """Run the spectral pipeline at several levels and match clusters.
 
-    Matching is greedy nearest-value within ``window`` between consecutive
+    Matching is greedy nearest-value within MATCH_WINDOW between consecutive
     levels.  The alignment of a matched pair is the largest distance from an
     embedded basis vector of the old cluster to the span of the new one
     (embedding is the canonical constant-on-refined-cells lift, composed
-    across levels when they are not consecutive).
+    across levels when they are not consecutive).  Only the clusters and
+    eigenvectors of each level are read, so no eigenvector is classified.
     """
     levels = sorted(set(int(n) for n in levels))
     if not levels:
@@ -525,7 +538,6 @@ def convergence_report(
             model,
             tol=residual_tol,
             cluster_tol=cluster_tol,
-            radial_tol=radial_tol,
             shell_tol=shell_tol,
         )
         reports[n] = report
@@ -555,7 +567,7 @@ def convergence_report(
         matches = {}
         for traj in sorted(open_traj, key=lambda t: t.steps[-1].value):
             last = traj.steps[-1].value
-            best, best_dist = None, window
+            best, best_dist = None, MATCH_WINDOW
             for ci, cluster in enumerate(cur_clusters):
                 if ci in taken:
                     continue

@@ -59,13 +59,8 @@ def _random_functions(rng, size, count):
     ]
 
 
-def run_verify(config: RunConfig, kernel_hook=None) -> VerifyOutcome:
-    """Run the field/finite-model property suite at the configured level.
-
-    ``kernel_hook`` (tests only) may replace the dense Fourier kernel before
-    the transform checks run; a corrupted kernel must trip the unitarity
-    check.
-    """
+def run_verify(config: RunConfig) -> VerifyOutcome:
+    """Run the field/finite-model property suite at the configured level."""
     field = config.field
     n = config.require_level()
     grid = build_grid(field, n, cap=config.grid_cap)
@@ -90,11 +85,8 @@ def run_verify(config: RunConfig, kernel_hook=None) -> VerifyOutcome:
     record("shell_partition", partition_defect, 0.0)
 
     # --- Fourier transform ----------------------------------------------------
-    dense = grid.size <= FOURIER_DENSE_CAP
-    if dense:
+    if grid.size <= FOURIER_DENSE_CAP:
         fmat = fourier_matrix(grid)
-        if kernel_hook is not None:
-            fmat = kernel_hook(np.array(fmat))
         finv = fmat.conj().T
 
         def apply_f(v):
@@ -105,9 +97,6 @@ def run_verify(config: RunConfig, kernel_hook=None) -> VerifyOutcome:
 
         record("fourier_unitary", np.abs(fmat.conj().T @ fmat - np.eye(grid.size)).max())
     else:
-        if kernel_hook is not None:
-            raise ValueError("kernel_hook requires the dense Fourier path")
-
         def apply_f(v):
             return fourier_apply(grid, v)
 

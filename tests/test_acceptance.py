@@ -201,7 +201,7 @@ def test_free_model_oracle(field):
             grid = build_grid(field, n)
             for alpha in (0.5, 1.0, 2.0):
                 model = assemble_hamiltonian(grid, alpha, 1.0, zero_potential)
-                report = eigensolve(model, adapt=False)
+                report = eigensolve(model)
                 expected = np.sort(model.kinetic_diagonal)
                 assert np.abs(report.eigenvalues - expected).max() <= FREE_MODEL_TOL
 

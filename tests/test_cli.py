@@ -16,6 +16,7 @@ from ultraspec import (
 )
 from ultraspec.cli import main
 import ultraspec.cli
+import ultraspec.verify
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "q3sqrt3_ho.cfg"
 LAURENT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "f3_laurent.cfg"
@@ -212,14 +213,17 @@ def test_verify_passes_with_nontrivial_residue_field(tmp_path):
     assert outcome.passed, [c.name for c in outcome.checks if not c.passed]
 
 
-def test_corrupted_kernel_trips_unitarity():
+def test_corrupted_kernel_trips_unitarity(monkeypatch):
     config = load_config(REPO_CONFIG)
+    exact = ultraspec.verify.fourier_matrix
 
-    def flip_one_phase(fmat):
+    def flip_one_phase(grid, inverse=False):
+        fmat = np.array(exact(grid, inverse=inverse))
         fmat[3, 5] *= np.exp(2j * np.pi / 9)
         return fmat
 
-    outcome = run_verify(config, kernel_hook=flip_one_phase)
+    monkeypatch.setattr(ultraspec.verify, "fourier_matrix", flip_one_phase)
+    outcome = run_verify(config)
     assert not outcome.passed
     failed = {c.name for c in outcome.checks if not c.passed}
     assert "fourier_unitary" in failed

@@ -26,7 +26,6 @@ from ultraspec import (
     project_smooth,
     zero_cell_average,
 )
-from ultraspec.finite import GridFunction
 import ultraspec.finite as finite
 
 
@@ -71,10 +70,11 @@ def test_grid_index_round_trip(grid_n2):
         assert grid_n2.index_of_element(grid_n2.points[i]) == i
 
 
-def test_grid_function_validates_length(grid_n1):
-    GridFunction(grid_n1, np.zeros(9))
-    with pytest.raises(ValueError):
-        GridFunction(grid_n1, np.zeros(8))
+def test_grid_points_are_built_on_first_read(q3sqrt3):
+    assert "points" not in vars(build_grid(q3sqrt3, 5))  # N = 59049, numpy arrays only
+    grid = build_grid(q3sqrt3, 1)
+    assert [grid.index_of_element(x) for x in grid.points] == list(range(grid.size))
+    assert "points" in vars(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from ultraspec import (
     embed_function,
     shell_adapt,
 )
+import ultraspec.spectra as spectra
 
 # Reference ground-state values for the level-2 run (shells -inf, 2, 1, 0, -1)
 REFERENCE_GROUND_STATE = {
@@ -40,7 +43,7 @@ def cluster_near(report, value, atol=1e-3):
 def test_diagonal_model_eigensolve(grid_n2):
     pot = MonomialPotential(c=1.0, s=1.0)
     model = assemble_hamiltonian(grid_n2, alpha=2.0, a=0.0, potential=pot)
-    report = eigensolve(model, adapt=False)
+    report = eigensolve(model)
     assert np.abs(report.eigenvalues - np.sort(model.potential_diagonal)).max() < 1e-12
     # eigenvectors are a permuted standard basis, phase-fixed to +1 pivots
     for j in range(model.size):
@@ -74,8 +77,32 @@ def test_eigensolve_invariants(canonical_report, canonical_model, fourier_operat
 
 def test_free_model_report_matches_kinetic_multiset(grid_n2, zero_potential):
     model = assemble_hamiltonian(grid_n2, alpha=2.0, a=1.0, potential=zero_potential)
-    report = eigensolve(model, adapt=False)
+    report = eigensolve(model)
     assert np.abs(report.eigenvalues - np.sort(model.kinetic_diagonal)).max() < 1e-10
+
+
+def test_eigensolve_memory_stays_below_four_dense_matrices(q3sqrt3, ho_potential):
+    grid = build_grid(q3sqrt3, 3)  # N = 729
+    model = assemble_hamiltonian(grid, alpha=2.0, a=0.5, potential=ho_potential)
+    tracemalloc.start()
+    try:
+        eigensolve(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the eigenvectors, H applied to them and their product with the eigenvalues
+    assert peak < 3.5 * 8 * grid.size**2
+
+
+def test_classifications_are_computed_on_first_read(canonical_model):
+    report = eigensolve(canonical_model, radial_tol=1e-8, shell_tol=1.0)
+    assert "classifications" not in vars(report)
+    # with shell_tol = 1 every vector has a shell holding at least 1 - shell_tol of its norm
+    assert {c.kind for c in report.classifications} == {"shell"}
+    assert "classifications" in vars(report)
+    assert report.classifications[0] == classify_eigenvector(
+        canonical_model.grid, report.eigenvectors[:, 0], 1e-8, 1.0
+    )
 
 
 def test_eigensolve_enforces_residual_tolerance(canonical_model):
@@ -295,6 +322,16 @@ def test_convergence_levels_two_three(q3sqrt3, ho_potential):
         assert traj.steps[1].multiplicity >= traj.steps[0].multiplicity
     for level in trace.per_level:
         assert 0 < level.lowest_eigenvalue < 9 / 13
+
+
+def test_convergence_report_never_classifies(q3sqrt3, ho_potential, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("convergence_report classified an eigenvector")
+
+    monkeypatch.setattr(spectra, "classify_eigenvector", refuse)
+    trace = convergence_report(q3sqrt3, 2.0, 0.5, ho_potential, [2, 3])
+    assert trace.levels == [2, 3]
+    assert [level.level for level in trace.per_level] == [2, 3]
 
 
 def test_single_level_trace_is_degenerate(q3sqrt3, ho_potential):

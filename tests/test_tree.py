@@ -17,7 +17,6 @@ from ultraspec import (
     ZeroCellConvention,
     assemble_hamiltonian,
     build_grid,
-    classify_eigenvector,
     cluster_eigenvalues,
     eigensolve,
     make_field,
@@ -46,7 +45,11 @@ def potentials(n):
 
 
 def dense_report(model, h):
-    """Dense eigh, then the public clustering, shell adaptation and classification."""
+    """Dense eigh, then the public clustering and shell adaptation.
+
+    The report classifies its vectors when ``summary_rows`` reads them, through
+    the same property as the tree solver's report.
+    """
     grid = model.grid
     values, vectors = np.linalg.eigh(h)
     clusters = cluster_eigenvalues(values)
@@ -54,15 +57,12 @@ def dense_report(model, h):
         if cluster.multiplicity > 1:
             idx = cluster.indices
             vectors[:, idx] = shell_adapt(grid, vectors[:, idx], split_tol=1e-9)
-    classifications = [classify_eigenvector(grid, vectors[:, i]) for i in range(grid.size)]
     return SpectrumReport(
         eigenvalues=values,
         eigenvectors=vectors,
         residuals=np.zeros(grid.size),
         clusters=clusters,
-        classifications=classifications,
         grid=grid,
-        model=model,
     )
 
 
