@@ -7,8 +7,10 @@ kernel q**(-n) * chi(-x*y) is evaluated through exact integer phase
 numerators: the additive character makes the phase of x*y bilinear over F_p
 in the digit coordinates, so D * phase(x_i * x_j) mod D is a plain integer
 matrix product, and kernel entries are table lookups of exact roots of
-unity.  The dense kernel is materialized only up to ``FOURIER_DENSE_CAP``
-rows; above that, rows are generated on the fly in blocks.
+unity.  The phase form pairs a digit of y only with the x digits of higher
+significance (the character has rank zero), so the transform factors into
+one step per digit, Cooley-Tukey style.  The dense kernel is materialized
+only as an oracle, up to ``FOURIER_DENSE_CAP`` rows.
 
 The kinetic operator F* diag(|xi|**alpha) F is a convolution by a radial
 kernel, so its entry (i, j) depends only on s, the first digit position
@@ -113,7 +115,6 @@ class Grid:
         self.shell_sizes = {float(k): int(c) for k, c in zip(labels, counts)}
 
         self._phase_cache = None
-        self._fourier_cache = {}
 
     def __len__(self) -> int:
         return self.size
@@ -177,7 +178,7 @@ def build_grid(field: Field, n: int, cap: int = GRID_CAP_DEFAULT) -> Grid:
 
 
 class _PhaseTable:
-    """Integer data for D * phase(x_i * x_j) mod D = (C W C^T)_ij mod D."""
+    """Integer data for D * phase(x_i * x_j) mod D = (C W C^T)_ij mod D, dense and by digit."""
 
     def __init__(self, grid: Grid):
         field = grid.field
@@ -223,21 +224,28 @@ class _PhaseTable:
         self.coords = coords
         self.bilinear = w
         self.roots = np.exp(2j * np.pi * np.arange(denom) / denom)
-        # float64 copies so the contraction runs through BLAS; every
-        # intermediate is a small integer, far below 2**53, hence exact
-        self._coords_f = coords.astype(np.float64)
-        self._bilinear_f = w.astype(np.float64)
 
-    def numerators(self, rows=None) -> np.ndarray:
-        left = self._coords_f if rows is None else self._coords_f[rows]
-        prod = (left @ self._bilinear_f) @ self._coords_f.T
+        # W[i, j] != 0 only when (i - n) + (j - n) <= -1: y digit j pairs with
+        # x digits 0, ..., 2n - 1 - j.  Step t contracts y digit j = 2n - 1 - t
+        # once x digits 0, ..., t are known; its numerators are indexed
+        # [x digits 0..t-1, x digit t, y digit j].
+        q = field.q
+        per_digit = coords.shape[1] // width
+        digit_coords = coords[:q, (width - 1) * per_digit :]  # digit values 0, ..., q-1
+        self.steps = []
+        for t in range(width):
+            j = width - 1 - t
+            prefixes = coords[:: q**j, : (t + 1) * per_digit]  # points with digits > t zero
+            block = w[: (t + 1) * per_digit, j * per_digit : (j + 1) * per_digit]
+            num = (prefixes @ block @ digit_coords.T) % denom
+            self.steps.append(num.reshape(q**t, q, q))
+
+    def numerators(self) -> np.ndarray:
+        # float64 so the contraction runs through BLAS; every intermediate is
+        # a small integer, far below 2**53, hence exact
+        coords = self.coords.astype(np.float64)
+        prod = (coords @ self.bilinear.astype(np.float64)) @ coords.T
         return np.rint(prod).astype(np.int64) % self.denominator
-
-    def kernel_rows(self, scale: float, rows=None, inverse: bool = False) -> np.ndarray:
-        p = self.numerators(rows)
-        if not inverse:
-            p = (self.denominator - p) % self.denominator
-        return self.roots[p] * scale
 
 
 def _p_power_exponent(den: int, p: int) -> int:
@@ -261,34 +269,37 @@ def _phase_table(grid: Grid) -> _PhaseTable:
 # ---------------------------------------------------------------------------
 
 
-def fourier_matrix(grid: Grid, inverse: bool = False) -> np.ndarray:
-    """Dense unitary kernel q**(-n) * chi(-+x*y); capped at FOURIER_DENSE_CAP rows."""
+def fourier_matrix(grid: Grid) -> np.ndarray:
+    """Dense unitary kernel q**(-n) * chi(-x*y): the oracle for fourier_apply, uncached, capped."""
     if grid.size > FOURIER_DENSE_CAP:
         raise ValueError(
             f"dense Fourier kernel capped at {FOURIER_DENSE_CAP} rows; "
             f"grid has {grid.size} (use fourier_apply)"
         )
-    key = bool(inverse)
-    if key not in grid._fourier_cache:
-        table = _phase_table(grid)
-        scale = float(grid.field.q) ** (-grid.n)
-        grid._fourier_cache[key] = table.kernel_rows(scale, inverse=inverse)
-    return grid._fourier_cache[key]
+    table = _phase_table(grid)
+    p = table.numerators()
+    p = (table.denominator - p) % table.denominator
+    return table.roots[p] * float(grid.field.q) ** (-grid.n)
 
 
 def fourier_apply(grid: Grid, f, inverse: bool = False) -> np.ndarray:
-    """Apply the finite Fourier transform (or its inverse) to a grid function."""
-    v = np.asarray(f).astype(np.complex128, copy=False)
-    if grid.size <= FOURIER_DENSE_CAP:
-        return fourier_matrix(grid, inverse=inverse) @ v
+    """The finite Fourier transform (or its inverse) of an (N,) or (N, k) array.
+
+    Runs as 2n digit steps: step t contracts y digit 2n - 1 - t against x
+    digits 0, ..., t with one batched matmul by a (q**t, q, q) table of exact
+    roots of unity.  O(N * 2n * q) per column; the shape is kept.
+    """
+    v = np.asarray(f)
+    q, width = grid.field.q, 2 * grid.n
     table = _phase_table(grid)
-    scale = float(grid.field.q) ** (-grid.n)
-    out = np.empty(grid.size, dtype=np.complex128)
-    block = max(1, FOURIER_DENSE_CAP * FOURIER_DENSE_CAP // grid.size)
-    for start in range(0, grid.size, block):
-        rows = slice(start, min(start + block, grid.size))
-        out[rows] = table.kernel_rows(scale, rows=rows, inverse=inverse) @ v
-    return out
+    sign = 1 if inverse else -1
+    # y digits least significant first, so each step contracts the leading y axis
+    digits = v.reshape((q,) * width + (-1,)).transpose(tuple(range(width - 1, -1, -1)) + (width,))
+    work = np.ascontiguousarray(digits, dtype=np.complex128)
+    for t, num in enumerate(table.steps):
+        phases = table.roots[(sign * num) % table.denominator]
+        work = np.matmul(phases, work.reshape(q**t, q, -1))
+    return (work * float(q) ** (-grid.n)).reshape(v.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +552,9 @@ def _tree_kernel(grid: Grid, kin: np.ndarray) -> np.ndarray:
 
 
 def _exact_kernel(grid: Grid, kin: np.ndarray) -> np.ndarray:
-    """kappa_s from 2n + 1 rows of the exact-phase Fourier kernel."""
+    """kappa_s from the exact-phase inverse transform of kin, kept complex."""
     scale = float(grid.field.q) ** (-grid.n)
-    rows = _phase_table(grid).kernel_rows(scale, rows=grid.depth_representatives(), inverse=True)
-    return scale * (rows @ kin)
+    return scale * fourier_apply(grid, kin, inverse=True)[grid.depth_representatives()]
 
 
 def assemble_hamiltonian(

@@ -217,8 +217,8 @@ def test_corrupted_kernel_trips_unitarity(monkeypatch):
     config = load_config(REPO_CONFIG)
     exact = ultraspec.verify.fourier_matrix
 
-    def flip_one_phase(grid, inverse=False):
-        fmat = np.array(exact(grid, inverse=inverse))
+    def flip_one_phase(grid):
+        fmat = np.array(exact(grid))
         fmat[3, 5] *= np.exp(2j * np.pi / 9)
         return fmat
 
@@ -227,6 +227,39 @@ def test_corrupted_kernel_trips_unitarity(monkeypatch):
     assert not outcome.passed
     failed = {c.name for c in outcome.checks if not c.passed}
     assert "fourier_unitary" in failed
+
+
+def test_verify_probe_branch_passes(monkeypatch):
+    # above the dense cap, fourier_unitary compares norms of 20 transformed probes
+    config = load_config(REPO_CONFIG)
+    dense = run_verify(config)
+    monkeypatch.setattr(ultraspec.verify, "FOURIER_DENSE_CAP", 16)
+    probed = run_verify(config)
+    assert len(probed.checks) == 17
+    assert [c.name for c in probed.checks] == [c.name for c in dense.checks]
+    assert probed.passed, [c.name for c in probed.checks if not c.passed]
+
+
+@pytest.mark.parametrize("error, trips", [(1e-9, True), (2e-13, False)])
+def test_verify_probe_branch_norm_error_is_relative(monkeypatch, error, trips):
+    # |f| is about 13 at N = 81, so an absolute 1e-12 would trip at 2e-13 too
+    config = load_config(REPO_CONFIG)
+    exact = ultraspec.verify.fourier_apply
+
+    def scaled(grid, f, inverse=False):
+        return exact(grid, f, inverse=inverse) * (1 + error)
+
+    monkeypatch.setattr(ultraspec.verify, "FOURIER_DENSE_CAP", 16)
+    monkeypatch.setattr(ultraspec.verify, "fourier_apply", scaled)
+    failed = {c.name for c in run_verify(config).checks if not c.passed}
+    assert ("fourier_unitary" in failed) == trips
+
+
+def test_verify_reaches_past_the_dense_cap(tmp_path):
+    # N = 6561 > FOURIER_DENSE_CAP: every transform runs through fourier_apply
+    data = dict(CANONICAL, n=4)
+    outcome = run_verify(load_config(write_config(tmp_path, data)))
+    assert outcome.passed, [c.name for c in outcome.checks if not c.passed]
 
 
 def test_verify_compares_kernel_with_fourier_operator(tmp_path, perturbed_kernel, capsys):

@@ -140,13 +140,32 @@ def test_fourier_preserves_mass_weighted_norm(grid_n2):
     assert before == pytest.approx(after, rel=1e-12)
 
 
-def test_fourier_blocked_path_matches_dense(grid_n2, monkeypatch):
+# both families, e and f in {1, 2, 3}; a tame extension needs p not dividing e,
+# and no grid with q > 64 fits under the dense cap
+DENSE_ORACLE_FIELDS = [
+    EisensteinExtension(p=p, e=e) for p in (2, 3, 5, 7) for e in (1, 2, 3) if e % p
+] + [LaurentField(p=p, f=f) for p in (2, 3, 5, 7) for f in (1, 2, 3) if p**f <= 64]
+
+
+@pytest.mark.parametrize("spec", DENSE_ORACLE_FIELDS, ids=repr)
+def test_fourier_apply_matches_dense_kernel(spec):
+    # every grid the dense kernel admits; for f > 1 a digit spans f coordinates
+    field = make_field(spec)
     rng = np.random.default_rng(4)
-    f = rand_fn(rng, grid_n2.size)
-    dense = fourier_apply(grid_n2, f)
-    monkeypatch.setattr(finite, "FOURIER_DENSE_CAP", 16)
-    blocked = fourier_apply(grid_n2, f)
-    assert np.abs(dense - blocked).max() < 1e-12
+    n = 1
+    while field.q ** (2 * n) <= finite.FOURIER_DENSE_CAP:
+        grid = build_grid(field, n)
+        fmat = fourier_matrix(grid)
+        block = rand_fn(rng, (grid.size, 3))
+        for inverse in (False, True):
+            oracle = fmat.T.conj() @ block if inverse else fmat @ block
+            out = fourier_apply(grid, block, inverse=inverse)
+            assert out.shape == block.shape
+            assert np.abs(out - oracle).max() < 1e-12, (n, inverse)
+            single = fourier_apply(grid, block[:, 1], inverse=inverse)
+            assert single.shape == (grid.size,)
+            assert np.abs(single - oracle[:, 1]).max() < 1e-12, (n, inverse)
+        n += 1
 
 
 def test_fourier_matrix_capped(grid_n2, monkeypatch):
