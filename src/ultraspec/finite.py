@@ -32,7 +32,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import GridTooLarge, HermiticityDefect, NonConfiningPotentialWarning
-from .fields import Field, FieldElement, beta_monomial_phase, elem_from_pairs, elem_neg
+from .fields import Field, FieldElement, beta_monomial_phase, elem_from_pairs
 
 __all__ = [
     "ZERO_SHELL",
@@ -157,9 +157,24 @@ class Grid:
         row = [x.digit_at(pos - self.n) for pos in range(2 * self.n)]
         return self.index_of_digits(row)
 
-    def neg_index(self, i: int) -> int:
-        x = elem_neg(self.field, self.points[i], mod_exp=self.n)
-        return self.reduce_element(x)
+    def neg_indices(self) -> np.ndarray:
+        """Index of -x modulo b**n for every grid point x, from the digit array.
+
+        Laurent fields negate digit by digit in the residue field.  In Q_p[b]
+        (b**e = p) the digits e positions apart form one p-adic number, whose
+        negation maps its lowest nonzero digit d to p - d and every higher
+        digit c to p - 1 - c: the carry of p * b**i = b**(i+e).
+        """
+        field, digits = self.field, self.digits
+        if field.is_laurent:
+            neg = np.array([field.residue.neg(d) for d in range(field.q)])[digits]
+        else:
+            p, e = field.p, field.e
+            carried = np.zeros(digits.shape, dtype=bool)
+            for pos in range(e, 2 * self.n):
+                carried[:, pos] = carried[:, pos - e] | (digits[:, pos - e] != 0)
+            neg = np.where(carried, p - 1 - digits, (p - digits) % p)
+        return neg @ self._weights
 
 
 def build_grid(field: Field, n: int, cap: int = GRID_CAP_DEFAULT) -> Grid:

@@ -437,34 +437,38 @@ def eigensolve(
 # ---------------------------------------------------------------------------
 
 
-def embed_function(grid_from: Grid, grid_to: Grid, values: np.ndarray) -> np.ndarray:
-    """Lift a level-n grid function to level n+1.
+def embed_function(grid_from: Grid, grid_to: Grid, values) -> np.ndarray:
+    """Lift an (N,) or (N, k) level-n grid function to a level m > n; the shape is kept.
 
-    Constant on refined cells, extended by zero outside the smaller ball,
-    rescaled to unit Euclidean norm.
+    Constant on refined cells (the digits at exponents n..m-1 are dropped),
+    zero outside the level-n ball (where a digit at an exponent below -n is
+    set), each column rescaled to unit Euclidean norm; a zero column stays
+    zero and a real array stays real.
     """
-    if grid_to.n != grid_from.n + 1:
-        raise ValueError("embedding is defined between consecutive levels")
-    q = grid_from.field.q
-    width = 2 * grid_from.n
-    inner = grid_to.digits[:, 1 : width + 1].astype(np.int64)
-    weights = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    parent = inner @ weights
-    out = np.asarray(values)[parent].astype(np.complex128)
-    out[grid_to.digits[:, 0] != 0] = 0.0
-    norm = np.linalg.norm(out)
-    if norm > 0:
-        out = out / norm
-    return out
+    gap = grid_to.n - grid_from.n
+    if gap < 1:
+        raise ValueError("embedding goes from a lower level to a higher one")
+    digits = grid_to.digits
+    parent = digits[:, gap : gap + 2 * grid_from.n] @ grid_from._weights
+    out = np.asarray(values)[parent]
+    out[digits[:, :gap].any(axis=1)] = 0
+    norms = np.linalg.norm(out, axis=0)
+    return out / np.where(norms > 0, norms, 1.0)
 
 
 @dataclass
 class TrajectoryStep:
+    """One level of a trajectory; ``drift`` and ``alignment`` are None on the first step.
+
+    ``alignment`` is the largest distance from a vector of the previous
+    cluster's basis, lifted to this level, to the span of this cluster.
+    """
+
     level: int
     value: float
     multiplicity: int
-    drift: Optional[float]  # |value - previous value|, None on the first step
-    alignment: Optional[float]  # worst embedded-basis distance to the new span
+    drift: Optional[float]  # |value - previous value|
+    alignment: Optional[float]
 
 
 @dataclass
@@ -511,28 +515,23 @@ def convergence_report(
     """Run the spectral pipeline at several levels and match clusters.
 
     Matching is greedy nearest-value within MATCH_WINDOW between consecutive
-    levels.  The alignment of a matched pair is the largest distance from an
-    embedded basis vector of the old cluster to the span of the new one
-    (embedding is the canonical constant-on-refined-cells lift, composed
-    across levels when they are not consecutive).  Only the clusters and
-    eigenvectors of each level are read, so no eigenvector is classified.
+    configured levels, which need not be consecutive integers.  The
+    alignment of a matched pair is the largest distance from an embedded
+    basis vector of the old cluster to the span of the new one (see
+    ``_cluster_alignment``).  Only the clusters and eigenvectors of each
+    level are read, so no eigenvector is classified.
     """
     levels = sorted(set(int(n) for n in levels))
     if not levels:
         raise ValueError("need at least one level")
     build_kwargs = {} if grid_cap is None else {"cap": grid_cap}
     per_level = []
-    reports = {}
-    grids = {}
-
-    def grid_for(n):
-        if n not in grids:
-            grids[n] = build_grid(field, n, **build_kwargs)
-        return grids[n]
-
     trace_warnings = []
+    trajectories = []
+    open_pairs = []  # (open trajectory, its cluster at the previous level)
+    prev_report = None
     for n in levels:
-        grid = grid_for(n)
+        grid = build_grid(field, n, **build_kwargs)
         model = assemble_hamiltonian(grid, alpha, a, potential, convention)
         report = eigensolve(
             model,
@@ -540,7 +539,6 @@ def convergence_report(
             cluster_tol=cluster_tol,
             shell_tol=shell_tol,
         )
-        reports[n] = report
         lowest = float(report.eigenvalues[0])
         per_level.append(
             LevelClusters(
@@ -556,52 +554,37 @@ def convergence_report(
             trace_warnings.append(message)
             warnings.warn(message, stacklevel=2)
 
-    trajectories = [
-        Trajectory(steps=[TrajectoryStep(levels[0], c.mean, c.multiplicity, None, None)])
-        for c in reports[levels[0]].clusters
-    ]
-    open_traj = list(trajectories)
-    for prev, cur in zip(levels, levels[1:]):
-        cur_clusters = reports[cur].clusters
-        taken = set()
-        matches = {}
-        for traj in sorted(open_traj, key=lambda t: t.steps[-1].value):
-            last = traj.steps[-1].value
+        matches = {}  # cluster index at this level -> (trajectory, its previous cluster)
+        for traj, last in sorted(open_pairs, key=lambda pair: pair[1].mean):
             best, best_dist = None, MATCH_WINDOW
-            for ci, cluster in enumerate(cur_clusters):
-                if ci in taken:
+            for ci, cluster in enumerate(report.clusters):
+                if ci in matches:
                     continue
-                dist = abs(cluster.mean - last)
+                dist = abs(cluster.mean - last.mean)
                 if dist <= best_dist:
                     best, best_dist = ci, dist
             if best is not None:
-                taken.add(best)
-                matches[id(traj)] = best
-        still_open = []
-        for traj in open_traj:
-            ci = matches.get(id(traj))
-            if ci is None:
-                continue
-            cluster = cur_clusters[ci]
-            alignment = _cluster_alignment(grid_for, reports, prev, cur, traj, cluster)
-            traj.steps.append(
-                TrajectoryStep(
-                    level=cur,
-                    value=cluster.mean,
-                    multiplicity=cluster.multiplicity,
-                    drift=abs(cluster.mean - traj.steps[-1].value),
-                    alignment=alignment,
+                matches[best] = (traj, last)
+        open_pairs = []
+        for ci, cluster in enumerate(report.clusters):
+            if ci in matches:
+                traj, last = matches[ci]
+                traj.steps.append(
+                    TrajectoryStep(
+                        level=n,
+                        value=cluster.mean,
+                        multiplicity=cluster.multiplicity,
+                        drift=abs(cluster.mean - last.mean),
+                        alignment=_cluster_alignment(prev_report, report, last, cluster),
+                    )
                 )
-            )
-            still_open.append(traj)
-        for ci, cluster in enumerate(cur_clusters):
-            if ci not in taken:
+            else:
                 traj = Trajectory(
-                    steps=[TrajectoryStep(cur, cluster.mean, cluster.multiplicity, None, None)]
+                    steps=[TrajectoryStep(n, cluster.mean, cluster.multiplicity, None, None)]
                 )
                 trajectories.append(traj)
-                still_open.append(traj)
-        open_traj = still_open
+            open_pairs.append((traj, cluster))
+        prev_report = report
     trajectories.sort(key=lambda t: (t.start_level, t.steps[0].value))
     return ConvergenceTrace(
         levels=levels,
@@ -611,22 +594,16 @@ def convergence_report(
     )
 
 
-def _cluster_alignment(grid_for, reports, prev, cur, traj, cluster):
-    prev_report = reports[prev]
-    prev_cluster = None
-    for c in prev_report.clusters:
-        if abs(c.mean - traj.steps[-1].value) < 1e-12 * max(1.0, abs(c.mean)):
-            prev_cluster = c
-            break
-    if prev_cluster is None:
-        return None
-    basis_new = reports[cur].eigenvectors[:, cluster.indices]
-    worst = 0.0
-    for i in prev_cluster.indices:
-        vec = prev_report.eigenvectors[:, i]
-        for level in range(prev, cur):
-            vec = embed_function(grid_for(level), grid_for(level + 1), vec)
-        coeffs = basis_new.conj().T @ vec
-        residual = float(np.linalg.norm(vec - basis_new @ coeffs))
-        worst = max(worst, residual)
-    return worst
+def _cluster_alignment(prev_report, cur_report, prev_cluster, cluster) -> float:
+    """Largest distance from the embedded old cluster basis to the new cluster's span.
+
+    The old eigenvectors are lifted to the new level in one step, and
+    each column's residual after projection onto the new cluster's
+    orthonormal basis B is taken: max_j ||E_j - B (B^H E_j)||.
+    """
+    embedded = embed_function(
+        prev_report.grid, cur_report.grid, prev_report.eigenvectors[:, prev_cluster.indices]
+    )
+    basis = cur_report.eigenvectors[:, cluster.indices]
+    embedded -= basis @ (basis.conj().T @ embedded)
+    return float(np.linalg.norm(embedded, axis=0).max())

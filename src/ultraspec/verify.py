@@ -107,8 +107,7 @@ def run_verify(config: RunConfig) -> VerifyOutcome:
         "fourier_fourth_power",
         np.abs(fourier_apply(grid, fourier_apply(grid, twice)) - probes).max(),
     )
-    neg = np.array([grid.neg_index(i) for i in range(grid.size)])
-    record("fourier_reflection", np.abs(twice - probes[neg]).max())
+    record("fourier_reflection", np.abs(twice - probes[grid.neg_indices()]).max())
     ball = (grid.shells <= 0).astype(complex)
     record("unit_ball_fixed_point", np.abs(fourier_apply(grid, ball) - ball).max())
     ones = np.ones(grid.size)

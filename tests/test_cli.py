@@ -298,6 +298,19 @@ def test_converge_writes_trajectories(tmp_path, capsys):
     assert (out / "level_clusters.csv").exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_converge_output_is_deterministic(tmp_path, fmt):
+    data = dict(CANONICAL)
+    del data["n"]
+    data["levels"] = [1, 2, 3]
+    config = write_config(tmp_path, data)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    for out in (out1, out2):
+        assert main(["converge", "--config", str(config), "--out", str(out), "--format", fmt]) == 0
+    for name in (f"level_clusters.{fmt}", f"trajectories.{fmt}"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 def test_converge_single_level(tmp_path):
     config = write_config(tmp_path, CANONICAL)
     out = tmp_path / "single"

@@ -18,6 +18,7 @@ from ultraspec import (
     build_grid,
     character,
     elem_mul,
+    elem_neg,
     fourier_apply,
     fourier_matrix,
     make_field,
@@ -128,8 +129,25 @@ def test_fourier_reflection(grid_n2):
     rng = np.random.default_rng(2)
     f = rand_fn(rng, grid_n2.size)
     twice = fourier_apply(grid_n2, fourier_apply(grid_n2, f))
-    neg = np.array([grid_n2.neg_index(i) for i in range(grid_n2.size)])
-    assert np.abs(twice - f[neg]).max() < 1e-12
+    assert np.abs(twice - f[grid_n2.neg_indices()]).max() < 1e-12
+
+
+# Q_p[p**(1/e)] with e <= 3 tame, and F_{p**f}((t)) with p in {2, 3}, f in {1, 2}
+NEGATION_FIELDS = [
+    EisensteinExtension(p=p, e=e) for p in (2, 3, 5, 7) for e in (1, 2, 3) if e % p
+] + [LaurentField(p=p, f=f) for p in (2, 3) for f in (1, 2)]
+
+
+@pytest.mark.parametrize("spec", NEGATION_FIELDS, ids=repr)
+def test_neg_indices_match_exact_negation(spec):
+    # every grid of at most 729 points, against elem_neg and grid reduction point by point
+    field = make_field(spec)
+    n = 1
+    while field.q ** (2 * n) <= 729:
+        grid = build_grid(field, n)
+        oracle = [grid.reduce_element(elem_neg(field, x, mod_exp=n)) for x in grid.points]
+        assert grid.neg_indices().tolist() == oracle, n
+        n += 1
 
 
 def test_fourier_preserves_mass_weighted_norm(grid_n2):

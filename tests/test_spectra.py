@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -300,6 +301,95 @@ def test_embedding_preserves_shell_support(grid_n1, grid_n2):
     lifted = embed_function(grid_n1, grid_n2, indicator)
     cls = classify_eigenvector(grid_n2, lifted)
     assert cls.kind == "shell" and cls.k == 1.0
+
+
+def test_embedding_keeps_shape_and_dtype(grid_n1, grid_n2):
+    rng = np.random.default_rng(13)
+    block = rng.standard_normal((grid_n1.size, 4))
+    block[:, 2] = 0.0
+    lifted = embed_function(grid_n1, grid_n2, block)
+    assert lifted.shape == (grid_n2.size, 4) and lifted.dtype == np.float64
+    assert not lifted[:, 2].any()  # a zero column stays zero
+    for j in range(4):
+        column = embed_function(grid_n1, grid_n2, block[:, j])
+        assert column.shape == (grid_n2.size,)
+        np.testing.assert_allclose(lifted[:, j], column, rtol=0, atol=1e-15)
+
+
+def test_embedding_across_a_gap_composes(q3sqrt3, grid_n1, grid_n2):
+    grid_n3 = build_grid(q3sqrt3, 3)
+    rng = np.random.default_rng(14)
+    block = rng.standard_normal((grid_n1.size, 3)) + 1j * rng.standard_normal((grid_n1.size, 3))
+    direct = embed_function(grid_n1, grid_n3, block)
+    composed = embed_function(grid_n2, grid_n3, embed_function(grid_n1, grid_n2, block))
+    assert np.abs(direct - composed).max() < 1e-14
+
+
+@pytest.mark.parametrize("levels", [(1, 1), (2, 1)])
+def test_embedding_needs_a_higher_level(q3sqrt3, levels):
+    grid_from, grid_to = (build_grid(q3sqrt3, n) for n in levels)
+    with pytest.raises(ValueError):
+        embed_function(grid_from, grid_to, np.ones(grid_from.size))
+
+
+def _lift_one_level(grid_from, grid_to, vec):
+    # level n -> n + 1, one vector: the dense oracle for embed_function
+    inner = grid_to.digits[:, 1 : 2 * grid_from.n + 1].astype(np.int64)
+    out = np.asarray(vec)[inner @ grid_from._weights].astype(np.complex128)
+    out[grid_to.digits[:, 0] != 0] = 0.0
+    return out / np.linalg.norm(out)
+
+
+def _vector_by_vector_alignment(reports, prev, cur, prev_cluster, cluster):
+    # each old vector lifted level by level, then projected onto the new basis
+    basis = reports[cur].eigenvectors[:, cluster.indices]
+    worst = 0.0
+    for i in prev_cluster.indices:
+        vec = reports[prev].eigenvectors[:, i]
+        for level in range(prev, cur):
+            vec = _lift_one_level(reports[level].grid, reports[level + 1].grid, vec)
+        worst = max(worst, float(np.linalg.norm(vec - basis @ (basis.conj().T @ vec))))
+    return worst
+
+
+@pytest.fixture(scope="module", params=["q3sqrt3", "f3_laurent"])
+def reports_by_level(request, ho_potential):
+    field = request.getfixturevalue(request.param)
+    reports = {
+        n: eigensolve(assemble_hamiltonian(build_grid(field, n), 2.0, 0.5, ho_potential))
+        for n in (1, 2, 3)
+    }
+    return field, reports
+
+
+@pytest.mark.parametrize("levels", [[1, 2, 3], [1, 3]])
+def test_alignment_matches_vector_by_vector_oracle(reports_by_level, ho_potential, levels):
+    field, reports = reports_by_level
+    trace = convergence_report(field, 2.0, 0.5, ho_potential, levels)
+    expected = []
+    for traj in trace.trajectories:
+        for before, step in zip(traj.steps, traj.steps[1:]):
+            prev_cluster = next(
+                c for c in reports[before.level].clusters if c.mean == before.value
+            )
+            cluster = next(c for c in reports[step.level].clusters if c.mean == step.value)
+            oracle = _vector_by_vector_alignment(
+                reports, before.level, step.level, prev_cluster, cluster
+            )
+            assert abs(step.alignment - oracle) <= 1e-12
+            expected.append(oracle)
+    assert expected and max(expected) > 1e-6  # some matched clusters do turn
+
+
+def test_alignment_is_the_worst_column(grid_n1, grid_n2):
+    # on the fixtures every multi-vector cluster has equal column distances,
+    # so a synthetic pair pins the max: the new span holds the first lift only
+    points = np.eye(grid_n1.size)[:, :2]
+    old = SimpleNamespace(grid=grid_n1, eigenvectors=points)
+    new = SimpleNamespace(grid=grid_n2, eigenvectors=embed_function(grid_n1, grid_n2, points))
+    old_cluster = spectra.EigenCluster(rep=0.0, indices=[0, 1], mean=0.0)
+    new_cluster = spectra.EigenCluster(rep=0.0, indices=[0], mean=0.0)
+    assert spectra._cluster_alignment(old, new, old_cluster, new_cluster) == pytest.approx(1.0)
 
 
 def test_convergence_levels_two_three(q3sqrt3, ho_potential):
