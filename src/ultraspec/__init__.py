@@ -62,6 +62,7 @@ from .finite import (
     build_grid,
     fourier_apply,
     fourier_matrix,
+    fourier_unitarity_defect,
     position_diagonal,
     project_cutoff,
     project_smooth,

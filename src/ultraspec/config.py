@@ -79,14 +79,23 @@ class RunConfig:
         raise ValidationError("levels", "grid levels are required for this command")
 
 
+NUMBER = (int, float)
+
+
+def _typed(name: str, value, kinds):
+    """``value`` when it is one of ``kinds``; a bool is never taken for a number."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+        expected = " or ".join(kind.__name__ for kind in kinds)
+        raise ValidationError(name, f"expected {expected}, got {type(value).__name__}")
+    return value
+
+
 def _expect(data: dict, key: str, kinds, where: str = ""):
     name = f"{where}.{key}" if where else key
     if key not in data:
         raise ValidationError(name, "missing")
-    value = data[key]
-    if kinds is not None and not isinstance(value, kinds):
-        raise ValidationError(name, f"expected {kinds}, got {type(value).__name__}")
-    return value
+    return _typed(name, data[key], kinds)
 
 
 def _parse_field(data) -> FieldSpec:
@@ -95,13 +104,14 @@ def _parse_field(data) -> FieldSpec:
     family = _expect(data, "family", str, "field").lower()
     p = _expect(data, "p", int, "field")
     if family == "eisenstein":
-        e = int(data.get("e", 1))
+        e = _typed("field.e", data.get("e", 1), int)
         return EisensteinExtension(p=p, e=e)
     if family == "laurent":
-        f = int(data.get("f", 1))
+        f = _typed("field.f", data.get("f", 1), int)
         modulus = data.get("modulus")
         if modulus is not None:
-            modulus = tuple(int(c) for c in modulus)
+            coeffs = _typed("field.modulus", modulus, list)
+            modulus = tuple(_typed("field.modulus", c, int) for c in coeffs)
         return LaurentField(p=p, f=f, modulus=modulus)
     raise ValidationError("field.family", f"unknown family {family!r}")
 
@@ -113,14 +123,17 @@ def _parse_potential(data) -> RadialPotential:
     try:
         if kind == "monomial":
             return MonomialPotential(
-                c=float(_expect(data, "c", (int, float), "potential")),
-                s=float(_expect(data, "s", (int, float), "potential")),
+                c=float(_expect(data, "c", NUMBER, "potential")),
+                s=float(_expect(data, "s", NUMBER, "potential")),
             )
         if kind == "table":
             values = _expect(data, "values", dict, "potential")
             return TablePotential(
-                values={int(k): float(v) for k, v in values.items()},
-                w0=float(data.get("w0", 0.0)),
+                values={
+                    int(k): float(_typed(f"potential.values.{k}", v, NUMBER))
+                    for k, v in values.items()
+                },
+                w0=float(_typed("potential.w0", data.get("w0", 0.0), NUMBER)),
             )
     except ValueError as exc:
         raise ValidationError("potential", str(exc)) from exc
@@ -147,10 +160,10 @@ def load_config(path) -> RunConfig:
     field_spec = _parse_field(_expect(data, "field", dict))
     field = make_field(field_spec)
 
-    alpha = float(_expect(data, "alpha", (int, float)))
+    alpha = float(_expect(data, "alpha", NUMBER))
     if alpha <= 0:
         raise ValidationError("alpha", f"{alpha} must be > 0")
-    kinetic = float(_expect(data, "kinetic_coeff", (int, float)))
+    kinetic = float(_expect(data, "kinetic_coeff", NUMBER))
     if kinetic < 0:
         raise ValidationError("kinetic_coeff", f"{kinetic} must be >= 0")
     potential = _parse_potential(_expect(data, "potential", dict))
@@ -160,13 +173,13 @@ def load_config(path) -> RunConfig:
     if n is None and levels is None:
         raise ValidationError("n", "one of 'n' or 'levels' is required")
     if n is not None:
-        n = int(n)
+        n = _typed("n", n, int)
         if n < 1:
             raise ValidationError("n", f"{n} must be >= 1")
     if levels is not None:
         if not isinstance(levels, list) or not levels:
             raise ValidationError("levels", "expected a non-empty list")
-        levels = tuple(sorted(int(v) for v in levels))
+        levels = tuple(sorted(_typed("levels", v, int) for v in levels))
         if levels[0] < 1:
             raise ValidationError("levels", "levels must be >= 1")
 
@@ -182,7 +195,9 @@ def load_config(path) -> RunConfig:
     unknown = set(tol_data) - {"cluster_tol", "radial_tol", "shell_tol", "residual_tol"}
     if unknown:
         raise ValidationError(f"tolerances.{sorted(unknown)[0]}", "unknown key")
-    tolerances = Tolerances(**{k: float(v) for k, v in tol_data.items()})
+    tolerances = Tolerances(
+        **{k: float(_typed(f"tolerances.{k}", v, NUMBER)) for k, v in tol_data.items()}
+    )
 
     out_data = data.get("output", {})
     if not isinstance(out_data, dict):
@@ -192,17 +207,24 @@ def load_config(path) -> RunConfig:
     if output_format not in ("csv", "json"):
         raise ValidationError("output.format", f"{output_format!r} not one of csv, json")
 
-    grid_cap = int(data.get("grid_cap", GRID_CAP_DEFAULT))
-    for level in (levels or ()) + ((n,) if n is not None else ()):
+    grid_cap = _typed("grid_cap", data.get("grid_cap", GRID_CAP_DEFAULT), int)
+    all_levels = (levels or ()) + ((n,) if n is not None else ())
+    for level in all_levels:
         size = field.q ** (2 * level)
         if size > grid_cap:
             raise GridTooLarge(
                 f"level {level}: q**(2n) = {size} exceeds the grid cap {grid_cap}"
             )
+    # the outer shell of level n is |x| = q**n
+    if isinstance(potential, TablePotential) and potential.k_max < max(all_levels):
+        raise ValidationError(
+            "potential",
+            f"table stops at radius q**{potential.k_max}, below level {max(all_levels)}",
+        )
 
     bound = data.get("ground_state_upper_bound")
     if bound is not None:
-        bound = float(bound)
+        bound = float(_typed("ground_state_upper_bound", bound, NUMBER))
         if bound <= 0:
             raise ValidationError("ground_state_upper_bound", f"{bound} must be > 0")
 

@@ -9,8 +9,10 @@ in the digit coordinates, so D * phase(x_i * x_j) mod D is a plain integer
 matrix product, and kernel entries are table lookups of exact roots of
 unity.  The phase form pairs a digit of y only with the x digits of higher
 significance (the character has rank zero), so the transform factors into
-one step per digit, Cooley-Tukey style.  The dense kernel is materialized
-only as an oracle, up to ``FOURIER_DENSE_CAP`` rows.
+one step per digit, Cooley-Tukey style, and is unitary when every q x q
+root table of every step is √q times a unitary matrix
+(``fourier_unitarity_defect``).  The dense kernel is materialized only as a
+test oracle, up to ``FOURIER_DENSE_CAP`` rows.
 
 The kinetic operator F* diag(|xi|**alpha) F is a convolution by a radial
 kernel, so its entry (i, j) depends only on s, the first digit position
@@ -47,6 +49,7 @@ __all__ = [
     "build_grid",
     "fourier_matrix",
     "fourier_apply",
+    "fourier_unitarity_defect",
     "project_cutoff",
     "project_smooth",
     "zero_cell_average",
@@ -119,14 +122,16 @@ class Grid:
     def __len__(self) -> int:
         return self.size
 
+    def point(self, i: int) -> FieldElement:
+        """Point i as an exact field element, built from digit row i."""
+        n = self.n
+        row = self.digits[i].tolist()
+        return elem_from_pairs(self.field, [(pos - n, d) for pos, d in enumerate(row) if d])
+
     @cached_property
     def points(self) -> list:
-        """The points as field elements, in index order; built on first read."""
-        n = self.n
-        return [
-            elem_from_pairs(self.field, [(pos - n, int(d)) for pos, d in enumerate(row) if d])
-            for row in self.digits
-        ]
+        """Every point as a field element, in index order; built on first read."""
+        return [self.point(i) for i in range(self.size)]
 
     def shell_labels(self):
         """Shell labels in ascending order (ZERO_SHELL first)."""
@@ -285,7 +290,7 @@ def _phase_table(grid: Grid) -> _PhaseTable:
 
 
 def fourier_matrix(grid: Grid) -> np.ndarray:
-    """Dense unitary kernel q**(-n) * chi(-x*y): the oracle for fourier_apply, uncached, capped."""
+    """Dense kernel q**(-n) * chi(-x*y), uncached and capped: the test oracle of the step form."""
     if grid.size > FOURIER_DENSE_CAP:
         raise ValueError(
             f"dense Fourier kernel capped at {FOURIER_DENSE_CAP} rows; "
@@ -297,6 +302,14 @@ def fourier_matrix(grid: Grid) -> np.ndarray:
     return table.roots[p] * float(grid.field.q) ** (-grid.n)
 
 
+def _step_phases(grid: Grid, inverse: bool = False):
+    """The (q**t, q, q) root tables of the 2n digit steps, t = 0, ..., 2n - 1."""
+    table = _phase_table(grid)
+    sign = 1 if inverse else -1
+    for num in table.steps:
+        yield table.roots[(sign * num) % table.denominator]
+
+
 def fourier_apply(grid: Grid, f, inverse: bool = False) -> np.ndarray:
     """The finite Fourier transform (or its inverse) of an (N,) or (N, k) array.
 
@@ -306,15 +319,28 @@ def fourier_apply(grid: Grid, f, inverse: bool = False) -> np.ndarray:
     """
     v = np.asarray(f)
     q, width = grid.field.q, 2 * grid.n
-    table = _phase_table(grid)
-    sign = 1 if inverse else -1
     # y digits least significant first, so each step contracts the leading y axis
     digits = v.reshape((q,) * width + (-1,)).transpose(tuple(range(width - 1, -1, -1)) + (width,))
     work = np.ascontiguousarray(digits, dtype=np.complex128)
-    for t, num in enumerate(table.steps):
-        phases = table.roots[(sign * num) % table.denominator]
+    for t, phases in enumerate(_step_phases(grid, inverse)):
         work = np.matmul(phases, work.reshape(q**t, q, -1))
     return (work * float(q) ** (-grid.n)).reshape(v.shape)
+
+
+def fourier_unitarity_defect(grid: Grid) -> float:
+    """max |B* B / q - 1| over the q x q root tables B of fourier_apply's steps.
+
+    The transform is q**(-n) times the product of its 2n steps, each a
+    block-diagonal batch of these tables, so it is unitary when every table
+    is √q times a unitary matrix: the rank-zero pairing is nondegenerate
+    digit by digit.  O(N * q**2) in all, at every grid size.
+    """
+    q = grid.field.q
+    defect = 0.0
+    for phases in _step_phases(grid):
+        gram = np.matmul(phases.conj().transpose(0, 2, 1), phases) / q
+        defect = max(defect, float(np.abs(gram - np.eye(q)).max()))
+    return defect
 
 
 # ---------------------------------------------------------------------------
@@ -323,24 +349,26 @@ def fourier_apply(grid: Grid, f, inverse: bool = False) -> np.ndarray:
 
 
 def project_cutoff(grid: Grid, k: int, f) -> np.ndarray:
-    """Finite-level cutoff: zero the values at points with |x| > q**k."""
+    """Finite-level cutoff of an (N,) or (N, m) array: zero the rows with |x| > q**k."""
     v = np.asarray(f)
-    return np.where(grid.shells <= k, v, np.zeros((), dtype=v.dtype))
+    inside = (grid.shells <= k).reshape((-1,) + (1,) * (v.ndim - 1))
+    return np.where(inside, v, np.zeros((), dtype=v.dtype))
 
 
 def project_smooth(grid: Grid, k: int, f) -> np.ndarray:
-    """Finite-level smoothing: average over the cosets x + B_{-k} (k < n).
+    """Finite-level smoothing of an (N,) or (N, m) array: average over x + B_{-k} (k < n).
 
     Points sharing the digits at exponents below k form contiguous
-    lexicographic blocks of q**(n-k) points, so this is a blockwise mean.
+    lexicographic blocks of q**(n-k) points, so this is a blockwise mean of
+    the rows; the shape is kept.
     """
     n = grid.n
     if not -n <= k < n:
         raise ValueError(f"smoothing level k = {k} must satisfy -n <= k < n (n = {n})")
     v = np.asarray(f)
     block = grid.field.q ** (n - k)
-    means = v.reshape(-1, block).mean(axis=1)
-    return np.repeat(means, block)
+    means = v.reshape((-1, block) + v.shape[1:]).mean(axis=1)
+    return np.repeat(means, block, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +401,8 @@ class TablePotential:
     """Tabulated radial values w(q**k) for k in a contiguous range.
 
     ``w0`` is the value at 0 and the constant tail below the table range
-    (justified by continuity of the potential at 0).
+    (justified by continuity of the potential at 0).  Radii with a gap
+    between them raise ValueError.
     """
 
     values: Mapping[int, float]
@@ -383,6 +412,8 @@ class TablePotential:
         object.__setattr__(self, "values", {int(k): float(v) for k, v in self.values.items()})
         if not self.values:
             raise ValueError("table potential needs at least one radius")
+        if len(self.values) != self.k_max - self.k_min + 1:
+            raise ValueError("table potential radii must be contiguous")
         if self.w0 < 0 or any(v < 0 for v in self.values.values()):
             raise ValueError("potential values must be >= 0")
         k_top = max(self.values)
@@ -414,8 +445,6 @@ def potential_shell_value(field: Field, potential: RadialPotential, k: float) ->
         return potential.w0
     if k > potential.k_max:
         raise ValueError(f"table potential does not cover radius q**{k}")
-    if k not in potential.values:
-        raise ValueError(f"table potential has a gap at radius q**{k}")
     return potential.values[k]
 
 

@@ -191,15 +191,15 @@ def cluster_eigenvalues(values: Sequence[float], cluster_tol: float = DEFAULT_CL
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry of each column real positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))  # ties resolve to the lowest index
-        pivot = col[i]
-        if pivot != 0:
-            out[:, j] = col * (abs(pivot) / pivot)
-    return out
+    """Make the largest-magnitude entry of each column real positive, in one array pass.
+
+    Ties resolve to the lowest index; a zero column is left as it is.
+    """
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    nonzero = pivots != 0
+    scale = np.ones_like(pivots)
+    scale[nonzero] = np.abs(pivots[nonzero]) / pivots[nonzero]
+    return vectors * scale
 
 
 def shell_adapt(
@@ -408,6 +408,7 @@ def eigensolve(
     hv = model.apply(eigenvectors)
     hv -= eigenvectors * eigenvalues
     residuals = np.linalg.norm(hv, axis=0)
+    del hv  # so the phase pass below holds at most two dense arrays
     scale = max(1.0, model.max_abs())
     threshold = tol * scale * model.size
     worst = float(residuals.max())

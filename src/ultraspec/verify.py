@@ -2,11 +2,15 @@
 
 Each check measures a defect against a fixed threshold; the suite never
 raises on failure (failures are outcomes).  Exact-arithmetic checks report a
-defect of 0.0 or the number of violations.
+defect of 0.0 or the number of violations.  Every check takes one path at
+every grid size: unitarity is read off the Fourier transform's digit steps,
+the other Fourier and projection identities are tested on blocks of random
+probes, and exact field elements are built only for the points a check reads.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -15,12 +19,11 @@ import numpy as np
 from .config import RunConfig
 from .fields import character_phase, elem_add, elem_mul, elem_neg, valuation
 from .finite import (
-    FOURIER_DENSE_CAP,
     ZERO_SHELL,
     assemble_hamiltonian,
     build_grid,
     fourier_apply,
-    fourier_matrix,
+    fourier_unitarity_defect,
     project_cutoff,
     project_smooth,
 )
@@ -53,13 +56,6 @@ class VerifyOutcome:
         ]
 
 
-def _random_functions(rng, size, count):
-    """count random complex grid functions, as the columns of a (size, count) block."""
-    return np.column_stack(
-        [rng.standard_normal(size) + 1j * rng.standard_normal(size) for _ in range(count)]
-    )
-
-
 def run_verify(config: RunConfig) -> VerifyOutcome:
     """Run the field/finite-model property suite at the configured level."""
     field = config.field
@@ -86,17 +82,12 @@ def run_verify(config: RunConfig) -> VerifyOutcome:
     record("shell_partition", partition_defect, 0.0)
 
     # --- Fourier transform ----------------------------------------------------
-    if grid.size <= FOURIER_DENSE_CAP:
-        fmat = fourier_matrix(grid)
-        record("fourier_unitary", np.abs(fmat.conj().T @ fmat - np.eye(grid.size)).max())
-    else:
-        # relative, since |f| grows like sqrt(2N)
-        block = _random_functions(rng, grid.size, 20)
-        norms = np.linalg.norm(block, axis=0)
-        after = np.linalg.norm(fourier_apply(grid, block), axis=0)
-        record("fourier_unitary", (np.abs(after - norms) / norms).max())
+    record("fourier_unitary", fourier_unitarity_defect(grid))
 
-    probes = _random_functions(rng, grid.size, 10)
+    # ten random complex functions, as the columns of one (N, 10) block
+    probes = np.column_stack(
+        [rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size) for _ in range(10)]
+    )
     once = fourier_apply(grid, probes)
     twice = fourier_apply(grid, once)
     record(
@@ -120,52 +111,53 @@ def run_verify(config: RunConfig) -> VerifyOutcome:
     inter_defect = 0.0
     commute_defect = 0.0
     idem_defect = 0.0
+    f, f_hat = probes[:, :5], once[:, :5]
     for k in range(-n + 1, n):
-        for f, f_hat in zip(probes.T[:5], once.T[:5]):
-            lhs = fourier_apply(grid, project_cutoff(grid, k, f))
-            rhs = project_smooth(grid, k, f_hat)
-            inter_defect = max(inter_defect, float(np.abs(lhs - rhs).max()))
-            cf = project_cutoff(grid, k, f)
-            sf = project_smooth(grid, k, f)
-            idem_defect = max(idem_defect, float(np.abs(project_cutoff(grid, k, cf) - cf).max()))
-            idem_defect = max(idem_defect, float(np.abs(project_smooth(grid, k, sf) - sf).max()))
-            if k >= 0:
-                # commutation needs the cutoff ball to contain the averaging
-                # ball, i.e. k >= 0; for k < 0 the identity genuinely fails
-                cs = project_cutoff(grid, k, sf)
-                sc = project_smooth(grid, k, cf)
-                commute_defect = max(commute_defect, float(np.abs(cs - sc).max()))
+        cf = project_cutoff(grid, k, f)
+        sf = project_smooth(grid, k, f)
+        lhs = fourier_apply(grid, cf)
+        rhs = project_smooth(grid, k, f_hat)
+        inter_defect = max(inter_defect, float(np.abs(lhs - rhs).max()))
+        idem_defect = max(idem_defect, float(np.abs(project_cutoff(grid, k, cf) - cf).max()))
+        idem_defect = max(idem_defect, float(np.abs(project_smooth(grid, k, sf) - sf).max()))
+        if k >= 0:
+            # commutation needs the cutoff ball to contain the averaging
+            # ball, i.e. k >= 0; for k < 0 the identity genuinely fails
+            cs = project_cutoff(grid, k, sf)
+            sc = project_smooth(grid, k, cf)
+            commute_defect = max(commute_defect, float(np.abs(cs - sc).max()))
     record("intertwine_cutoff_smooth", inter_defect)
     record("cutoff_smooth_commute", commute_defect)
     record("projection_idempotent", idem_defect)
 
     # --- characters (exact) -----------------------------------------------------
+    # exact elements only for the indices read, each built once: on small
+    # grids the 500 samples repeat indices
+    point = functools.cache(grid.point)
     additivity_failures = 0
     for _ in range(200):
-        x = grid.points[pyrng.randrange(grid.size)]
-        y = grid.points[pyrng.randrange(grid.size)]
+        x = point(pyrng.randrange(grid.size))
+        y = point(pyrng.randrange(grid.size))
         lhs = character_phase(field, elem_add(field, x, y)).r
         rhs = (character_phase(field, x).r + character_phase(field, y).r) % 1
         if lhs != rhs:
             additivity_failures += 1
     record("character_additivity", additivity_failures, 0.0)
 
+    # the points with |x| <= 1 are the first q**n indices, and shell 1 the next block
     rank_zero_failures = sum(
-        1
-        for i in range(grid.size)
-        if grid.shells[i] <= 0 and character_phase(field, grid.points[i]).r != 0
+        1 for i in range(q**n) if character_phase(field, point(i)).r != 0
     )
     witness = any(
-        grid.shells[i] == 1 and character_phase(field, grid.points[i]).r != 0
-        for i in range(grid.size)
+        character_phase(field, point(i)).r != 0 for i in range(q**n, q ** (n + 1))
     )
     record("character_rank_zero", rank_zero_failures + (0 if witness else 1), 0.0)
 
     ultra_failures = 0
     mult_failures = 0
     for _ in range(200):
-        x = grid.points[pyrng.randrange(grid.size)]
-        y = grid.points[pyrng.randrange(grid.size)]
+        x = point(pyrng.randrange(grid.size))
+        y = point(pyrng.randrange(grid.size))
         vx, vy = valuation(field, x), valuation(field, y)
         vs = valuation(field, elem_add(field, x, y))
         if vs < min(vx, vy):  # |x+y| <= max(|x|,|y|)
@@ -181,7 +173,7 @@ def run_verify(config: RunConfig) -> VerifyOutcome:
     neg_failures = 0
     for _ in range(100):
         i = pyrng.randrange(grid.size)
-        x = grid.points[i]
+        x = point(i)
         minus = elem_neg(field, x, mod_exp=n)
         if grid.reduce_element(elem_add(field, x, minus)) != grid.zero_index:
             neg_failures += 1

@@ -16,7 +16,7 @@ from ultraspec import (
 )
 from ultraspec.cli import main
 import ultraspec.cli
-import ultraspec.verify
+import ultraspec.finite
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "q3sqrt3_ho.cfg"
 LAURENT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "f3_laurent.cfg"
@@ -215,48 +215,32 @@ def test_verify_passes_with_nontrivial_residue_field(tmp_path):
 
 def test_corrupted_kernel_trips_unitarity(monkeypatch):
     config = load_config(REPO_CONFIG)
-    exact = ultraspec.verify.fourier_matrix
+    exact = ultraspec.finite._PhaseTable
 
-    def flip_one_phase(grid):
-        fmat = np.array(exact(grid))
-        fmat[3, 5] *= np.exp(2j * np.pi / 9)
-        return fmat
+    class FlipOneNumerator(exact):
+        def __init__(self, grid):
+            super().__init__(grid)
+            self.steps[1][0, 1, 2] += 1
 
-    monkeypatch.setattr(ultraspec.verify, "fourier_matrix", flip_one_phase)
+    monkeypatch.setattr(ultraspec.finite, "_PhaseTable", FlipOneNumerator)
     outcome = run_verify(config)
     assert not outcome.passed
     failed = {c.name for c in outcome.checks if not c.passed}
     assert "fourier_unitary" in failed
 
 
-def test_verify_probe_branch_passes(monkeypatch):
-    # above the dense cap, fourier_unitary compares norms of 20 transformed probes
-    config = load_config(REPO_CONFIG)
-    dense = run_verify(config)
-    monkeypatch.setattr(ultraspec.verify, "FOURIER_DENSE_CAP", 16)
-    probed = run_verify(config)
-    assert len(probed.checks) == 17
-    assert [c.name for c in probed.checks] == [c.name for c in dense.checks]
-    assert probed.passed, [c.name for c in probed.checks if not c.passed]
+def test_verify_builds_only_the_points_it_reads(tmp_path, monkeypatch):
+    def refuse(grid):
+        raise AssertionError("verify built every grid point")
 
-
-@pytest.mark.parametrize("error, trips", [(1e-9, True), (2e-13, False)])
-def test_verify_probe_branch_norm_error_is_relative(monkeypatch, error, trips):
-    # |f| is about 13 at N = 81, so an absolute 1e-12 would trip at 2e-13 too
-    config = load_config(REPO_CONFIG)
-    exact = ultraspec.verify.fourier_apply
-
-    def scaled(grid, f, inverse=False):
-        return exact(grid, f, inverse=inverse) * (1 + error)
-
-    monkeypatch.setattr(ultraspec.verify, "FOURIER_DENSE_CAP", 16)
-    monkeypatch.setattr(ultraspec.verify, "fourier_apply", scaled)
-    failed = {c.name for c in run_verify(config).checks if not c.passed}
-    assert ("fourier_unitary" in failed) == trips
+    monkeypatch.setattr(ultraspec.finite.Grid, "points", property(refuse))
+    data = dict(CANONICAL, n=3)  # N = 729
+    outcome = run_verify(load_config(write_config(tmp_path, data)))
+    assert outcome.passed, [c.name for c in outcome.checks if not c.passed]
 
 
 def test_verify_reaches_past_the_dense_cap(tmp_path):
-    # N = 6561 > FOURIER_DENSE_CAP: every transform runs through fourier_apply
+    # N = 6561 > FOURIER_DENSE_CAP, which verify no longer depends on
     data = dict(CANONICAL, n=4)
     outcome = run_verify(load_config(write_config(tmp_path, data)))
     assert outcome.passed, [c.name for c in outcome.checks if not c.passed]
@@ -332,6 +316,45 @@ def test_missing_config_exits_one(tmp_path, capsys):
 def test_config_error_exits_one(tmp_path, capsys):
     config = write_config(tmp_path, dict(CANONICAL, n=8))
     assert main(["spectrum", "--config", str(config)]) == 1
+
+
+@pytest.mark.parametrize(
+    "key, patch",
+    [
+        ("n", {"n": "x"}),
+        ("n", {"n": 2.5}),
+        ("n", {"n": True}),
+        ("levels", {"levels": [1, "2"]}),
+        ("grid_cap", {"grid_cap": True}),
+        ("field.e", {"field": {"family": "eisenstein", "p": 3, "e": "2"}}),
+        ("field.f", {"field": {"family": "laurent", "p": 3, "f": 1.5}}),
+        ("tolerances.cluster_tol", {"tolerances": {"cluster_tol": "tight"}}),
+        ("ground_state_upper_bound", {"ground_state_upper_bound": "0.7"}),
+    ],
+    ids=["n-str", "n-float", "n-bool", "levels", "grid_cap", "e", "f", "tol", "bound"],
+)
+def test_wrongly_typed_value_exits_one(tmp_path, capsys, key, patch):
+    config = write_config(tmp_path, dict(CANONICAL, **patch))
+    assert main(["verify", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and f"'{key}'" in err[0]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [{"-1": 1.0, "0": 2.0, "1": 3.0}, {"-1": 1.0, "1": 3.0, "2": 4.0}],
+    ids=["below-level", "gap"],
+)
+def test_table_potential_short_of_the_grid_exits_one(tmp_path, capsys, values):
+    data = dict(CANONICAL, potential={"kind": "table", "values": values})
+    config = write_config(tmp_path, data)
+    for command in ("spectrum", "verify"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid config field 'potential'")
+    data["potential"]["values"] = dict(values, **{"0": 2.0, "2": 4.0})  # covers shell n = 2
+    config = write_config(tmp_path, data)
+    assert main(["verify", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_numerical_failure_exits_three(tmp_path, monkeypatch, capsys):

@@ -21,6 +21,7 @@ from ultraspec import (
     elem_neg,
     fourier_apply,
     fourier_matrix,
+    fourier_unitarity_defect,
     make_field,
     position_diagonal,
     project_cutoff,
@@ -76,6 +77,16 @@ def test_grid_points_are_built_on_first_read(q3sqrt3):
     grid = build_grid(q3sqrt3, 1)
     assert [grid.index_of_element(x) for x in grid.points] == list(range(grid.size))
     assert "points" in vars(grid)
+
+
+def test_grid_point_is_one_exact_element(grid_n2):
+    assert [grid_n2.point(i) for i in range(grid_n2.size)] == grid_n2.points
+    assert grid_n2.point(grid_n2.zero_index).is_zero
+    # verify's exact checks read |x| <= 1 as the first q**n indices and shell 1 as the next block
+    q, n = 3, 2
+    assert (grid_n2.shells[: q**n] <= 0).all()
+    assert (grid_n2.shells[q**n : q ** (n + 1)] == 1).all()
+    assert (grid_n2.shells[q ** (n + 1) :] > 1).all()
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +176,16 @@ DENSE_ORACLE_FIELDS = [
 ] + [LaurentField(p=p, f=f) for p in (2, 3, 5, 7) for f in (1, 2, 3) if p**f <= 64]
 
 
+def dense_unitarity_defect(fmat, rows=512):
+    """max |F* F - 1| of a dense kernel, computed a block of rows at a time."""
+    defect = 0.0
+    for start in range(0, fmat.shape[0], rows):
+        gram = fmat[:, start : start + rows].conj().T @ fmat
+        gram[np.arange(gram.shape[0]), start + np.arange(gram.shape[0])] -= 1.0
+        defect = max(defect, float(np.abs(gram).max()))
+    return defect
+
+
 @pytest.mark.parametrize("spec", DENSE_ORACLE_FIELDS, ids=repr)
 def test_fourier_apply_matches_dense_kernel(spec):
     # every grid the dense kernel admits; for f > 1 a digit spans f coordinates
@@ -174,6 +195,9 @@ def test_fourier_apply_matches_dense_kernel(spec):
     while field.q ** (2 * n) <= finite.FOURIER_DENSE_CAP:
         grid = build_grid(field, n)
         fmat = fourier_matrix(grid)
+        # unitarity read off the digit steps, next to the dense oracle's F* F = 1
+        assert fourier_unitarity_defect(grid) <= 1e-12, n
+        assert dense_unitarity_defect(fmat) <= 1e-12, n
         block = rand_fn(rng, (grid.size, 3))
         for inverse in (False, True):
             oracle = fmat.T.conj() @ block if inverse else fmat @ block
@@ -184,6 +208,13 @@ def test_fourier_apply_matches_dense_kernel(spec):
             assert single.shape == (grid.size,)
             assert np.abs(single - oracle[:, 1]).max() < 1e-12, (n, inverse)
         n += 1
+
+
+def test_unitarity_defect_sees_one_flipped_numerator(q3sqrt3):
+    grid = build_grid(q3sqrt3, 2)  # its own phase table, apart from the shared fixtures
+    assert fourier_unitarity_defect(grid) <= 1e-12
+    finite._phase_table(grid).steps[2][4, 1, 2] += 1
+    assert fourier_unitarity_defect(grid) > 1e-2
 
 
 def test_fourier_matrix_capped(grid_n2, monkeypatch):
@@ -261,6 +292,18 @@ def test_fourier_intertwines_cutoff_and_smooth(grid_n2):
             assert np.abs(lhs - rhs).max() < 1e-12
 
 
+def test_projections_of_a_block_match_its_columns(grid_n2):
+    rng = np.random.default_rng(9)
+    block = rand_fn(rng, (grid_n2.size, 3))
+    for k in range(-1, 2):
+        cut = project_cutoff(grid_n2, k, block)
+        smooth = project_smooth(grid_n2, k, block)
+        assert cut.shape == smooth.shape == block.shape
+        for j in range(3):
+            assert np.array_equal(cut[:, j], project_cutoff(grid_n2, k, block[:, j]))
+            assert np.abs(smooth[:, j] - project_smooth(grid_n2, k, block[:, j])).max() <= 1e-15
+
+
 def test_smooth_requires_resolvable_blocks(grid_n2):
     with pytest.raises(ValueError):
         project_smooth(grid_n2, grid_n2.n, np.zeros(grid_n2.size))
@@ -322,6 +365,11 @@ def test_table_potential_warns_when_not_confining():
 def test_monomial_zero_coefficient_warns():
     with pytest.warns(NonConfiningPotentialWarning):
         MonomialPotential(c=0.0, s=1.0)
+
+
+def test_table_potential_rejects_a_gap():
+    with pytest.raises(ValueError, match="contiguous"):
+        TablePotential(values={-1: 1.0, 1: 2.0}, w0=0.0)
 
 
 def test_table_potential_must_cover_grid(grid_n2):

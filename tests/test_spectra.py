@@ -243,6 +243,34 @@ def test_shell_adapt_singleton_unchanged_up_to_phase(grid_n2, canonical_report, 
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
+def fix_phases_by_column(vectors):
+    """The column-by-column phase fix, the reference for the one-pass version."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        i = int(np.argmax(np.abs(col)))  # ties resolve to the lowest index
+        pivot = col[i]
+        if pivot != 0:
+            out[:, j] = col * (abs(pivot) / pivot)
+    return out
+
+
+def test_fix_phases_matches_column_loop():
+    rng = np.random.default_rng(13)
+    real = rng.standard_normal((40, 12))
+    real[:, 0] = 0.0  # zero column stays as it is
+    real[:, 1] = np.where(np.arange(40) % 2, 1.0, -1.0)  # tie: the lowest index wins
+    real[:, 2] = -np.abs(real[:, 2])  # negated whole: zeros turn into -0.0
+    real[5, 2] = 0.0
+    # the same bytes, -0.0 included
+    assert spectra._fix_phases(real).tobytes() == fix_phases_by_column(real).tobytes()
+    cplx = real + 1j * rng.standard_normal(real.shape)
+    cplx[:, 0] = 0.0
+    # array and scalar complex division may round differently in the last bit
+    error = np.abs(spectra._fix_phases(cplx) - fix_phases_by_column(cplx)).max()
+    assert error <= 1e-15 * np.abs(cplx).max()
+
+
 def test_shell_adapt_preserves_span(grid_n2, canonical_report):
     cluster = cluster_near(canonical_report, 45.0)
     raw = np.linalg.qr(
