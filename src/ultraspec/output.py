@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import format_element
 from .finite import Grid, ZERO_SHELL
 from .spectra import ConvergenceTrace, SpectrumReport, _format_shell
 
@@ -57,11 +56,18 @@ _LABELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _point_labels(grid: Grid) -> list:
+    """``format_element`` of each point and its shell label, read off the digit rows.
+
+    Digit ``pos`` of a row has exponent ``pos - n``, and the label lists the
+    nonzero ones in ascending exponent, so no field element is built.
+    """
     labels = _LABELS.get(grid)
     if labels is None:
+        n = grid.n
+        shell_text = {k: _format_shell(k) for k in grid.shell_labels()}
         labels = _LABELS[grid] = [
-            (format_element(point), _format_shell(shell))
-            for point, shell in zip(grid.points, grid.shells)
+            (",".join(f"{pos - n}:{d}" for pos, d in enumerate(row) if d), shell_text[shell])
+            for row, shell in zip(grid.digits.tolist(), grid.shells.tolist())
         ]
     return labels
 

@@ -10,6 +10,13 @@ shell each.  This is the finite form of the result that p-adic wavelets
 diagonalize Vladimirov operators (S. V. Kozyrev, "Wavelet theory as p-adic
 spectral analysis", Izv. Math. 66, 2002).
 
+The solver keeps that structure (a ``TreeEigensystem``): the 2n + 1 radial
+eigenvectors lifted to the grid, and the wavelets as families of one
+(depth, shell) each, with one eigenvalue, a multiplicity and a q-point
+template.  The residual check, clustering, shell adaptation and
+classification all run on it, in O(N n) memory; the dense N x N
+eigenvector matrix is built only when a caller reads it.
+
 On top of that, eigenvalues are grouped into multiplicity clusters,
 degenerate radial eigenspaces are rotated onto a shell-adapted basis (the
 shell projections restricted to the span are jointly block-diagonalized to
@@ -190,16 +197,21 @@ def cluster_eigenvalues(values: Sequence[float], cluster_tol: float = DEFAULT_CL
 # ---------------------------------------------------------------------------
 
 
+def _phase_scale(vectors: np.ndarray) -> np.ndarray:
+    """|p| / p per column, p its largest-magnitude entry (ties to the lowest index); 1 if zero."""
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    nonzero = pivots != 0
+    scale = np.ones_like(pivots)
+    scale[nonzero] = np.abs(pivots[nonzero]) / pivots[nonzero]
+    return scale
+
+
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude entry of each column real positive, in one array pass.
 
     Ties resolve to the lowest index; a zero column is left as it is.
     """
-    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
-    nonzero = pivots != 0
-    scale = np.ones_like(pivots)
-    scale[nonzero] = np.abs(pivots[nonzero]) / pivots[nonzero]
-    return vectors * scale
+    return vectors * _phase_scale(vectors)
 
 
 def shell_adapt(
@@ -215,8 +227,8 @@ def shell_adapt(
     refinement, so every output vector is concentrated on as few shells as
     the eigenspace allows.  When ``model`` is given, the columns are first
     checked to span a common eigenspace, with H applied through
-    ``model.apply``: an eigen-residual above EIGENSPACE_TOL * max(1, |lambda|)
-    raises NotAnEigenspace.
+    ``model.apply``: an eigen-residual above EIGENSPACE_TOL * max(1, |lambda|),
+    or a NaN one, raises NotAnEigenspace.
     """
     v = np.asarray(vectors)
     if v.ndim == 1:
@@ -227,7 +239,7 @@ def shell_adapt(
         rayleigh = np.real(np.einsum("ij,ij->j", v.conj(), hv))
         lam = float(rayleigh.mean())
         residual = float(np.linalg.norm(hv - lam * v, axis=0).max())
-        if residual > EIGENSPACE_TOL * max(1.0, abs(lam)):
+        if not residual <= EIGENSPACE_TOL * max(1.0, abs(lam)):  # a NaN residual fails too
             raise NotAnEigenspace(
                 f"eigen-residual {residual:.3e} at lambda = {lam:.6g} exceeds tolerance"
             )
@@ -262,24 +274,137 @@ def shell_adapt(
 
 
 @dataclass
-class SpectrumReport:
-    """Eigendecomposition plus clustering; per-vector classifications on first read.
+class WaveletFamily:
+    """The Haar wavelets on the children of the depth-``depth`` tree nodes of one shell.
 
-    ``classifications`` runs ``classify_eigenvector`` on every column with
-    the report's ``radial_tol`` and ``shell_tol`` (those ``eigensolve`` was
-    given) the first time it is read, and keeps the list.
+    Every vector of the family lies on ``shell`` and has eigenvalue
+    ``value``.  With e = n - shell the depth of the nodes' first nonzero
+    digit, the nodes are the (q - 1) q**(d-e-1) consecutive ids from
+    ``first_node`` = q**(d-e-1) when e < d, with q - 1 wavelets each; when
+    e = d the family is node 0 alone, on the path to 0, whose q - 2
+    wavelets span its nonzero children only.  A depth-d node holds
+    q**(2n-d) points, and on it a wavelet is a ``template`` column with
+    each entry repeated over one child.  The template carries the phase
+    signs, and ``off_support`` the signed zero each column holds off its
+    node (a negated column holds -0.0).  The columns are the
+    ``multiplicity`` consecutive ones of the sorted spectrum from
+    ``start``, node by node.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # orthonormal columns, phase-fixed
-    residuals: np.ndarray
-    clusters: list
+    depth: int
+    shell: float
+    value: float
+    multiplicity: int
+    start: int
+    first_node: int
+    template: np.ndarray  # (q, wavelets per node)
+    off_support: np.ndarray  # (wavelets per node,)
+
+
+@dataclass
+class TreeEigensystem:
+    """The eigenvectors of H_n in structured form: O(N n) numbers, no N x N array.
+
+    ``radial_columns`` are the radial eigenvectors lifted to the grid,
+    phase-fixed and (once ``eigensolve`` returns) shell-adapted, at the
+    columns ``radial_positions`` of the sorted spectrum; every other column
+    belongs to one of the wavelet ``families``.
+    """
+
     grid: Grid
-    radial_tol: float = DEFAULT_RADIAL_TOL
-    shell_tol: float = DEFAULT_SHELL_TOL
+    radial_columns: np.ndarray  # (N, 2n + 1)
+    radial_positions: np.ndarray  # (2n + 1,)
+    families: list  # WaveletFamily
+
+    def node_wavelets(self, family: WaveletFamily):
+        """(node size, the family's wavelets on one node as a (node size, k) block)."""
+        q = self.grid.field.q
+        node = q ** (2 * self.grid.n - family.depth)
+        return node, np.repeat(family.template, node // q, axis=0)
+
+    def eigenvectors(self) -> np.ndarray:
+        """The dense N x N eigenvector matrix, built in one scatter into the sorted columns."""
+        size = self.grid.size
+        off_support = np.zeros(size)
+        for f in self.families:
+            columns = off_support[f.start : f.start + f.multiplicity]
+            columns.reshape(-1, f.off_support.size)[...] = f.off_support
+        vectors = np.empty((size, size))
+        vectors[...] = off_support
+        for f in self.families:
+            node, block = self.node_wavelets(f)
+            per_node = block.shape[1]
+            nodes = f.first_node + np.arange(f.multiplicity // per_node)
+            rows = nodes[:, None] * node + np.arange(node)
+            cols = f.start + np.arange(f.multiplicity).reshape(-1, per_node)
+            vectors[rows[:, :, None], cols[:, None, :]] = block
+        vectors[:, self.radial_positions] = self.radial_columns
+        return vectors
+
+    def classifications(self, radial_tol: float, shell_tol: float) -> list:
+        """One classification per sorted column, for shell_tol >= 0.
+
+        A wavelet is Shell(k) with the exact profile (1.0 on its shell, 0.0
+        on every other), as ``classify_eigenvector`` finds it; the radial
+        columns go through ``classify_eigenvector``.
+        """
+        grid = self.grid
+        labels = grid.shell_labels()
+        out = [None] * grid.size
+        for f in self.families:
+            profile = {k: 1.0 if k == f.shell else 0.0 for k in labels}
+            cls = Shell(k=f.shell, leakage=0.0, profile=profile)
+            out[f.start : f.start + f.multiplicity] = [cls] * f.multiplicity
+        for j, i in enumerate(self.radial_positions):
+            out[i] = classify_eigenvector(grid, self.radial_columns[:, j], radial_tol, shell_tol)
+        return out
+
+
+class SpectrumReport:
+    """Sorted eigenvalues, residuals and clusters; eigenvectors and classifications on first read.
+
+    ``eigensolve`` gives the eigenvectors in structured form, ``tree`` (a
+    TreeEigensystem), and ``eigenvectors``, the dense N x N matrix of
+    orthonormal, phase-fixed columns in spectrum order, is built from it
+    the first time it is read and then kept.  A report can instead be given
+    its dense ``eigenvectors`` (and no ``tree``).  ``classifications``
+    labels every column with the report's ``radial_tol`` and ``shell_tol``
+    (those ``eigensolve`` was given) the first time it is read, and keeps
+    the list: from a ``tree`` only the radial columns go through
+    ``classify_eigenvector``, otherwise every dense column does.
+    """
+
+    def __init__(
+        self,
+        eigenvalues: np.ndarray,
+        eigenvectors: Optional[np.ndarray],
+        residuals: np.ndarray,
+        clusters: list,
+        grid: Grid,
+        radial_tol: float = DEFAULT_RADIAL_TOL,
+        shell_tol: float = DEFAULT_SHELL_TOL,
+        tree: Optional[TreeEigensystem] = None,
+    ):
+        if (eigenvectors is None) == (tree is None):
+            raise ValueError("a spectrum report takes either eigenvectors or a tree")
+        self.eigenvalues = eigenvalues
+        if eigenvectors is not None:
+            self.eigenvectors = eigenvectors  # shadows the property below
+        self.residuals = residuals
+        self.clusters = clusters
+        self.grid = grid
+        self.radial_tol = radial_tol
+        self.shell_tol = shell_tol
+        self.tree = tree
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        return self.tree.eigenvectors()
 
     @cached_property
     def classifications(self) -> list:
+        if self.tree is not None:
+            return self.tree.classifications(self.radial_tol, self.shell_tol)
         vectors, grid = self.eigenvectors, self.grid
         return [
             classify_eigenvector(grid, vectors[:, i], self.radial_tol, self.shell_tol)
@@ -309,8 +434,14 @@ def _zero_sum_basis(m: int) -> np.ndarray:
     return basis
 
 
+def _fold_phases(template: np.ndarray):
+    """The template phase-fixed, and the signed zero (0.0 or -0.0) each fix writes off it."""
+    scale = _phase_scale(template)
+    return template * scale, 0.0 * scale
+
+
 def _tree_eigensystem(model: HamiltonianModel):
-    """Eigenpairs of H_n from its tree structure, ascending.
+    """Eigenvalues of H_n from its tree structure, ascending, and its TreeEigensystem.
 
     With c = model.kernel, depths d = 0..2n (shell n - d, the zero cell at
     2n), shell sizes m_d and S_d = sum_{s>=d} m_s c_s (the kinetic row sum
@@ -322,8 +453,10 @@ def _tree_eigensystem(model: HamiltonianModel):
         with eigenvalue S_{d+1} - c_d q**(2n-d-1) + v(shell): q - 1 per node
         off the path to 0, and q - 2 per node on it (those spanning the
         nonzero children only; the rest of that node is radial).
-    Returns the eigenvalues, the eigenvectors as columns and a mask of the
-    radial (shell-constant) columns.
+    The values are sorted stably in the order: per depth, node 0 and then
+    the other nodes by id, then the radial values; the wavelets of one
+    (depth, shell) family are consecutive in it and share their value, so
+    each family keeps consecutive sorted columns.
     """
     grid = model.grid
     q, n, size = grid.field.q, grid.n, grid.size
@@ -345,35 +478,86 @@ def _tree_eigensystem(model: HamiltonianModel):
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
 
-    vectors = np.zeros((size, size))
+    # Helmert bases with their phases fixed; node 0 on the path to 0 leaves out
+    # its zero child.  Scaling by 1/sqrt(child) moves no pivot and commutes
+    # with the sign flips, so each depth's template is its basis scaled.
+    path_basis, path_zero = _fold_phases(np.vstack([np.zeros((1, q - 2)), _zero_sum_basis(q - 1)]))
+    node_basis, node_zero = _fold_phases(_zero_sum_basis(q))
     values = []
+    families = []  # ``start`` is the first column before sorting until the sort below
     col = 0
     for d in range(width):
         child = q ** (width - d - 1)
-        node = q * child
         wavelet = row_sums[d + 1] - c[d] * child
-        # node 0 (the zero path): wavelets on its nonzero children, shell n - d
-        template = np.vstack([np.zeros((1, q - 2)), _zero_sum_basis(q - 1)])
-        vectors[:node, col : col + q - 2] = np.repeat(template, child, axis=0) / np.sqrt(child)
-        values.append(np.full(q - 2, wavelet + v[d]))
-        col += q - 2
-        # nodes 1 .. q**d - 1 lie inside one shell each
-        nodes = np.arange(1, q**d)
-        block = np.repeat(_zero_sum_basis(q), child, axis=0) / np.sqrt(child)
-        rows = nodes[:, None] * node + np.arange(node)
-        cols = col + (nodes[:, None] - 1) * (q - 1) + np.arange(q - 1)
-        vectors[rows[:, :, None], cols[:, None, :]] = block
-        values.append(np.repeat(wavelet + pot[nodes * node], q - 1))
-        col += nodes.size * (q - 1)
+        on_path = path_basis / np.sqrt(child), path_zero
+        off_path = node_basis / np.sqrt(child), node_zero
+        # node 0 on the path to 0 (shell n - d), then nodes 1 .. q**d - 1 by id:
+        # those whose first nonzero digit is at depth e < d start at q**(d-e-1)
+        for e in range(d, -1, -1):
+            if e == d:
+                (template, off_support), first, count = on_path, 0, 1
+            else:
+                (template, off_support), first = off_path, q ** (d - e - 1)
+                count = (q - 1) * first
+            multiplicity = count * template.shape[1]
+            if multiplicity == 0:  # q = 2: no wavelet on the path
+                continue
+            value = wavelet + v[e]
+            values.append(np.full(multiplicity, value))
+            shell = float(n - e)
+            families.append(
+                WaveletFamily(d, shell, value, multiplicity, col, first, template, off_support)
+            )
+            col += multiplicity
     point_depth = np.where(grid.shells == ZERO_SHELL, width, n - grid.shells).astype(np.int64)
-    vectors[:, col:] = radial_vectors[point_depth] / np.sqrt(m[point_depth])[:, None]
+    radial_columns = _fix_phases(radial_vectors[point_depth] / np.sqrt(m[point_depth])[:, None])
     values.append(radial_values)
-    radial = np.arange(size) >= col
 
     values = np.concatenate(values)
     order = np.argsort(values, kind="stable")
-    # take keeps the columns in C order, which model.apply sums fastest
-    return values[order], np.take(vectors, order, axis=1), radial[order]
+    position = np.empty(size, dtype=np.int64)
+    position[order] = np.arange(size)
+    for f in families:
+        f.start = int(position[f.start])
+    tree = TreeEigensystem(
+        grid=grid,
+        radial_columns=radial_columns,
+        radial_positions=position[col:],
+        families=families,
+    )
+    return values[order], tree
+
+
+def _tree_residuals(model: HamiltonianModel, eigenvalues: np.ndarray, tree: TreeEigensystem):
+    """||Hv - lambda v|| for every sorted column, H applied by ``model.apply``.
+
+    Each radial column is applied; a wavelet family gets the largest
+    residual of the wavelets on its first node, which stand for the rest.
+    The families go 2n + 1 to an ``apply`` call, so no call holds more than
+    q - 1 times the radial columns.  A NaN residual stays NaN.
+    """
+    residuals = np.empty(model.size)
+    columns = tree.radial_columns
+    hv = model.apply(columns)
+    hv -= columns * eigenvalues[tree.radial_positions]
+    residuals[tree.radial_positions] = np.linalg.norm(hv, axis=0)
+    batch = columns.shape[1]
+    for lo in range(0, len(tree.families), batch):
+        families = tree.families[lo : lo + batch]
+        blocks = [tree.node_wavelets(f) for f in families]
+        widths = [block.shape[1] for _, block in blocks]
+        reps = np.zeros((model.size, sum(widths)))
+        col = 0
+        for f, (node, block) in zip(families, blocks):
+            rows = slice(f.first_node * node, (f.first_node + 1) * node)
+            reps[rows, col : col + block.shape[1]] = block
+            col += block.shape[1]
+        hv = model.apply(reps)
+        hv -= reps * np.repeat([f.value for f in families], widths)
+        norms = np.split(np.linalg.norm(hv, axis=0), np.cumsum(widths)[:-1])
+        for f, norm in zip(families, norms):
+            residuals[f.start : f.start + f.multiplicity] = norm.max()
+    return residuals
 
 
 def eigensolve(
@@ -386,42 +570,47 @@ def eigensolve(
     """Eigendecomposition by the exact tree reduction, with residual enforcement.
 
     The eigenpairs are the radial block's, lifted to the grid, and the
-    closed-form Haar wavelets (see ``_tree_eigensystem``); with a = 0 they
-    are the point basis sorted by potential.  Eigenvectors are
+    closed-form Haar wavelets, held as a TreeEigensystem (see
+    ``_tree_eigensystem``): no N x N array is built, and the report's dense
+    ``eigenvectors`` only when they are first read.  Eigenvectors are
     Euclidean-normalized and phase-fixed (largest entry real positive, ties
     to the lowest index).  Residuals ||Hv - lambda v||, with H applied by
-    ``model.apply``, are checked against tol * max(1, max|H|) * size; a NaN
+    ``model.apply`` to every radial column and to the wavelets of one node
+    per family, are checked against tol * max(1, max|H|) * size; a NaN
     residual fails the check.  Shell adaptation then rotates the radial
-    members of each cluster; wavelets and point vectors lie on a single
-    shell already.  Rotating inside a cluster moves residuals by at most the
-    cluster width.  ``radial_tol`` and ``shell_tol`` are kept on the report,
-    which classifies the eigenvectors only when its ``classifications`` are
-    first read.
+    members of each cluster; wavelets lie on a single shell already.
+    Rotating inside a cluster moves residuals by at most the cluster width.
+    With a = 0 the eigenvectors are the point basis sorted by potential,
+    held and checked as a dense matrix.  ``radial_tol`` and ``shell_tol``
+    are kept on the report, which classifies the eigenvectors only when its
+    ``classifications`` are first read.
     """
     if model.kinetic_coeff == 0:
         order = np.argsort(model.potential_diagonal, kind="stable")
         eigenvalues = model.potential_diagonal[order]
-        eigenvectors = np.eye(model.size)[:, order]
-        radial = np.zeros(model.size, dtype=bool)
+        eigenvectors = np.eye(model.size)[:, order]  # phase-fixed already
+        hv = model.apply(eigenvectors)
+        hv -= eigenvectors * eigenvalues
+        residuals = np.linalg.norm(hv, axis=0)
+        tree = None
     else:
-        eigenvalues, eigenvectors, radial = _tree_eigensystem(model)
-    hv = model.apply(eigenvectors)
-    hv -= eigenvectors * eigenvalues
-    residuals = np.linalg.norm(hv, axis=0)
-    del hv  # so the phase pass below holds at most two dense arrays
+        eigenvalues, tree = _tree_eigensystem(model)
+        eigenvectors = None
+        residuals = _tree_residuals(model, eigenvalues, tree)
     scale = max(1.0, model.max_abs())
     threshold = tol * scale * model.size
     worst = float(residuals.max())
     if not worst <= threshold:  # a NaN residual fails too
         raise ResidualTooLarge(f"residual {worst:.3e} exceeds {threshold:.3e}")
-    eigenvectors = _fix_phases(eigenvectors)
     clusters = cluster_eigenvalues(eigenvalues, cluster_tol)
-    for cluster in clusters:
-        idx = [i for i in cluster.indices if radial[i]]
-        if len(idx) > 1:
-            eigenvectors[:, idx] = shell_adapt(
-                model.grid, eigenvectors[:, idx], split_tol=max(shell_tol, 1e-9)
-            )
+    if tree is not None:
+        radial_column = {int(i): j for j, i in enumerate(tree.radial_positions)}
+        for cluster in clusters:
+            cols = [radial_column[i] for i in cluster.indices if i in radial_column]
+            if len(cols) > 1:
+                tree.radial_columns[:, cols] = shell_adapt(
+                    model.grid, tree.radial_columns[:, cols], split_tol=max(shell_tol, 1e-9)
+                )
     return SpectrumReport(
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
@@ -430,6 +619,7 @@ def eigensolve(
         grid=model.grid,
         radial_tol=radial_tol,
         shell_tol=shell_tol,
+        tree=tree,
     )
 
 

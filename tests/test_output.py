@@ -5,7 +5,16 @@ import csv
 import numpy as np
 import pytest
 
-from ultraspec import ZERO_SHELL, assemble_hamiltonian, build_grid, eigensolve, format_element
+from ultraspec import (
+    ZERO_SHELL,
+    EisensteinExtension,
+    LaurentField,
+    assemble_hamiltonian,
+    build_grid,
+    eigensolve,
+    format_element,
+    make_field,
+)
 from ultraspec.output import (
     EIGENVECTOR_HEADER,
     GRID_HEADER,
@@ -14,6 +23,7 @@ from ultraspec.output import (
     write_eigenvector_bundle,
     write_spectrum_outputs,
     write_table,
+    _point_labels,
 )
 
 FORMATS = ("csv", "json")
@@ -90,3 +100,17 @@ def test_csv_quotes_comma_bearing_digits(grid_n1, tmp_path):
 def test_bundle_rejects_unknown_format(grid_n1, tmp_path):
     with pytest.raises(ValueError, match="unknown output format"):
         write_eigenvector_bundle(tmp_path / "v.txt", grid_n1, np.eye(grid_n1.size), "txt")
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [
+        (EisensteinExtension(p=7, e=1), 2),
+        (EisensteinExtension(p=3, e=2), 3),
+        (LaurentField(p=2, f=2), 2),
+    ],
+    ids=["Q7-n2", "Q3e2-n3", "F4t-n2"],
+)
+def test_digit_labels_match_format_element(spec, n):
+    grid = build_grid(make_field(spec), n)
+    assert [digits for digits, _ in _point_labels(grid)] == [format_element(x) for x in grid.points]

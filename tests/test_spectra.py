@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ultraspec import (
+    EisensteinExtension,
+    LaurentField,
     MonomialPotential,
     NotAnEigenspace,
     ZERO_SHELL,
@@ -16,9 +18,14 @@ from ultraspec import (
     convergence_report,
     eigensolve,
     embed_function,
+    make_field,
     shell_adapt,
 )
 import ultraspec.spectra as spectra
+from test_tree import GRIDS, grid_id
+
+# the tree oracle's grids (N <= 729) and two of N = 2401
+GATE_GRIDS = GRIDS + [(EisensteinExtension(p=7, e=1), 2), (LaurentField(p=7, f=1), 2)]
 
 # Reference ground-state values for the level-2 run (shells -inf, 2, 1, 0, -1)
 REFERENCE_GROUND_STATE = {
@@ -118,22 +125,112 @@ def test_nan_residual_raises(canonical_model, monkeypatch, tmp_path, capsys):
 
     from ultraspec import ResidualTooLarge
     from ultraspec.cli import main
-    import ultraspec.spectra as spectra
 
     exact = spectra._tree_eigensystem
-
-    def poisoned(model):
-        values, vectors, radial = exact(model)
-        vectors[0, 0] = np.nan
-        return values, vectors, radial
-
-    monkeypatch.setattr(spectra, "_tree_eigensystem", poisoned)
-    with pytest.raises(ResidualTooLarge, match="residual nan"):
-        eigensolve(canonical_model)
     config = Path(__file__).resolve().parents[1] / "configs" / "q3sqrt3_ho.cfg"
-    assert main(["spectrum", "--config", str(config), "--out", str(tmp_path)]) == 3
-    assert "residual nan" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+    for piece in ("radial column", "wavelet template"):
+
+        def poisoned(model, piece=piece):
+            values, tree = exact(model)
+            if piece == "radial column":
+                tree.radial_columns[0, 0] = np.nan
+            else:
+                tree.families[-1].template[0, 0] = np.nan
+            return values, tree
+
+        monkeypatch.setattr(spectra, "_tree_eigensystem", poisoned)
+        with pytest.raises(ResidualTooLarge, match="residual nan"):
+            eigensolve(canonical_model)
+        assert main(["spectrum", "--config", str(config), "--out", str(tmp_path)]) == 3
+        assert "residual nan" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("spec, n", GATE_GRIDS, ids=[grid_id(g) for g in GATE_GRIDS])
+def test_residual_gate_stands_for_every_column(spec, n, ho_potential):
+    grid = build_grid(make_field(spec), n)
+    model = assemble_hamiltonian(grid, 1.5, 0.75, ho_potential)
+    report = eigensolve(model)
+    assert report.residuals.shape == (grid.size,)
+    vectors = report.eigenvectors
+    hv = model.apply(vectors)
+    hv -= vectors * report.eigenvalues
+    full = np.linalg.norm(hv, axis=0)
+    threshold = spectra.DEFAULT_RESIDUAL_TOL * max(1.0, model.max_abs()) * grid.size
+    assert full.max() <= threshold
+    for family in report.tree.families:
+        members = slice(family.start, family.start + family.multiplicity)
+        # the first node's residual is the family's, on every member
+        assert np.all(report.residuals[members] == report.residuals[family.start])
+        assert abs(report.residuals[family.start] - full[members].max()) <= 1e-12
+
+
+@pytest.mark.parametrize("spec, n", GRIDS, ids=[grid_id(g) for g in GRIDS])
+def test_structured_classifications_match_numeric_path(spec, n, ho_potential):
+    grid = build_grid(make_field(spec), n)
+    report = eigensolve(assemble_hamiltonian(grid, 1.5, 0.75, ho_potential))
+    vectors = report.eigenvectors
+    assert report.classifications == [
+        classify_eigenvector(grid, vectors[:, i]) for i in range(grid.size)
+    ]
+
+
+@pytest.mark.parametrize("spec, n", GATE_GRIDS, ids=[grid_id(g) for g in GATE_GRIDS])
+def test_eigenvector_scatter_matches_whole_column_phase_fix(spec, n, ho_potential):
+    """Each family's columns are its Helmert wavelets after ``_fix_phases``, byte for byte.
+
+    Whole-column negation writes -0.0 off a wavelet's node, and the scatter must too.
+    """
+    grid = build_grid(make_field(spec), n)
+    report = eigensolve(assemble_hamiltonian(grid, 1.5, 0.75, ho_potential))
+    tree, vectors = report.tree, report.eigenvectors
+    q, width = grid.field.q, 2 * n
+    covered = np.zeros(grid.size, dtype=int)
+    covered[tree.radial_positions] += 1
+    assert vectors[:, tree.radial_positions].tobytes() == tree.radial_columns.tobytes()
+    for family in tree.families:
+        child = q ** (width - family.depth - 1)
+        if family.first_node == 0:  # on the path to 0: the zero child is left out
+            helmert = np.vstack([np.zeros((1, q - 2)), spectra._zero_sum_basis(q - 1)])
+        else:
+            helmert = spectra._zero_sum_basis(q)
+        per_node = helmert.shape[1]
+        expanded = np.zeros((grid.size, family.multiplicity))
+        for j in range(family.multiplicity // per_node):
+            node = family.first_node + j
+            rows = slice(node * q * child, (node + 1) * q * child)
+            expanded[rows, j * per_node : (j + 1) * per_node] = np.repeat(
+                helmert, child, axis=0
+            ) / np.sqrt(child)
+        members = slice(family.start, family.start + family.multiplicity)
+        covered[members] += 1
+        assert np.all(report.eigenvalues[members] == family.value)
+        expected = np.ascontiguousarray(spectra._fix_phases(expanded))
+        assert np.ascontiguousarray(vectors[:, members]).tobytes() == expected.tobytes()
+    assert np.all(covered == 1)
+
+
+def test_eigenvectors_are_built_on_first_read(canonical_model, q3sqrt3, ho_potential):
+    report = eigensolve(canonical_model)
+    assert "eigenvectors" not in vars(report)
+    report.summary_rows()
+    assert "eigenvectors" not in vars(report)
+    vectors = report.eigenvectors
+    assert "eigenvectors" in vars(report) and report.eigenvectors is vectors
+    assert vectors.tobytes() == report.tree.eigenvectors().tobytes()
+
+    grid = build_grid(q3sqrt3, 4)  # N = 6561: one dense matrix is 344 MB
+    model = assemble_hamiltonian(grid, alpha=2.0, a=0.5, potential=ho_potential)
+    tracemalloc.start()
+    try:
+        report = eigensolve(model)
+        rows = report.summary_rows()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * 8 * grid.size**2
+    assert "eigenvectors" not in vars(report)
+    assert sum(mult for _, mult, _ in rows) == grid.size
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +382,13 @@ def test_shell_adapt_preserves_span(grid_n2, canonical_report):
 
 def test_shell_adapt_rejects_non_eigenspace(grid_n2, canonical_report, canonical_model):
     v = canonical_report.eigenvectors[:, [0, 3]]  # 0.669 and 5.0: not one eigenspace
+    with pytest.raises(NotAnEigenspace):
+        shell_adapt(grid_n2, v, model=canonical_model)
+
+
+def test_shell_adapt_rejects_nan_columns(grid_n2, canonical_report, canonical_model):
+    v = canonical_report.eigenvectors[:, cluster_near(canonical_report, 9.0).indices].copy()
+    v[0, 0] = np.nan
     with pytest.raises(NotAnEigenspace):
         shell_adapt(grid_n2, v, model=canonical_model)
 
