@@ -156,7 +156,7 @@ def main(argv=None) -> int:
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable config, unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -79,21 +79,11 @@ def grid_rows(grid: Grid):
 
 
 def spectrum_rows(report: SpectrumReport):
-    cluster_id = {}
     for ci, cluster in enumerate(report.clusters):
-        for i in cluster.indices:
-            cluster_id[i] = ci
-    for rank, value in enumerate(report.eigenvalues):
-        cluster = report.clusters[cluster_id[rank]]
-        cls = report.classifications[rank]
-        yield [
-            rank,
-            float(value),
-            cluster_id[rank],
-            cluster.multiplicity,
-            cls.label(),
-            _profile_str(cls.profile),
-        ]
+        for rank in cluster.indices:
+            cls = report.classifications[rank]
+            value = float(report.eigenvalues[rank])
+            yield [rank, value, ci, cluster.multiplicity, cls.label(), _profile_str(cls.profile)]
 
 
 def eigenvector_rows(grid: Grid, vector: np.ndarray):

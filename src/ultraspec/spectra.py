@@ -14,8 +14,9 @@ The solver keeps that structure (a ``TreeEigensystem``): the 2n + 1 radial
 eigenvectors lifted to the grid, and the wavelets as families of one
 (depth, shell) each, with one eigenvalue, a multiplicity and a q-point
 template.  The residual check, clustering, shell adaptation and
-classification all run on it, in O(N n) memory; the dense N x N
-eigenvector matrix is built only when a caller reads it.
+classification all run on it, in O(N n) memory.  A cluster is a run of
+consecutive sorted columns, and its block of eigenvectors is built from the
+tree on its own; the dense N x N matrix only when a caller reads it.
 
 On top of that, eigenvalues are grouped into multiplicity clusters,
 degenerate radial eigenspaces are rotated onto a shell-adapted basis (the
@@ -26,6 +27,7 @@ radial / shell / mixed, and clusters are tracked across grid levels.
 
 from __future__ import annotations
 
+import bisect
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -161,10 +163,10 @@ def classify_eigenvector(
 
 @dataclass
 class EigenCluster:
-    """A run of numerically equal eigenvalues."""
+    """A run of numerically equal eigenvalues: the consecutive sorted columns ``indices``."""
 
     rep: float  # first member, the joining reference
-    indices: list
+    indices: range
     mean: float
 
     @property
@@ -176,19 +178,21 @@ def cluster_eigenvalues(values: Sequence[float], cluster_tol: float = DEFAULT_CL
     """Greedy left-to-right clustering of an ascending eigenvalue list.
 
     A value joins the open cluster iff it lies within
-    cluster_tol * max(1, |rep|) of the cluster's first member.
+    cluster_tol * max(1, |rep|) of the cluster's first member, a test that
+    only fails further along the list, so each cluster's end is found by
+    bisection.  A list not ascending or not finite raises ValueError.
     """
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all() or (values[1:] < values[:-1]).any():
+        raise ValueError("cluster_eigenvalues takes an ascending list of finite values")
     clusters = []
-    for i, val in enumerate(values):
-        val = float(val)
-        if clusters:
-            rep = clusters[-1].rep
-            if abs(val - rep) <= cluster_tol * max(1.0, abs(rep)):
-                clusters[-1].indices.append(i)
-                continue
-        clusters.append(EigenCluster(rep=val, indices=[i], mean=val))
-    for c in clusters:
-        c.mean = float(np.mean([values[i] for i in c.indices]))
+    start = 0
+    while start < values.size:
+        rep = float(values[start])
+        bound = cluster_tol * max(1.0, abs(rep))
+        stop = bisect.bisect_right(values, False, start + 1, key=lambda v: abs(v - rep) > bound)
+        clusters.append(EigenCluster(rep, range(start, stop), float(values[start:stop].mean())))
+        start = stop
     return clusters
 
 
@@ -322,23 +326,22 @@ class TreeEigensystem:
         node = q ** (2 * self.grid.n - family.depth)
         return node, np.repeat(family.template, node // q, axis=0)
 
-    def eigenvectors(self) -> np.ndarray:
-        """The dense N x N eigenvector matrix, built in one scatter into the sorted columns."""
-        size = self.grid.size
-        off_support = np.zeros(size)
+    def columns(self, span: range) -> np.ndarray:
+        """The sorted columns ``span``, a run of whole families such as a cluster, column-major."""
+        lo, hi = span.start, span.stop
+        vectors = np.empty((self.grid.size, len(span)), order="F")
         for f in self.families:
-            columns = off_support[f.start : f.start + f.multiplicity]
-            columns.reshape(-1, f.off_support.size)[...] = f.off_support
-        vectors = np.empty((size, size))
-        vectors[...] = off_support
-        for f in self.families:
+            if not lo <= f.start < hi:
+                continue
             node, block = self.node_wavelets(f)
             per_node = block.shape[1]
+            cols = f.start - lo + np.arange(f.multiplicity).reshape(-1, per_node)
+            vectors[:, cols] = f.off_support
             nodes = f.first_node + np.arange(f.multiplicity // per_node)
             rows = nodes[:, None] * node + np.arange(node)
-            cols = f.start + np.arange(f.multiplicity).reshape(-1, per_node)
             vectors[rows[:, :, None], cols[:, None, :]] = block
-        vectors[:, self.radial_positions] = self.radial_columns
+        first, last = np.searchsorted(self.radial_positions, [lo, hi])
+        vectors[:, self.radial_positions[first:last] - lo] = self.radial_columns[:, first:last]
         return vectors
 
     def classifications(self, radial_tol: float, shell_tol: float) -> list:
@@ -366,11 +369,12 @@ class SpectrumReport:
     ``eigensolve`` gives the eigenvectors in structured form, ``tree`` (a
     TreeEigensystem), and ``eigenvectors``, the dense N x N matrix of
     orthonormal, phase-fixed columns in spectrum order, is built from it
-    the first time it is read and then kept.  A report can instead be given
-    its dense ``eigenvectors`` (and no ``tree``).  ``classifications``
-    labels every column with the report's ``radial_tol`` and ``shell_tol``
-    (those ``eigensolve`` was given) the first time it is read, and keeps
-    the list: from a ``tree`` only the radial columns go through
+    the first time it is read and then kept; ``columns(cluster)`` builds
+    only a cluster's.  A report can instead be given its dense
+    ``eigenvectors`` (and no ``tree``).  ``classifications`` labels every
+    column with the report's ``radial_tol`` and ``shell_tol`` (those
+    ``eigensolve`` was given) the first time it is read, and keeps the
+    list: from a ``tree`` only the radial columns go through
     ``classify_eigenvector``, otherwise every dense column does.
     """
 
@@ -399,7 +403,13 @@ class SpectrumReport:
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
-        return self.tree.eigenvectors()
+        return self.tree.columns(range(self.grid.size))
+
+    def columns(self, cluster: EigenCluster) -> np.ndarray:
+        """The (N, multiplicity) block of the cluster's eigenvectors, column-major."""
+        if self.tree is not None:
+            return self.tree.columns(cluster.indices)
+        return self.eigenvectors[:, cluster.indices]
 
     @cached_property
     def classifications(self) -> list:
@@ -604,12 +614,12 @@ def eigensolve(
         raise ResidualTooLarge(f"residual {worst:.3e} exceeds {threshold:.3e}")
     clusters = cluster_eigenvalues(eigenvalues, cluster_tol)
     if tree is not None:
-        radial_column = {int(i): j for j, i in enumerate(tree.radial_positions)}
         for cluster in clusters:
-            cols = [radial_column[i] for i in cluster.indices if i in radial_column]
-            if len(cols) > 1:
-                tree.radial_columns[:, cols] = shell_adapt(
-                    model.grid, tree.radial_columns[:, cols], split_tol=max(shell_tol, 1e-9)
+            span = cluster.indices
+            lo, hi = np.searchsorted(tree.radial_positions, [span.start, span.stop])
+            if hi - lo > 1:
+                tree.radial_columns[:, lo:hi] = shell_adapt(
+                    model.grid, tree.radial_columns[:, lo:hi], split_tol=max(shell_tol, 1e-9)
                 )
     return SpectrumReport(
         eigenvalues=eigenvalues,
@@ -709,8 +719,9 @@ def convergence_report(
     configured levels, which need not be consecutive integers.  The
     alignment of a matched pair is the largest distance from an embedded
     basis vector of the old cluster to the span of the new one (see
-    ``_cluster_alignment``).  Only the clusters and eigenvectors of each
-    level are read, so no eigenvector is classified.
+    ``_cluster_alignment``).  Only the clusters of each level and the
+    columns of matched clusters are read (``SpectrumReport.columns``), so
+    no eigenvector is classified and no N x N matrix is built.
     """
     levels = sorted(set(int(n) for n in levels))
     if not levels:
@@ -788,13 +799,11 @@ def convergence_report(
 def _cluster_alignment(prev_report, cur_report, prev_cluster, cluster) -> float:
     """Largest distance from the embedded old cluster basis to the new cluster's span.
 
-    The old eigenvectors are lifted to the new level in one step, and
+    The old cluster's columns are lifted to the new level in one step, and
     each column's residual after projection onto the new cluster's
     orthonormal basis B is taken: max_j ||E_j - B (B^H E_j)||.
     """
-    embedded = embed_function(
-        prev_report.grid, cur_report.grid, prev_report.eigenvectors[:, prev_cluster.indices]
-    )
-    basis = cur_report.eigenvectors[:, cluster.indices]
+    embedded = embed_function(prev_report.grid, cur_report.grid, prev_report.columns(prev_cluster))
+    basis = cur_report.columns(cluster)
     embedded -= basis @ (basis.conj().T @ embedded)
     return float(np.linalg.norm(embedded, axis=0).max())

@@ -313,6 +313,29 @@ def test_missing_config_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_directory_as_config_exits_one(tmp_path, capsys):
+    assert main(["spectrum", "--config", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_non_utf8_config_exits_one(tmp_path, capsys):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes(json.dumps(CANONICAL).encode() + b"\xff")
+    assert main(["spectrum", "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_out_naming_an_existing_file_exits_one(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["verify", "--config", str(REPO_CONFIG), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert out.read_text() == ""
+
+
 def test_config_error_exits_one(tmp_path, capsys):
     config = write_config(tmp_path, dict(CANONICAL, n=8))
     assert main(["spectrum", "--config", str(config)]) == 1

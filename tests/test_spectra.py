@@ -217,7 +217,7 @@ def test_eigenvectors_are_built_on_first_read(canonical_model, q3sqrt3, ho_poten
     assert "eigenvectors" not in vars(report)
     vectors = report.eigenvectors
     assert "eigenvectors" in vars(report) and report.eigenvectors is vectors
-    assert vectors.tobytes() == report.tree.eigenvectors().tobytes()
+    assert vectors.tobytes() == report.tree.columns(range(report.grid.size)).tobytes()
 
     grid = build_grid(q3sqrt3, 4)  # N = 6561: one dense matrix is 344 MB
     model = assemble_hamiltonian(grid, alpha=2.0, a=0.5, potential=ho_potential)
@@ -255,6 +255,80 @@ def test_cluster_merges_close_values():
     clusters = cluster_eigenvalues(values, cluster_tol=1e-6)
     assert [c.multiplicity for c in clusters] == [3, 1]
     assert clusters[0].rep == 2.0
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1.0, 0.5], [0.0, 2.0, 2.0 - 1e-12], [0.0, np.nan, 1.0], [np.nan], [-np.inf, 0.0]],
+    ids=["descending", "late-dip", "nan", "lone-nan", "infinite"],
+)
+def test_cluster_rejects_unsorted_or_nonfinite_values(values):
+    with pytest.raises(ValueError, match="ascending"):
+        cluster_eigenvalues(values)
+
+
+def greedy_clusters(values, cluster_tol):
+    """The per-value greedy loop, the oracle for the bisection: (rep, indices, mean) per cluster."""
+    clusters = []
+    for i, val in enumerate(values):
+        val = float(val)
+        if clusters:
+            rep = clusters[-1][0]
+            if abs(val - rep) <= cluster_tol * max(1.0, abs(rep)):
+                clusters[-1][1].append(i)
+                continue
+        clusters.append((val, [i]))
+    return [(rep, idx, float(np.mean([values[i] for i in idx]))) for rep, idx in clusters]
+
+
+def assert_matches_greedy(values, cluster_tol):
+    clusters = cluster_eigenvalues(values, cluster_tol)
+    assert all(isinstance(c.indices, range) for c in clusters)
+    got = [(c.rep.hex(), list(c.indices), c.mean.hex()) for c in clusters]
+    oracle = greedy_clusters(values, cluster_tol)
+    assert got == [(rep.hex(), idx, mean.hex()) for rep, idx, mean in oracle]
+
+
+def adversarial_values(rng, cluster_tol, segments=60):
+    """Ascending values that sit on, just inside and just outside each joining edge.
+
+    Each segment starts at a reference, negative or positive, of size below
+    1 or up to 2000, and chains a few clusters: a run of equal values, the
+    edge and its float neighbours, values spread over twice the tolerance,
+    then a gap from none to far above the tolerance.  The references that
+    start a segment are multiples of 2**-10, so with a power-of-two
+    cluster_tol the edge sum is exact and the edge lies at exactly the
+    tolerance from its reference.
+    """
+    starts = rng.uniform(-2.0, 2.0, segments) * rng.choice([1.0, 1e3], segments)
+    values = []
+    for x in np.round(starts * 1024) / 1024:
+        for _ in range(rng.integers(1, 4)):
+            edge = x + cluster_tol * max(1.0, abs(x))
+            run = [x] * int(rng.integers(1, 4))
+            run += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)][
+                : rng.integers(1, 4)
+            ]
+            run += list(x + (edge - x) * rng.uniform(0.0, 2.0, int(rng.integers(0, 3))))
+            values += run
+            x = max(run) + (edge - x) * rng.choice([0.0, 1e-3, 0.5, 1.0, 3.0, 1e4])
+    return np.sort(values)
+
+
+@pytest.mark.parametrize("cluster_tol", [1e-8, 1e-7, 1e-6, 2**-20, 1e-5, 2**-14, 1e-4])
+@pytest.mark.parametrize("seed", range(4))
+def test_cluster_bisection_matches_greedy_loop(seed, cluster_tol):
+    values = adversarial_values(np.random.default_rng(seed), cluster_tol)
+    assert_matches_greedy(values, cluster_tol)
+    assert_matches_greedy(values.tolist(), cluster_tol)
+
+
+@pytest.mark.parametrize("spec, n", GRIDS, ids=[grid_id(g) for g in GRIDS])
+def test_cluster_bisection_matches_greedy_loop_on_spectra(spec, n, ho_potential):
+    grid = build_grid(make_field(spec), n)
+    values = eigensolve(assemble_hamiltonian(grid, 1.5, 0.75, ho_potential)).eigenvalues
+    for cluster_tol in (1e-8, 1e-6, 1e-4):
+        assert_matches_greedy(values, cluster_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +591,11 @@ def test_alignment_is_the_worst_column(grid_n1, grid_n2):
     # on the fixtures every multi-vector cluster has equal column distances,
     # so a synthetic pair pins the max: the new span holds the first lift only
     points = np.eye(grid_n1.size)[:, :2]
-    old = SimpleNamespace(grid=grid_n1, eigenvectors=points)
-    new = SimpleNamespace(grid=grid_n2, eigenvectors=embed_function(grid_n1, grid_n2, points))
-    old_cluster = spectra.EigenCluster(rep=0.0, indices=[0, 1], mean=0.0)
-    new_cluster = spectra.EigenCluster(rep=0.0, indices=[0], mean=0.0)
+    lifted = embed_function(grid_n1, grid_n2, points)
+    old = SimpleNamespace(grid=grid_n1, columns=lambda cluster: points[:, cluster.indices])
+    new = SimpleNamespace(grid=grid_n2, columns=lambda cluster: lifted[:, cluster.indices])
+    old_cluster = spectra.EigenCluster(rep=0.0, indices=range(2), mean=0.0)
+    new_cluster = spectra.EigenCluster(rep=0.0, indices=range(1), mean=0.0)
     assert spectra._cluster_alignment(old, new, old_cluster, new_cluster) == pytest.approx(1.0)
 
 
@@ -544,6 +619,18 @@ def test_convergence_levels_two_three(q3sqrt3, ho_potential):
         assert traj.steps[1].multiplicity >= traj.steps[0].multiplicity
     for level in trace.per_level:
         assert 0 < level.lowest_eigenvalue < 9 / 13
+
+
+def test_convergence_report_reads_no_dense_matrix(q3sqrt3, ho_potential):
+    size = 9**4  # N at level 4: one dense matrix is 344 MB
+    tracemalloc.start()
+    try:
+        trace = convergence_report(q3sqrt3, 2.0, 0.5, ho_potential, [3, 4])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * size**2
+    assert any(len(t.steps) == 2 for t in trace.trajectories)  # some alignment was read
 
 
 def test_convergence_report_never_classifies(q3sqrt3, ho_potential, monkeypatch):
