@@ -3,7 +3,10 @@
 Floats are serialized with ``repr`` (shortest round-trip form), so reruns of
 the same configuration produce byte-identical files.  The N**2-row
 eigenvector bundle is streamed one vector at a time by
-``write_eigenvector_bundle``, which writes the bytes ``write_table`` would.
+``write_eigenvector_bundle``, which writes the bytes ``write_table`` would:
+it calls ``repr`` once per distinct bit pattern of each vector's real and
+imaginary parts (the tree eigenvectors take a few values per column) and
+builds each vector's rows with one join and one write.
 """
 
 from __future__ import annotations
@@ -88,9 +91,14 @@ def spectrum_rows(report: SpectrumReport):
 
 def eigenvector_rows(grid: Grid, vector: np.ndarray):
     vector = np.asarray(vector)
-    for i, (digits, shell) in enumerate(_point_labels(grid)):
-        value = complex(vector[i])
-        yield [i, digits, shell, value.real, value.imag]
+    if vector.shape != (grid.size,):
+        raise ValueError(
+            f"a vector on {grid.size} points has shape ({grid.size},), not {vector.shape}"
+        )
+    return (
+        [i, digits, shell, value.real, value.imag]
+        for i, ((digits, shell), value) in enumerate(zip(_point_labels(grid), map(complex, vector)))
+    )
 
 
 def trajectory_rows(trace: ConvergenceTrace):
@@ -119,8 +127,7 @@ def write_table(path, header, rows, fmt: str = "csv"):
     elif fmt == "json":
         records = [dict(zip(header, row)) for row in rows]
         with open(path, "w") as handle:
-            json.dump(records, handle, indent=1, sort_keys=True, default=_fmt)
-            handle.write("\n")
+            handle.write(json.dumps(records, indent=1, sort_keys=True, default=_fmt) + "\n")
     else:
         raise ValueError(f"unknown output format {fmt!r}")
     return path
@@ -130,61 +137,74 @@ def write_table(path, header, rows, fmt: str = "csv"):
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _float_texts(values: np.ndarray, fmt: str):
-    """The cells ``write_table`` gives the floats ``values``, in order."""
-    values = np.asarray(values, dtype=np.float64)
-    texts = map(repr, values.tolist())
-    if fmt == "json" and not np.isfinite(values).all():
+def _cells(values: np.ndarray, fmt: str, suffix: str) -> list:
+    """The cells ``write_table`` gives the floats ``values``, in order, each + ``suffix``.
+
+    ``repr`` runs once per distinct bit pattern: the key is the bits, not the
+    value, because ``-0.0 == 0.0`` while their texts differ.
+    """
+    bits, inverse = np.unique(
+        np.ascontiguousarray(values, dtype=np.float64).view(np.uint64), return_inverse=True
+    )
+    texts = map(repr, bits.view(np.float64).tolist())
+    if fmt == "json":
         texts = (_JSON_NONFINITE.get(t, t) for t in texts)
-    return texts
+    return np.array([t + suffix for t in texts], dtype=object)[inverse].tolist()
 
 
 def write_eigenvector_bundle(path, grid: Grid, vectors: np.ndarray, fmt: str = "csv"):
     """Write ``eigenvector_rows`` of every column of ``vectors``, led by its index.
 
     The file is byte-identical to ``write_table`` with the header ``vector``
-    + EIGENVECTOR_HEADER, but each point's label is encoded once and the
-    rows are formatted and written one vector at a time.
+    + EIGENVECTOR_HEADER, but each point's label is encoded once, ``repr``
+    runs once per distinct bit pattern of a vector's real and imaginary
+    parts, and each vector's rows are built with one join and written with
+    one write.
     """
     path = Path(path)
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format {fmt!r}")
-    path.parent.mkdir(parents=True, exist_ok=True)
     vectors = np.asarray(vectors)
-    labels = _point_labels(grid)
-
-    def columns():
-        for j in range(vectors.shape[1]):
-            column = vectors[:, j]
-            yield j, _float_texts(np.real(column), fmt), _float_texts(np.imag(column), fmt)
-
-    if fmt == "csv":
-        # csv.writer quotes the digits cell, which joins digit pairs with commas
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerows(
-            [i, digits, shell] for i, (digits, shell) in enumerate(labels)
+    if vectors.ndim != 2 or vectors.shape[0] != grid.size:
+        raise ValueError(
+            f"vectors on {grid.size} points have shape ({grid.size}, k), not {vectors.shape}"
         )
-        prefixes = buffer.getvalue().splitlines()
-        with open(path, "w", newline="") as handle:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    labels = _point_labels(grid)
+    size, count = vectors.shape
+    with open(path, "w", newline="" if fmt == "csv" else None) as handle:
+        if fmt == "csv":
+            # a row is j | ,index,digits,shell, | re, | im\n; csv.writer quotes
+            # the digits cell, which joins digit pairs with commas
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows(
+                [i, digits, shell] for i, (digits, shell) in enumerate(labels)
+            )
+            parts = [""] * (4 * size)
+            parts[1::4] = [f",{prefix}," for prefix in buffer.getvalue().splitlines()]
             csv.writer(handle, lineterminator="\n").writerow(["vector"] + EIGENVECTOR_HEADER)
-            for j, re, im in columns():
-                handle.write("".join(f"{j},{p},{r},{m}\n" for p, r, m in zip(prefixes, re, im)))
-    else:
-        # one record of json.dump(indent=1, sort_keys=True), cut around the
-        # per-vector values; the keys sort as digits, im, point_index, re, shell, vector
-        heads = [f' {{\n  "digits": {json.dumps(digits)},\n  "im": ' for digits, _ in labels]
-        mids = [f',\n  "point_index": {i},\n  "re": ' for i in range(len(labels))]
-        tails = [f',\n  "shell": {json.dumps(shell)},\n  "vector": ' for _, shell in labels]
-        with open(path, "w") as handle:
-            for j, re, im in columns():
-                handle.write("[\n" if j == 0 else ",\n")
-                handle.write(
-                    ",\n".join(
-                        f"{h}{m}{x}{r}{t}{j}\n }}"
-                        for h, m, x, r, t in zip(heads, im, mids, re, tails)
-                    )
-                )
-            handle.write("\n]\n" if vectors.shape[1] else "[]\n")
+        else:
+            # one record of json.dump(indent=1, sort_keys=True), cut around the
+            # per-vector values; the keys sort as digits, im, point_index, re, shell, vector
+            parts = [""] * (6 * size)
+            parts[0::6] = [f' {{\n  "digits": {json.dumps(d)},\n  "im": ' for d, _ in labels]
+            parts[2::6] = [f',\n  "point_index": {i},\n  "re": ' for i in range(size)]
+            parts[4::6] = [f',\n  "shell": {json.dumps(s)},\n  "vector": ' for _, s in labels]
+            handle.write("[\n" if count else "[]\n")
+        for j in range(count):
+            column = vectors[:, j]
+            if fmt == "csv":
+                parts[0::4] = [str(j)] * size
+                parts[2::4] = _cells(np.real(column), fmt, ",")
+                parts[3::4] = _cells(np.imag(column), fmt, "\n")
+            else:
+                parts[1::6] = _cells(np.imag(column), fmt, "")
+                parts[3::6] = _cells(np.real(column), fmt, "")
+                # records end ",\n" but the vector's last, which the next vector's
+                # first record or the closing bracket follows
+                parts[5::6] = [f"{j}\n }},\n"] * size
+                parts[-1] = f"{j}\n }}" + (",\n" if j + 1 < count else "\n]\n")
+            handle.write("".join(parts))
     return path
 
 

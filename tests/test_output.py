@@ -1,6 +1,8 @@
 """The streamed eigenvector bundle against the row functions and stdlib encoders."""
 
 import csv
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from ultraspec import (
     build_grid,
     eigensolve,
     format_element,
+    load_config,
     make_field,
 )
 from ultraspec.output import (
@@ -74,9 +77,17 @@ def test_complex_and_nonfinite_vectors_match_row_path(grid_n1, fmt, tmp_path):
     vectors[1, 0] = complex(0.0, -0.0)
     vectors[2, 0] = complex(-0.0, 0.0)
     vectors[:3, 2] = [complex(np.nan, 1.0), complex(np.inf, -np.inf), complex(-np.inf, np.nan)]
-    new = write_eigenvector_bundle(tmp_path / f"new.{fmt}", grid_n1, vectors, fmt)
-    old = oracle_bundle(tmp_path / f"old.{fmt}", grid_n1, vectors, fmt)
-    assert new.read_bytes() == old.read_bytes()
+    # repeated values from a small pool, keyed apart by their bits (±0.0, ±nan)
+    pool = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 0.1 + 0.2, 1 / 3]
+    pooled = np.empty((size, 40), dtype=complex)
+    pooled.real = rng.choice(pool, size=pooled.shape)
+    pooled.imag = rng.choice(pool, size=pooled.shape)
+    pooled[:, 0].real = -0.0
+    pooled[:, 0].imag = 1 / 3
+    for k, vectors in enumerate([vectors, pooled]):
+        new = write_eigenvector_bundle(tmp_path / f"new{k}.{fmt}", grid_n1, vectors, fmt)
+        old = oracle_bundle(tmp_path / f"old{k}.{fmt}", grid_n1, vectors, fmt)
+        assert new.read_bytes() == old.read_bytes()
 
 
 def test_rows_label_points_with_format_element(grid_n2):
@@ -100,6 +111,41 @@ def test_csv_quotes_comma_bearing_digits(grid_n1, tmp_path):
 def test_bundle_rejects_unknown_format(grid_n1, tmp_path):
     with pytest.raises(ValueError, match="unknown output format"):
         write_eigenvector_bundle(tmp_path / "v.txt", grid_n1, np.eye(grid_n1.size), "txt")
+
+
+@pytest.mark.parametrize("shape", [(8, 9), (10, 9), (9,)], ids=["short", "long", "1d"])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_bundle_rejects_wrong_row_count(grid_n1, shape, fmt, tmp_path):
+    assert grid_n1.size == 9
+    with pytest.raises(ValueError, match="points have shape"):
+        write_eigenvector_bundle(tmp_path / f"v.{fmt}", grid_n1, np.ones(shape), fmt)
+    assert not (tmp_path / f"v.{fmt}").exists()
+
+
+@pytest.mark.parametrize("shape", [(8,), (10,), (9, 1)], ids=["short", "long", "2d"])
+def test_rows_reject_wrong_length(grid_n1, shape):
+    with pytest.raises(ValueError, match="point.* has shape"):
+        eigenvector_rows(grid_n1, np.ones(shape))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_bundle_memory_stays_below_a_quarter_matrix(fmt, tmp_path):
+    """The writer's traced peak at N = 729 stays below 0.25 * 8 N**2 bytes."""
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "q3sqrt3_ho.cfg")
+    grid = build_grid(config.field, 3)
+    report = eigensolve(
+        assemble_hamiltonian(
+            grid, config.alpha, config.kinetic_coeff, config.potential, config.convention
+        )
+    )
+    vectors = report.eigenvectors  # the dense build is not the writer's
+    tracemalloc.start()
+    try:
+        write_eigenvector_bundle(tmp_path / f"v.{fmt}", grid, vectors, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 8 * grid.size**2
 
 
 @pytest.mark.parametrize(
