@@ -2,7 +2,13 @@
 
 The level-n grid holds the q**(2n) canonical representatives
 sum_{i=-n}^{n-1} a_i b**i, ordered lexicographically in the digit tuple
-(a_{-n}, ..., a_{n-1}); each point carries Haar mass q**(-n).  The Fourier
+(a_{-n}, ..., a_{n-1}); each point carries Haar mass q**(-n).  In that order
+the grid is a q-ary tree and every shell |x| = q**k is one run of indices,
+[q**(n+k-1), q**(n+k)) for k = 1-n, ..., n, with the zero cell at index 0;
+the shells <= k are a prefix, and a level-n function lifted to level m
+repeats each value q**(m-n) times over the first q**(m+n) indices.  ``Grid``
+owns this layout (``shell_run``, ``ball_size``, ``depth_runs``) and every
+shell operation is a slice of it.  The Fourier
 kernel q**(-n) * chi(-x*y) is evaluated through exact integer phase
 numerators: the additive character makes the phase of x*y bilinear over F_p
 in the digit coordinates, so D * phase(x_i * x_j) mod D is a plain integer
@@ -25,6 +31,7 @@ diagonal and applied by block sums over the tree, never as a dense matrix.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -89,7 +96,18 @@ class ZeroCellConvention(str, Enum):
 
 
 class Grid:
-    """Level-n grid with digit matrix, shell labels and index arithmetic."""
+    """Level-n grid: digit matrix, index arithmetic and the shell layout.
+
+    Index i is the big-endian base-q count of the digit row (a_{-n}, ...,
+    a_{n-1}), so the grid is a q-ary tree of depth 2n in index order and
+    every shell is one run of indices: shell k (|x| = q**k, k = 1-n, ..., n)
+    is [q**(n+k-1), q**(n+k)), and the zero cell (``ZERO_SHELL``) is [0, 1).
+    The points with |x| <= q**k are the prefix [0, ``ball_size(k)``), so a
+    level-n function lifts to level m by repeating each value q**(m-n)
+    times over the first q**(m+n) indices.  The per-point ``shells`` labels
+    and the exact ``points`` are built on first read; the solver reads only
+    the runs.
+    """
 
     def __init__(self, field: Field, n: int):
         self.field = field
@@ -106,16 +124,8 @@ class Grid:
             digits[:, pos] = (idx // q ** (width - 1 - pos)) % q
         self.digits = digits
         self._weights = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
-
-        nonzero = digits != 0
-        first = np.argmax(nonzero, axis=1)
-        shells = (self.n - first).astype(np.float64)
-        shells[~nonzero.any(axis=1)] = ZERO_SHELL
-        self.shells = shells
         self.zero_index = 0  # all-zero tuple is lexicographically first
-
-        labels, counts = np.unique(shells, return_counts=True)
-        self.shell_sizes = {float(k): int(c) for k, c in zip(labels, counts)}
+        self.shell_sizes = {k: len(self.shell_run(k)) for k in self.shell_labels()}
 
         self._phase_cache = None
 
@@ -133,18 +143,43 @@ class Grid:
         """Every point as a field element, in index order; built on first read."""
         return [self.point(i) for i in range(self.size)]
 
-    def shell_labels(self):
-        """Shell labels in ascending order (ZERO_SHELL first)."""
-        return sorted(self.shell_sizes)
+    @cached_property
+    def shells(self) -> np.ndarray:
+        """The shell label of every point, in index order; built on first read from the runs."""
+        return np.repeat(list(self.shell_sizes), list(self.shell_sizes.values()))
 
-    def depth_representatives(self) -> list:
-        """One index per tree depth d = 0, ..., 2n: a point on shell n - d.
+    def shell_labels(self) -> list:
+        """Shell labels in ascending order, which is index order (ZERO_SHELL first)."""
+        return [ZERO_SHELL] + [float(k) for k in range(1 - self.n, self.n + 1)]
 
-        Entry d is the point with a single digit 1 at position d, whose
-        digits first differ from 0 at d; the last entry is the zero point.
+    def shell_run(self, k) -> range:
+        """The indices of shell k: [q**(n+k-1), q**(n+k)), or [0, 1) for ZERO_SHELL."""
+        if k == ZERO_SHELL:
+            return range(self.zero_index, self.zero_index + 1)
+        if not 1 - self.n <= k <= self.n or k != int(k):
+            raise ValueError(f"no shell {k} on the level-{self.n} grid")
+        q, top = self.field.q, self.n + int(k)
+        return range(q ** (top - 1), q**top)
+
+    def ball_size(self, k) -> int:
+        """The number of points with |x| <= q**k, the prefix [0, ball_size(k)) of the grid.
+
+        Every k counts the zero cell; k >= n counts the whole grid.
         """
-        width = 2 * self.n
-        return [self.field.q ** (width - 1 - d) for d in range(width)] + [self.zero_index]
+        if k >= self.n:
+            return self.size
+        if k < 1 - self.n:  # ZERO_SHELL among them
+            return 1
+        return self.field.q ** (self.n + math.floor(k))
+
+    def depth_runs(self) -> list:
+        """The shell runs by tree depth d = 0, ..., 2n: shell n - d, the zero cell last.
+
+        Depth d is the position of a point's first nonzero digit, so this is
+        the reverse of index order, and each run's ``start`` is a point with
+        a single digit 1 at position d.
+        """
+        return [self.shell_run(k) for k in reversed(self.shell_labels())]
 
     def index_of_digits(self, row) -> int:
         return int(np.dot(np.asarray(row, dtype=np.int64), self._weights))
@@ -198,7 +233,11 @@ def build_grid(field: Field, n: int, cap: int = GRID_CAP_DEFAULT) -> Grid:
 
 
 class _PhaseTable:
-    """Integer data for D * phase(x_i * x_j) mod D = (C W C^T)_ij mod D, dense and by digit."""
+    """Integer data for D * phase(x_i * x_j) mod D = (C W C^T)_ij mod D, by digit step.
+
+    C holds the F_p coordinates of the digit rows (``_digit_coords``); only
+    ``numerators``, the dense test oracle, builds it for every point.
+    """
 
     def __init__(self, grid: Grid):
         field = grid.field
@@ -206,10 +245,6 @@ class _PhaseTable:
         width = 2 * n
         if field.is_laurent:
             f = field.f
-            coords = np.empty((grid.size, width * f), dtype=np.int64)
-            for pos in range(width):
-                for s in range(f):
-                    coords[:, pos * f + s] = (grid.digits[:, pos] // p**s) % p
             rf = field.residue
             trace_pow = []
             for u in range(2 * f - 1):
@@ -227,7 +262,6 @@ class _PhaseTable:
                         for t in range(f):
                             w[pi * f + s, pj * f + t] = trace_pow[s + t] % p
         else:
-            coords = grid.digits.astype(np.int64)
             phases = {}
             t_max = 0
             for m in range(-2 * n, 2 * n - 1):
@@ -241,7 +275,6 @@ class _PhaseTable:
                     r = phases[(pi - n) + (pj - n)]
                     w[pi, pj] = int(r * denom) % denom
         self.denominator = denom
-        self.coords = coords
         self.bilinear = w
         self.roots = np.exp(2j * np.pi * np.arange(denom) / denom)
 
@@ -250,22 +283,30 @@ class _PhaseTable:
         # once x digits 0, ..., t are known; its numerators are indexed
         # [x digits 0..t-1, x digit t, y digit j].
         q = field.q
-        per_digit = coords.shape[1] // width
-        digit_coords = coords[:q, (width - 1) * per_digit :]  # digit values 0, ..., q-1
+        per_digit = w.shape[0] // width
+        digit_coords = _digit_coords(field, np.arange(q)[:, None])  # digit values 0, ..., q-1
         self.steps = []
         for t in range(width):
             j = width - 1 - t
-            prefixes = coords[:: q**j, : (t + 1) * per_digit]  # points with digits > t zero
+            # the points with digits > t zero
+            prefixes = _digit_coords(field, grid.digits[:: q**j, : t + 1])
             block = w[: (t + 1) * per_digit, j * per_digit : (j + 1) * per_digit]
             num = (prefixes @ block @ digit_coords.T) % denom
             self.steps.append(num.reshape(q**t, q, q))
 
-    def numerators(self) -> np.ndarray:
+    def numerators(self, grid: Grid) -> np.ndarray:
         # float64 so the contraction runs through BLAS; every intermediate is
         # a small integer, far below 2**53, hence exact
-        coords = self.coords.astype(np.float64)
+        coords = _digit_coords(grid.field, grid.digits).astype(np.float64)
         prod = (coords @ self.bilinear.astype(np.float64)) @ coords.T
         return np.rint(prod).astype(np.int64) % self.denominator
+
+
+def _digit_coords(field: Field, digits: np.ndarray) -> np.ndarray:
+    """The F_p coordinates of digit rows, f per digit (the digit itself when q = p), as int64."""
+    p, f = field.p, field.f
+    coords = digits[:, :, None] // p ** np.arange(f, dtype=digits.dtype) % p
+    return coords.reshape(len(digits), -1).astype(np.int64)
 
 
 def _p_power_exponent(den: int, p: int) -> int:
@@ -297,7 +338,7 @@ def fourier_matrix(grid: Grid) -> np.ndarray:
             f"grid has {grid.size} (use fourier_apply)"
         )
     table = _phase_table(grid)
-    p = table.numerators()
+    p = table.numerators(grid)
     p = (table.denominator - p) % table.denominator
     return table.roots[p] * float(grid.field.q) ** (-grid.n)
 
@@ -351,8 +392,10 @@ def fourier_unitarity_defect(grid: Grid) -> float:
 def project_cutoff(grid: Grid, k: int, f) -> np.ndarray:
     """Finite-level cutoff of an (N,) or (N, m) array: zero the rows with |x| > q**k."""
     v = np.asarray(f)
-    inside = (grid.shells <= k).reshape((-1,) + (1,) * (v.ndim - 1))
-    return np.where(inside, v, np.zeros((), dtype=v.dtype))
+    out = np.zeros_like(v)
+    end = grid.ball_size(k)  # the shells <= k are a prefix of the grid
+    out[:end] = v[:end]
+    return out
 
 
 def project_smooth(grid: Grid, k: int, f) -> np.ndarray:
@@ -485,14 +528,12 @@ def position_diagonal(grid: Grid, potential, convention=ZeroCellConvention.AVERA
     field, n = grid.field, grid.n
     convention = ZeroCellConvention(convention)
     out = np.empty(grid.size, dtype=np.float64)
-    for k in grid.shell_labels():
-        mask = grid.shells == k
-        if k == ZERO_SHELL:
-            continue
+    for k in grid.shell_labels()[1:]:  # the zero cell, first, is set below
+        run = grid.shell_run(k)
         if isinstance(potential, (int, float)):
-            out[mask] = float(field.q) ** (k * float(potential))
+            out[run.start : run.stop] = float(field.q) ** (k * float(potential))
         else:
-            out[mask] = potential_shell_value(field, potential, k)
+            out[run.start : run.stop] = potential_shell_value(field, potential, k)
     if isinstance(potential, (int, float)):
         alpha = float(potential)
         if convention is ZeroCellConvention.AVERAGE_OF_POWER:
@@ -505,7 +546,7 @@ def position_diagonal(grid: Grid, potential, convention=ZeroCellConvention.AVERA
         zero_value = potential.w0 if isinstance(potential, TablePotential) else 0.0
     else:
         zero_value = zero_cell_average(field, n, potential)
-    out[grid.shells == ZERO_SHELL] = zero_value
+    out[grid.zero_index] = zero_value
     return out
 
 
@@ -583,9 +624,9 @@ def _tree_kernel(grid: Grid, kin: np.ndarray) -> np.ndarray:
     shell at depth 2n - s - 1 contributes -q**s times its value.
     """
     q, width = grid.field.q, 2 * grid.n
-    reps = grid.depth_representatives()
-    values = kin[reps]  # by depth: shell n - d, zero cell last
-    sizes = np.array([grid.shell_sizes[k] for k in grid.shells[reps]], dtype=np.float64)
+    runs = grid.depth_runs()
+    values = kin[[run.start for run in runs]]  # by depth: shell n - d, zero cell last
+    sizes = np.array([len(run) for run in runs], dtype=np.float64)
     tail = np.cumsum((sizes * values)[::-1])[::-1]  # tail[d] = sum over depths >= d
     kappa = np.empty(width + 1)
     for s in range(width + 1):
@@ -598,7 +639,8 @@ def _tree_kernel(grid: Grid, kin: np.ndarray) -> np.ndarray:
 def _exact_kernel(grid: Grid, kin: np.ndarray) -> np.ndarray:
     """kappa_s from the exact-phase inverse transform of kin, kept complex."""
     scale = float(grid.field.q) ** (-grid.n)
-    return scale * fourier_apply(grid, kin, inverse=True)[grid.depth_representatives()]
+    starts = [run.start for run in grid.depth_runs()]
+    return scale * fourier_apply(grid, kin, inverse=True)[starts]
 
 
 def assemble_hamiltonian(

@@ -139,17 +139,16 @@ def classify_eigenvector(
     by at most radial_tol on every shell; otherwise Mixed.
     """
     v = np.asarray(v)
-    norms = {}
-    for k in grid.shell_labels():
-        norms[k] = float((np.abs(v[grid.shells == k]) ** 2).sum())
+    runs = {k: grid.shell_run(k) for k in grid.shell_labels()}
+    norms = {k: float((np.abs(v[run.start : run.stop]) ** 2).sum()) for k, run in runs.items()}
     total = sum(norms.values())
     profile = {k: val / total for k, val in norms.items()}
     top = max(profile, key=profile.get)
     if profile[top] >= 1.0 - shell_tol:
         return Shell(k=top, leakage=1.0 - profile[top], profile=profile)
     max_dev = 0.0
-    for k in grid.shell_labels():
-        vals = v[grid.shells == k]
+    for run in runs.values():
+        vals = v[run.start : run.stop]
         max_dev = max(max_dev, float(np.abs(vals - vals.mean()).max()))
     if max_dev <= radial_tol:
         return Radial(max_deviation=max_dev, profile=profile)
@@ -252,14 +251,15 @@ def shell_adapt(
     basis = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64, copy=True)
     blocks = [list(range(m))]
     for k in grid.shell_labels():
-        mask = grid.shells == k
+        run = grid.shell_run(k)
         new_blocks = []
         for block in blocks:
             if len(block) == 1:
                 new_blocks.append(block)
                 continue
             sub = basis[:, block]
-            restricted = sub.conj().T @ (mask[:, None] * sub)
+            rows = sub[run.start : run.stop]
+            restricted = rows.conj().T @ rows
             restricted = (restricted + restricted.conj().T) / 2
             eigvals, rot = np.linalg.eigh(restricted)
             basis[:, block] = sub @ rot
@@ -473,9 +473,10 @@ def _tree_eigensystem(model: HamiltonianModel):
     width = 2 * n
     c = model.kernel
     pot = model.potential_diagonal
-    reps = grid.depth_representatives()
-    v = pot[reps]
-    m = np.array([grid.shell_sizes[k] for k in grid.shells[reps]], dtype=np.float64)
+    runs = grid.depth_runs()
+    v = pot[[run.start for run in runs]]
+    sizes = [len(run) for run in runs]
+    m = np.array(sizes, dtype=np.float64)
     row_sums = np.cumsum((m * c)[::-1])[::-1]  # S_d
 
     depths = np.arange(width + 1)
@@ -519,8 +520,9 @@ def _tree_eigensystem(model: HamiltonianModel):
                 WaveletFamily(d, shell, value, multiplicity, col, first, template, off_support)
             )
             col += multiplicity
-    point_depth = np.where(grid.shells == ZERO_SHELL, width, n - grid.shells).astype(np.int64)
-    radial_columns = _fix_phases(radial_vectors[point_depth] / np.sqrt(m[point_depth])[:, None])
+    # index order runs through the depths backwards, each shell one run
+    by_depth = radial_vectors / np.sqrt(m)[:, None]
+    radial_columns = _fix_phases(np.repeat(by_depth[::-1], sizes[::-1], axis=0))
     values.append(radial_values)
 
     values = np.concatenate(values)
@@ -639,20 +641,24 @@ def eigensolve(
 
 
 def embed_function(grid_from: Grid, grid_to: Grid, values) -> np.ndarray:
-    """Lift an (N,) or (N, k) level-n grid function to a level m > n; the shape is kept.
+    """Lift an (N,) or (N, k) level-n grid function to a level m > n of the same field.
 
     Constant on refined cells (the digits at exponents n..m-1 are dropped),
     zero outside the level-n ball (where a digit at an exponent below -n is
     set), each column rescaled to unit Euclidean norm; a zero column stays
-    zero and a real array stays real.
+    zero, a real array stays real and the shape is kept.  The level-n ball
+    is a prefix of the level-m grid (``Grid.ball_size``) and each refined
+    cell a run of q**(m-n) consecutive points in it, so the lift repeats
+    every value that often there and is zero after.
     """
-    gap = grid_to.n - grid_from.n
-    if gap < 1:
+    if grid_from.field.spec != grid_to.field.spec:
+        raise ValueError("embedding goes between grids of one field")
+    if grid_to.n <= grid_from.n:
         raise ValueError("embedding goes from a lower level to a higher one")
-    digits = grid_to.digits
-    parent = digits[:, gap : gap + 2 * grid_from.n] @ grid_from._weights
-    out = np.asarray(values)[parent]
-    out[digits[:, :gap].any(axis=1)] = 0
+    values = np.asarray(values)
+    ball = grid_to.ball_size(grid_from.n)
+    out = np.zeros((grid_to.size,) + values.shape[1:], dtype=values.dtype)
+    out[:ball] = np.repeat(values, ball // grid_from.size, axis=0)
     norms = np.linalg.norm(out, axis=0)
     return out / np.where(norms > 0, norms, 1.0)
 

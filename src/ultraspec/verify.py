@@ -72,13 +72,22 @@ def run_verify(config: RunConfig) -> VerifyOutcome:
         )
 
     # --- grid structure -----------------------------------------------------
-    sizes = dict(grid.shell_sizes)
-    zero_cells = sizes.pop(ZERO_SHELL, 0)
-    partition_defect = abs(sum(sizes.values()) + 1 - grid.size) + abs(zero_cells - 1)
-    q = field.q
-    for k, count in sizes.items():
-        expected = q ** (n + int(k)) - q ** (n + int(k) - 1)
-        partition_defect += abs(count - expected)
+    # the shell runs against the enumeration: they tile [0, N), the zero
+    # cell's rows are all zero and shell k's have their first nonzero digit
+    # at position n - k; the defect counts the gaps, overlaps and wrong rows
+    labels = grid.shell_labels()
+    runs = [grid.shell_run(k) for k in labels]
+    ends = [0] + [run.stop for run in runs]
+    partition_defect = sum(run.start != end for run, end in zip(runs, ends))
+    partition_defect += ends[-1] != grid.size
+    for k, run in zip(labels, runs):
+        rows = grid.digits[run.start : run.stop]
+        if k == ZERO_SHELL:
+            wrong = rows.any(axis=1)
+        else:
+            lead = n - int(k)
+            wrong = rows[:, :lead].any(axis=1) | (rows[:, lead] == 0)
+        partition_defect += int(wrong.sum())
     record("shell_partition", partition_defect, 0.0)
 
     # --- Fourier transform ----------------------------------------------------
@@ -99,7 +108,8 @@ def run_verify(config: RunConfig) -> VerifyOutcome:
         np.abs(fourier_apply(grid, fourier_apply(grid, twice)) - probes).max(),
     )
     record("fourier_reflection", np.abs(twice - probes[grid.neg_indices()]).max())
-    ball = (grid.shells <= 0).astype(complex)
+    ball = np.zeros(grid.size, dtype=complex)
+    ball[: grid.ball_size(0)] = 1.0
     record("unit_ball_fixed_point", np.abs(fourier_apply(grid, ball) - ball).max())
     ones = np.ones(grid.size)
     mass_defect = np.abs(
@@ -144,13 +154,11 @@ def run_verify(config: RunConfig) -> VerifyOutcome:
             additivity_failures += 1
     record("character_additivity", additivity_failures, 0.0)
 
-    # the points with |x| <= 1 are the first q**n indices, and shell 1 the next block
+    # the points with |x| <= 1, and shell 1 after them
     rank_zero_failures = sum(
-        1 for i in range(q**n) if character_phase(field, point(i)).r != 0
+        1 for i in range(grid.ball_size(0)) if character_phase(field, point(i)).r != 0
     )
-    witness = any(
-        character_phase(field, point(i)).r != 0 for i in range(q**n, q ** (n + 1))
-    )
+    witness = any(character_phase(field, point(i)).r != 0 for i in grid.shell_run(1))
     record("character_rank_zero", rank_zero_failures + (0 if witness else 1), 0.0)
 
     ultra_failures = 0

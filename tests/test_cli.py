@@ -229,6 +229,28 @@ def test_corrupted_kernel_trips_unitarity(monkeypatch):
     assert "fourier_unitary" in failed
 
 
+@pytest.mark.parametrize("moved", [(ultraspec.ZERO_SHELL, -1.0), (0.0, 1.0)], ids=repr)
+def test_shifted_shell_run_fails_partition(monkeypatch, moved):
+    # the runs still tile the grid with the right count of shells, so only
+    # the digit rows show that one boundary moved up by a point
+    below, above = moved
+    exact = ultraspec.finite.Grid.shell_run
+
+    def shifted(grid, k):
+        run = exact(grid, k)
+        if k == below:
+            return range(run.start, run.stop + 1)
+        if k == above:
+            return range(run.start + 1, run.stop)
+        return run
+
+    monkeypatch.setattr(ultraspec.finite.Grid, "shell_run", shifted)
+    outcome = run_verify(load_config(REPO_CONFIG))
+    partition = next(c for c in outcome.checks if c.name == "shell_partition")
+    assert not partition.passed and partition.defect == 1.0
+    assert ["shell_partition", "FAIL", 1.0, 0.0] in outcome.rows()
+
+
 def test_verify_builds_only_the_points_it_reads(tmp_path, monkeypatch):
     def refuse(grid):
         raise AssertionError("verify built every grid point")

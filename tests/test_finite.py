@@ -240,6 +240,81 @@ def test_free_model_oracle_in_positive_characteristic(zero_potential):
     assert np.abs(spectrum - np.sort(model.kinetic_diagonal)).max() < 1e-10
 
 
+def test_phase_table_keeps_no_point_coordinates(q3sqrt3):
+    grid = build_grid(q3sqrt3, 3)  # its own phase table, apart from the shared fixtures
+    fourier_apply(grid, np.ones(grid.size))
+    table = finite._phase_table(grid)
+    assert "coords" not in vars(table)
+    # the step tables hold q**(t+2) numerators each, below 2 * q * N in all
+    assert sum(step.size for step in table.steps) < 2 * grid.field.q * grid.size
+    f = rand_fn(np.random.default_rng(3), grid.size)
+    assert np.abs(fourier_matrix(grid) @ f - fourier_apply(grid, f)).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Shell layout
+# ---------------------------------------------------------------------------
+
+
+def layout_grids(spec):
+    """The grids of the field at levels n <= 3 that fit under the grid cap."""
+    field = make_field(spec)
+    return [build_grid(field, n) for n in (1, 2, 3) if field.q ** (2 * n) <= finite.GRID_CAP_DEFAULT]
+
+
+@pytest.mark.parametrize("spec", DENSE_ORACLE_FIELDS, ids=repr)
+def test_shell_runs_match_digit_rows(spec):
+    for grid in layout_grids(spec):
+        n, digits = grid.n, grid.digits
+        labels = grid.shell_labels()
+        assert labels == sorted(labels) and labels[0] == ZERO_SHELL
+        runs = [grid.shell_run(k) for k in labels]
+        assert [run.start for run in runs] == [0] + [run.stop for run in runs[:-1]]
+        assert runs[-1].stop == grid.size
+        assert runs[0] == range(grid.zero_index, grid.zero_index + 1)
+        assert not digits[0].any()
+        for k, run in zip(labels[1:], runs[1:]):
+            rows = digits[run.start : run.stop]
+            # the first nonzero digit of every row in shell k is at position n - k
+            assert (np.argmax(rows != 0, axis=1) == n - int(k)).all(), (n, k)
+            assert rows[:, n - int(k)].all(), (n, k)
+        assert grid.depth_runs() == runs[::-1]
+        assert grid.shell_sizes == {k: len(run) for k, run in zip(labels, runs)}
+        # the labels built on first read against the argmax of the digit rows
+        first = np.argmax(digits != 0, axis=1)
+        expected = np.where(digits.any(axis=1), n - first, ZERO_SHELL)
+        assert "shells" not in vars(grid)
+        assert np.array_equal(grid.shells, expected) and grid.shells.dtype == np.float64
+        for k in range(-n - 1, n + 2):
+            assert grid.ball_size(k) == int((expected <= k).sum()), (n, k)
+        assert grid.ball_size(ZERO_SHELL) == 1
+
+
+def test_shell_run_rejects_labels_off_the_grid(grid_n2):
+    for k in (-2, 3, 0.5, float("inf")):
+        with pytest.raises(ValueError):
+            grid_n2.shell_run(k)
+
+
+@pytest.mark.parametrize(
+    "spec, n", [(EisensteinExtension(p=3, e=2), 2), (LaurentField(p=2, f=2), 2)], ids=repr
+)
+def test_cutoff_matches_shell_mask_at_every_radius(spec, n):
+    grid = build_grid(make_field(spec), n)
+    rng = np.random.default_rng(11)
+    inputs = [
+        rand_fn(rng, grid.size),
+        rng.standard_normal((grid.size, 3)),
+        np.asfortranarray(rand_fn(rng, (grid.size, 2))),
+    ]
+    for k in (-n - 1, -n, *range(1 - n, n), n, n + 1, ZERO_SHELL):
+        for f in inputs:
+            mask = (grid.shells <= k).reshape((-1,) + (1,) * (f.ndim - 1))
+            out = project_cutoff(grid, k, f)
+            assert out.dtype == f.dtype
+            assert np.array_equal(out, np.where(mask, f, 0)), k
+
+
 # ---------------------------------------------------------------------------
 # Projections
 # ---------------------------------------------------------------------------

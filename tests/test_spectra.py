@@ -538,6 +538,68 @@ def test_embedding_needs_a_higher_level(q3sqrt3, levels):
         embed_function(grid_from, grid_to, np.ones(grid_from.size))
 
 
+def _digit_lift(grid_from, grid_to, values):
+    # the lift read off the digit rows: parent point by the kept digits, zero
+    # where a digit below the level-n ball is set
+    gap = grid_to.n - grid_from.n
+    digits = grid_to.digits
+    parent = digits[:, gap : gap + 2 * grid_from.n] @ grid_from._weights
+    out = np.asarray(values)[parent]
+    out[digits[:, :gap].any(axis=1)] = 0
+    norms = np.linalg.norm(out, axis=0)
+    return out / np.where(norms > 0, norms, 1.0)
+
+
+@pytest.mark.parametrize("spec", [EisensteinExtension(p=3, e=2), LaurentField(p=2, f=2)], ids=repr)
+def test_embedding_matches_digit_lift(spec):
+    field = make_field(spec)
+    grids = {n: build_grid(field, n) for n in (1, 2, 3)}
+    rng = np.random.default_rng(15)
+    for low, high in ((1, 2), (2, 3), (1, 3)):  # gaps 1 and 2
+        size = grids[low].size
+        complex_block = rng.standard_normal((size, 3)) + 1j * rng.standard_normal((size, 3))
+        complex_block[:, 1] = 0.0
+        inputs = [
+            rng.standard_normal(size),
+            rng.standard_normal((size, 4)),
+            complex_block,
+            np.asfortranarray(complex_block),
+            np.array([-0.0, 1.0] * (size // 2) + [2.0] * (size % 2)),
+        ]
+        for values in inputs:
+            out = embed_function(grids[low], grids[high], values)
+            oracle = _digit_lift(grids[low], grids[high], values)
+            assert out.shape == oracle.shape and out.dtype == oracle.dtype
+            assert np.array_equal(out, oracle), (low, high, values.shape)
+            assert out.tobytes() == np.ascontiguousarray(oracle).tobytes()
+
+
+def test_embedding_rejects_another_field(q3sqrt3):
+    grid_from = build_grid(q3sqrt3, 1)
+    grid_to = build_grid(make_field(EisensteinExtension(p=2, e=1)), 3)
+    with pytest.raises(ValueError, match="one field"):
+        embed_function(grid_from, grid_to, np.ones(grid_from.size))
+
+
+def test_library_path_builds_no_shell_labels(q3sqrt3, ho_potential, monkeypatch):
+    grid = build_grid(q3sqrt3, 4)
+    report = eigensolve(assemble_hamiltonian(grid, 2.0, 0.5, ho_potential))
+    assert report.summary_rows()
+    assert "shells" not in vars(grid) and "eigenvectors" not in vars(report)
+
+    grids = []
+
+    def recorded(*args, **kwargs):
+        grids.append(build_grid(*args, **kwargs))
+        return grids[-1]
+
+    monkeypatch.setattr(spectra, "build_grid", recorded)
+    trace = convergence_report(q3sqrt3, 2.0, 0.5, ho_potential, [2, 3])
+    assert any(len(t.steps) == 2 for t in trace.trajectories)  # some lift was read
+    assert [g.n for g in grids] == [2, 3]
+    assert not any("shells" in vars(g) for g in grids)
+
+
 def _lift_one_level(grid_from, grid_to, vec):
     # level n -> n + 1, one vector: the dense oracle for embed_function
     inner = grid_to.digits[:, 1 : 2 * grid_from.n + 1].astype(np.int64)
