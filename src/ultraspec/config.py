@@ -215,11 +215,16 @@ def load_config(path) -> RunConfig:
             raise GridTooLarge(
                 f"level {level}: q**(2n) = {size} exceeds the grid cap {grid_cap}"
             )
-    # the outer shell of level n is |x| = q**n
-    if isinstance(potential, TablePotential) and potential.k_max < max(all_levels):
+    # the outer shell of level n is |x| = q**n, where |x|**alpha and c |x|**s are largest
+    top = max(all_levels)
+    for name, value in (("alpha", alpha), ("potential.s", getattr(potential, "s", 0.0))):
+        try:
+            float(field.q) ** (top * value)
+        except OverflowError:
+            raise ValidationError(name, f"q**({top} * {value}) overflows a float") from None
+    if isinstance(potential, TablePotential) and potential.k_max < top:
         raise ValidationError(
-            "potential",
-            f"table stops at radius q**{potential.k_max}, below level {max(all_levels)}",
+            "potential", f"table stops at radius q**{potential.k_max}, below level {top}"
         )
 
     bound = data.get("ground_state_upper_bound")

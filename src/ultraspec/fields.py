@@ -224,6 +224,7 @@ class Field:
 
     q is the residue-field size, e/f the ramification/inertia indices, and d
     the exponent of the different (which twists the character to rank zero).
+    ``spec`` is resolved (a Laurent spec carries its residue modulus): equal fields, equal specs.
     """
 
     spec: FieldSpec
@@ -275,6 +276,7 @@ def make_field(spec: FieldSpec) -> Field:
         if not _is_irreducible(spec.p, modulus):
             raise ReducibleModulus(f"modulus {modulus} is reducible over F_{spec.p}")
         residue = ResidueField(spec.p, spec.f, modulus)
+        spec = LaurentField(spec.p, spec.f, residue.modulus)
         return Field(spec=spec, q=spec.p**spec.f, e=1, f=spec.f, d=0, residue=residue)
     raise TypeError(f"unsupported field spec: {spec!r}")
 

@@ -410,7 +410,7 @@ def project_smooth(grid: Grid, k: int, f) -> np.ndarray:
         raise ValueError(f"smoothing level k = {k} must satisfy -n <= k < n (n = {n})")
     v = np.asarray(f)
     block = grid.field.q ** (n - k)
-    means = v.reshape((-1, block) + v.shape[1:]).mean(axis=1)
+    means = v.reshape((grid.size // block, block) + v.shape[1:]).mean(axis=1)
     return np.repeat(means, block, axis=0)
 
 
@@ -598,12 +598,12 @@ class HamiltonianModel:
         steps = np.diff(self.kernel, prepend=0.0)
         sums = [cols]  # sums[t] has one row per block of the first 2n - t digits
         for _ in range(width):
-            sums.append(sums[-1].reshape(-1, q, k).sum(axis=1))
+            sums.append(sums[-1].reshape(len(sums[-1]) // q, q, k).sum(axis=1))
         terms = steps[0] * sums[width]
         for s in range(1, width):
             terms = np.repeat(terms, q, axis=0) + steps[s] * sums[width - s]
         out = (self.potential_diagonal + steps[width])[:, None] * cols
-        leaves = out.reshape(-1, q, k)  # splits the leading axis only: a view of out
+        leaves = out.reshape(self.size // q, q, k)  # splits the leading axis only: a view of out
         leaves += terms[:, None, :]
         return out.reshape(v.shape)
 

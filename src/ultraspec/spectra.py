@@ -13,10 +13,11 @@ spectral analysis", Izv. Math. 66, 2002).
 The solver keeps that structure (a ``TreeEigensystem``): the 2n + 1 radial
 eigenvectors lifted to the grid, and the wavelets as families of one
 (depth, shell) each, with one eigenvalue, a multiplicity and a q-point
-template.  The residual check, clustering, shell adaptation and
-classification all run on it, in O(N n) memory.  A cluster is a run of
-consecutive sorted columns, and its block of eigenvectors is built from the
-tree on its own; the dense N x N matrix only when a caller reads it.
+template; at a = 0 the families are the point basis.  The residual check,
+clustering, shell adaptation and classification all run on it, in O(N n)
+memory, for every model.  A cluster is a run of consecutive sorted columns,
+and its block of eigenvectors is built from the tree on its own; the dense
+N x N matrix only when a caller reads it.
 
 On top of that, eigenvalues are grouped into multiplicity clusters,
 degenerate radial eigenspaces are rotated onto a shell-adapted basis (the
@@ -292,7 +293,9 @@ class WaveletFamily:
     signs, and ``off_support`` the signed zero each column holds off its
     node (a negated column holds -0.0).  The columns are the
     ``multiplicity`` consecutive ones of the sorted spectrum from
-    ``start``, node by node.
+    ``start``, node by node.  At a = 0 a family is instead the point basis
+    of one shell run: identity template columns on nodes of q points (the
+    zero cell and shell 1 - n split node 0), one run after another.
     """
 
     depth: int
@@ -312,12 +315,13 @@ class TreeEigensystem:
     ``radial_columns`` are the radial eigenvectors lifted to the grid,
     phase-fixed and (once ``eigensolve`` returns) shell-adapted, at the
     columns ``radial_positions`` of the sorted spectrum; every other column
-    belongs to one of the wavelet ``families``.
+    belongs to one of the wavelet ``families``.  At a = 0 the families are
+    the point basis and there are no radial columns.
     """
 
     grid: Grid
-    radial_columns: np.ndarray  # (N, 2n + 1)
-    radial_positions: np.ndarray  # (2n + 1,)
+    radial_columns: np.ndarray  # (N, 2n + 1), or (N, 0) at a = 0
+    radial_positions: np.ndarray  # (2n + 1,), or (0,)
     families: list  # WaveletFamily
 
     def node_wavelets(self, family: WaveletFamily):
@@ -370,12 +374,12 @@ class SpectrumReport:
     TreeEigensystem), and ``eigenvectors``, the dense N x N matrix of
     orthonormal, phase-fixed columns in spectrum order, is built from it
     the first time it is read and then kept; ``columns(cluster)`` builds
-    only a cluster's.  A report can instead be given its dense
-    ``eigenvectors`` (and no ``tree``).  ``classifications`` labels every
-    column with the report's ``radial_tol`` and ``shell_tol`` (those
-    ``eigensolve`` was given) the first time it is read, and keeps the
-    list: from a ``tree`` only the radial columns go through
-    ``classify_eigenvector``, otherwise every dense column does.
+    only a cluster's.  ``classifications`` labels every column with the
+    report's ``radial_tol`` and ``shell_tol`` (those ``eigensolve`` was
+    given) the first time it is read, and keeps the list; only the radial
+    columns go through ``classify_eigenvector``.  A report given its dense
+    ``eigenvectors`` and no ``tree`` is the reference form the tests build:
+    every dense column is classified, and it has no ``columns``.
     """
 
     def __init__(
@@ -407,9 +411,7 @@ class SpectrumReport:
 
     def columns(self, cluster: EigenCluster) -> np.ndarray:
         """The (N, multiplicity) block of the cluster's eigenvectors, column-major."""
-        if self.tree is not None:
-            return self.tree.columns(cluster.indices)
-        return self.eigenvectors[:, cluster.indices]
+        return self.tree.columns(cluster.indices)
 
     @cached_property
     def classifications(self) -> list:
@@ -463,6 +465,8 @@ def _tree_eigensystem(model: HamiltonianModel):
         with eigenvalue S_{d+1} - c_d q**(2n-d-1) + v(shell): q - 1 per node
         off the path to 0, and q - 2 per node on it (those spanning the
         nonzero children only; the rest of that node is radial).
+    At a = 0 there is no radial block: H = diag(pot) is constant on each
+    shell run, and the families are the point basis (see WaveletFamily).
     The values are sorted stably in the order: per depth, node 0 and then
     the other nodes by id, then the radial values; the wavelets of one
     (depth, shell) family are consecutive in it and share their value, so
@@ -473,59 +477,67 @@ def _tree_eigensystem(model: HamiltonianModel):
     width = 2 * n
     c = model.kernel
     pot = model.potential_diagonal
-    runs = grid.depth_runs()
-    v = pot[[run.start for run in runs]]
-    sizes = [len(run) for run in runs]
-    m = np.array(sizes, dtype=np.float64)
-    row_sums = np.cumsum((m * c)[::-1])[::-1]  # S_d
-
-    depths = np.arange(width + 1)
-    radial_block = np.sqrt(np.outer(m, m)) * c[np.minimum.outer(depths, depths)]
-    for d in range(width):
-        radial_block[d, d] = row_sums[d + 1] + (q - 2) * q ** (width - d - 1) * c[d] + v[d]
-    radial_block[width, width] = c[width] + v[width]
-    try:
-        radial_values, radial_vectors = np.linalg.eigh(radial_block)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigensolver failed: {exc}") from exc
-
-    # Helmert bases with their phases fixed; node 0 on the path to 0 leaves out
-    # its zero child.  Scaling by 1/sqrt(child) moves no pivot and commutes
-    # with the sign flips, so each depth's template is its basis scaled.
-    path_basis, path_zero = _fold_phases(np.vstack([np.zeros((1, q - 2)), _zero_sum_basis(q - 1)]))
-    node_basis, node_zero = _fold_phases(_zero_sum_basis(q))
-    values = []
     families = []  # ``start`` is the first column before sorting until the sort below
-    col = 0
-    for d in range(width):
-        child = q ** (width - d - 1)
-        wavelet = row_sums[d + 1] - c[d] * child
-        on_path = path_basis / np.sqrt(child), path_zero
-        off_path = node_basis / np.sqrt(child), node_zero
-        # node 0 on the path to 0 (shell n - d), then nodes 1 .. q**d - 1 by id:
-        # those whose first nonzero digit is at depth e < d start at q**(d-e-1)
-        for e in range(d, -1, -1):
-            if e == d:
-                (template, off_support), first, count = on_path, 0, 1
-            else:
-                (template, off_support), first = off_path, q ** (d - e - 1)
-                count = (q - 1) * first
-            multiplicity = count * template.shape[1]
-            if multiplicity == 0:  # q = 2: no wavelet on the path
-                continue
-            value = wavelet + v[e]
-            values.append(np.full(multiplicity, value))
-            shell = float(n - e)
+    if model.kinetic_coeff == 0:
+        for k in grid.shell_labels():
+            run = grid.shell_run(k)
+            template = np.eye(q)[:, run.start % q :][:, : len(run)]
+            value, first, zeros = pot[run.start], run.start // q, np.zeros(template.shape[1])
             families.append(
-                WaveletFamily(d, shell, value, multiplicity, col, first, template, off_support)
+                WaveletFamily(width - 1, k, value, len(run), run.start, first, template, zeros)
             )
-            col += multiplicity
-    # index order runs through the depths backwards, each shell one run
-    by_depth = radial_vectors / np.sqrt(m)[:, None]
-    radial_columns = _fix_phases(np.repeat(by_depth[::-1], sizes[::-1], axis=0))
-    values.append(radial_values)
+        radial_values, radial_columns = np.empty(0), np.empty((size, 0))
+    else:
+        runs = grid.depth_runs()
+        v = pot[[run.start for run in runs]]
+        sizes = [len(run) for run in runs]
+        m = np.array(sizes, dtype=np.float64)
+        row_sums = np.cumsum((m * c)[::-1])[::-1]  # S_d
 
-    values = np.concatenate(values)
+        depths = np.arange(width + 1)
+        radial_block = np.sqrt(np.outer(m, m)) * c[np.minimum.outer(depths, depths)]
+        for d in range(width):
+            radial_block[d, d] = row_sums[d + 1] + (q - 2) * q ** (width - d - 1) * c[d] + v[d]
+        radial_block[width, width] = c[width] + v[width]
+        try:
+            radial_values, radial_vectors = np.linalg.eigh(radial_block)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"eigensolver failed: {exc}") from exc
+
+        # Helmert bases with their phases fixed; node 0 on the path to 0 leaves out
+        # its zero child.  Scaling by 1/sqrt(child) moves no pivot and commutes
+        # with the sign flips, so each depth's template is its basis scaled.
+        path_helmert = np.vstack([np.zeros((1, q - 2)), _zero_sum_basis(q - 1)])
+        path_basis, path_zero = _fold_phases(path_helmert)
+        node_basis, node_zero = _fold_phases(_zero_sum_basis(q))
+        col = 0
+        for d in range(width):
+            child = q ** (width - d - 1)
+            wavelet = row_sums[d + 1] - c[d] * child
+            on_path = path_basis / np.sqrt(child), path_zero
+            off_path = node_basis / np.sqrt(child), node_zero
+            # node 0 on the path to 0 (shell n - d), then nodes 1 .. q**d - 1 by id:
+            # those whose first nonzero digit is at depth e < d start at q**(d-e-1)
+            for e in range(d, -1, -1):
+                if e == d:
+                    (template, off_support), first, count = on_path, 0, 1
+                else:
+                    (template, off_support), first = off_path, q ** (d - e - 1)
+                    count = (q - 1) * first
+                multiplicity = count * template.shape[1]
+                if multiplicity == 0:  # q = 2: no wavelet on the path
+                    continue
+                value = wavelet + v[e]
+                shell = float(n - e)
+                families.append(
+                    WaveletFamily(d, shell, value, multiplicity, col, first, template, off_support)
+                )
+                col += multiplicity
+        # index order runs through the depths backwards, each shell one run
+        by_depth = radial_vectors / np.sqrt(m)[:, None]
+        radial_columns = _fix_phases(np.repeat(by_depth[::-1], sizes[::-1], axis=0))
+
+    values = np.concatenate([np.full(f.multiplicity, f.value) for f in families] + [radial_values])
     order = np.argsort(values, kind="stable")
     position = np.empty(size, dtype=np.int64)
     position[order] = np.arange(size)
@@ -534,7 +546,7 @@ def _tree_eigensystem(model: HamiltonianModel):
     tree = TreeEigensystem(
         grid=grid,
         radial_columns=radial_columns,
-        radial_positions=position[col:],
+        radial_positions=position[size - len(radial_values) :],
         families=families,
     )
     return values[order], tree
@@ -546,14 +558,14 @@ def _tree_residuals(model: HamiltonianModel, eigenvalues: np.ndarray, tree: Tree
     Each radial column is applied; a wavelet family gets the largest
     residual of the wavelets on its first node, which stand for the rest.
     The families go 2n + 1 to an ``apply`` call, so no call holds more than
-    q - 1 times the radial columns.  A NaN residual stays NaN.
+    q times 2n + 1 columns.  A NaN residual stays NaN.
     """
     residuals = np.empty(model.size)
     columns = tree.radial_columns
     hv = model.apply(columns)
     hv -= columns * eigenvalues[tree.radial_positions]
     residuals[tree.radial_positions] = np.linalg.norm(hv, axis=0)
-    batch = columns.shape[1]
+    batch = 2 * model.grid.n + 1
     for lo in range(0, len(tree.families), batch):
         families = tree.families[lo : lo + batch]
         blocks = [tree.node_wavelets(f) for f in families]
@@ -592,40 +604,29 @@ def eigensolve(
     residual fails the check.  Shell adaptation then rotates the radial
     members of each cluster; wavelets lie on a single shell already.
     Rotating inside a cluster moves residuals by at most the cluster width.
-    With a = 0 the eigenvectors are the point basis sorted by potential,
-    held and checked as a dense matrix.  ``radial_tol`` and ``shell_tol``
-    are kept on the report, which classifies the eigenvectors only when its
+    With a = 0 the families are the point basis, one per shell run, and
+    there are no radial columns.  ``radial_tol`` and ``shell_tol`` are
+    kept on the report, which classifies the eigenvectors only when its
     ``classifications`` are first read.
     """
-    if model.kinetic_coeff == 0:
-        order = np.argsort(model.potential_diagonal, kind="stable")
-        eigenvalues = model.potential_diagonal[order]
-        eigenvectors = np.eye(model.size)[:, order]  # phase-fixed already
-        hv = model.apply(eigenvectors)
-        hv -= eigenvectors * eigenvalues
-        residuals = np.linalg.norm(hv, axis=0)
-        tree = None
-    else:
-        eigenvalues, tree = _tree_eigensystem(model)
-        eigenvectors = None
-        residuals = _tree_residuals(model, eigenvalues, tree)
+    eigenvalues, tree = _tree_eigensystem(model)
+    residuals = _tree_residuals(model, eigenvalues, tree)
     scale = max(1.0, model.max_abs())
     threshold = tol * scale * model.size
     worst = float(residuals.max())
     if not worst <= threshold:  # a NaN residual fails too
         raise ResidualTooLarge(f"residual {worst:.3e} exceeds {threshold:.3e}")
     clusters = cluster_eigenvalues(eigenvalues, cluster_tol)
-    if tree is not None:
-        for cluster in clusters:
-            span = cluster.indices
-            lo, hi = np.searchsorted(tree.radial_positions, [span.start, span.stop])
-            if hi - lo > 1:
-                tree.radial_columns[:, lo:hi] = shell_adapt(
-                    model.grid, tree.radial_columns[:, lo:hi], split_tol=max(shell_tol, 1e-9)
-                )
+    for cluster in clusters:
+        span = cluster.indices
+        lo, hi = np.searchsorted(tree.radial_positions, [span.start, span.stop])
+        if hi - lo > 1:
+            tree.radial_columns[:, lo:hi] = shell_adapt(
+                model.grid, tree.radial_columns[:, lo:hi], split_tol=max(shell_tol, 1e-9)
+            )
     return SpectrumReport(
         eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
+        eigenvectors=None,
         residuals=residuals,
         clusters=clusters,
         grid=model.grid,

@@ -402,6 +402,25 @@ def test_table_potential_short_of_the_grid_exits_one(tmp_path, capsys, values):
     assert main(["verify", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize(
+    "key, patch",
+    [
+        ("alpha", {"alpha": 700}),
+        ("potential.s", {"potential": {"kind": "monomial", "c": 0.5, "s": 400}}),
+    ],
+    ids=["alpha", "s"],
+)
+def test_overflowing_exponent_exits_one(tmp_path, capsys, key, patch):
+    # q**(n * exponent) at the outer shell overflows a float
+    config = write_config(tmp_path, dict(json.loads(REPO_CONFIG.read_text()), **patch))
+    for command in ("spectrum", "verify", "converge"):
+        out = tmp_path / command
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: invalid config field '{key}'")
+        assert not out.exists()
+
+
 def test_numerical_failure_exits_three(tmp_path, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise ResidualTooLarge("synthetic")

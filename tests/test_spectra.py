@@ -9,6 +9,7 @@ from ultraspec import (
     LaurentField,
     MonomialPotential,
     NotAnEigenspace,
+    TablePotential,
     ZERO_SHELL,
     ZeroCellConvention,
     assemble_hamiltonian,
@@ -18,7 +19,10 @@ from ultraspec import (
     convergence_report,
     eigensolve,
     embed_function,
+    fourier_apply,
     make_field,
+    project_cutoff,
+    project_smooth,
     shell_adapt,
 )
 import ultraspec.spectra as spectra
@@ -58,6 +62,64 @@ def test_diagonal_model_eigensolve(grid_n2):
         col = np.abs(report.eigenvectors[:, j])
         assert col.max() == pytest.approx(1.0)
         assert np.sort(col)[-2] < 1e-12
+
+
+def point_potentials(n):
+    """A monomial, and a table with ties (|k| + 1 on shell k) whose w0 is shell 0's value."""
+    table = TablePotential(values={k: abs(k) + 1.0 for k in range(1 - n, n + 1)}, w0=1.0)
+    return {"monomial": MonomialPotential(c=1.0, s=1.0), "table": table}
+
+
+@pytest.mark.parametrize("convention", list(ZeroCellConvention), ids=lambda c: c.value)
+@pytest.mark.parametrize("potential_kind", ["monomial", "table"])
+@pytest.mark.parametrize("spec, n", GRIDS, ids=[grid_id(g) for g in GRIDS])
+def test_diagonal_model_is_the_sorted_point_basis(spec, n, potential_kind, convention):
+    grid = build_grid(make_field(spec), n)
+    potential = point_potentials(n)[potential_kind]
+    model = assemble_hamiltonian(grid, 2.0, 0.0, potential, convention)
+    report = eigensolve(model)
+    pot = model.potential_diagonal
+    order = np.argsort(pot, kind="stable")
+    assert report.eigenvalues.tobytes() == pot[order].tobytes()
+    vectors = report.eigenvectors
+    assert vectors.tobytes() == np.eye(grid.size)[:, order].tobytes()
+    assert np.all(report.residuals == 0.0)
+    assert report.classifications == [
+        classify_eigenvector(grid, vectors[:, i]) for i in range(grid.size)
+    ]
+    if potential_kind == "table" and convention is ZeroCellConvention.SAMPLE_AT_ZERO:
+        # the zero cell ties with shell 0 and joins its cluster
+        assert report.clusters[0].multiplicity == 1 + grid.shell_sizes[0.0]
+
+
+def test_diagonal_model_builds_no_dense_matrix(q3sqrt3):
+    grid = build_grid(q3sqrt3, 4)  # N = 6561: one dense matrix is 344 MB
+    model = assemble_hamiltonian(grid, 2.0, 0.0, MonomialPotential(c=1.0, s=1.0))
+    tracemalloc.start()
+    try:
+        report = eigensolve(model)
+        rows = report.summary_rows()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * 8 * grid.size**2
+    assert "eigenvectors" not in vars(report)
+    assert sum(mult for _, mult, _ in rows) == grid.size
+
+
+def test_empty_blocks_keep_their_shape(grid_n1, grid_n2, canonical_model):
+    empty = np.zeros((grid_n2.size, 0))
+    outputs = {
+        "apply": canonical_model.apply(empty),
+        "project_smooth": project_smooth(grid_n2, 0, empty),
+        "fourier_apply": fourier_apply(grid_n2, empty),
+        "project_cutoff": project_cutoff(grid_n2, 0, empty),
+        "shell_adapt": shell_adapt(grid_n2, empty),
+        "embed_function": embed_function(grid_n1, grid_n2, np.zeros((grid_n1.size, 0))),
+    }
+    assert {name: out.shape for name, out in outputs.items()} == {
+        name: (grid_n2.size, 0) for name in outputs
+    }
 
 
 def test_canonical_lowest_eigenvalue(canonical_report):
@@ -146,10 +208,14 @@ def test_nan_residual_raises(canonical_model, monkeypatch, tmp_path, capsys):
         assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("spec, n", GATE_GRIDS, ids=[grid_id(g) for g in GATE_GRIDS])
-def test_residual_gate_stands_for_every_column(spec, n, ho_potential):
+@pytest.mark.parametrize(
+    "spec, n, a",
+    [(spec, n, 0.75) for spec, n in GATE_GRIDS] + [(spec, n, 0.0) for spec, n in GATE_GRIDS],
+    ids=[grid_id(g) for g in GATE_GRIDS] + [f"{grid_id(g)}-a0" for g in GATE_GRIDS],
+)
+def test_residual_gate_stands_for_every_column(spec, n, a, ho_potential):
     grid = build_grid(make_field(spec), n)
-    model = assemble_hamiltonian(grid, 1.5, 0.75, ho_potential)
+    model = assemble_hamiltonian(grid, 1.5, a, ho_potential)
     report = eigensolve(model)
     assert report.residuals.shape == (grid.size,)
     vectors = report.eigenvectors
@@ -579,6 +645,25 @@ def test_embedding_rejects_another_field(q3sqrt3):
     grid_to = build_grid(make_field(EisensteinExtension(p=2, e=1)), 3)
     with pytest.raises(ValueError, match="one field"):
         embed_function(grid_from, grid_to, np.ones(grid_from.size))
+
+
+def test_embedding_compares_resolved_fields():
+    # the default F_9 modulus spelled out is the same field
+    default, spelled = (
+        make_field(LaurentField(p=3, f=2, modulus=modulus)) for modulus in (None, (1, 0, 1))
+    )
+    values = np.random.default_rng(16).standard_normal(81)
+    same = embed_function(build_grid(default, 1), build_grid(default, 2), values)
+    lifted = embed_function(build_grid(default, 1), build_grid(spelled, 2), values)
+    assert lifted.tobytes() == same.tobytes()
+    others = [
+        (EisensteinExtension(p=3, e=1), LaurentField(p=3, f=1)),
+        (LaurentField(p=3, f=2, modulus=(2, 1, 1)), LaurentField(p=3, f=2)),
+    ]
+    for low, high in others:
+        grid_from = build_grid(make_field(low), 1)
+        with pytest.raises(ValueError, match="one field"):
+            embed_function(grid_from, build_grid(make_field(high), 2), np.ones(grid_from.size))
 
 
 def test_library_path_builds_no_shell_labels(q3sqrt3, ho_potential, monkeypatch):
