@@ -10,14 +10,16 @@ shell each.  This is the finite form of the result that p-adic wavelets
 diagonalize Vladimirov operators (S. V. Kozyrev, "Wavelet theory as p-adic
 spectral analysis", Izv. Math. 66, 2002).
 
-The solver keeps that structure (a ``TreeEigensystem``): the 2n + 1 radial
-eigenvectors lifted to the grid, and the wavelets as families of one
-(depth, shell) each, with one eigenvalue, a multiplicity and a q-point
-template; at a = 0 the families are the point basis.  The residual check,
-clustering, shell adaptation and classification all run on it, in O(N n)
-memory, for every model.  A cluster is a run of consecutive sorted columns,
-and its block of eigenvectors is built from the tree on its own; the dense
-N x N matrix only when a caller reads it.
+The solver keeps that structure in its ``SpectrumReport``: the wavelets as
+families of one (depth, shell) each, with one eigenvalue, a multiplicity
+and a q-point template, and the 2n + 1 radial eigenvectors lifted to the
+grid as the columns no family covers; at a = 0 the families are the point
+basis and no column is held.  The residual check, clustering, shell
+adaptation and classification all run on it, in O(N n) memory, for every
+model.  A cluster is a run of consecutive sorted columns, and its block of
+eigenvectors is built from the families and held columns on its own; the
+dense N x N matrix only when a caller reads it.  A report built from a
+dense matrix of eigenvectors is the same store with no families.
 
 On top of that, eigenvalues are grouped into multiplicity clusters,
 degenerate radial eigenspaces are rotated onto a shell-adapted basis (the
@@ -38,6 +40,7 @@ import numpy as np
 
 from .errors import NoConvergence, NotAnEigenspace, ResidualTooLarge
 from .finite import (
+    GRID_CAP_DEFAULT,
     Grid,
     HamiltonianModel,
     ZERO_SHELL,
@@ -180,7 +183,9 @@ def cluster_eigenvalues(values: Sequence[float], cluster_tol: float = DEFAULT_CL
     A value joins the open cluster iff it lies within
     cluster_tol * max(1, |rep|) of the cluster's first member, a test that
     only fails further along the list, so each cluster's end is found by
-    bisection.  A list not ascending or not finite raises ValueError.
+    bisection.  The mean is taken as rep plus the mean offset from rep, so
+    a cluster of equal values has exactly their value as its mean.  A list
+    not ascending or not finite raises ValueError.
     """
     values = np.asarray(values, dtype=np.float64)
     if not np.isfinite(values).all() or (values[1:] < values[:-1]).any():
@@ -191,7 +196,8 @@ def cluster_eigenvalues(values: Sequence[float], cluster_tol: float = DEFAULT_CL
         rep = float(values[start])
         bound = cluster_tol * max(1.0, abs(rep))
         stop = bisect.bisect_right(values, False, start + 1, key=lambda v: abs(v - rep) > bound)
-        clusters.append(EigenCluster(rep, range(start, stop), float(values[start:stop].mean())))
+        mean = float(rep + (values[start:stop] - rep).mean())
+        clusters.append(EigenCluster(rep, range(start, stop), mean))
         start = stop
     return clusters
 
@@ -302,59 +308,96 @@ class WaveletFamily:
     shell: float
     value: float
     multiplicity: int
-    start: int
     first_node: int
     template: np.ndarray  # (q, wavelets per node)
     off_support: np.ndarray  # (wavelets per node,)
+    start: int = 0  # set once the spectrum is sorted
+
+    def node_wavelets(self, grid: Grid):
+        """(node size, the family's wavelets on one node as a (node size, k) block)."""
+        q = grid.field.q
+        node = q ** (2 * grid.n - self.depth)
+        return node, np.repeat(self.template, node // q, axis=0)
 
 
-@dataclass
-class TreeEigensystem:
-    """The eigenvectors of H_n in structured form: O(N n) numbers, no N x N array.
+def _held_positions(size: int, families) -> np.ndarray:
+    """The sorted columns that no family covers, ascending."""
+    held = np.ones(size, dtype=bool)
+    for f in families:
+        held[f.start : f.start + f.multiplicity] = False
+    return np.flatnonzero(held)
 
-    ``radial_columns`` are the radial eigenvectors lifted to the grid,
-    phase-fixed and (once ``eigensolve`` returns) shell-adapted, at the
-    columns ``radial_positions`` of the sorted spectrum; every other column
-    belongs to one of the wavelet ``families``.  At a = 0 the families are
-    the point basis and there are no radial columns.
+
+class SpectrumReport:
+    """Sorted eigenvalues, residuals and clusters, with the eigenvectors as families and columns.
+
+    A sorted column is a vector of one of the wavelet ``families`` (see
+    WaveletFamily) or is held as numbers: the ``eigenvectors`` argument is
+    the (N, r) block of the r columns no family covers, in order, kept as
+    ``held_columns`` at ``held_positions``; another shape raises
+    ValueError.  ``eigensolve`` holds the radial eigenvectors so, and a
+    report of dense eigenvectors and no families holds every column.
+    ``columns(span)`` builds a run of whole families, such as a cluster's
+    ``indices``.  ``eigenvectors``, the dense N x N matrix of orthonormal,
+    phase-fixed columns in spectrum order, is ``columns(range(N))``, built
+    the first time it is read and then kept.  So are ``classifications``,
+    with the report's ``radial_tol`` and ``shell_tol`` (those ``eigensolve``
+    was given): a family's vectors are Shell(k) with the exact profile (1.0
+    on its shell, 0.0 on every other), as ``classify_eigenvector`` finds
+    them, and each held column goes through ``classify_eigenvector``.
     """
 
-    grid: Grid
-    radial_columns: np.ndarray  # (N, 2n + 1), or (N, 0) at a = 0
-    radial_positions: np.ndarray  # (2n + 1,), or (0,)
-    families: list  # WaveletFamily
+    def __init__(
+        self,
+        eigenvalues: np.ndarray,
+        eigenvectors: np.ndarray,
+        residuals: np.ndarray,
+        clusters: list,
+        grid: Grid,
+        radial_tol: float = DEFAULT_RADIAL_TOL,
+        shell_tol: float = DEFAULT_SHELL_TOL,
+        families: Sequence[WaveletFamily] = (),
+    ):
+        self.eigenvalues = eigenvalues
+        self.residuals = residuals
+        self.clusters = clusters
+        self.grid = grid
+        self.radial_tol = radial_tol
+        self.shell_tol = shell_tol
+        self.families = list(families)
+        self.held_positions = _held_positions(grid.size, self.families)
+        expected = (grid.size, len(self.held_positions))
+        if eigenvectors.shape != expected:
+            raise ValueError(
+                f"held eigenvectors of shape {eigenvectors.shape}, "
+                f"expected {expected} for the columns no family covers"
+            )
+        self.held_columns = eigenvectors
 
-    def node_wavelets(self, family: WaveletFamily):
-        """(node size, the family's wavelets on one node as a (node size, k) block)."""
-        q = self.grid.field.q
-        node = q ** (2 * self.grid.n - family.depth)
-        return node, np.repeat(family.template, node // q, axis=0)
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        return self.columns(range(self.grid.size))
 
     def columns(self, span: range) -> np.ndarray:
-        """The sorted columns ``span``, a run of whole families such as a cluster, column-major."""
+        """The sorted columns ``span``, a run of whole families such as a cluster's, column-major."""
         lo, hi = span.start, span.stop
-        vectors = np.empty((self.grid.size, len(span)), order="F")
+        vectors = np.empty((self.grid.size, len(span)), self.held_columns.dtype, order="F")
         for f in self.families:
             if not lo <= f.start < hi:
                 continue
-            node, block = self.node_wavelets(f)
+            node, block = f.node_wavelets(self.grid)
             per_node = block.shape[1]
             cols = f.start - lo + np.arange(f.multiplicity).reshape(-1, per_node)
             vectors[:, cols] = f.off_support
             nodes = f.first_node + np.arange(f.multiplicity // per_node)
             rows = nodes[:, None] * node + np.arange(node)
             vectors[rows[:, :, None], cols[:, None, :]] = block
-        first, last = np.searchsorted(self.radial_positions, [lo, hi])
-        vectors[:, self.radial_positions[first:last] - lo] = self.radial_columns[:, first:last]
+        first, last = np.searchsorted(self.held_positions, [lo, hi])
+        vectors[:, self.held_positions[first:last] - lo] = self.held_columns[:, first:last]
         return vectors
 
-    def classifications(self, radial_tol: float, shell_tol: float) -> list:
-        """One classification per sorted column, for shell_tol >= 0.
-
-        A wavelet is Shell(k) with the exact profile (1.0 on its shell, 0.0
-        on every other), as ``classify_eigenvector`` finds it; the radial
-        columns go through ``classify_eigenvector``.
-        """
+    @cached_property
+    def classifications(self) -> list:
         grid = self.grid
         labels = grid.shell_labels()
         out = [None] * grid.size
@@ -362,66 +405,10 @@ class TreeEigensystem:
             profile = {k: 1.0 if k == f.shell else 0.0 for k in labels}
             cls = Shell(k=f.shell, leakage=0.0, profile=profile)
             out[f.start : f.start + f.multiplicity] = [cls] * f.multiplicity
-        for j, i in enumerate(self.radial_positions):
-            out[i] = classify_eigenvector(grid, self.radial_columns[:, j], radial_tol, shell_tol)
+        for j, i in enumerate(self.held_positions):
+            column = self.held_columns[:, j]
+            out[i] = classify_eigenvector(grid, column, self.radial_tol, self.shell_tol)
         return out
-
-
-class SpectrumReport:
-    """Sorted eigenvalues, residuals and clusters; eigenvectors and classifications on first read.
-
-    ``eigensolve`` gives the eigenvectors in structured form, ``tree`` (a
-    TreeEigensystem), and ``eigenvectors``, the dense N x N matrix of
-    orthonormal, phase-fixed columns in spectrum order, is built from it
-    the first time it is read and then kept; ``columns(cluster)`` builds
-    only a cluster's.  ``classifications`` labels every column with the
-    report's ``radial_tol`` and ``shell_tol`` (those ``eigensolve`` was
-    given) the first time it is read, and keeps the list; only the radial
-    columns go through ``classify_eigenvector``.  A report given its dense
-    ``eigenvectors`` and no ``tree`` is the reference form the tests build:
-    every dense column is classified, and it has no ``columns``.
-    """
-
-    def __init__(
-        self,
-        eigenvalues: np.ndarray,
-        eigenvectors: Optional[np.ndarray],
-        residuals: np.ndarray,
-        clusters: list,
-        grid: Grid,
-        radial_tol: float = DEFAULT_RADIAL_TOL,
-        shell_tol: float = DEFAULT_SHELL_TOL,
-        tree: Optional[TreeEigensystem] = None,
-    ):
-        if (eigenvectors is None) == (tree is None):
-            raise ValueError("a spectrum report takes either eigenvectors or a tree")
-        self.eigenvalues = eigenvalues
-        if eigenvectors is not None:
-            self.eigenvectors = eigenvectors  # shadows the property below
-        self.residuals = residuals
-        self.clusters = clusters
-        self.grid = grid
-        self.radial_tol = radial_tol
-        self.shell_tol = shell_tol
-        self.tree = tree
-
-    @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        return self.tree.columns(range(self.grid.size))
-
-    def columns(self, cluster: EigenCluster) -> np.ndarray:
-        """The (N, multiplicity) block of the cluster's eigenvectors, column-major."""
-        return self.tree.columns(cluster.indices)
-
-    @cached_property
-    def classifications(self) -> list:
-        if self.tree is not None:
-            return self.tree.classifications(self.radial_tol, self.shell_tol)
-        vectors, grid = self.eigenvectors, self.grid
-        return [
-            classify_eigenvector(grid, vectors[:, i], self.radial_tol, self.shell_tol)
-            for i in range(grid.size)
-        ]
 
     def cluster_kind(self, cluster: EigenCluster) -> str:
         kinds = {self.classifications[i].kind for i in cluster.indices}
@@ -453,7 +440,7 @@ def _fold_phases(template: np.ndarray):
 
 
 def _tree_eigensystem(model: HamiltonianModel):
-    """Eigenvalues of H_n from its tree structure, ascending, and its TreeEigensystem.
+    """Eigenvalues of H_n from its tree structure, ascending; the radial columns; the families.
 
     With c = model.kernel, depths d = 0..2n (shell n - d, the zero cell at
     2n), shell sizes m_d and S_d = sum_{s>=d} m_s c_s (the kinetic row sum
@@ -465,27 +452,27 @@ def _tree_eigensystem(model: HamiltonianModel):
         with eigenvalue S_{d+1} - c_d q**(2n-d-1) + v(shell): q - 1 per node
         off the path to 0, and q - 2 per node on it (those spanning the
         nonzero children only; the rest of that node is radial).
-    At a = 0 there is no radial block: H = diag(pot) is constant on each
-    shell run, and the families are the point basis (see WaveletFamily).
-    The values are sorted stably in the order: per depth, node 0 and then
-    the other nodes by id, then the radial values; the wavelets of one
-    (depth, shell) family are consecutive in it and share their value, so
-    each family keeps consecutive sorted columns.
+    The radial eigenvectors come lifted to the grid and phase-fixed, as an
+    (N, 2n + 1) block in ascending order of their values.  At a = 0 there
+    is no radial block, (N, 0): H = diag(pot) is constant on each shell
+    run, and the families are the point basis (see WaveletFamily).
+    The families, each one value repeated, and the radial values are
+    sorted as units, stably in the order: per depth, node 0 and then the
+    other nodes by id, then the radial values; each family's ``start`` is
+    set to its first sorted column.
     """
     grid = model.grid
     q, n, size = grid.field.q, grid.n, grid.size
     width = 2 * n
     c = model.kernel
     pot = model.potential_diagonal
-    families = []  # ``start`` is the first column before sorting until the sort below
+    families = []
     if model.kinetic_coeff == 0:
         for k in grid.shell_labels():
             run = grid.shell_run(k)
             template = np.eye(q)[:, run.start % q :][:, : len(run)]
             value, first, zeros = pot[run.start], run.start // q, np.zeros(template.shape[1])
-            families.append(
-                WaveletFamily(width - 1, k, value, len(run), run.start, first, template, zeros)
-            )
+            families.append(WaveletFamily(width - 1, k, value, len(run), first, template, zeros))
         radial_values, radial_columns = np.empty(0), np.empty((size, 0))
     else:
         runs = grid.depth_runs()
@@ -510,7 +497,6 @@ def _tree_eigensystem(model: HamiltonianModel):
         path_helmert = np.vstack([np.zeros((1, q - 2)), _zero_sum_basis(q - 1)])
         path_basis, path_zero = _fold_phases(path_helmert)
         node_basis, node_zero = _fold_phases(_zero_sum_basis(q))
-        col = 0
         for d in range(width):
             child = q ** (width - d - 1)
             wavelet = row_sums[d + 1] - c[d] * child
@@ -530,56 +516,50 @@ def _tree_eigensystem(model: HamiltonianModel):
                 value = wavelet + v[e]
                 shell = float(n - e)
                 families.append(
-                    WaveletFamily(d, shell, value, multiplicity, col, first, template, off_support)
+                    WaveletFamily(d, shell, value, multiplicity, first, template, off_support)
                 )
-                col += multiplicity
         # index order runs through the depths backwards, each shell one run
         by_depth = radial_vectors / np.sqrt(m)[:, None]
         radial_columns = _fix_phases(np.repeat(by_depth[::-1], sizes[::-1], axis=0))
 
-    values = np.concatenate([np.full(f.multiplicity, f.value) for f in families] + [radial_values])
+    values = np.concatenate([[f.value for f in families], radial_values])
+    counts = np.array([f.multiplicity for f in families] + [1] * len(radial_values))
     order = np.argsort(values, kind="stable")
-    position = np.empty(size, dtype=np.int64)
-    position[order] = np.arange(size)
-    for f in families:
-        f.start = int(position[f.start])
-    tree = TreeEigensystem(
-        grid=grid,
-        radial_columns=radial_columns,
-        radial_positions=position[size - len(radial_values) :],
-        families=families,
-    )
-    return values[order], tree
+    sorted_counts = counts[order]
+    starts = np.empty_like(order)
+    starts[order] = np.cumsum(sorted_counts) - sorted_counts
+    for f, start in zip(families, starts):
+        f.start = int(start)
+    return np.repeat(values[order], sorted_counts), radial_columns, families
 
 
-def _tree_residuals(model: HamiltonianModel, eigenvalues: np.ndarray, tree: TreeEigensystem):
+def _tree_residuals(model: HamiltonianModel, eigenvalues, columns, positions, families):
     """||Hv - lambda v|| for every sorted column, H applied by ``model.apply``.
 
-    Each radial column is applied; a wavelet family gets the largest
-    residual of the wavelets on its first node, which stand for the rest.
-    The families go 2n + 1 to an ``apply`` call, so no call holds more than
-    q times 2n + 1 columns.  A NaN residual stays NaN.
+    Each held column (at ``positions``) is applied; a wavelet family gets
+    the largest residual of the wavelets on its first node, which stand for
+    the rest.  The families go 2n + 1 to an ``apply`` call, so no call
+    holds more than q times 2n + 1 columns.  A NaN residual stays NaN.
     """
     residuals = np.empty(model.size)
-    columns = tree.radial_columns
     hv = model.apply(columns)
-    hv -= columns * eigenvalues[tree.radial_positions]
-    residuals[tree.radial_positions] = np.linalg.norm(hv, axis=0)
+    hv -= columns * eigenvalues[positions]
+    residuals[positions] = np.linalg.norm(hv, axis=0)
     batch = 2 * model.grid.n + 1
-    for lo in range(0, len(tree.families), batch):
-        families = tree.families[lo : lo + batch]
-        blocks = [tree.node_wavelets(f) for f in families]
+    for lo in range(0, len(families), batch):
+        group = families[lo : lo + batch]
+        blocks = [f.node_wavelets(model.grid) for f in group]
         widths = [block.shape[1] for _, block in blocks]
         reps = np.zeros((model.size, sum(widths)))
         col = 0
-        for f, (node, block) in zip(families, blocks):
+        for f, (node, block) in zip(group, blocks):
             rows = slice(f.first_node * node, (f.first_node + 1) * node)
             reps[rows, col : col + block.shape[1]] = block
             col += block.shape[1]
         hv = model.apply(reps)
-        hv -= reps * np.repeat([f.value for f in families], widths)
+        hv -= reps * np.repeat([f.value for f in group], widths)
         norms = np.split(np.linalg.norm(hv, axis=0), np.cumsum(widths)[:-1])
-        for f, norm in zip(families, norms):
+        for f, norm in zip(group, norms):
             residuals[f.start : f.start + f.multiplicity] = norm.max()
     return residuals
 
@@ -594,23 +574,25 @@ def eigensolve(
     """Eigendecomposition by the exact tree reduction, with residual enforcement.
 
     The eigenpairs are the radial block's, lifted to the grid, and the
-    closed-form Haar wavelets, held as a TreeEigensystem (see
-    ``_tree_eigensystem``): no N x N array is built, and the report's dense
-    ``eigenvectors`` only when they are first read.  Eigenvectors are
-    Euclidean-normalized and phase-fixed (largest entry real positive, ties
-    to the lowest index).  Residuals ||Hv - lambda v||, with H applied by
-    ``model.apply`` to every radial column and to the wavelets of one node
-    per family, are checked against tol * max(1, max|H|) * size; a NaN
-    residual fails the check.  Shell adaptation then rotates the radial
-    members of each cluster; wavelets lie on a single shell already.
-    Rotating inside a cluster moves residuals by at most the cluster width.
-    With a = 0 the families are the point basis, one per shell run, and
-    there are no radial columns.  ``radial_tol`` and ``shell_tol`` are
-    kept on the report, which classifies the eigenvectors only when its
-    ``classifications`` are first read.
+    closed-form Haar wavelets (see ``_tree_eigensystem``); the report holds
+    the radial eigenvectors as columns and the wavelets as families, so no
+    N x N array is built, and its dense ``eigenvectors`` only when they are
+    first read.  Eigenvectors are Euclidean-normalized and phase-fixed
+    (largest entry real positive, ties to the lowest index).  Residuals
+    ||Hv - lambda v||, with H applied by ``model.apply`` to every radial
+    column and to the wavelets of one node per family, are checked against
+    tol * max(1, max|H|) * size; a NaN residual fails the check.  Shell
+    adaptation then rotates the radial members of each cluster; wavelets
+    lie on a single shell already.  Rotating inside a cluster moves
+    residuals by at most the cluster width.  With a = 0 the families are
+    the point basis, one per shell run, and no column is held.
+    ``radial_tol`` and ``shell_tol`` are kept on the report, which
+    classifies the eigenvectors only when its ``classifications`` are first
+    read.
     """
-    eigenvalues, tree = _tree_eigensystem(model)
-    residuals = _tree_residuals(model, eigenvalues, tree)
+    eigenvalues, columns, families = _tree_eigensystem(model)
+    positions = _held_positions(model.size, families)
+    residuals = _tree_residuals(model, eigenvalues, columns, positions, families)
     scale = max(1.0, model.max_abs())
     threshold = tol * scale * model.size
     worst = float(residuals.max())
@@ -619,20 +601,13 @@ def eigensolve(
     clusters = cluster_eigenvalues(eigenvalues, cluster_tol)
     for cluster in clusters:
         span = cluster.indices
-        lo, hi = np.searchsorted(tree.radial_positions, [span.start, span.stop])
+        lo, hi = np.searchsorted(positions, [span.start, span.stop])
         if hi - lo > 1:
-            tree.radial_columns[:, lo:hi] = shell_adapt(
-                model.grid, tree.radial_columns[:, lo:hi], split_tol=max(shell_tol, 1e-9)
+            columns[:, lo:hi] = shell_adapt(
+                model.grid, columns[:, lo:hi], split_tol=max(shell_tol, 1e-9)
             )
     return SpectrumReport(
-        eigenvalues=eigenvalues,
-        eigenvectors=None,
-        residuals=residuals,
-        clusters=clusters,
-        grid=model.grid,
-        radial_tol=radial_tol,
-        shell_tol=shell_tol,
-        tree=tree,
+        eigenvalues, columns, residuals, clusters, model.grid, radial_tol, shell_tol, families
     )
 
 
@@ -718,7 +693,7 @@ def convergence_report(
     shell_tol: float = DEFAULT_SHELL_TOL,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
     ground_state_bound: Optional[float] = None,
-    grid_cap: Optional[int] = None,
+    grid_cap: int = GRID_CAP_DEFAULT,
 ) -> ConvergenceTrace:
     """Run the spectral pipeline at several levels and match clusters.
 
@@ -733,14 +708,13 @@ def convergence_report(
     levels = sorted(set(int(n) for n in levels))
     if not levels:
         raise ValueError("need at least one level")
-    build_kwargs = {} if grid_cap is None else {"cap": grid_cap}
     per_level = []
     trace_warnings = []
     trajectories = []
     open_pairs = []  # (open trajectory, its cluster at the previous level)
     prev_report = None
     for n in levels:
-        grid = build_grid(field, n, **build_kwargs)
+        grid = build_grid(field, n, cap=grid_cap)
         model = assemble_hamiltonian(grid, alpha, a, potential, convention)
         report = eigensolve(
             model,
@@ -810,7 +784,8 @@ def _cluster_alignment(prev_report, cur_report, prev_cluster, cluster) -> float:
     each column's residual after projection onto the new cluster's
     orthonormal basis B is taken: max_j ||E_j - B (B^H E_j)||.
     """
-    embedded = embed_function(prev_report.grid, cur_report.grid, prev_report.columns(prev_cluster))
-    basis = cur_report.columns(cluster)
+    old = prev_report.columns(prev_cluster.indices)
+    embedded = embed_function(prev_report.grid, cur_report.grid, old)
+    basis = cur_report.columns(cluster.indices)
     embedded -= basis @ (basis.conj().T @ embedded)
     return float(np.linalg.norm(embedded, axis=0).max())

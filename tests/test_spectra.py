@@ -9,6 +9,7 @@ from ultraspec import (
     LaurentField,
     MonomialPotential,
     NotAnEigenspace,
+    SpectrumReport,
     TablePotential,
     ZERO_SHELL,
     ZeroCellConvention,
@@ -193,12 +194,12 @@ def test_nan_residual_raises(canonical_model, monkeypatch, tmp_path, capsys):
     for piece in ("radial column", "wavelet template"):
 
         def poisoned(model, piece=piece):
-            values, tree = exact(model)
+            values, columns, families = exact(model)
             if piece == "radial column":
-                tree.radial_columns[0, 0] = np.nan
+                columns[0, 0] = np.nan
             else:
-                tree.families[-1].template[0, 0] = np.nan
-            return values, tree
+                families[-1].template[0, 0] = np.nan
+            return values, columns, families
 
         monkeypatch.setattr(spectra, "_tree_eigensystem", poisoned)
         with pytest.raises(ResidualTooLarge, match="residual nan"):
@@ -224,7 +225,7 @@ def test_residual_gate_stands_for_every_column(spec, n, a, ho_potential):
     full = np.linalg.norm(hv, axis=0)
     threshold = spectra.DEFAULT_RESIDUAL_TOL * max(1.0, model.max_abs()) * grid.size
     assert full.max() <= threshold
-    for family in report.tree.families:
+    for family in report.families:
         members = slice(family.start, family.start + family.multiplicity)
         # the first node's residual is the family's, on every member
         assert np.all(report.residuals[members] == report.residuals[family.start])
@@ -249,12 +250,12 @@ def test_eigenvector_scatter_matches_whole_column_phase_fix(spec, n, ho_potentia
     """
     grid = build_grid(make_field(spec), n)
     report = eigensolve(assemble_hamiltonian(grid, 1.5, 0.75, ho_potential))
-    tree, vectors = report.tree, report.eigenvectors
+    vectors = report.eigenvectors
     q, width = grid.field.q, 2 * n
     covered = np.zeros(grid.size, dtype=int)
-    covered[tree.radial_positions] += 1
-    assert vectors[:, tree.radial_positions].tobytes() == tree.radial_columns.tobytes()
-    for family in tree.families:
+    covered[report.held_positions] += 1
+    assert vectors[:, report.held_positions].tobytes() == report.held_columns.tobytes()
+    for family in report.families:
         child = q ** (width - family.depth - 1)
         if family.first_node == 0:  # on the path to 0: the zero child is left out
             helmert = np.vstack([np.zeros((1, q - 2)), spectra._zero_sum_basis(q - 1)])
@@ -283,7 +284,7 @@ def test_eigenvectors_are_built_on_first_read(canonical_model, q3sqrt3, ho_poten
     assert "eigenvectors" not in vars(report)
     vectors = report.eigenvectors
     assert "eigenvectors" in vars(report) and report.eigenvectors is vectors
-    assert vectors.tobytes() == report.tree.columns(range(report.grid.size)).tobytes()
+    assert vectors.tobytes() == report.columns(range(report.grid.size)).tobytes()
 
     grid = build_grid(q3sqrt3, 4)  # N = 6561: one dense matrix is 344 MB
     model = assemble_hamiltonian(grid, alpha=2.0, a=0.5, potential=ho_potential)
@@ -297,6 +298,78 @@ def test_eigenvectors_are_built_on_first_read(canonical_model, q3sqrt3, ho_poten
     assert peak < 0.05 * 8 * grid.size**2
     assert "eigenvectors" not in vars(report)
     assert sum(mult for _, mult, _ in rows) == grid.size
+
+
+def test_dense_report_is_the_store_without_families(canonical_model, fourier_operator):
+    grid = canonical_model.grid
+    values, vectors = np.linalg.eigh(fourier_operator(canonical_model))
+    report = SpectrumReport(
+        values, vectors, np.zeros(grid.size), cluster_eigenvalues(values), grid
+    )
+    assert report.families == []
+    assert report.held_positions.tolist() == list(range(grid.size))
+    spans = [c.indices for c in report.clusters] + [range(5, 40), range(grid.size)]
+    for span in spans:
+        assert report.columns(span).tobytes() == vectors[:, span].tobytes()
+    assert report.eigenvectors.tobytes() == vectors.tobytes()
+    assert report.classifications == [
+        classify_eigenvector(grid, vectors[:, i]) for i in range(grid.size)
+    ]
+
+
+def test_held_block_must_fill_the_uncovered_columns(canonical_model):
+    grid = canonical_model.grid
+    values, columns, families = spectra._tree_eigensystem(canonical_model)
+    residuals = np.zeros(grid.size)
+    report = SpectrumReport(values, columns, residuals, [], grid, families=families)
+    assert report.held_positions.size == columns.shape[1] == 2 * grid.n + 1
+    for block, held_by in [
+        (columns[:, 1:], families),  # one radial column short
+        (columns, ()),  # no families: every column is held
+        (np.eye(grid.size)[:, :-1], ()),
+        (columns[0], families),
+    ]:
+        with pytest.raises(ValueError, match="no family covers"):
+            SpectrumReport(values, block, residuals, [], grid, families=held_by)
+
+
+def expanded_sort(families, radial_values):
+    """The N-length stable sort, the oracle for sorting families as units.
+
+    Every family's value repeated over its columns, then the radial values;
+    returns the sorted values, each family's first sorted column and the
+    radial values' sorted columns.
+    """
+    values = np.concatenate([np.full(f.multiplicity, f.value) for f in families] + [radial_values])
+    order = np.argsort(values, kind="stable")
+    position = np.empty(values.size, dtype=np.int64)
+    position[order] = np.arange(values.size)
+    firsts = np.cumsum([0] + [f.multiplicity for f in families])[:-1]
+    return values[order], position[firsts], position[values.size - radial_values.size :]
+
+
+@pytest.mark.parametrize("a", [0.75, 0.0], ids=["a", "a0"])
+@pytest.mark.parametrize("spec, n", GRIDS, ids=[grid_id(g) for g in GRIDS])
+def test_unit_sort_matches_expanded_stable_sort(spec, n, a, monkeypatch):
+    grid = build_grid(make_field(spec), n)
+    model = assemble_hamiltonian(grid, 1.5, a, point_potentials(n)["table"])
+    solved = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(block):
+        solved.append(eigh(block))
+        return solved[-1]
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    eigenvalues, columns, families = spectra._tree_eigensystem(model)
+    radial_values = solved[0][0] if solved else np.empty(0)
+    assert len(solved) == (a != 0) and columns.shape[1] == radial_values.size
+    # the table's ties (shells k and -k, the zero cell and shell 0) reach the families
+    assert len({f.value for f in families}) < len(families)
+    values, starts, held = expanded_sort(families, radial_values)
+    assert eigenvalues.tobytes() == values.tobytes()
+    assert [f.start for f in families] == starts.tolist()
+    assert spectra._held_positions(grid.size, families).tolist() == held.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +396,14 @@ def test_cluster_merges_close_values():
     assert clusters[0].rep == 2.0
 
 
+def test_equal_values_cluster_to_their_value():
+    value = 0.05555555555555555
+    assert np.full(6, value).mean() != value  # the plain mean is an ulp off
+    [cluster] = cluster_eigenvalues([value] * 6)
+    assert cluster.mean == value
+    assert [c.mean for c in cluster_eigenvalues([-3.5] * 7 + [value] * 6)] == [-3.5, value]
+
+
 @pytest.mark.parametrize(
     "values",
     [[1.0, 0.5], [0.0, 2.0, 2.0 - 1e-12], [0.0, np.nan, 1.0], [np.nan], [-np.inf, 0.0]],
@@ -344,7 +425,9 @@ def greedy_clusters(values, cluster_tol):
                 clusters[-1][1].append(i)
                 continue
         clusters.append((val, [i]))
-    return [(rep, idx, float(np.mean([values[i] for i in idx]))) for rep, idx in clusters]
+    return [
+        (rep, idx, rep + float(np.mean([values[i] - rep for i in idx]))) for rep, idx in clusters
+    ]
 
 
 def assert_matches_greedy(values, cluster_tol):
@@ -739,8 +822,8 @@ def test_alignment_is_the_worst_column(grid_n1, grid_n2):
     # so a synthetic pair pins the max: the new span holds the first lift only
     points = np.eye(grid_n1.size)[:, :2]
     lifted = embed_function(grid_n1, grid_n2, points)
-    old = SimpleNamespace(grid=grid_n1, columns=lambda cluster: points[:, cluster.indices])
-    new = SimpleNamespace(grid=grid_n2, columns=lambda cluster: lifted[:, cluster.indices])
+    old = SimpleNamespace(grid=grid_n1, columns=lambda span: points[:, span])
+    new = SimpleNamespace(grid=grid_n2, columns=lambda span: lifted[:, span])
     old_cluster = spectra.EigenCluster(rep=0.0, indices=range(2), mean=0.0)
     new_cluster = spectra.EigenCluster(rep=0.0, indices=range(1), mean=0.0)
     assert spectra._cluster_alignment(old, new, old_cluster, new_cluster) == pytest.approx(1.0)
@@ -816,6 +899,14 @@ def test_free_model_trajectories_have_zero_drift(q3sqrt3, zero_potential):
     assert shared_matched, "expected shared kinetic values to be matched across levels"
     for t in shared_matched:
         assert t.steps[1].drift <= 1e-12
+
+
+def test_diagonal_model_equal_clusters_have_zero_drift(q3sqrt3, ho_potential):
+    trace = convergence_report(q3sqrt3, 2.0, 0.0, ho_potential, [1, 2, 3])
+    steps = [s for t in trace.trajectories for s in t.steps if s.drift is not None]
+    # the six points of value 1/18 at level 3 continue the two at level 2
+    [step] = [s for s in steps if s.level == 3 and abs(s.value - 1 / 18) < 1e-12]
+    assert step.multiplicity == 6 and step.drift == 0.0
 
 
 def test_ground_state_bound_violation_warns(q3sqrt3, ho_potential):
