@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from . import errors
 from .config import RunConfig, load_config
@@ -106,19 +107,21 @@ def cmd_verify(config: RunConfig) -> int:
 
 def cmd_converge(config: RunConfig) -> int:
     tols = config.tolerances
-    trace = convergence_report(
-        config.field,
-        config.alpha,
-        config.kinetic_coeff,
-        config.potential,
-        config.require_levels(),
-        convention=config.convention,
-        cluster_tol=tols.cluster_tol,
-        shell_tol=tols.shell_tol,
-        residual_tol=tols.residual_tol,
-        ground_state_bound=config.ground_state_upper_bound,
-        grid_cap=config.grid_cap,
-    )
+    with warnings.catch_warnings():  # each is printed once below, from trace.warnings
+        warnings.filterwarnings("ignore", "ground state ", UserWarning)
+        trace = convergence_report(
+            config.field,
+            config.alpha,
+            config.kinetic_coeff,
+            config.potential,
+            config.require_levels(),
+            convention=config.convention,
+            cluster_tol=tols.cluster_tol,
+            shell_tol=tols.shell_tol,
+            residual_tol=tols.residual_tol,
+            ground_state_bound=config.ground_state_upper_bound,
+            grid_cap=config.grid_cap,
+        )
     paths = write_convergence_outputs(config.output_dir, trace, config.output_format)
     print(f"{'trajectory':>10}  {'level':>5}  {'value':>12}  {'mult':>5}  {'drift':>10}")
     for row in _trajectory_preview(trace):

@@ -16,6 +16,7 @@ from .finite import (
     TablePotential,
     ZeroCellConvention,
 )
+from . import spectra
 
 __all__ = ["Tolerances", "RunConfig", "load_config"]
 
@@ -32,17 +33,20 @@ _KNOWN_KEYS = {
     "grid_cap",
     "ground_state_upper_bound",
 }
+_FIELD_KEYS = {"eisenstein": {"family", "p", "e"}, "laurent": {"family", "p", "f", "modulus"}}
+_POTENTIAL_KEYS = {"monomial": {"kind", "c", "s"}, "table": {"kind", "values", "w0"}}
+_TOLERANCE_KEYS = ("cluster_tol", "radial_tol", "shell_tol", "residual_tol")
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    cluster_tol: float = 1e-6
-    radial_tol: float = 1e-8
-    shell_tol: float = 1e-10
-    residual_tol: float = 1e-9
+    cluster_tol: float = spectra.DEFAULT_CLUSTER_TOL
+    radial_tol: float = spectra.DEFAULT_RADIAL_TOL
+    shell_tol: float = spectra.DEFAULT_SHELL_TOL
+    residual_tol: float = spectra.DEFAULT_RESIDUAL_TOL
 
     def __post_init__(self):
-        for name in ("cluster_tol", "radial_tol", "shell_tol", "residual_tol"):
+        for name in _TOLERANCE_KEYS:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValidationError(f"tolerances.{name}", f"{value} not in (0, 1)")
@@ -91,6 +95,13 @@ def _typed(name: str, value, kinds):
     return value
 
 
+def _known_keys(data: dict, keys, where: str = ""):
+    """Raise ValidationError naming the first key of ``data``, sorted, that is not in ``keys``."""
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ValidationError(f"{where}.{unknown[0]}" if where else unknown[0], "unknown key")
+
+
 def _expect(data: dict, key: str, kinds, where: str = ""):
     name = f"{where}.{key}" if where else key
     if key not in data:
@@ -98,46 +109,44 @@ def _expect(data: dict, key: str, kinds, where: str = ""):
     return _typed(name, data[key], kinds)
 
 
-def _parse_field(data) -> FieldSpec:
-    if not isinstance(data, dict):
-        raise ValidationError("field", "expected an object")
+def _parse_field(data: dict) -> FieldSpec:
     family = _expect(data, "family", str, "field").lower()
+    if family not in _FIELD_KEYS:
+        raise ValidationError("field.family", f"unknown family {family!r}")
+    _known_keys(data, _FIELD_KEYS[family], "field")
     p = _expect(data, "p", int, "field")
     if family == "eisenstein":
         e = _typed("field.e", data.get("e", 1), int)
         return EisensteinExtension(p=p, e=e)
-    if family == "laurent":
-        f = _typed("field.f", data.get("f", 1), int)
-        modulus = data.get("modulus")
-        if modulus is not None:
-            coeffs = _typed("field.modulus", modulus, list)
-            modulus = tuple(_typed("field.modulus", c, int) for c in coeffs)
-        return LaurentField(p=p, f=f, modulus=modulus)
-    raise ValidationError("field.family", f"unknown family {family!r}")
+    f = _typed("field.f", data.get("f", 1), int)
+    modulus = data.get("modulus")
+    if modulus is not None:
+        coeffs = _typed("field.modulus", modulus, list)
+        modulus = tuple(_typed("field.modulus", c, int) for c in coeffs)
+    return LaurentField(p=p, f=f, modulus=modulus)
 
 
-def _parse_potential(data) -> RadialPotential:
-    if not isinstance(data, dict):
-        raise ValidationError("potential", "expected an object")
+def _parse_potential(data: dict) -> RadialPotential:
     kind = _expect(data, "kind", str, "potential").lower()
+    if kind not in _POTENTIAL_KEYS:
+        raise ValidationError("potential.kind", f"unknown kind {kind!r}")
+    _known_keys(data, _POTENTIAL_KEYS[kind], "potential")
     try:
         if kind == "monomial":
             return MonomialPotential(
                 c=float(_expect(data, "c", NUMBER, "potential")),
                 s=float(_expect(data, "s", NUMBER, "potential")),
             )
-        if kind == "table":
-            values = _expect(data, "values", dict, "potential")
-            return TablePotential(
-                values={
-                    int(k): float(_typed(f"potential.values.{k}", v, NUMBER))
-                    for k, v in values.items()
-                },
-                w0=float(_typed("potential.w0", data.get("w0", 0.0), NUMBER)),
-            )
+        values = _expect(data, "values", dict, "potential")
+        return TablePotential(
+            values={
+                int(k): float(_typed(f"potential.values.{k}", v, NUMBER))
+                for k, v in values.items()
+            },
+            w0=float(_typed("potential.w0", data.get("w0", 0.0), NUMBER)),
+        )
     except ValueError as exc:
         raise ValidationError("potential", str(exc)) from exc
-    raise ValidationError("potential.kind", f"unknown kind {kind!r}")
 
 
 def load_config(path) -> RunConfig:
@@ -153,9 +162,7 @@ def load_config(path) -> RunConfig:
         ) from exc
     if not isinstance(data, dict):
         raise ValidationError("<document>", "top level must be an object")
-    unknown = set(data) - _KNOWN_KEYS
-    if unknown:
-        raise ValidationError(sorted(unknown)[0], "unknown key")
+    _known_keys(data, _KNOWN_KEYS)
 
     field_spec = _parse_field(_expect(data, "field", dict))
     field = make_field(field_spec)
@@ -189,21 +196,16 @@ def load_config(path) -> RunConfig:
     except ValueError as exc:
         raise ValidationError("zero_cell_convention", str(convention_text)) from exc
 
-    tol_data = data.get("tolerances", {})
-    if not isinstance(tol_data, dict):
-        raise ValidationError("tolerances", "expected an object")
-    unknown = set(tol_data) - {"cluster_tol", "radial_tol", "shell_tol", "residual_tol"}
-    if unknown:
-        raise ValidationError(f"tolerances.{sorted(unknown)[0]}", "unknown key")
+    tol_data = _typed("tolerances", data.get("tolerances", {}), dict)
+    _known_keys(tol_data, _TOLERANCE_KEYS, "tolerances")
     tolerances = Tolerances(
         **{k: float(_typed(f"tolerances.{k}", v, NUMBER)) for k, v in tol_data.items()}
     )
 
-    out_data = data.get("output", {})
-    if not isinstance(out_data, dict):
-        raise ValidationError("output", "expected an object")
-    output_dir = str(out_data.get("dir", "out"))
-    output_format = str(out_data.get("format", "csv")).lower()
+    out_data = _typed("output", data.get("output", {}), dict)
+    _known_keys(out_data, ("dir", "format"), "output")
+    output_dir = _typed("output.dir", out_data.get("dir", "out"), str)
+    output_format = _typed("output.format", out_data.get("format", "csv"), str).lower()
     if output_format not in ("csv", "json"):
         raise ValidationError("output.format", f"{output_format!r} not one of csv, json")
 

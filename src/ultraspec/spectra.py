@@ -8,7 +8,9 @@ the (2n+1)-dimensional radial block on the shell-constant functions and
 Haar wavelets, which are eigenvectors in closed form and lie on a single
 shell each.  This is the finite form of the result that p-adic wavelets
 diagonalize Vladimirov operators (S. V. Kozyrev, "Wavelet theory as p-adic
-spectral analysis", Izv. Math. 66, 2002).
+spectral analysis", Izv. Math. 66, 2002): a wavelet's eigenvalue is the
+symbol a |xi|**alpha on its dual shell plus the potential on its own, read
+off the model, so equal ones tie exactly, in a fixed order.
 
 The solver keeps that structure in its ``SpectrumReport``: the wavelets as
 families of one (depth, shell) each, with one eigenvalue, a multiplicity
@@ -248,7 +250,8 @@ def shell_adapt(
         hv = model.apply(v)
         rayleigh = np.real(np.einsum("ij,ij->j", v.conj(), hv))
         lam = float(rayleigh.mean())
-        residual = float(np.linalg.norm(hv - lam * v, axis=0).max())
+        with np.errstate(over="ignore"):  # a norm past the float range is inf and fails
+            residual = float(np.linalg.norm(hv - lam * v, axis=0).max())
         if not residual <= EIGENSPACE_TOL * max(1.0, abs(lam)):  # a NaN residual fails too
             raise NotAnEigenspace(
                 f"eigen-residual {residual:.3e} at lambda = {lam:.6g} exceeds tolerance"
@@ -443,15 +446,14 @@ def _tree_eigensystem(model: HamiltonianModel):
     """Eigenvalues of H_n from its tree structure, ascending; the radial columns; the families.
 
     With c = model.kernel, depths d = 0..2n (shell n - d, the zero cell at
-    2n), shell sizes m_d and S_d = sum_{s>=d} m_s c_s (the kinetic row sum
-    over a depth-d subtree), the spectrum is the union of
+    2n), sizes m_d, potentials v_d and symbols sigma_d = a |xi|**alpha on
+    shell d + 1 - n (sigma_2n = 0), the spectrum is the union of
       * the radial block P^T H P on the normalized shell indicators P:
-        sqrt(m_d m_e) c_min(d,e) off the diagonal, and
-        S_{d+1} + (q-2) q**(2n-d-1) c_d + v_d on it (c_2n + v_2n at zero);
+        sqrt(m_d m_e) c_min(d,e), plus sigma_d + v_d on the diagonal;
       * Haar wavelets on the children of every tree node at depth d < 2n,
-        with eigenvalue S_{d+1} - c_d q**(2n-d-1) + v(shell): q - 1 per node
-        off the path to 0, and q - 2 per node on it (those spanning the
-        nonzero children only; the rest of that node is radial).
+        with eigenvalue sigma_d + v(shell): q - 1 per node off the path to
+        0, and q - 2 per node on it (those spanning the nonzero children
+        only; the rest of that node is radial).
     The radial eigenvectors come lifted to the grid and phase-fixed, as an
     (N, 2n + 1) block in ascending order of their values.  At a = 0 there
     is no radial block, (N, 0): H = diag(pot) is constant on each shell
@@ -459,7 +461,8 @@ def _tree_eigensystem(model: HamiltonianModel):
     The families, each one value repeated, and the radial values are
     sorted as units, stably in the order: per depth, node 0 and then the
     other nodes by id, then the radial values; each family's ``start`` is
-    set to its first sorted column.
+    set to its first sorted column.  Equal sums sigma_d + v_e tie exactly
+    and keep that order inside their cluster.
     """
     grid = model.grid
     q, n, size = grid.field.q, grid.n, grid.size
@@ -476,16 +479,16 @@ def _tree_eigensystem(model: HamiltonianModel):
         radial_values, radial_columns = np.empty(0), np.empty((size, 0))
     else:
         runs = grid.depth_runs()
-        v = pot[[run.start for run in runs]]
+        starts = [run.start for run in runs]
+        v = pot[starts]
+        # the symbol a |xi|**alpha on shell d + 1 - n, the depth run 2n - 1 - d; 0 at zero
+        symbol = np.append(model.kinetic_coeff * model.kinetic_diagonal[starts[-2::-1]], 0.0)
         sizes = [len(run) for run in runs]
         m = np.array(sizes, dtype=np.float64)
-        row_sums = np.cumsum((m * c)[::-1])[::-1]  # S_d
 
         depths = np.arange(width + 1)
         radial_block = np.sqrt(np.outer(m, m)) * c[np.minimum.outer(depths, depths)]
-        for d in range(width):
-            radial_block[d, d] = row_sums[d + 1] + (q - 2) * q ** (width - d - 1) * c[d] + v[d]
-        radial_block[width, width] = c[width] + v[width]
+        radial_block[depths, depths] += symbol + v
         try:
             radial_values, radial_vectors = np.linalg.eigh(radial_block)
         except np.linalg.LinAlgError as exc:
@@ -499,7 +502,6 @@ def _tree_eigensystem(model: HamiltonianModel):
         node_basis, node_zero = _fold_phases(_zero_sum_basis(q))
         for d in range(width):
             child = q ** (width - d - 1)
-            wavelet = row_sums[d + 1] - c[d] * child
             on_path = path_basis / np.sqrt(child), path_zero
             off_path = node_basis / np.sqrt(child), node_zero
             # node 0 on the path to 0 (shell n - d), then nodes 1 .. q**d - 1 by id:
@@ -513,7 +515,7 @@ def _tree_eigensystem(model: HamiltonianModel):
                 multiplicity = count * template.shape[1]
                 if multiplicity == 0:  # q = 2: no wavelet on the path
                     continue
-                value = wavelet + v[e]
+                value = symbol[d] + v[e]
                 shell = float(n - e)
                 families.append(
                     WaveletFamily(d, shell, value, multiplicity, first, template, off_support)
@@ -533,13 +535,14 @@ def _tree_eigensystem(model: HamiltonianModel):
     return np.repeat(values[order], sorted_counts), radial_columns, families
 
 
+@np.errstate(over="ignore")
 def _tree_residuals(model: HamiltonianModel, eigenvalues, columns, positions, families):
     """||Hv - lambda v|| for every sorted column, H applied by ``model.apply``.
 
     Each held column (at ``positions``) is applied; a wavelet family gets
     the largest residual of the wavelets on its first node, which stand for
     the rest.  The families go 2n + 1 to an ``apply`` call, so no call
-    holds more than q times 2n + 1 columns.  A NaN residual stays NaN.
+    holds more than q times 2n + 1 columns.  NaN stays NaN, overflow is inf.
     """
     residuals = np.empty(model.size)
     hv = model.apply(columns)

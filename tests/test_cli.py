@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ import ultraspec.finite
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "q3sqrt3_ho.cfg"
 LAURENT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "f3_laurent.cfg"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CANONICAL = {
     "field": {"family": "eisenstein", "p": 3, "e": 2},
@@ -34,6 +38,14 @@ def write_config(tmp_path, data, name="run.cfg"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
+
+
+def run_cli(cwd, *args):
+    """The command line in a fresh interpreter, so stderr holds every warning a user sees."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    command = [sys.executable, "-m", "ultraspec.cli", *args]
+    return subprocess.run(command, cwd=cwd, env=env, capture_output=True, text=True)
 
 
 # ---------------------------------------------------------------------------
@@ -73,11 +85,29 @@ def test_parse_error_carries_line_info(tmp_path):
     assert err.value.line == 2
 
 
-def test_unknown_key_rejected(tmp_path):
-    data = dict(CANONICAL, mystery=1)
+@pytest.mark.parametrize(
+    "key, patch",
+    [
+        ("mystery", {"mystery": 1}),
+        ("field.f", {"field": {"family": "eisenstein", "p": 3, "e": 2, "f": 2}}),
+        ("field.e", {"field": {"family": "laurent", "p": 3, "e": 2}}),
+        ("potential.w0", {"potential": {"kind": "monomial", "c": 0.5, "s": 2.0, "w0": 0.0}}),
+        ("potential.c", {"potential": {"kind": "table", "values": {"2": 1.0}, "c": 0.5}}),
+        ("tolerances.cluster", {"tolerances": {"cluster": 1e-6}}),
+        ("output.fromat", {"output": {"fromat": "json"}}),
+    ],
+    ids=["mystery", "eisenstein-f", "laurent-e", "monomial-w0", "table-c", "tol", "output"],
+)
+def test_unknown_key_rejected(tmp_path, monkeypatch, capsys, key, patch):
+    config = write_config(tmp_path, dict(CANONICAL, **patch))
     with pytest.raises(ValidationError) as err:
-        load_config(write_config(tmp_path, data))
-    assert err.value.field == "mystery"
+        load_config(config)
+    assert err.value.field == key
+    monkeypatch.chdir(tmp_path)
+    assert main(["spectrum", "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: invalid config field '{key}': unknown key"]
+    assert list(tmp_path.iterdir()) == [config]  # no output directory
 
 
 def test_tolerances_validated(tmp_path):
@@ -375,14 +405,32 @@ def test_config_error_exits_one(tmp_path, capsys):
         ("field.f", {"field": {"family": "laurent", "p": 3, "f": 1.5}}),
         ("tolerances.cluster_tol", {"tolerances": {"cluster_tol": "tight"}}),
         ("ground_state_upper_bound", {"ground_state_upper_bound": "0.7"}),
+        ("output.dir", {"output": {"dir": None}}),
+        ("output.dir", {"output": {"dir": 7}}),
+        ("output.format", {"output": {"format": 1}}),
     ],
-    ids=["n-str", "n-float", "n-bool", "levels", "grid_cap", "e", "f", "tol", "bound"],
+    ids=[
+        "n-str",
+        "n-float",
+        "n-bool",
+        "levels",
+        "grid_cap",
+        "e",
+        "f",
+        "tol",
+        "bound",
+        "dir-null",
+        "dir-int",
+        "format-int",
+    ],
 )
-def test_wrongly_typed_value_exits_one(tmp_path, capsys, key, patch):
+def test_wrongly_typed_value_exits_one(tmp_path, monkeypatch, capsys, key, patch):
     config = write_config(tmp_path, dict(CANONICAL, **patch))
-    assert main(["verify", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--config", str(config)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and f"'{key}'" in err[0]
+    assert list(tmp_path.iterdir()) == [config]  # no output directory, not even ./None
 
 
 @pytest.mark.parametrize(
@@ -419,6 +467,34 @@ def test_overflowing_exponent_exits_one(tmp_path, capsys, key, patch):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: invalid config field '{key}'")
         assert not out.exists()
+
+
+def test_converge_prints_each_warning_once(tmp_path):
+    data = dict(CANONICAL, levels=[1, 2], ground_state_upper_bound=0.1)
+    del data["n"]
+    config = write_config(tmp_path, data)
+    result = run_cli(tmp_path, "converge", "--config", str(config), "--out", "conv")
+    assert result.returncode == 0
+    err = result.stderr.splitlines()
+    assert len(err) == 2
+    for level, line in zip((1, 2), err):
+        assert line.startswith("warning: ground state ")
+        assert line.endswith(f" at level {level} outside (0, 0.100000)")
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [{"alpha": 300}, {"potential": {"kind": "monomial", "c": 0.5, "s": 300}}],
+    ids=["alpha", "s"],
+)
+def test_large_finite_exponent_fails_on_one_line(tmp_path, patch):
+    # q**(n * exponent) is a float, but the residual norms pass the float range
+    config = write_config(tmp_path, dict(json.loads(REPO_CONFIG.read_text()), **patch))
+    for command in ("spectrum", "converge"):
+        result = run_cli(tmp_path, command, "--config", str(config), "--out", command)
+        assert result.returncode == 3
+        err = result.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: residual inf")
 
 
 def test_numerical_failure_exits_three(tmp_path, monkeypatch, capsys):

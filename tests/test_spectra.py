@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +29,7 @@ from ultraspec import (
     shell_adapt,
 )
 import ultraspec.spectra as spectra
-from test_tree import GRIDS, grid_id
+from test_tree import GRIDS, grid_id, potentials
 
 # the tree oracle's grids (N <= 729) and two of N = 2401
 GATE_GRIDS = GRIDS + [(EisensteinExtension(p=7, e=1), 2), (LaurentField(p=7, f=1), 2)]
@@ -370,6 +372,30 @@ def test_unit_sort_matches_expanded_stable_sort(spec, n, a, monkeypatch):
     assert eigenvalues.tobytes() == values.tobytes()
     assert [f.start for f in families] == starts.tolist()
     assert spectra._held_positions(grid.size, families).tolist() == held.tolist()
+
+
+@pytest.mark.parametrize("convention", list(ZeroCellConvention), ids=lambda c: c.value)
+@pytest.mark.parametrize("potential_kind", ["monomial", "table"])
+@pytest.mark.parametrize("spec, n", GRIDS, ids=[grid_id(g) for g in GRIDS])
+def test_wavelet_value_is_the_symbol_plus_the_potential(spec, n, potential_kind, convention):
+    # a depth-d wavelet on shell k has eigenvalue a |xi|**alpha on shell d + 1 - n plus v(k),
+    # to within an ulp of the exact sum of the float inputs
+    grid = build_grid(make_field(spec), n)
+    model = assemble_hamiltonian(grid, 1.5, 0.75, potentials(n)[potential_kind], convention)
+    _, _, families = spectra._tree_eigensystem(model)
+    a = Fraction(model.kinetic_coeff)
+    for f in families:
+        kin = model.kinetic_diagonal[grid.shell_run(f.depth + 1 - n).start]
+        pot = model.potential_diagonal[grid.shell_run(f.shell).start]
+        exact = a * Fraction(kin) + Fraction(pot)
+        assert abs(Fraction(f.value) - exact) <= Fraction(math.ulp(f.value))
+
+
+def test_harmonic_oscillator_clusters_are_exact(q3sqrt3, ho_potential):
+    for n in (2, 3, 4, 5):
+        model = assemble_hamiltonian(build_grid(q3sqrt3, n), 2.0, 0.5, ho_potential)
+        clusters = {c.mean: c.multiplicity for c in eigensolve(model).clusters}
+        assert {5.0: 2, 9.0: 4, 41.0: 8, 45.0: 24}.items() <= clusters.items()
 
 
 # ---------------------------------------------------------------------------
@@ -855,12 +881,16 @@ def test_convergence_report_reads_no_dense_matrix(q3sqrt3, ho_potential):
     size = 9**4  # N at level 4: one dense matrix is 344 MB
     tracemalloc.start()
     try:
-        trace = convergence_report(q3sqrt3, 2.0, 0.5, ho_potential, [3, 4])
+        trace = convergence_report(q3sqrt3, 2.0, 0.5, ho_potential, [2, 3, 4])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * 8 * size**2
-    assert any(len(t.steps) == 2 for t in trace.trajectories)  # some alignment was read
+    assert any(len(t.steps) == 3 for t in trace.trajectories)  # some alignment was read
+    # the wavelet clusters 5 and 9 are exact at every level, so they do not drift
+    for target in (5.0, 9.0):
+        [traj] = [t for t in trace.trajectories if t.steps[0].value == target]
+        assert [s.drift for s in traj.steps] == [None, 0.0, 0.0]
 
 
 def test_convergence_report_never_classifies(q3sqrt3, ho_potential, monkeypatch):
