@@ -19,7 +19,6 @@ if _threads:
 from .config import RunConfig, Tolerances, load_config
 from .errors import (
     GridTooLarge,
-    HermiticityDefect,
     NoConvergence,
     NonConfiningPotentialWarning,
     NonPrimeP,

@@ -24,11 +24,7 @@ USAGE_ERRORS = (
     errors.WildRamification,
     errors.ReducibleModulus,
 )
-NUMERICAL_ERRORS = (
-    errors.HermiticityDefect,
-    errors.ResidualTooLarge,
-    errors.NoConvergence,
-)
+NUMERICAL_ERRORS = (errors.ResidualTooLarge, errors.NoConvergence)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,7 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    if args.out:
+    if args.out is not None:
+        if not args.out:
+            raise errors.ConfigError("--out: the output directory must not be empty")
         config.output_dir = args.out
     if args.format:
         config.output_format = args.format
@@ -107,27 +105,30 @@ def cmd_verify(config: RunConfig) -> int:
 
 def cmd_converge(config: RunConfig) -> int:
     tols = config.tolerances
-    with warnings.catch_warnings():  # each is printed once below, from trace.warnings
-        warnings.filterwarnings("ignore", "ground state ", UserWarning)
-        trace = convergence_report(
-            config.field,
-            config.alpha,
-            config.kinetic_coeff,
-            config.potential,
-            config.require_levels(),
-            convention=config.convention,
-            cluster_tol=tols.cluster_tol,
-            shell_tol=tols.shell_tol,
-            residual_tol=tols.residual_tol,
-            ground_state_bound=config.ground_state_upper_bound,
-            grid_cap=config.grid_cap,
-        )
+    # each warning is printed once, also those of the levels solved before a failure
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.filterwarnings("always", "ground state ", UserWarning)
+        try:
+            trace = convergence_report(
+                config.field,
+                config.alpha,
+                config.kinetic_coeff,
+                config.potential,
+                config.require_levels(),
+                convention=config.convention,
+                cluster_tol=tols.cluster_tol,
+                shell_tol=tols.shell_tol,
+                residual_tol=tols.residual_tol,
+                ground_state_bound=config.ground_state_upper_bound,
+                grid_cap=config.grid_cap,
+            )
+        finally:
+            for caught_warning in caught:
+                print(f"warning: {caught_warning.message}", file=sys.stderr)
     paths = write_convergence_outputs(config.output_dir, trace, config.output_format)
     print(f"{'trajectory':>10}  {'level':>5}  {'value':>12}  {'mult':>5}  {'drift':>10}")
     for row in _trajectory_preview(trace):
         print(row)
-    for message in trace.warnings:
-        print(f"warning: {message}", file=sys.stderr)
     for path in paths:
         print(f"wrote {path}")
     return 0

@@ -205,6 +205,8 @@ def load_config(path) -> RunConfig:
     out_data = _typed("output", data.get("output", {}), dict)
     _known_keys(out_data, ("dir", "format"), "output")
     output_dir = _typed("output.dir", out_data.get("dir", "out"), str)
+    if not output_dir:
+        raise ValidationError("output.dir", "the output directory must not be empty")
     output_format = _typed("output.format", out_data.get("format", "csv"), str).lower()
     if output_format not in ("csv", "json"):
         raise ValidationError("output.format", f"{output_format!r} not one of csv, json")

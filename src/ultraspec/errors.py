@@ -21,10 +21,6 @@ class GridTooLarge(UltraspecError):
     """q**(2n) exceeds the configured grid cap."""
 
 
-class HermiticityDefect(UltraspecError):
-    """The closed-form kinetic kernel disagrees with the exact-phase Fourier kernel."""
-
-
 class NoConvergence(UltraspecError):
     """The eigensolver did not converge."""
 

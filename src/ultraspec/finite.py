@@ -24,9 +24,13 @@ The kinetic operator F* diag(|xi|**alpha) F is a convolution by a radial
 kernel, so its entry (i, j) depends only on s, the first digit position
 where x_i and x_j differ: the grid is a q-ary tree of depth 2n and the
 operator takes 2n + 1 values kappa_s.  Assembly computes them in closed
-form from rank-zero character sums and checks them against the exact-phase
-Fourier kernel; the Hamiltonian is held as those values plus the potential
-diagonal and applied by block sums over the tree, never as a dense matrix.
+form from rank-zero character sums, and the Hamiltonian is shell data:
+those values and the 2n + 1 shell values of the symbol and the potential,
+applied by block sums over the tree, never as a dense matrix.  No solve
+builds digits, phases or a Fourier transform: ``verify`` (at every grid
+size) and the dense test oracles check kappa against F* diag(|xi|**alpha) F.
+The residual gate sees a kappa error only above its threshold: a 1e-6
+shift of kappa_1 at n = 1 and 2, not from n = 3 up; a NaN kappa fails eigh.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import GridTooLarge, HermiticityDefect, NonConfiningPotentialWarning
+from .errors import GridTooLarge, NonConfiningPotentialWarning
 from .fields import Field, FieldElement, beta_monomial_phase, elem_from_pairs
 
 __all__ = [
@@ -61,6 +65,7 @@ __all__ = [
     "project_smooth",
     "zero_cell_average",
     "potential_shell_value",
+    "shell_values",
     "position_diagonal",
     "assemble_hamiltonian",
 ]
@@ -104,9 +109,9 @@ class Grid:
     is [q**(n+k-1), q**(n+k)), and the zero cell (``ZERO_SHELL``) is [0, 1).
     The points with |x| <= q**k are the prefix [0, ``ball_size(k)``), so a
     level-n function lifts to level m by repeating each value q**(m-n)
-    times over the first q**(m+n) indices.  The per-point ``shells`` labels
-    and the exact ``points`` are built on first read; the solver reads only
-    the runs.
+    times over the first q**(m+n) indices.  The ``digits`` matrix, the
+    per-point ``shells`` labels and the exact ``points`` are built on first
+    read; the solver reads only the runs.
     """
 
     def __init__(self, field: Field, n: int):
@@ -115,15 +120,7 @@ class Grid:
         q = field.q
         self.size = q ** (2 * n)
         self.mass = float(q) ** (-n)
-
-        width = 2 * n
-        # lexicographic enumeration == big-endian base-q counting
-        idx = np.arange(self.size)
-        digits = np.empty((self.size, width), dtype=np.int16)
-        for pos in range(width):
-            digits[:, pos] = (idx // q ** (width - 1 - pos)) % q
-        self.digits = digits
-        self._weights = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        self._weights = q ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
         self.zero_index = 0  # all-zero tuple is lexicographically first
         self.shell_sizes = {k: len(self.shell_run(k)) for k in self.shell_labels()}
 
@@ -131,6 +128,17 @@ class Grid:
 
     def __len__(self) -> int:
         return self.size
+
+    @cached_property
+    def digits(self) -> np.ndarray:
+        """The (N, 2n) int16 digit rows in index order; built on first read."""
+        q, width = self.field.q, 2 * self.n
+        # lexicographic enumeration == big-endian base-q counting
+        idx = np.arange(self.size)
+        digits = np.empty((self.size, width), dtype=np.int16)
+        for pos in range(width):
+            digits[:, pos] = (idx // q ** (width - 1 - pos)) % q
+        return digits
 
     def point(self, i: int) -> FieldElement:
         """Point i as an exact field element, built from digit row i."""
@@ -146,7 +154,11 @@ class Grid:
     @cached_property
     def shells(self) -> np.ndarray:
         """The shell label of every point, in index order; built on first read from the runs."""
-        return np.repeat(list(self.shell_sizes), list(self.shell_sizes.values()))
+        return self.spread_shells(list(self.shell_sizes))
+
+    def spread_shells(self, values) -> np.ndarray:
+        """One value per shell, in index order, repeated over the shell runs."""
+        return np.repeat(values, list(self.shell_sizes.values()))
 
     def shell_labels(self) -> list:
         """Shell labels in ascending order, which is index order (ZERO_SHELL first)."""
@@ -517,37 +529,38 @@ def zero_cell_average(field: Field, n: int, potential) -> float:
     return q**n * total
 
 
-def position_diagonal(grid: Grid, potential, convention=ZeroCellConvention.AVERAGE_OF_POWER):
-    """Diagonal of the compressed multiplication operator on the grid.
+def shell_values(grid: Grid, potential, convention=ZeroCellConvention.AVERAGE_OF_POWER):
+    """The 2n + 1 shell values of the compressed multiplication operator, in index order.
 
     ``potential`` is either a RadialPotential or a bare exponent alpha for
-    |x|**alpha.  Away from the zero cell the entry is the plain shell value;
-    the zero cell follows ``convention`` (potentials average unless
-    SAMPLE_AT_ZERO is selected explicitly).
+    |x|**alpha.  The zero cell comes first and follows ``convention``
+    (potentials average unless SAMPLE_AT_ZERO is selected explicitly);
+    every other shell takes its plain shell value.
     """
     field, n = grid.field, grid.n
     convention = ZeroCellConvention(convention)
-    out = np.empty(grid.size, dtype=np.float64)
-    for k in grid.shell_labels()[1:]:  # the zero cell, first, is set below
-        run = grid.shell_run(k)
-        if isinstance(potential, (int, float)):
-            out[run.start : run.stop] = float(field.q) ** (k * float(potential))
-        else:
-            out[run.start : run.stop] = potential_shell_value(field, potential, k)
+    labels = grid.shell_labels()[1:]  # the zero cell, first, is set below
     if isinstance(potential, (int, float)):
         alpha = float(potential)
+        values = [float(field.q) ** (k * alpha) for k in labels]
         if convention is ZeroCellConvention.AVERAGE_OF_POWER:
             zero_value = zero_cell_average(field, n, alpha)
         elif convention is ZeroCellConvention.POWER_OF_AVERAGE:
             zero_value = zero_cell_average(field, n, 1.0) ** alpha
         else:
             zero_value = 0.0  # |0|**alpha
-    elif convention is ZeroCellConvention.SAMPLE_AT_ZERO:
-        zero_value = potential.w0 if isinstance(potential, TablePotential) else 0.0
     else:
-        zero_value = zero_cell_average(field, n, potential)
-    out[grid.zero_index] = zero_value
-    return out
+        values = [potential_shell_value(field, potential, k) for k in labels]
+        if convention is ZeroCellConvention.SAMPLE_AT_ZERO:
+            zero_value = potential.w0 if isinstance(potential, TablePotential) else 0.0
+        else:
+            zero_value = zero_cell_average(field, n, potential)
+    return np.array([zero_value] + values, dtype=np.float64)
+
+
+def position_diagonal(grid: Grid, potential, convention=ZeroCellConvention.AVERAGE_OF_POWER):
+    """Diagonal of the compressed multiplication operator on the grid: ``shell_values`` spread."""
+    return grid.spread_shells(shell_values(grid, potential, convention))
 
 
 # ---------------------------------------------------------------------------
@@ -557,15 +570,17 @@ def position_diagonal(grid: Grid, potential, convention=ZeroCellConvention.AVERA
 
 @dataclass(eq=False)
 class HamiltonianModel:
-    """H_n = a * F* diag(|xi|**alpha) F + diag(v), with its provenance.
+    """H_n = a * F* diag(|xi|**alpha) F + diag(v) as shell data, with its provenance.
 
     ``kernel[s]`` is the entry of a * F* diag(|xi|**alpha) F between two
     points whose digits first differ at position s (s = 2n on the diagonal).
-    With ``potential_diagonal`` it is the whole operator: ``apply`` computes
-    H v from them and ``max_abs`` the largest entry, and no dense matrix is
-    built.  ``presym_defect`` is the largest deviation of the closed-form
-    kernel from 2n + 1 rows of the exact-phase Fourier kernel, relative to
-    max(1, max|kernel|); 0.0 when a = 0.
+    ``kinetic_shells`` and ``potential_shells`` are the 2n + 1 values of
+    |xi|**alpha and of v per shell, in index order with the zero cell
+    first (``shell_values``).  Together they are the whole operator:
+    ``apply`` computes H v from them and ``max_abs`` the largest entry, and
+    no dense matrix is built.  The N-length ``kinetic_diagonal`` and
+    ``potential_diagonal`` are those values spread over the shell runs,
+    built on first read.
     """
 
     grid: Grid
@@ -573,14 +588,21 @@ class HamiltonianModel:
     kinetic_coeff: float
     potential: RadialPotential
     convention: ZeroCellConvention
-    kinetic_diagonal: np.ndarray
-    potential_diagonal: np.ndarray
+    kinetic_shells: np.ndarray
+    potential_shells: np.ndarray
     kernel: np.ndarray
-    presym_defect: float
 
     @property
     def size(self) -> int:
         return self.grid.size
+
+    @cached_property
+    def kinetic_diagonal(self) -> np.ndarray:
+        return self.grid.spread_shells(self.kinetic_shells)
+
+    @cached_property
+    def potential_diagonal(self) -> np.ndarray:
+        return self.grid.spread_shells(self.potential_shells)
 
     def apply(self, v) -> np.ndarray:
         """H v for an (N,) or (N, k) array v, by block sums over the digit tree.
@@ -608,15 +630,15 @@ class HamiltonianModel:
         return out.reshape(v.shape)
 
     def max_abs(self) -> float:
-        """Largest |entry| of H, O(N): kernel[s < 2n] off the diagonal, kernel[2n] + pot on it."""
+        """Largest |entry| of H, O(n): kernel[s < 2n] off the diagonal, kernel[2n] + pot on it."""
         return max(
             float(np.abs(self.kernel[:-1]).max()),
-            float(np.abs(self.kernel[-1] + self.potential_diagonal).max()),
+            float(np.abs(self.kernel[-1] + self.potential_shells).max()),
         )
 
 
 def _tree_kernel(grid: Grid, kin: np.ndarray) -> np.ndarray:
-    """kappa_s of F* diag(kin) F in closed form, s = 0, ..., 2n.
+    """kappa_s of F* diag(kin) F in closed form, s = 0, ..., 2n, from the shell values kin.
 
     kappa(x) = q**(-2n) sum_xi kin(xi) chi(x xi), and the character sum
     over B_j / B_{-n} is q**(j+n) when |x| q**j <= 1 and 0 otherwise.  For
@@ -624,9 +646,8 @@ def _tree_kernel(grid: Grid, kin: np.ndarray) -> np.ndarray:
     shell at depth 2n - s - 1 contributes -q**s times its value.
     """
     q, width = grid.field.q, 2 * grid.n
-    runs = grid.depth_runs()
-    values = kin[[run.start for run in runs]]  # by depth: shell n - d, zero cell last
-    sizes = np.array([len(run) for run in runs], dtype=np.float64)
+    values = kin[::-1]  # by depth: shell n - d, zero cell last
+    sizes = np.array([len(run) for run in grid.depth_runs()], dtype=np.float64)
     tail = np.cumsum((sizes * values)[::-1])[::-1]  # tail[d] = sum over depths >= d
     kappa = np.empty(width + 1)
     for s in range(width + 1):
@@ -636,58 +657,41 @@ def _tree_kernel(grid: Grid, kin: np.ndarray) -> np.ndarray:
     return kappa * float(q) ** (-width)
 
 
-def _exact_kernel(grid: Grid, kin: np.ndarray) -> np.ndarray:
-    """kappa_s from the exact-phase inverse transform of kin, kept complex."""
-    scale = float(grid.field.q) ** (-grid.n)
-    starts = [run.start for run in grid.depth_runs()]
-    return scale * fourier_apply(grid, kin, inverse=True)[starts]
-
-
 def assemble_hamiltonian(
     grid: Grid,
     alpha: float,
     a: float,
     potential: RadialPotential,
     convention=ZeroCellConvention.AVERAGE_OF_POWER,
-    hermiticity_tol: float = 1e-10,
 ) -> HamiltonianModel:
-    """Assemble the finite Hamiltonian from the closed-form kinetic kernel.
+    """Assemble the finite Hamiltonian as shell data, in O(n) time and memory.
 
-    The kernel is checked against the exact-phase Fourier kernel; a
-    relative deviation above ``hermiticity_tol``, or a NaN one, raises
-    HermiticityDefect.
+    The 2n + 1 shell values of the symbol and of the potential come from
+    ``shell_values`` and the kernel from its closed form; no digit, phase
+    or Fourier transform is computed.  ``verify`` checks the kernel against
+    the exact-phase Fourier operator (``hamiltonian_hermiticity``); the
+    solver's residual gate alone misses a small kernel error at n >= 3.
     """
     if alpha <= 0:
         raise ValueError(f"alpha = {alpha} must be > 0")
     if a < 0:
         raise ValueError(f"kinetic coefficient a = {a} must be >= 0")
     convention = ZeroCellConvention(convention)
-    kin = position_diagonal(grid, float(alpha), convention)
+    kin = shell_values(grid, float(alpha), convention)
     pot_convention = (
         ZeroCellConvention.SAMPLE_AT_ZERO
         if convention is ZeroCellConvention.SAMPLE_AT_ZERO
         else ZeroCellConvention.AVERAGE_OF_POWER
     )
-    pot = position_diagonal(grid, potential, pot_convention)
-    if a == 0:
-        kernel = np.zeros(2 * grid.n + 1)
-        defect = 0.0
-    else:
-        kernel = a * _tree_kernel(grid, kin)
-        exact = a * _exact_kernel(grid, kin)
-        defect = float(np.abs(exact - kernel).max()) / max(1.0, float(np.abs(exact).max()))
-        if not defect <= hermiticity_tol:  # a NaN defect fails too
-            raise HermiticityDefect(
-                f"kinetic kernel defect {defect:.3e} exceeds {hermiticity_tol:.1e}"
-            )
+    pot = shell_values(grid, potential, pot_convention)
+    kernel = np.zeros(2 * grid.n + 1) if a == 0 else a * _tree_kernel(grid, kin)
     return HamiltonianModel(
         grid=grid,
         alpha=float(alpha),
         kinetic_coeff=float(a),
         potential=potential,
         convention=convention,
-        kinetic_diagonal=kin,
-        potential_diagonal=pot,
+        kinetic_shells=kin,
+        potential_shells=pot,
         kernel=kernel,
-        presym_defect=defect,
     )

@@ -468,22 +468,19 @@ def _tree_eigensystem(model: HamiltonianModel):
     q, n, size = grid.field.q, grid.n, grid.size
     width = 2 * n
     c = model.kernel
-    pot = model.potential_diagonal
     families = []
     if model.kinetic_coeff == 0:
-        for k in grid.shell_labels():
+        for k, value in zip(grid.shell_labels(), model.potential_shells):
             run = grid.shell_run(k)
             template = np.eye(q)[:, run.start % q :][:, : len(run)]
-            value, first, zeros = pot[run.start], run.start // q, np.zeros(template.shape[1])
+            first, zeros = run.start // q, np.zeros(template.shape[1])
             families.append(WaveletFamily(width - 1, k, value, len(run), first, template, zeros))
         radial_values, radial_columns = np.empty(0), np.empty((size, 0))
     else:
-        runs = grid.depth_runs()
-        starts = [run.start for run in runs]
-        v = pot[starts]
-        # the symbol a |xi|**alpha on shell d + 1 - n, the depth run 2n - 1 - d; 0 at zero
-        symbol = np.append(model.kinetic_coeff * model.kinetic_diagonal[starts[-2::-1]], 0.0)
-        sizes = [len(run) for run in runs]
+        v = model.potential_shells[::-1]  # by depth: shell n - d, zero cell last
+        # the symbol a |xi|**alpha on shell d + 1 - n, index-order shell d + 1; 0 at zero
+        symbol = np.append(model.kinetic_coeff * model.kinetic_shells[1:], 0.0)
+        sizes = [len(run) for run in grid.depth_runs()]
         m = np.array(sizes, dtype=np.float64)
 
         depths = np.arange(width + 1)

@@ -188,14 +188,9 @@ def run_verify(config: RunConfig) -> VerifyOutcome:
     record("negation_round_trip", neg_failures, 0.0)
 
     # --- Hamiltonian ---------------------------------------------------------
-    # the suite records a finite kernel defect instead of raising it (NaN still raises)
+    # the closed-form kernel against the exact-phase Fourier operator
     model = assemble_hamiltonian(
-        grid,
-        config.alpha,
-        config.kinetic_coeff,
-        config.potential,
-        config.convention,
-        hermiticity_tol=float("inf"),
+        grid, config.alpha, config.kinetic_coeff, config.potential, config.convention
     )
     kin, pot = model.kinetic_diagonal, model.potential_diagonal
     kinetic = model.kinetic_coeff * fourier_apply(grid, kin[:, None] * once, inverse=True)

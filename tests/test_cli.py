@@ -298,6 +298,7 @@ def test_verify_reaches_past_the_dense_cap(tmp_path):
     assert outcome.passed, [c.name for c in outcome.checks if not c.passed]
 
 
+@pytest.mark.parametrize("perturbed_kernel", [1e-6, np.nan], indirect=True)
 def test_verify_compares_kernel_with_fourier_operator(tmp_path, perturbed_kernel, capsys):
     code = main(["verify", "--config", str(REPO_CONFIG), "--out", str(tmp_path)])
     assert code == 2
@@ -407,6 +408,7 @@ def test_config_error_exits_one(tmp_path, capsys):
         ("ground_state_upper_bound", {"ground_state_upper_bound": "0.7"}),
         ("output.dir", {"output": {"dir": None}}),
         ("output.dir", {"output": {"dir": 7}}),
+        ("output.dir", {"output": {"dir": ""}}),
         ("output.format", {"output": {"format": 1}}),
     ],
     ids=[
@@ -421,6 +423,7 @@ def test_config_error_exits_one(tmp_path, capsys):
         "bound",
         "dir-null",
         "dir-int",
+        "dir-empty",
         "format-int",
     ],
 )
@@ -431,6 +434,15 @@ def test_wrongly_typed_value_exits_one(tmp_path, monkeypatch, capsys, key, patch
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and f"'{key}'" in err[0]
     assert list(tmp_path.iterdir()) == [config]  # no output directory, not even ./None
+
+
+def test_empty_out_flag_exits_one(tmp_path, monkeypatch, capsys):
+    config = write_config(tmp_path, CANONICAL)
+    monkeypatch.chdir(tmp_path)
+    assert main(["spectrum", "--config", str(config), "--out", ""]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--out" in err[0]
+    assert list(tmp_path.iterdir()) == [config]  # nothing in ./ or in the config's out/
 
 
 @pytest.mark.parametrize(
@@ -482,6 +494,18 @@ def test_converge_prints_each_warning_once(tmp_path):
         assert line.endswith(f" at level {level} outside (0, 0.100000)")
 
 
+def test_converge_prints_the_warnings_of_levels_solved_before_a_failure(tmp_path):
+    # level 1 solves with its ground state 4.67 past the bound; level 2 overflows
+    data = dict(json.loads(REPO_CONFIG.read_text()), alpha=300, levels=[1, 2])
+    del data["n"]
+    config = write_config(tmp_path, data)
+    result = run_cli(tmp_path, "converge", "--config", str(config), "--out", "conv")
+    assert result.returncode == 3
+    warning, failure = result.stderr.splitlines()
+    assert warning == "warning: ground state 4.666667 at level 1 outside (0, 0.692308)"
+    assert failure.startswith("numerical failure: residual inf")
+
+
 @pytest.mark.parametrize(
     "patch",
     [{"alpha": 300}, {"potential": {"kind": "monomial", "c": 0.5, "s": 300}}],
@@ -505,3 +529,32 @@ def test_numerical_failure_exits_three(tmp_path, monkeypatch, capsys):
     code = main(["spectrum", "--config", str(REPO_CONFIG), "--out", str(tmp_path)])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the solve path
+# ---------------------------------------------------------------------------
+
+
+def test_solve_path_builds_no_exact_phase(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve path reached the exact-phase machinery")
+
+    monkeypatch.setattr(ultraspec.finite, "_PhaseTable", refuse)
+    monkeypatch.setattr(ultraspec.finite, "fourier_apply", refuse)
+    monkeypatch.setattr(ultraspec.finite.Grid, "digits", property(refuse))
+    for path in (REPO_CONFIG, LAURENT_CONFIG):
+        config = load_config(path)
+        for n in (2, 3):
+            grid = ultraspec.build_grid(config.field, n)
+            model = ultraspec.assemble_hamiltonian(
+                grid, config.alpha, config.kinetic_coeff, config.potential, config.convention
+            )
+            report = ultraspec.eigensolve(model)
+            assert report.summary_rows() and len(report.classifications) == grid.size
+        data = dict(json.loads(path.read_text()), levels=[1, 2, 3])
+        del data["n"]
+        config = write_config(tmp_path, data, name=f"{path.stem}_levels.cfg")
+        out = tmp_path / path.stem
+        assert main(["converge", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "trajectories.csv").exists()

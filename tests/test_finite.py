@@ -10,25 +10,32 @@ from ultraspec import (
     HamiltonianModel,
     LaurentField,
     MonomialPotential,
+    NoConvergence,
     NonConfiningPotentialWarning,
+    ResidualTooLarge,
     TablePotential,
     ZERO_SHELL,
     ZeroCellConvention,
     assemble_hamiltonian,
     build_grid,
     character,
+    eigensolve,
     elem_mul,
     elem_neg,
     fourier_apply,
     fourier_matrix,
     fourier_unitarity_defect,
+    load_config,
     make_field,
     position_diagonal,
     project_cutoff,
     project_smooth,
+    run_verify,
     zero_cell_average,
 )
 import ultraspec.finite as finite
+
+REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "q3sqrt3_ho.cfg"
 
 
 def rand_fn(rng, size):
@@ -476,7 +483,8 @@ def test_assembled_matrix_is_hermitian(canonical_model):
     m = canonical_model.apply(np.eye(canonical_model.size))
     scale = max(1.0, np.abs(m).max())
     assert np.abs(m - m.conj().T).max() / scale < 1e-12
-    assert canonical_model.presym_defect < 1e-12
+    rows = {check.name: check for check in run_verify(load_config(REPO_CONFIG)).checks}
+    assert rows["hamiltonian_hermiticity"].defect < 1e-12
     assert isinstance(canonical_model, HamiltonianModel)
     assert (canonical_model.potential_diagonal >= 0).all()
 
@@ -531,28 +539,35 @@ def test_assembly_memory_is_linear_in_grid_size(q3sqrt3, ho_potential):
         tracemalloc.stop()
     assert peak < 8 * grid.size**2 / 10
 
+    # shell data only: no digit matrix, phase table or Fourier transform
+    tracemalloc.start()
+    try:
+        assemble_hamiltonian(build_grid(q3sqrt3, 6), alpha=2.0, a=0.5, potential=ho_potential)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
 
 def test_hermiticity_defect_raises(grid_n1, ho_potential, perturbed_kernel, tmp_path, capsys):
-    from ultraspec import HermiticityDefect
+    # a kernel off the Fourier operator by 1e-6 fails the residual gate at n = 1 and 2
     from ultraspec.cli import main
 
-    with pytest.raises(HermiticityDefect):
-        assemble_hamiltonian(grid_n1, 2.0, 0.5, ho_potential)
-    config = Path(__file__).resolve().parents[1] / "configs" / "q3sqrt3_ho.cfg"
-    assert main(["spectrum", "--config", str(config), "--out", str(tmp_path)]) == 3
-    assert "kinetic kernel defect" in capsys.readouterr().err
+    with pytest.raises(ResidualTooLarge):
+        eigensolve(assemble_hamiltonian(grid_n1, 2.0, 0.5, ho_potential))
+    assert main(["spectrum", "--config", str(REPO_CONFIG), "--out", str(tmp_path)]) == 3
+    assert "residual" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("perturbed_kernel", [np.nan], indirect=True)
-def test_nan_kernel_raises_hermiticity_defect(
+def test_nan_kernel_raises_no_convergence(
     grid_n1, ho_potential, perturbed_kernel, tmp_path, capsys
 ):
-    from ultraspec import HermiticityDefect
     from ultraspec.cli import main
 
-    with pytest.raises(HermiticityDefect, match="defect nan"):
-        assemble_hamiltonian(grid_n1, 2.0, 0.5, ho_potential)
-    config = Path(__file__).resolve().parents[1] / "configs" / "q3sqrt3_ho.cfg"
-    assert main(["spectrum", "--config", str(config), "--out", str(tmp_path)]) == 3
-    assert "kinetic kernel defect nan" in capsys.readouterr().err
+    with pytest.raises(NoConvergence):
+        eigensolve(assemble_hamiltonian(grid_n1, 2.0, 0.5, ho_potential))
+    assert main(["spectrum", "--config", str(REPO_CONFIG), "--out", str(tmp_path)]) == 3
+    assert "numerical failure: eigensolver failed" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
