@@ -105,26 +105,19 @@ def cmd_verify(config: RunConfig) -> int:
 
 def cmd_converge(config: RunConfig) -> int:
     tols = config.tolerances
-    # each warning is printed once, also those of the levels solved before a failure
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.filterwarnings("always", "ground state ", UserWarning)
-        try:
-            trace = convergence_report(
-                config.field,
-                config.alpha,
-                config.kinetic_coeff,
-                config.potential,
-                config.require_levels(),
-                convention=config.convention,
-                cluster_tol=tols.cluster_tol,
-                shell_tol=tols.shell_tol,
-                residual_tol=tols.residual_tol,
-                ground_state_bound=config.ground_state_upper_bound,
-                grid_cap=config.grid_cap,
-            )
-        finally:
-            for caught_warning in caught:
-                print(f"warning: {caught_warning.message}", file=sys.stderr)
+    trace = convergence_report(
+        config.field,
+        config.alpha,
+        config.kinetic_coeff,
+        config.potential,
+        config.require_levels(),
+        convention=config.convention,
+        cluster_tol=tols.cluster_tol,
+        shell_tol=tols.shell_tol,
+        residual_tol=tols.residual_tol,
+        ground_state_bound=config.ground_state_upper_bound,
+        grid_cap=config.grid_cap,
+    )
     paths = write_convergence_outputs(config.output_dir, trace, config.output_format)
     print(f"{'trajectory':>10}  {'level':>5}  {'value':>12}  {'mult':>5}  {'drift':>10}")
     for row in _trajectory_preview(trace):
@@ -151,18 +144,23 @@ def _trajectory_preview(trace, limit: int = 12):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        config = _apply_overrides(load_config(args.config), args)
-        return args.handler(config)
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, UnicodeDecodeError) as exc:  # unreadable config, unwritable output
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # each warning of loading and running is printed once, as one line, before any failure
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.filterwarnings("always", "ground state ", UserWarning)
+        try:
+            config = _apply_overrides(load_config(args.config), args)
+            return args.handler(config)
+        except USAGE_ERRORS as exc:
+            failure, code = f"error: {exc}", 1
+        except NUMERICAL_ERRORS as exc:
+            failure, code = f"numerical failure: {exc}", 3
+        except (OSError, UnicodeDecodeError) as exc:  # unreadable config, unwritable output
+            failure, code = f"error: {exc}", 1
+        finally:
+            for caught_warning in caught:
+                print(f"warning: {caught_warning.message}", file=sys.stderr)
+    print(failure, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

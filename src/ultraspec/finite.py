@@ -26,11 +26,13 @@ where x_i and x_j differ: the grid is a q-ary tree of depth 2n and the
 operator takes 2n + 1 values kappa_s.  Assembly computes them in closed
 form from rank-zero character sums, and the Hamiltonian is shell data:
 those values and the 2n + 1 shell values of the symbol and the potential,
-applied by block sums over the tree, never as a dense matrix.  No solve
-builds digits, phases or a Fourier transform: ``verify`` (at every grid
-size) and the dense test oracles check kappa against F* diag(|xi|**alpha) F.
-The residual gate sees a kappa error only above its threshold: a 1e-6
-shift of kappa_1 at n = 1 and 2, not from n = 3 up; a NaN kappa fails eigh.
+applied by block sums over the tree, or over one node's subtree, never as
+a dense matrix.  No solve builds digits, phases or a Fourier transform:
+``verify`` (at every grid size) and the dense test oracles check kappa
+against F* diag(|xi|**alpha) F.  The residual gate, which applies each
+eigenvector unit on its own node, sees a kappa error only above its
+threshold: a 1e-6 shift of kappa_1 at n = 1 and 2, not from n = 3 up; a
+NaN kappa fails eigh.
 """
 
 from __future__ import annotations
@@ -447,7 +449,7 @@ class MonomialPotential:
             warnings.warn(
                 "zero monomial potential is not confining",
                 NonConfiningPotentialWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
 
@@ -476,7 +478,7 @@ class TablePotential:
             warnings.warn(
                 "table potential peaks before its largest radius; not confining",
                 NonConfiningPotentialWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -604,28 +606,33 @@ class HamiltonianModel:
     def potential_diagonal(self) -> np.ndarray:
         return self.grid.spread_shells(self.potential_shells)
 
-    def apply(self, v) -> np.ndarray:
-        """H v for an (N,) or (N, k) array v, by block sums over the digit tree.
+    def apply(self, v, depth: int = 0, node: int = 0) -> np.ndarray:
+        """H v on tree node ``node`` at ``depth`` < 2n (the whole grid by default), by block sums.
 
-        Points sharing their first s digits form contiguous blocks of
-        q**(2n - s) indices.  With B_s v the sum of v over each point's
-        block, H v = sum_s (kappa_s - kappa_{s-1}) B_s v + pot * v, where
-        kappa_{-1} = 0 and B_2n v = v.  The block sums are taken up the tree
-        and their terms accumulated down it, O(N) per vector.
+        v is (M,) or (M, k) on the node's M = q**(2n - depth) points, rows
+        [node M, (node + 1) M).  Points sharing their first s digits form
+        contiguous blocks of q**(2n - s) indices.  With B_s v the sum of v
+        over each point's block, H v = sum_{s >= depth} (kappa_s -
+        kappa_{s-1}) B_s v + pot * v on the node, kappa_{depth-1} = 0 and
+        B_2n v = v: sums go up the subtree, terms down it, O(M) per vector.
+        Off the node, where a point's digits first differ from the node's at
+        s < depth, H v is kappa_s times the sum of v.
         """
         v = np.asarray(v)
-        q, width = self.grid.field.q, 2 * self.grid.n
-        cols = v.reshape(self.size, -1)
+        q, width = self.grid.field.q, 2 * self.grid.n - depth
+        size = q**width
+        cols = v.reshape(size, -1)
         k = cols.shape[1]
-        steps = np.diff(self.kernel, prepend=0.0)
+        steps = np.diff(self.kernel[depth:], prepend=0.0)
         sums = [cols]  # sums[t] has one row per block of the first 2n - t digits
         for _ in range(width):
             sums.append(sums[-1].reshape(len(sums[-1]) // q, q, k).sum(axis=1))
         terms = steps[0] * sums[width]
         for s in range(1, width):
             terms = np.repeat(terms, q, axis=0) + steps[s] * sums[width - s]
-        out = (self.potential_diagonal + steps[width])[:, None] * cols
-        leaves = out.reshape(self.size // q, q, k)  # splits the leading axis only: a view of out
+        pot = self.potential_diagonal[node * size : (node + 1) * size]
+        out = (pot + steps[width])[:, None] * cols
+        leaves = out.reshape(size // q, q, k)  # splits the leading axis only: a view of out
         leaves += terms[:, None, :]
         return out.reshape(v.shape)
 

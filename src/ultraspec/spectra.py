@@ -18,9 +18,11 @@ and a q-point template, and the 2n + 1 radial eigenvectors lifted to the
 grid as the columns no family covers; at a = 0 the families are the point
 basis and no column is held.  The residual check, clustering, shell
 adaptation and classification all run on it, in O(N n) memory, for every
-model.  A cluster is a run of consecutive sorted columns, and its block of
-eigenvectors is built from the families and held columns on its own; the
-dense N x N matrix only when a caller reads it.  A report built from a
+model; the check applies each radial column and each family's first-node
+wavelets on their own tree node, plus the off-node term.  A cluster is a
+run of consecutive sorted columns, and its block of eigenvectors is built
+from the families and held columns on its own; the dense N x N matrix only
+when a caller reads it.  A report built from a
 dense matrix of eigenvectors is the same store with no families.
 
 On top of that, eigenvalues are grouped into multiplicity clusters,
@@ -316,12 +318,6 @@ class WaveletFamily:
     off_support: np.ndarray  # (wavelets per node,)
     start: int = 0  # set once the spectrum is sorted
 
-    def node_wavelets(self, grid: Grid):
-        """(node size, the family's wavelets on one node as a (node size, k) block)."""
-        q = grid.field.q
-        node = q ** (2 * grid.n - self.depth)
-        return node, np.repeat(self.template, node // q, axis=0)
-
 
 def _held_positions(size: int, families) -> np.ndarray:
     """The sorted columns that no family covers, ascending."""
@@ -340,7 +336,7 @@ class SpectrumReport:
     ``held_columns`` at ``held_positions``; another shape raises
     ValueError.  ``eigensolve`` holds the radial eigenvectors so, and a
     report of dense eigenvectors and no families holds every column.
-    ``columns(span)`` builds a run of whole families, such as a cluster's
+    ``columns(span)`` builds any run of sorted columns, such as a cluster's
     ``indices``.  ``eigenvectors``, the dense N x N matrix of orthonormal,
     phase-fixed columns in spectrum order, is ``columns(range(N))``, built
     the first time it is read and then kept.  So are ``classifications``,
@@ -382,19 +378,20 @@ class SpectrumReport:
         return self.columns(range(self.grid.size))
 
     def columns(self, span: range) -> np.ndarray:
-        """The sorted columns ``span``, a run of whole families such as a cluster's, column-major."""
+        """The sorted columns ``span``, any run of them, column-major; a cut family in part."""
         lo, hi = span.start, span.stop
-        vectors = np.empty((self.grid.size, len(span)), self.held_columns.dtype, order="F")
+        q, size = self.grid.field.q, self.grid.size
+        vectors = np.empty((size, len(span)), self.held_columns.dtype, order="F")
         for f in self.families:
-            if not lo <= f.start < hi:
+            first, last = max(lo, f.start), min(hi, f.start + f.multiplicity)
+            if first >= last:
                 continue
-            node, block = f.node_wavelets(self.grid)
-            per_node = block.shape[1]
-            cols = f.start - lo + np.arange(f.multiplicity).reshape(-1, per_node)
-            vectors[:, cols] = f.off_support
-            nodes = f.first_node + np.arange(f.multiplicity // per_node)
-            rows = nodes[:, None] * node + np.arange(node)
-            vectors[rows[:, :, None], cols[:, None, :]] = block
+            node = size // q**f.depth
+            block = np.repeat(f.template, node // q, axis=0)  # the wavelets on one node
+            nodes, wavelets = np.divmod(np.arange(first, last) - f.start, block.shape[1])
+            vectors[:, first - lo : last - lo] = f.off_support[wavelets]
+            rows = (f.first_node + nodes) * node + np.arange(node)[:, None]
+            vectors[rows, np.arange(first - lo, last - lo)] = block[:, wavelets]
         first, last = np.searchsorted(self.held_positions, [lo, hi])
         vectors[:, self.held_positions[first:last] - lo] = self.held_columns[:, first:last]
         return vectors
@@ -519,7 +516,7 @@ def _tree_eigensystem(model: HamiltonianModel):
                 )
         # index order runs through the depths backwards, each shell one run
         by_depth = radial_vectors / np.sqrt(m)[:, None]
-        radial_columns = _fix_phases(np.repeat(by_depth[::-1], sizes[::-1], axis=0))
+        radial_columns = np.repeat(_fix_phases(by_depth[::-1]), sizes[::-1], axis=0)
 
     values = np.concatenate([[f.value for f in families], radial_values])
     counts = np.array([f.multiplicity for f in families] + [1] * len(radial_values))
@@ -534,33 +531,29 @@ def _tree_eigensystem(model: HamiltonianModel):
 
 @np.errstate(over="ignore")
 def _tree_residuals(model: HamiltonianModel, eigenvalues, columns, positions, families):
-    """||Hv - lambda v|| for every sorted column, H applied by ``model.apply``.
+    """||Hv - lambda v|| for every sorted column, each unit applied on its own tree node.
 
-    Each held column (at ``positions``) is applied; a wavelet family gets
-    the largest residual of the wavelets on its first node, which stand for
-    the rest.  The families go 2n + 1 to an ``apply`` call, so no call
-    holds more than q times 2n + 1 columns.  NaN stays NaN, overflow is inf.
+    A unit is a block of vectors on one node: each held column (at
+    ``positions``) on the whole grid, node 0 at depth 0, and each family's
+    wavelets on its first node, which stand for the rest.  On the node H v
+    is ``model.apply(block, depth, node)``; off it, at the (q - 1)
+    q**(2n-1-s) points whose digits first differ from the node's at
+    s < depth, it is kappa_s times the block's column sums, so a template
+    that is not zero-sum fails here too.  A unit's columns get the largest
+    residual of its block.  NaN stays NaN, overflow is inf.
     """
+    q, n = model.grid.field.q, model.grid.n
+    units = [(0, 0, columns[:, j : j + 1], eigenvalues[i], i, 1) for j, i in enumerate(positions)]
+    for f in families:
+        units.append((f.depth, f.first_node, f.template, f.value, f.start, f.multiplicity))
     residuals = np.empty(model.size)
-    hv = model.apply(columns)
-    hv -= columns * eigenvalues[positions]
-    residuals[positions] = np.linalg.norm(hv, axis=0)
-    batch = 2 * model.grid.n + 1
-    for lo in range(0, len(families), batch):
-        group = families[lo : lo + batch]
-        blocks = [f.node_wavelets(model.grid) for f in group]
-        widths = [block.shape[1] for _, block in blocks]
-        reps = np.zeros((model.size, sum(widths)))
-        col = 0
-        for f, (node, block) in zip(group, blocks):
-            rows = slice(f.first_node * node, (f.first_node + 1) * node)
-            reps[rows, col : col + block.shape[1]] = block
-            col += block.shape[1]
-        hv = model.apply(reps)
-        hv -= reps * np.repeat([f.value for f in group], widths)
-        norms = np.split(np.linalg.norm(hv, axis=0), np.cumsum(widths)[:-1])
-        for f, norm in zip(group, norms):
-            residuals[f.start : f.start + f.multiplicity] = norm.max()
+    for depth, node, piece, value, start, count in units:
+        # a held column is its own block; a template's rows each repeat over one child
+        block = np.repeat(piece, q ** (2 * n - depth) // len(piece), axis=0)
+        on_node = model.apply(block, depth, node) - value * block
+        off_points = (q - 1) * float(q) ** (2 * n - 1 - np.arange(depth))
+        off_node = off_points @ (np.outer(model.kernel[:depth], block.sum(axis=0)) ** 2)
+        residuals[start : start + count] = np.sqrt((on_node**2).sum(axis=0) + off_node).max()
     return residuals
 
 
@@ -580,10 +573,11 @@ def eigensolve(
     first read.  Eigenvectors are Euclidean-normalized and phase-fixed
     (largest entry real positive, ties to the lowest index).  Residuals
     ||Hv - lambda v||, with H applied by ``model.apply`` to every radial
-    column and to the wavelets of one node per family, are checked against
-    tol * max(1, max|H|) * size; a NaN residual fails the check.  Shell
-    adaptation then rotates the radial members of each cluster; wavelets
-    lie on a single shell already.  Rotating inside a cluster moves
+    column and to the first-node wavelets of every family, each on its own
+    node, plus the off-node term (see ``_tree_residuals``), are checked
+    against tol * max(1, max|H|) * size; a NaN residual fails the check.
+    Shell adaptation then rotates the radial members of each cluster;
+    wavelets lie on a single shell already.  Rotating inside a cluster moves
     residuals by at most the cluster width.  With a = 0 the families are
     the point basis, one per shell run, and no column is held.
     ``radial_tol`` and ``shell_tol`` are kept on the report, which

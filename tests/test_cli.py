@@ -494,6 +494,21 @@ def test_converge_prints_each_warning_once(tmp_path):
         assert line.endswith(f" at level {level} outside (0, 0.100000)")
 
 
+def test_every_command_prints_a_loading_warning_once(tmp_path):
+    # a table potential that peaks before its largest radius warns while the config loads
+    table = {"kind": "table", "values": {"-1": 3, "0": 5, "1": 2, "2": 1}, "w0": 0.5}
+    data = dict(CANONICAL, potential=table)
+    single = write_config(tmp_path, data)
+    del data["n"]
+    levels = write_config(tmp_path, dict(data, levels=[1, 2]), name="levels.cfg")
+    for command, config in (("spectrum", single), ("verify", single), ("converge", levels)):
+        result = run_cli(tmp_path, command, "--config", str(config), "--out", command)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.splitlines() == [
+            "warning: table potential peaks before its largest radius; not confining"
+        ]
+
+
 def test_converge_prints_the_warnings_of_levels_solved_before_a_failure(tmp_path):
     # level 1 solves with its ground state 4.67 past the bound; level 2 overflows
     data = dict(json.loads(REPO_CONFIG.read_text()), alpha=300, levels=[1, 2])

@@ -34,6 +34,7 @@ from ultraspec import (
     zero_cell_average,
 )
 import ultraspec.finite as finite
+from test_tree import GRIDS, grid_id, potentials
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "q3sqrt3_ho.cfg"
 
@@ -184,11 +185,14 @@ DENSE_ORACLE_FIELDS = [
 
 
 def dense_unitarity_defect(fmat, rows=512):
-    """max |F* F - 1| of a dense kernel, computed a block of rows at a time."""
+    """max |F* F - 1| of a dense kernel, computed a block of rows at a time.
+
+    F* F is Hermitian, so each block of rows is taken from its diagonal on.
+    """
     defect = 0.0
     for start in range(0, fmat.shape[0], rows):
-        gram = fmat[:, start : start + rows].conj().T @ fmat
-        gram[np.arange(gram.shape[0]), start + np.arange(gram.shape[0])] -= 1.0
+        gram = fmat[:, start : start + rows].conj().T @ fmat[:, start:]
+        gram[np.arange(gram.shape[0]), np.arange(gram.shape[0])] -= 1.0
         defect = max(defect, float(np.abs(gram).max()))
     return defect
 
@@ -444,6 +448,15 @@ def test_table_potential_warns_when_not_confining():
         TablePotential(values={0: 5.0, 1: 1.0}, w0=0.0)
 
 
+def test_potential_warnings_point_at_the_caller():
+    # the warning names the line that built the potential, not the dataclass __init__
+    with pytest.warns(NonConfiningPotentialWarning) as table:
+        TablePotential(values={0: 5.0, 1: 1.0}, w0=0.0)
+    with pytest.warns(NonConfiningPotentialWarning) as monomial:
+        MonomialPotential(c=0.0, s=1.0)
+    assert [record.filename for record in (*table, *monomial)] == [__file__, __file__]
+
+
 def test_monomial_zero_coefficient_warns():
     with pytest.warns(NonConfiningPotentialWarning):
         MonomialPotential(c=0.0, s=1.0)
@@ -527,6 +540,36 @@ def test_apply_follows_first_differing_digit(grid_n2, ho_potential):
         assert model.max_abs() == np.abs(oracle).max()
         block = rand_fn(rng, (grid_n2.size, 2))
         assert np.abs(model.apply(block) - oracle @ block).max() <= 1e-12 * np.abs(oracle).sum()
+
+
+@pytest.mark.parametrize("spec, n", GRIDS, ids=[grid_id(g) for g in GRIDS])
+def test_apply_on_a_node_is_the_padded_apply_restricted(spec, n):
+    # on a node, H v is the subtree operator; off it, kappa_s times the node sum
+    grid = build_grid(make_field(spec), n)
+    model = assemble_hamiltonian(grid, 1.5, 0.75, potentials(n)["table"])
+    q, width = grid.field.q, 2 * n
+    index = np.arange(grid.size)
+    rng = np.random.default_rng(13)
+    for depth in range(width):
+        size = q ** (width - depth)
+        for node in sorted({0, q**depth // 2, q**depth - 1}):
+            rows = slice(node * size, (node + 1) * size)
+            block = rng.standard_normal((size, 2))
+            padded = np.zeros((grid.size, 2))
+            padded[rows] = block
+            full = model.apply(padded)
+            tol = 1e-12 * max(1.0, model.max_abs()) * np.abs(block).sum(axis=0).max()
+            assert np.abs(model.apply(block, depth, node) - full[rows]).max() <= tol
+            assert model.apply(block[:, 0], depth, node).shape == (size,)
+            # the number of leading digits an off-node point shares with the node
+            shared = np.zeros(grid.size, dtype=int)
+            for prefix in range(1, depth + 1):
+                block_size = q ** (width - prefix)
+                shared += index // block_size == node * size // block_size
+            off = np.ones(grid.size, dtype=bool)
+            off[rows] = False
+            expected = model.kernel[shared][:, None] * block.sum(axis=0)
+            assert np.abs(full[off] - expected[off]).max(initial=0.0) <= tol
 
 
 def test_assembly_memory_is_linear_in_grid_size(q3sqrt3, ho_potential):

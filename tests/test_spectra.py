@@ -234,6 +234,41 @@ def test_residual_gate_stands_for_every_column(spec, n, a, ho_potential):
         assert abs(report.residuals[family.start] - full[members].max()) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "spec, n", [(EisensteinExtension(p=3, e=2), 5), (EisensteinExtension(p=2, e=1), 8)]
+)
+def test_residual_gate_holds_no_block_per_family(spec, n, ho_potential):
+    # every unit is applied on its own node, so the peak is a few radial blocks
+    grid = build_grid(make_field(spec), n)
+    model = assemble_hamiltonian(grid, 2.0, 0.5, ho_potential)
+    tracemalloc.start()
+    try:
+        eigensolve(model).summary_rows()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * grid.size * (2 * n + 1)
+
+
+@pytest.mark.parametrize("a", [0.75, 0.0])
+@pytest.mark.parametrize("spec, n", GATE_GRIDS, ids=[grid_id(g) for g in GATE_GRIDS])
+def test_columns_of_any_span_match_the_dense_matrix(spec, n, a, ho_potential):
+    grid = build_grid(make_field(spec), n)
+    report = eigensolve(assemble_hamiltonian(grid, 1.5, a, ho_potential))
+    vectors = report.eigenvectors
+    spans = [range(j, j + 1) for j in range(grid.size)]
+    # from inside one family to inside the next one in sorted order
+    families = sorted(report.families, key=lambda f: f.start)
+    spans += [
+        range(f.start + f.multiplicity // 2, g.start + (g.multiplicity + 1) // 2)
+        for f, g in zip(families, families[1:])
+    ]
+    spans += [range(f.start + 1, f.start + f.multiplicity - 1) for f in families]
+    for span in spans:
+        expected = vectors[:, span.start : span.stop]
+        assert report.columns(span).tobytes() == expected.tobytes(), span
+
+
 @pytest.mark.parametrize("spec, n", GRIDS, ids=[grid_id(g) for g in GRIDS])
 def test_structured_classifications_match_numeric_path(spec, n, ho_potential):
     grid = build_grid(make_field(spec), n)
