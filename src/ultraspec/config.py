@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import Optional
@@ -152,8 +153,14 @@ def _parse_potential(data: dict) -> RadialPotential:
 def load_config(path) -> RunConfig:
     """Load and validate a JSON run configuration."""
     text = Path(path).read_text()
+
+    def finite(literal):  # NaN, Infinity, -Infinity and a float past the range are refused
+        if not math.isfinite(float(literal)):
+            raise ParseError(f"{path}: {literal} is not a finite number")
+        return float(literal)
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}",

@@ -12,18 +12,16 @@ spectral analysis", Izv. Math. 66, 2002): a wavelet's eigenvalue is the
 symbol a |xi|**alpha on its dual shell plus the potential on its own, read
 off the model, so equal ones tie exactly, in a fixed order.
 
-The solver keeps that structure in its ``SpectrumReport``: the wavelets as
-families of one (depth, shell) each, with one eigenvalue, a multiplicity
-and a q-point template, and the 2n + 1 radial eigenvectors lifted to the
-grid as the columns no family covers; at a = 0 the families are the point
-basis and no column is held.  The residual check, clustering, shell
-adaptation and classification all run on it, in O(N n) memory, for every
-model; the check applies each radial column and each family's first-node
-wavelets on their own tree node, plus the off-node term.  A cluster is a
-run of consecutive sorted columns, and its block of eigenvectors is built
-from the families and held columns on its own; the dense N x N matrix only
-when a caller reads it.  A report built from a
-dense matrix of eigenvectors is the same store with no families.
+The solver keeps that structure in its ``SpectrumReport``, one store of
+families: the wavelets of one (depth, shell) each, with one eigenvalue, a
+multiplicity and a q-point template, and each radial eigenvector as one
+column with a (2n+1)-row template by shell; at a = 0 the point basis.
+The residual check, clustering, shell adaptation and classification all
+run on it, with no array of N rows: the check applies each family on its
+own tree node, plus the off-node term, and radial clusters are adapted
+by shell.  A cluster's block of eigenvectors is built from the families
+on its own, the dense N x N matrix only when a caller reads it.  A
+report of dense eigenvectors is one family per column.
 
 On top of that, eigenvalues are grouped into multiplicity clusters,
 degenerate radial eigenspaces are rotated onto a shell-adapted basis (the
@@ -261,9 +259,14 @@ def shell_adapt(
     if m == 1:
         return _fix_phases(v)
     basis = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64, copy=True)
-    blocks = [list(range(m))]
-    for k in grid.shell_labels():
-        run = grid.shell_run(k)
+    runs = [grid.shell_run(k) for k in grid.shell_labels()]
+    return _fix_phases(_refine_on_runs(basis, runs, split_tol))
+
+
+def _refine_on_runs(basis: np.ndarray, runs, split_tol: float) -> np.ndarray:
+    """``shell_adapt``'s sequential refinement of ``basis``, in place, over the row ``runs``."""
+    blocks = [list(range(basis.shape[1]))]
+    for run in runs:
         new_blocks = []
         for block in blocks:
             if len(block) == 1:
@@ -281,7 +284,7 @@ def shell_adapt(
                     new_blocks.append(block[start:j])
                     start = j
         blocks = new_blocks
-    return _fix_phases(basis)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -290,88 +293,77 @@ def shell_adapt(
 
 
 @dataclass
-class WaveletFamily:
-    """The Haar wavelets on the children of the depth-``depth`` tree nodes of one shell.
+class VectorFamily:
+    """The eigenvectors of one value and one template, on consecutive depth-``depth`` tree nodes.
 
-    Every vector of the family lies on ``shell`` and has eigenvalue
-    ``value``.  With e = n - shell the depth of the nodes' first nonzero
-    digit, the nodes are the (q - 1) q**(d-e-1) consecutive ids from
-    ``first_node`` = q**(d-e-1) when e < d, with q - 1 wavelets each; when
-    e = d the family is node 0 alone, on the path to 0, whose q - 2
-    wavelets span its nonzero children only.  A depth-d node holds
-    q**(2n-d) points, and on it a wavelet is a ``template`` column with
-    each entry repeated over one child.  The template carries the phase
-    signs, and ``off_support`` the signed zero each column holds off its
-    node (a negated column holds -0.0).  The columns are the
-    ``multiplicity`` consecutive ones of the sorted spectrum from
-    ``start``, node by node.  At a = 0 a family is instead the point basis
-    of one shell run: identity template columns on nodes of q points (the
-    zero cell and shell 1 - n split node 0), one run after another.
+    A depth-d node holds q**(2n-d) points, and on it a vector is a
+    ``template`` column with each row repeated ``repeats`` times (a count,
+    or one per row).  The template carries the phase signs, and
+    ``off_support`` the signed zero each column holds off its node (a
+    negated column holds -0.0).  The columns are the ``multiplicity``
+    consecutive ones of the sorted spectrum from ``start``, node by node
+    from ``first_node``.  Every vector lies on ``shell``; with no shell it
+    is classified numerically.  Wavelets: with e = n - shell the depth of
+    the nodes' first nonzero digit, the nodes are the (q - 1) q**(d-e-1)
+    ids from q**(d-e-1) when e < d, with q - 1 wavelets each, q rows
+    repeated over one child each; when e = d the family is node 0 alone,
+    on the path to 0, whose q - 2 wavelets span its nonzero children only.
+    At a = 0 a family is the point basis of one shell run: identity
+    template columns on nodes of q points (the zero cell and shell 1 - n
+    split node 0).  A radial eigenvector, or a dense one, is one column on
+    node 0 at depth 0 with no shell; a radial template has a row per shell
+    in index order, repeated over the shell.
     """
 
     depth: int
-    shell: float
+    shell: Optional[float]
     value: float
     multiplicity: int
     first_node: int
-    template: np.ndarray  # (q, wavelets per node)
-    off_support: np.ndarray  # (wavelets per node,)
+    template: np.ndarray  # (rows, vectors per node)
+    off_support: np.ndarray  # (vectors per node,)
+    repeats: Union[int, np.ndarray]
     start: int = 0  # set once the spectrum is sorted
 
 
-def _held_positions(size: int, families) -> np.ndarray:
-    """The sorted columns that no family covers, ascending."""
-    held = np.ones(size, dtype=bool)
-    for f in families:
-        held[f.start : f.start + f.multiplicity] = False
-    return np.flatnonzero(held)
-
-
 class SpectrumReport:
-    """Sorted eigenvalues, residuals and clusters, with the eigenvectors as families and columns.
+    """Sorted eigenvalues, residuals and clusters, with the eigenvectors as families.
 
-    A sorted column is a vector of one of the wavelet ``families`` (see
-    WaveletFamily) or is held as numbers: the ``eigenvectors`` argument is
-    the (N, r) block of the r columns no family covers, in order, kept as
-    ``held_columns`` at ``held_positions``; another shape raises
-    ValueError.  ``eigensolve`` holds the radial eigenvectors so, and a
-    report of dense eigenvectors and no families holds every column.
-    ``columns(span)`` builds any run of sorted columns, such as a cluster's
-    ``indices``.  ``eigenvectors``, the dense N x N matrix of orthonormal,
-    phase-fixed columns in spectrum order, is ``columns(range(N))``, built
-    the first time it is read and then kept.  So are ``classifications``,
-    with the report's ``radial_tol`` and ``shell_tol`` (those ``eigensolve``
-    was given): a family's vectors are Shell(k) with the exact profile (1.0
-    on its shell, 0.0 on every other), as ``classify_eigenvector`` finds
-    them, and each held column goes through ``classify_eigenvector``.
+    Each sorted column is a vector of exactly one of the ``families`` (see
+    VectorFamily); families that do not cover every column once raise
+    ValueError.  ``columns(span)`` builds any run of sorted columns, such
+    as a cluster's ``indices``.  ``eigenvectors``, the dense N x N matrix of
+    orthonormal, phase-fixed columns in spectrum order, is
+    ``columns(range(N))``, built the first time it is read and then kept.
+    So are ``classifications``, with the report's ``radial_tol`` and
+    ``shell_tol`` (those ``eigensolve`` was given): a family's vectors are
+    Shell(k) with the exact profile (1.0 on its shell, 0.0 on every other),
+    as ``classify_eigenvector`` finds them, and the columns of a family
+    with no shell, a depth-0 one, go through ``classify_eigenvector``.
     """
 
     def __init__(
         self,
         eigenvalues: np.ndarray,
-        eigenvectors: np.ndarray,
+        families: Sequence[VectorFamily],
         residuals: np.ndarray,
         clusters: list,
         grid: Grid,
         radial_tol: float = DEFAULT_RADIAL_TOL,
         shell_tol: float = DEFAULT_SHELL_TOL,
-        families: Sequence[WaveletFamily] = (),
     ):
         self.eigenvalues = eigenvalues
+        self.families = list(families)
         self.residuals = residuals
         self.clusters = clusters
         self.grid = grid
         self.radial_tol = radial_tol
         self.shell_tol = shell_tol
-        self.families = list(families)
-        self.held_positions = _held_positions(grid.size, self.families)
-        expected = (grid.size, len(self.held_positions))
-        if eigenvectors.shape != expected:
-            raise ValueError(
-                f"held eigenvectors of shape {eigenvectors.shape}, "
-                f"expected {expected} for the columns no family covers"
-            )
-        self.held_columns = eigenvectors
+        covered = np.zeros(grid.size, dtype=np.int64)
+        for f in self.families:
+            covered[f.start : f.start + f.multiplicity] += 1
+        if sum(f.multiplicity for f in self.families) != grid.size or (covered != 1).any():
+            raise ValueError("the families must cover each of the N sorted columns exactly once")
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
@@ -381,37 +373,43 @@ class SpectrumReport:
         """The sorted columns ``span``, any run of them, column-major; a cut family in part."""
         lo, hi = span.start, span.stop
         q, size = self.grid.field.q, self.grid.size
-        vectors = np.empty((size, len(span)), self.held_columns.dtype, order="F")
+        dtype = np.result_type(*{f.template.dtype for f in self.families})
+        vectors = np.empty((size, len(span)), dtype, order="F")
         for f in self.families:
             first, last = max(lo, f.start), min(hi, f.start + f.multiplicity)
             if first >= last:
                 continue
             node = size // q**f.depth
-            block = np.repeat(f.template, node // q, axis=0)  # the wavelets on one node
+            block = np.repeat(f.template, f.repeats, axis=0)  # the vectors on one node
             nodes, wavelets = np.divmod(np.arange(first, last) - f.start, block.shape[1])
             vectors[:, first - lo : last - lo] = f.off_support[wavelets]
             rows = (f.first_node + nodes) * node + np.arange(node)[:, None]
             vectors[rows, np.arange(first - lo, last - lo)] = block[:, wavelets]
-        first, last = np.searchsorted(self.held_positions, [lo, hi])
-        vectors[:, self.held_positions[first:last] - lo] = self.held_columns[:, first:last]
         return vectors
 
     @cached_property
     def classifications(self) -> list:
         grid = self.grid
-        labels = grid.shell_labels()
+        labels, tols = grid.shell_labels(), (self.radial_tol, self.shell_tol)
         out = [None] * grid.size
         for f in self.families:
-            profile = {k: 1.0 if k == f.shell else 0.0 for k in labels}
-            cls = Shell(k=f.shell, leakage=0.0, profile=profile)
-            out[f.start : f.start + f.multiplicity] = [cls] * f.multiplicity
-        for j, i in enumerate(self.held_positions):
-            column = self.held_columns[:, j]
-            out[i] = classify_eigenvector(grid, column, self.radial_tol, self.shell_tol)
+            if f.shell is None:
+                lift = np.repeat(f.template, f.repeats, axis=0)
+                classes = [classify_eigenvector(grid, v, *tols) for v in lift.T]
+            else:
+                profile = {k: 1.0 if k == f.shell else 0.0 for k in labels}
+                classes = [Shell(k=f.shell, leakage=0.0, profile=profile)] * f.multiplicity
+            out[f.start : f.start + f.multiplicity] = classes
         return out
 
     def cluster_kind(self, cluster: EigenCluster) -> str:
-        kinds = {self.classifications[i].kind for i in cluster.indices}
+        span, kinds = cluster.indices, set()
+        for f in self.families:  # a family with a shell is one "shell"
+            cut = range(max(span.start, f.start), min(span.stop, f.start + f.multiplicity))
+            if f.shell is None:
+                kinds.update(self.classifications[i].kind for i in cut)
+            elif cut:
+                kinds.add("shell")
         if kinds == {"radial"}:
             return "radial"
         if "radial" not in kinds:
@@ -440,7 +438,7 @@ def _fold_phases(template: np.ndarray):
 
 
 def _tree_eigensystem(model: HamiltonianModel):
-    """Eigenvalues of H_n from its tree structure, ascending; the radial columns; the families.
+    """Eigenvalues of H_n from its tree structure, ascending, and the families of their vectors.
 
     With c = model.kernel, depths d = 0..2n (shell n - d, the zero cell at
     2n), sizes m_d, potentials v_d and symbols sigma_d = a |xi|**alpha on
@@ -451,18 +449,17 @@ def _tree_eigensystem(model: HamiltonianModel):
         with eigenvalue sigma_d + v(shell): q - 1 per node off the path to
         0, and q - 2 per node on it (those spanning the nonzero children
         only; the rest of that node is radial).
-    The radial eigenvectors come lifted to the grid and phase-fixed, as an
-    (N, 2n + 1) block in ascending order of their values.  At a = 0 there
-    is no radial block, (N, 0): H = diag(pot) is constant on each shell
-    run, and the families are the point basis (see WaveletFamily).
-    The families, each one value repeated, and the radial values are
-    sorted as units, stably in the order: per depth, node 0 and then the
-    other nodes by id, then the radial values; each family's ``start`` is
-    set to its first sorted column.  Equal sums sigma_d + v_e tie exactly
-    and keep that order inside their cluster.
+    Each radial eigenvector is a one-column family (see VectorFamily),
+    phase-fixed by shell.  At a = 0 there is no radial block: H = diag(pot)
+    is constant on each shell run, and the families are the point basis.
+    The families, each one value repeated, are sorted as units, stably in
+    the order: per depth, node 0 and then the other nodes by id, then the
+    radial eigenvectors by value; each family's ``start`` is set to its
+    first sorted column.  Equal sums sigma_d + v_e tie exactly and keep
+    that order inside their cluster.
     """
     grid = model.grid
-    q, n, size = grid.field.q, grid.n, grid.size
+    q, n = grid.field.q, grid.n
     width = 2 * n
     c = model.kernel
     families = []
@@ -471,8 +468,7 @@ def _tree_eigensystem(model: HamiltonianModel):
             run = grid.shell_run(k)
             template = np.eye(q)[:, run.start % q :][:, : len(run)]
             first, zeros = run.start // q, np.zeros(template.shape[1])
-            families.append(WaveletFamily(width - 1, k, value, len(run), first, template, zeros))
-        radial_values, radial_columns = np.empty(0), np.empty((size, 0))
+            families.append(VectorFamily(width - 1, k, value, len(run), first, template, zeros, 1))
     else:
         v = model.potential_shells[::-1]  # by depth: shell n - d, zero cell last
         # the symbol a |xi|**alpha on shell d + 1 - n, index-order shell d + 1; 0 at zero
@@ -512,48 +508,45 @@ def _tree_eigensystem(model: HamiltonianModel):
                 value = symbol[d] + v[e]
                 shell = float(n - e)
                 families.append(
-                    WaveletFamily(d, shell, value, multiplicity, first, template, off_support)
+                    VectorFamily(d, shell, value, multiplicity, first, template, off_support, child)
                 )
         # index order runs through the depths backwards, each shell one run
-        by_depth = radial_vectors / np.sqrt(m)[:, None]
-        radial_columns = np.repeat(_fix_phases(by_depth[::-1]), sizes[::-1], axis=0)
+        templates = _fix_phases((radial_vectors / np.sqrt(m)[:, None])[::-1])
+        for value, template in zip(radial_values, np.hsplit(templates, width + 1)):
+            families.append(VectorFamily(0, None, value, 1, 0, template, np.zeros(1), sizes[::-1]))
 
-    values = np.concatenate([[f.value for f in families], radial_values])
-    counts = np.array([f.multiplicity for f in families] + [1] * len(radial_values))
+    values = np.array([f.value for f in families])
+    counts = np.array([f.multiplicity for f in families])
     order = np.argsort(values, kind="stable")
     sorted_counts = counts[order]
     starts = np.empty_like(order)
     starts[order] = np.cumsum(sorted_counts) - sorted_counts
     for f, start in zip(families, starts):
         f.start = int(start)
-    return np.repeat(values[order], sorted_counts), radial_columns, families
+    return np.repeat(values[order], sorted_counts), families
 
 
 @np.errstate(over="ignore")
-def _tree_residuals(model: HamiltonianModel, eigenvalues, columns, positions, families):
-    """||Hv - lambda v|| for every sorted column, each unit applied on its own tree node.
+def _tree_residuals(model: HamiltonianModel, families):
+    """||Hv - lambda v|| for every sorted column, each family applied on its own tree node.
 
-    A unit is a block of vectors on one node: each held column (at
-    ``positions``) on the whole grid, node 0 at depth 0, and each family's
-    wavelets on its first node, which stand for the rest.  On the node H v
-    is ``model.apply(block, depth, node)``; off it, at the (q - 1)
+    A family's vectors on its first node stand for the rest (a radial one
+    is on node 0 at depth 0, the whole grid).  On the node H v is
+    ``model.apply(block, depth, node)``; off it, at the (q - 1)
     q**(2n-1-s) points whose digits first differ from the node's at
     s < depth, it is kappa_s times the block's column sums, so a template
-    that is not zero-sum fails here too.  A unit's columns get the largest
-    residual of its block.  NaN stays NaN, overflow is inf.
+    that is not zero-sum fails here too.  A family's columns get the
+    largest residual of its block.  NaN stays NaN, overflow is inf.
     """
     q, n = model.grid.field.q, model.grid.n
-    units = [(0, 0, columns[:, j : j + 1], eigenvalues[i], i, 1) for j, i in enumerate(positions)]
-    for f in families:
-        units.append((f.depth, f.first_node, f.template, f.value, f.start, f.multiplicity))
     residuals = np.empty(model.size)
-    for depth, node, piece, value, start, count in units:
-        # a held column is its own block; a template's rows each repeat over one child
-        block = np.repeat(piece, q ** (2 * n - depth) // len(piece), axis=0)
-        on_node = model.apply(block, depth, node) - value * block
-        off_points = (q - 1) * float(q) ** (2 * n - 1 - np.arange(depth))
-        off_node = off_points @ (np.outer(model.kernel[:depth], block.sum(axis=0)) ** 2)
-        residuals[start : start + count] = np.sqrt((on_node**2).sum(axis=0) + off_node).max()
+    for f in families:
+        block = np.repeat(f.template, f.repeats, axis=0)
+        on_node = model.apply(block, f.depth, f.first_node) - f.value * block
+        off_points = (q - 1) * float(q) ** (2 * n - 1 - np.arange(f.depth))
+        off_node = off_points @ (np.outer(model.kernel[: f.depth], block.sum(axis=0)) ** 2)
+        worst = np.sqrt((on_node**2).sum(axis=0) + off_node).max()
+        residuals[f.start : f.start + f.multiplicity] = worst
     return residuals
 
 
@@ -566,42 +559,41 @@ def eigensolve(
 ) -> SpectrumReport:
     """Eigendecomposition by the exact tree reduction, with residual enforcement.
 
-    The eigenpairs are the radial block's, lifted to the grid, and the
-    closed-form Haar wavelets (see ``_tree_eigensystem``); the report holds
-    the radial eigenvectors as columns and the wavelets as families, so no
-    N x N array is built, and its dense ``eigenvectors`` only when they are
-    first read.  Eigenvectors are Euclidean-normalized and phase-fixed
-    (largest entry real positive, ties to the lowest index).  Residuals
-    ||Hv - lambda v||, with H applied by ``model.apply`` to every radial
-    column and to the first-node wavelets of every family, each on its own
-    node, plus the off-node term (see ``_tree_residuals``), are checked
+    The eigenpairs are the radial block's and the closed-form Haar
+    wavelets, every eigenvector a family (see ``_tree_eigensystem``), so
+    no array of N rows is built; the report's dense ``eigenvectors`` only
+    when they are first read.  Eigenvectors are Euclidean-normalized and
+    phase-fixed (largest entry real positive, ties to the lowest index).
+    Residuals ||Hv - lambda v|| (see ``_tree_residuals``) are checked
     against tol * max(1, max|H|) * size; a NaN residual fails the check.
-    Shell adaptation then rotates the radial members of each cluster;
-    wavelets lie on a single shell already.  Rotating inside a cluster moves
-    residuals by at most the cluster width.  With a = 0 the families are
-    the point basis, one per shell run, and no column is held.
-    ``radial_tol`` and ``shell_tol`` are kept on the report, which
-    classifies the eigenvectors only when its ``classifications`` are first
-    read.
+    Shell adaptation then rotates the radial members of each cluster as
+    ``shell_adapt`` would on the grid, but by shell: scaled by sqrt(m_k),
+    the templates hold shell k's projector as m_k on row k.  Wavelets lie
+    on a single shell already.  Rotating inside a cluster moves residuals
+    by at most the cluster width.  ``radial_tol`` and ``shell_tol`` are
+    kept on the report, which classifies the eigenvectors only when its
+    ``classifications`` are first read.
     """
-    eigenvalues, columns, families = _tree_eigensystem(model)
-    positions = _held_positions(model.size, families)
-    residuals = _tree_residuals(model, eigenvalues, columns, positions, families)
+    eigenvalues, families = _tree_eigensystem(model)
+    residuals = _tree_residuals(model, families)
     scale = max(1.0, model.max_abs())
     threshold = tol * scale * model.size
     worst = float(residuals.max())
     if not worst <= threshold:  # a NaN residual fails too
         raise ResidualTooLarge(f"residual {worst:.3e} exceeds {threshold:.3e}")
     clusters = cluster_eigenvalues(eigenvalues, cluster_tol)
+    radial = [f for f in families if f.shell is None]
     for cluster in clusters:
-        span = cluster.indices
-        lo, hi = np.searchsorted(positions, [span.start, span.stop])
-        if hi - lo > 1:
-            columns[:, lo:hi] = shell_adapt(
-                model.grid, columns[:, lo:hi], split_tol=max(shell_tol, 1e-9)
-            )
+        members = [f for f in radial if f.start in cluster.indices]
+        if len(members) > 1:
+            weights = np.sqrt(members[0].repeats)[:, None]
+            block = np.hstack([f.template for f in members]) * weights
+            shells = [range(k, k + 1) for k in range(len(block))]
+            block = _refine_on_runs(block, shells, max(shell_tol, 1e-9)) / weights
+            for f, template in zip(members, np.hsplit(_fix_phases(block), len(members))):
+                f.template = template
     return SpectrumReport(
-        eigenvalues, columns, residuals, clusters, model.grid, radial_tol, shell_tol, families
+        eigenvalues, families, residuals, clusters, model.grid, radial_tol, shell_tol
     )
 
 

@@ -436,6 +436,33 @@ def test_wrongly_typed_value_exits_one(tmp_path, monkeypatch, capsys, key, patch
     assert list(tmp_path.iterdir()) == [config]  # no output directory, not even ./None
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"alpha": None},
+        {"kinetic_coeff": None},
+        {"potential": {"kind": "monomial", "c": None, "s": 2.0}},
+        {"potential": {"kind": "table", "values": {"1": None}, "w0": 0.0}},
+        {"potential": {"kind": "table", "values": {"1": 1.0}, "w0": None}},
+        {"ground_state_upper_bound": None},
+    ],
+    ids=["alpha", "kinetic_coeff", "c", "table-value", "w0", "bound"],
+)
+def test_non_finite_number_exits_one(tmp_path, capsys, patch, literal):
+    # json.loads reads NaN, Infinity and -Infinity, and 1e999 overflows to inf
+    text = json.dumps(dict(CANONICAL, **patch)).replace("null", literal)
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    with pytest.raises(ParseError, match=f"{literal} is not a finite number"):
+        load_config(config)
+    for command in ("spectrum", "converge"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {config}: {literal} is not a finite number"]
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_empty_out_flag_exits_one(tmp_path, monkeypatch, capsys):
     config = write_config(tmp_path, CANONICAL)
     monkeypatch.chdir(tmp_path)

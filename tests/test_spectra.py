@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -29,7 +30,7 @@ from ultraspec import (
     shell_adapt,
 )
 import ultraspec.spectra as spectra
-from test_tree import GRIDS, grid_id, potentials
+from test_tree import GRIDS, dense_families, grid_id, potentials
 
 # the tree oracle's grids (N <= 729) and two of N = 2401
 GATE_GRIDS = GRIDS + [(EisensteinExtension(p=7, e=1), 2), (LaurentField(p=7, f=1), 2)]
@@ -193,15 +194,12 @@ def test_nan_residual_raises(canonical_model, monkeypatch, tmp_path, capsys):
 
     exact = spectra._tree_eigensystem
     config = Path(__file__).resolve().parents[1] / "configs" / "q3sqrt3_ho.cfg"
-    for piece in ("radial column", "wavelet template"):
+    for radial in (True, False):
 
-        def poisoned(model, piece=piece):
-            values, columns, families = exact(model)
-            if piece == "radial column":
-                columns[0, 0] = np.nan
-            else:
-                families[-1].template[0, 0] = np.nan
-            return values, columns, families
+        def poisoned(model, radial=radial):
+            values, families = exact(model)
+            next(f for f in families if (f.shell is None) == radial).template[0, 0] = np.nan
+            return values, families
 
         monkeypatch.setattr(spectra, "_tree_eigensystem", poisoned)
         with pytest.raises(ResidualTooLarge, match="residual nan"):
@@ -238,7 +236,7 @@ def test_residual_gate_stands_for_every_column(spec, n, a, ho_potential):
     "spec, n", [(EisensteinExtension(p=3, e=2), 5), (EisensteinExtension(p=2, e=1), 8)]
 )
 def test_residual_gate_holds_no_block_per_family(spec, n, ho_potential):
-    # every unit is applied on its own node, so the peak is a few radial blocks
+    # every family is applied on its own node and no N-row block is held
     grid = build_grid(make_field(spec), n)
     model = assemble_hamiltonian(grid, 2.0, 0.5, ho_potential)
     tracemalloc.start()
@@ -247,7 +245,25 @@ def test_residual_gate_holds_no_block_per_family(spec, n, ho_potential):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 8 * grid.size * (2 * n + 1)
+    assert peak < 8 * grid.size * (2 * n + 1)
+
+
+@pytest.mark.parametrize("a", [0.75, 0.0])
+@pytest.mark.parametrize("spec, n", GATE_GRIDS, ids=[grid_id(g) for g in GATE_GRIDS])
+def test_report_holds_every_eigenvector_as_a_family(spec, n, a, ho_potential):
+    grid = build_grid(make_field(spec), n)
+    report = eigensolve(assemble_hamiltonian(grid, 1.5, a, ho_potential))
+    assert "eigenvectors" not in vars(report)
+    held = [*vars(report).values()] + [x for f in report.families for x in vars(f).values()]
+    assert not [
+        x.shape for x in held if isinstance(x, np.ndarray) and x.ndim == 2 and len(x) == grid.size
+    ]
+    covered = np.zeros(grid.size, dtype=int)
+    for f in report.families:
+        covered[f.start : f.start + f.multiplicity] += 1
+    assert np.all(covered == 1)
+    radial = [f.template.shape for f in report.families if f.shell is None]
+    assert radial == ([(2 * n + 1, 1)] * (2 * n + 1) if a else [])
 
 
 @pytest.mark.parametrize("a", [0.75, 0.0])
@@ -290,9 +306,14 @@ def test_eigenvector_scatter_matches_whole_column_phase_fix(spec, n, ho_potentia
     vectors = report.eigenvectors
     q, width = grid.field.q, 2 * n
     covered = np.zeros(grid.size, dtype=int)
-    covered[report.held_positions] += 1
-    assert vectors[:, report.held_positions].tobytes() == report.held_columns.tobytes()
     for family in report.families:
+        members = slice(family.start, family.start + family.multiplicity)
+        covered[members] += 1
+        assert np.all(report.eigenvalues[members] == family.value)
+        if family.shell is None:  # a radial eigenvector, repeated over each shell
+            expected = np.repeat(family.template, family.repeats, axis=0)
+            assert vectors[:, members].tobytes() == expected.tobytes()
+            continue
         child = q ** (width - family.depth - 1)
         if family.first_node == 0:  # on the path to 0: the zero child is left out
             helmert = np.vstack([np.zeros((1, q - 2)), spectra._zero_sum_basis(q - 1)])
@@ -306,9 +327,6 @@ def test_eigenvector_scatter_matches_whole_column_phase_fix(spec, n, ho_potentia
             expanded[rows, j * per_node : (j + 1) * per_node] = np.repeat(
                 helmert, child, axis=0
             ) / np.sqrt(child)
-        members = slice(family.start, family.start + family.multiplicity)
-        covered[members] += 1
-        assert np.all(report.eigenvalues[members] == family.value)
         expected = np.ascontiguousarray(spectra._fix_phases(expanded))
         assert np.ascontiguousarray(vectors[:, members]).tobytes() == expected.tobytes()
     assert np.all(covered == 1)
@@ -337,14 +355,13 @@ def test_eigenvectors_are_built_on_first_read(canonical_model, q3sqrt3, ho_poten
     assert sum(mult for _, mult, _ in rows) == grid.size
 
 
-def test_dense_report_is_the_store_without_families(canonical_model, fourier_operator):
+def test_dense_report_is_one_family_per_column(canonical_model, fourier_operator):
     grid = canonical_model.grid
     values, vectors = np.linalg.eigh(fourier_operator(canonical_model))
-    report = SpectrumReport(
-        values, vectors, np.zeros(grid.size), cluster_eigenvalues(values), grid
-    )
-    assert report.families == []
-    assert report.held_positions.tolist() == list(range(grid.size))
+    families = dense_families(values, vectors)
+    clusters = cluster_eigenvalues(values)
+    report = SpectrumReport(values, families, np.zeros(grid.size), clusters, grid)
+    assert [f.start for f in report.families] == list(range(grid.size))
     spans = [c.indices for c in report.clusters] + [range(5, 40), range(grid.size)]
     for span in spans:
         assert report.columns(span).tobytes() == vectors[:, span].tobytes()
@@ -354,35 +371,37 @@ def test_dense_report_is_the_store_without_families(canonical_model, fourier_ope
     ]
 
 
-def test_held_block_must_fill_the_uncovered_columns(canonical_model):
+def test_families_must_cover_every_column_once(canonical_model):
     grid = canonical_model.grid
-    values, columns, families = spectra._tree_eigensystem(canonical_model)
+    values, families = spectra._tree_eigensystem(canonical_model)
     residuals = np.zeros(grid.size)
-    report = SpectrumReport(values, columns, residuals, [], grid, families=families)
-    assert report.held_positions.size == columns.shape[1] == 2 * grid.n + 1
-    for block, held_by in [
-        (columns[:, 1:], families),  # one radial column short
-        (columns, ()),  # no families: every column is held
-        (np.eye(grid.size)[:, :-1], ()),
-        (columns[0], families),
+    SpectrumReport(values, families, residuals, [], grid)
+    radial = [f for f in families if f.shell is None]
+    assert len(radial) == 2 * grid.n + 1
+    dense = dense_families(values, np.eye(grid.size))
+    for cover in [
+        families[:-1],  # one radial eigenvector short
+        families + radial[:1],  # one radial eigenvector twice
+        [],
+        dense[:-1],
+        dense[:-1] + [replace(dense[-1], multiplicity=2)],  # past the last column
     ]:
-        with pytest.raises(ValueError, match="no family covers"):
-            SpectrumReport(values, block, residuals, [], grid, families=held_by)
+        with pytest.raises(ValueError, match="exactly once"):
+            SpectrumReport(values, cover, residuals, [], grid)
 
 
-def expanded_sort(families, radial_values):
+def expanded_sort(families):
     """The N-length stable sort, the oracle for sorting families as units.
 
-    Every family's value repeated over its columns, then the radial values;
-    returns the sorted values, each family's first sorted column and the
-    radial values' sorted columns.
+    Every family's value repeated over its columns; returns the sorted
+    values and each family's first sorted column.
     """
-    values = np.concatenate([np.full(f.multiplicity, f.value) for f in families] + [radial_values])
+    values = np.concatenate([np.full(f.multiplicity, f.value) for f in families])
     order = np.argsort(values, kind="stable")
     position = np.empty(values.size, dtype=np.int64)
     position[order] = np.arange(values.size)
     firsts = np.cumsum([0] + [f.multiplicity for f in families])[:-1]
-    return values[order], position[firsts], position[values.size - radial_values.size :]
+    return values[order], position[firsts]
 
 
 @pytest.mark.parametrize("a", [0.75, 0.0], ids=["a", "a0"])
@@ -398,15 +417,18 @@ def test_unit_sort_matches_expanded_stable_sort(spec, n, a, monkeypatch):
         return solved[-1]
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    eigenvalues, columns, families = spectra._tree_eigensystem(model)
+    eigenvalues, families = spectra._tree_eigensystem(model)
     radial_values = solved[0][0] if solved else np.empty(0)
-    assert len(solved) == (a != 0) and columns.shape[1] == radial_values.size
+    assert len(solved) == (a != 0)
+    # the radial eigenvectors come last, one family each, in the order of their values
+    wavelets = sum(f.shell is not None for f in families)
+    assert all(f.shell is None and f.multiplicity == 1 for f in families[wavelets:])
+    assert [f.value for f in families[wavelets:]] == radial_values.tolist()
     # the table's ties (shells k and -k, the zero cell and shell 0) reach the families
     assert len({f.value for f in families}) < len(families)
-    values, starts, held = expanded_sort(families, radial_values)
+    values, starts = expanded_sort(families)
     assert eigenvalues.tobytes() == values.tobytes()
     assert [f.start for f in families] == starts.tolist()
-    assert spectra._held_positions(grid.size, families).tolist() == held.tolist()
 
 
 @pytest.mark.parametrize("convention", list(ZeroCellConvention), ids=lambda c: c.value)
@@ -417,9 +439,9 @@ def test_wavelet_value_is_the_symbol_plus_the_potential(spec, n, potential_kind,
     # to within an ulp of the exact sum of the float inputs
     grid = build_grid(make_field(spec), n)
     model = assemble_hamiltonian(grid, 1.5, 0.75, potentials(n)[potential_kind], convention)
-    _, _, families = spectra._tree_eigensystem(model)
+    _, families = spectra._tree_eigensystem(model)
     a = Fraction(model.kinetic_coeff)
-    for f in families:
+    for f in (f for f in families if f.shell is not None):
         kin = model.kinetic_diagonal[grid.shell_run(f.depth + 1 - n).start]
         pot = model.potential_diagonal[grid.shell_run(f.shell).start]
         exact = a * Fraction(kin) + Fraction(pot)

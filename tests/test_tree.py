@@ -17,11 +17,13 @@ from ultraspec import (
     ZeroCellConvention,
     assemble_hamiltonian,
     build_grid,
+    classify_eigenvector,
     cluster_eigenvalues,
     eigensolve,
     make_field,
     shell_adapt,
 )
+from ultraspec.spectra import VectorFamily, _tree_eigensystem
 
 GRIDS = [
     (EisensteinExtension(p=3, e=2), 2),
@@ -44,6 +46,14 @@ def potentials(n):
     return {"monomial": MonomialPotential(c=0.5, s=2.0), "table": table}
 
 
+def dense_families(values, vectors):
+    """A dense store: one depth-0 family per column, repeated once, with no shell."""
+    return [
+        VectorFamily(0, None, value, 1, 0, vectors[:, j : j + 1], np.zeros(1), 1, start=j)
+        for j, value in enumerate(values)
+    ]
+
+
 def dense_report(model, h):
     """Dense eigh, then the public clustering and shell adaptation.
 
@@ -59,7 +69,7 @@ def dense_report(model, h):
             vectors[:, idx] = shell_adapt(grid, vectors[:, idx], split_tol=1e-9)
     return SpectrumReport(
         eigenvalues=values,
-        eigenvectors=vectors,
+        families=dense_families(values, vectors),
         residuals=np.zeros(grid.size),
         clusters=clusters,
         grid=grid,
@@ -94,3 +104,30 @@ def test_tree_solver_matches_dense_oracle(grid, convention, potential_kind, four
     residuals = np.linalg.norm(h @ v - v * tree.eigenvalues, axis=0)
     assert residuals.max() <= TOL * max(1.0, float(np.abs(h).max()))
     assert [row[1:] for row in tree.summary_rows()] == [row[1:] for row in oracle.summary_rows()]
+
+
+def lift(family):
+    return np.repeat(family.template, family.repeats, axis=0)
+
+
+@pytest.mark.parametrize("convention", list(ZeroCellConvention), ids=lambda c: c.value)
+def test_radial_adaptation_matches_shell_adapt_oracle(grid, convention):
+    # the harmonic oscillator's parameters give radial pairs within cluster_tol (40.52, 364.50)
+    model = assemble_hamiltonian(grid, 2.0, 0.5, MonomialPotential(c=0.5, s=2.0), convention)
+    report = eigensolve(model)
+    _, unadapted = _tree_eigensystem(model)
+    radial = [(f, g) for f, g in zip(report.families, unadapted) if f.shell is None]
+    assert len(radial) == 2 * grid.n + 1
+    for cluster in report.clusters:
+        members = [(f, g) for f, g in radial if f.start in cluster.indices]
+        if len(members) < 2:
+            continue
+        adapted = np.hstack([lift(f) for f, _ in members])
+        oracle = shell_adapt(grid, np.hstack([lift(g) for _, g in members]), split_tol=1e-9)
+        assert np.abs(adapted - oracle).max() <= 1e-14
+        for (f, _), column in zip(members, oracle.T):
+            got, expected = report.classifications[f.start], classify_eigenvector(grid, column)
+            assert got.kind == expected.kind
+            assert getattr(got, "k", None) == getattr(expected, "k", None)  # the shell, if any
+            assert got.profile.keys() == expected.profile.keys()
+            assert all(abs(got.profile[k] - expected.profile[k]) <= 1e-14 for k in got.profile)
