@@ -45,7 +45,6 @@ from .fields import (
     elem_neg,
     format_element,
     make_field,
-    parse_element,
     valuation,
 )
 from .finite import (

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import Optional
 
-from .errors import GridTooLarge, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .fields import EisensteinExtension, Field, FieldSpec, LaurentField, make_field
 from .finite import (
     GRID_CAP_DEFAULT,
@@ -16,6 +16,7 @@ from .finite import (
     RadialPotential,
     TablePotential,
     ZeroCellConvention,
+    check_grid_cap,
 )
 from . import spectra
 
@@ -96,6 +97,14 @@ def _typed(name: str, value, kinds):
     return value
 
 
+def _number(name: str, value) -> float:
+    """A config number as a float; an integer past the float range is a ValidationError."""
+    try:
+        return float(_typed(name, value, NUMBER))
+    except OverflowError:
+        raise ValidationError(name, "integer too large for a float") from None
+
+
 def _known_keys(data: dict, keys, where: str = ""):
     """Raise ValidationError naming the first key of ``data``, sorted, that is not in ``keys``."""
     unknown = sorted(set(data) - set(keys))
@@ -135,16 +144,13 @@ def _parse_potential(data: dict) -> RadialPotential:
     try:
         if kind == "monomial":
             return MonomialPotential(
-                c=float(_expect(data, "c", NUMBER, "potential")),
-                s=float(_expect(data, "s", NUMBER, "potential")),
+                c=_number("potential.c", _expect(data, "c", NUMBER, "potential")),
+                s=_number("potential.s", _expect(data, "s", NUMBER, "potential")),
             )
         values = _expect(data, "values", dict, "potential")
         return TablePotential(
-            values={
-                int(k): float(_typed(f"potential.values.{k}", v, NUMBER))
-                for k, v in values.items()
-            },
-            w0=float(_typed("potential.w0", data.get("w0", 0.0), NUMBER)),
+            values={int(k): _number(f"potential.values.{k}", v) for k, v in values.items()},
+            w0=_number("potential.w0", data.get("w0", 0.0)),
         )
     except ValueError as exc:
         raise ValidationError("potential", str(exc)) from exc
@@ -167,21 +173,13 @@ def load_config(path) -> RunConfig:
             line=exc.lineno,
             column=exc.colno,
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError("<document>", "top level must be an object")
     _known_keys(data, _KNOWN_KEYS)
 
     field_spec = _parse_field(_expect(data, "field", dict))
-    field = make_field(field_spec)
-
-    alpha = float(_expect(data, "alpha", NUMBER))
-    if alpha <= 0:
-        raise ValidationError("alpha", f"{alpha} must be > 0")
-    kinetic = float(_expect(data, "kinetic_coeff", NUMBER))
-    if kinetic < 0:
-        raise ValidationError("kinetic_coeff", f"{kinetic} must be >= 0")
-    potential = _parse_potential(_expect(data, "potential", dict))
-
     n = data.get("n")
     levels = data.get("levels")
     if n is None and levels is None:
@@ -196,6 +194,19 @@ def load_config(path) -> RunConfig:
         levels = tuple(sorted(_typed("levels", v, int) for v in levels))
         if levels[0] < 1:
             raise ValidationError("levels", "levels must be >= 1")
+    grid_cap = _typed("grid_cap", data.get("grid_cap", GRID_CAP_DEFAULT), int)
+    # before make_field, whose primality test and modulus search grow with p and f
+    top = max((levels or ()) + ((n,) if n is not None else ()))
+    check_grid_cap(field_spec.p, getattr(field_spec, "f", 1), top, grid_cap)
+    field = make_field(field_spec)
+
+    alpha = _number("alpha", _expect(data, "alpha", NUMBER))
+    if alpha <= 0:
+        raise ValidationError("alpha", f"{alpha} must be > 0")
+    kinetic = _number("kinetic_coeff", _expect(data, "kinetic_coeff", NUMBER))
+    if kinetic < 0:
+        raise ValidationError("kinetic_coeff", f"{kinetic} must be >= 0")
+    potential = _parse_potential(_expect(data, "potential", dict))
 
     convention_text = data.get("zero_cell_convention", ZeroCellConvention.AVERAGE_OF_POWER.value)
     try:
@@ -205,9 +216,7 @@ def load_config(path) -> RunConfig:
 
     tol_data = _typed("tolerances", data.get("tolerances", {}), dict)
     _known_keys(tol_data, _TOLERANCE_KEYS, "tolerances")
-    tolerances = Tolerances(
-        **{k: float(_typed(f"tolerances.{k}", v, NUMBER)) for k, v in tol_data.items()}
-    )
+    tolerances = Tolerances(**{k: _number(f"tolerances.{k}", v) for k, v in tol_data.items()})
 
     out_data = _typed("output", data.get("output", {}), dict)
     _known_keys(out_data, ("dir", "format"), "output")
@@ -218,16 +227,7 @@ def load_config(path) -> RunConfig:
     if output_format not in ("csv", "json"):
         raise ValidationError("output.format", f"{output_format!r} not one of csv, json")
 
-    grid_cap = _typed("grid_cap", data.get("grid_cap", GRID_CAP_DEFAULT), int)
-    all_levels = (levels or ()) + ((n,) if n is not None else ())
-    for level in all_levels:
-        size = field.q ** (2 * level)
-        if size > grid_cap:
-            raise GridTooLarge(
-                f"level {level}: q**(2n) = {size} exceeds the grid cap {grid_cap}"
-            )
     # the outer shell of level n is |x| = q**n, where |x|**alpha and c |x|**s are largest
-    top = max(all_levels)
     for name, value in (("alpha", alpha), ("potential.s", getattr(potential, "s", 0.0))):
         try:
             float(field.q) ** (top * value)
@@ -240,7 +240,7 @@ def load_config(path) -> RunConfig:
 
     bound = data.get("ground_state_upper_bound")
     if bound is not None:
-        bound = float(_typed("ground_state_upper_bound", bound, NUMBER))
+        bound = _number("ground_state_upper_bound", bound)
         if bound <= 0:
             raise ValidationError("ground_state_upper_bound", f"{bound} must be > 0")
 

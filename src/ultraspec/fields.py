@@ -17,9 +17,8 @@ Two families are implemented:
 Characters are additive and of rank zero (trivial exactly on the unit ball).
 Phases are kept as exact rationals with p-power denominator so that
 additivity checks and the Fourier kernels downstream are reproducible bit
-for bit.  Digit expansions double as the text fixture format: ordered
-``exp:digit`` pairs such as ``-2:1,0:2`` (the zero element serializes to the
-empty string).
+for bit.  ``format_element`` writes an expansion as ordered ``exp:digit``
+pairs such as ``-2:1,0:2`` (the zero element as the empty string).
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ __all__ = [
     "character_phase",
     "character",
     "format_element",
-    "parse_element",
 ]
 
 
@@ -528,14 +526,3 @@ def character(field: Field, x: FieldElement) -> complex:
 
 def format_element(x: FieldElement) -> str:
     return ",".join(f"{e}:{d}" for e, d in x.pairs())
-
-
-def parse_element(field: Field, text: str) -> FieldElement:
-    text = text.strip()
-    if not text:
-        return field.zero()
-    pairs = []
-    for chunk in text.split(","):
-        exp_str, _, digit_str = chunk.partition(":")
-        pairs.append((int(exp_str), int(digit_str)))
-    return elem_from_pairs(field, pairs)

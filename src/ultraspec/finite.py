@@ -30,9 +30,9 @@ applied by block sums over the tree, or over one node's subtree, never as
 a dense matrix.  No solve builds digits, phases or a Fourier transform:
 ``verify`` (at every grid size) and the dense test oracles check kappa
 against F* diag(|xi|**alpha) F.  The residual gate, which applies each
-eigenvector unit on its own node, sees a kappa error only above its
-threshold: a 1e-6 shift of kappa_1 at n = 1 and 2, not from n = 3 up; a
-NaN kappa fails eigh.
+eigenvector family on its own node (a radial one by shell), sees a kappa
+error only above its threshold: a 1e-6 shift of kappa_1 at n = 1 and 2,
+not from n = 3 up; a NaN kappa fails eigh.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ __all__ = [
     "ZeroCellConvention",
     "HamiltonianModel",
     "build_grid",
+    "check_grid_cap",
     "fourier_matrix",
     "fourier_apply",
     "fourier_unitarity_defect",
@@ -198,14 +199,6 @@ class Grid:
     def index_of_digits(self, row) -> int:
         return int(np.dot(np.asarray(row, dtype=np.int64), self._weights))
 
-    def index_of_element(self, x: FieldElement) -> int:
-        if x.is_zero:
-            return self.zero_index
-        if x.lo < -self.n or x.lo + len(x.digits) > self.n:
-            raise ValueError(f"element {x} does not lie on the level-{self.n} grid")
-        row = [x.digit_at(pos - self.n) for pos in range(2 * self.n)]
-        return self.index_of_digits(row)
-
     def reduce_element(self, x: FieldElement) -> int:
         """Index of x modulo b**n (digits at exponents >= n dropped)."""
         row = [x.digit_at(pos - self.n) for pos in range(2 * self.n)]
@@ -231,13 +224,22 @@ class Grid:
         return neg @ self._weights
 
 
+def check_grid_cap(p: int, f: int, n: int, cap: int) -> None:
+    """Raise GridTooLarge when the level-n grid, q**(2n) = p**(2nf) points, exceeds ``cap``.
+
+    The exponent decides first (p >= 2, so 2nf >= cap.bit_length() is too
+    large), so a huge n, p or f costs nothing; p < 2 is left to make_field.
+    """
+    exponent = 2 * n * f
+    if p >= 2 and (exponent >= cap.bit_length() or p**exponent > cap):
+        raise GridTooLarge(f"level {n}: q**(2n) = {p}**{exponent} exceeds the grid cap {cap}")
+
+
 def build_grid(field: Field, n: int, cap: int = GRID_CAP_DEFAULT) -> Grid:
     """Enumerate X_n; raises GridTooLarge when q**(2n) exceeds the cap."""
     if n < 1:
         raise ValueError(f"grid level n = {n} must be >= 1")
-    size = field.q ** (2 * n)
-    if size > cap:
-        raise GridTooLarge(f"q**(2n) = {size} exceeds the grid cap {cap}")
+    check_grid_cap(field.p, field.f, n, cap)
     return Grid(field, n)
 
 
@@ -505,11 +507,6 @@ def potential_shell_value(field: Field, potential: RadialPotential, k: float) ->
     return potential.values[k]
 
 
-def _monomial_average(field: Field, n: int, c: float, s: float) -> float:
-    q = float(field.q)
-    return c * q ** (-n * s) * (1.0 - 1.0 / q) / (1.0 - q ** (-(s + 1.0)))
-
-
 def zero_cell_average(field: Field, n: int, potential) -> float:
     """ave(v, n, 0): mean of the radial function over the ball |x| <= q**(-n).
 
@@ -517,11 +514,12 @@ def zero_cell_average(field: Field, n: int, potential) -> float:
     closed form c * q**(-n s) * (1 - 1/q) / (1 - q**-(s+1)); tables are
     summed shell by shell with the constant tail summed in closed form.
     """
-    if isinstance(potential, (int, float)):
-        return _monomial_average(field, n, 1.0, float(potential))
-    if isinstance(potential, MonomialPotential):
-        return _monomial_average(field, n, potential.c, potential.s)
     q = float(field.q)
+    if isinstance(potential, (int, float)):
+        potential = MonomialPotential(1.0, float(potential))
+    if isinstance(potential, MonomialPotential):
+        c, s = potential.c, potential.s
+        return c * q ** (-n * s) * (1.0 - 1.0 / q) / (1.0 - q ** (-(s + 1.0)))
     total = 0.0
     k = n
     while -k >= potential.k_min:
@@ -535,28 +533,23 @@ def shell_values(grid: Grid, potential, convention=ZeroCellConvention.AVERAGE_OF
     """The 2n + 1 shell values of the compressed multiplication operator, in index order.
 
     ``potential`` is either a RadialPotential or a bare exponent alpha for
-    |x|**alpha.  The zero cell comes first and follows ``convention``
-    (potentials average unless SAMPLE_AT_ZERO is selected explicitly);
-    every other shell takes its plain shell value.
+    the symbol |x|**alpha, which is MonomialPotential(1.0, alpha).  The zero
+    cell comes first and follows ``convention``: only the symbol's takes
+    POWER_OF_AVERAGE, and the others average unless SAMPLE_AT_ZERO is
+    selected.  Every other shell takes its plain shell value.
     """
     field, n = grid.field, grid.n
     convention = ZeroCellConvention(convention)
-    labels = grid.shell_labels()[1:]  # the zero cell, first, is set below
-    if isinstance(potential, (int, float)):
-        alpha = float(potential)
-        values = [float(field.q) ** (k * alpha) for k in labels]
-        if convention is ZeroCellConvention.AVERAGE_OF_POWER:
-            zero_value = zero_cell_average(field, n, alpha)
-        elif convention is ZeroCellConvention.POWER_OF_AVERAGE:
-            zero_value = zero_cell_average(field, n, 1.0) ** alpha
-        else:
-            zero_value = 0.0  # |0|**alpha
+    symbol = isinstance(potential, (int, float))
+    if symbol:
+        potential = MonomialPotential(1.0, float(potential))
+    values = [potential_shell_value(field, potential, k) for k in grid.shell_labels()[1:]]
+    if symbol and convention is ZeroCellConvention.POWER_OF_AVERAGE:
+        zero_value = zero_cell_average(field, n, 1.0) ** potential.s
+    elif convention is ZeroCellConvention.SAMPLE_AT_ZERO:
+        zero_value = potential.w0 if isinstance(potential, TablePotential) else 0.0
     else:
-        values = [potential_shell_value(field, potential, k) for k in labels]
-        if convention is ZeroCellConvention.SAMPLE_AT_ZERO:
-            zero_value = potential.w0 if isinstance(potential, TablePotential) else 0.0
-        else:
-            zero_value = zero_cell_average(field, n, potential)
+        zero_value = zero_cell_average(field, n, potential)
     return np.array([zero_value] + values, dtype=np.float64)
 
 
@@ -572,24 +565,21 @@ def position_diagonal(grid: Grid, potential, convention=ZeroCellConvention.AVERA
 
 @dataclass(eq=False)
 class HamiltonianModel:
-    """H_n = a * F* diag(|xi|**alpha) F + diag(v) as shell data, with its provenance.
+    """H_n = a * F* diag(|xi|**alpha) F + diag(v) as shell data.
 
     ``kernel[s]`` is the entry of a * F* diag(|xi|**alpha) F between two
     points whose digits first differ at position s (s = 2n on the diagonal).
     ``kinetic_shells`` and ``potential_shells`` are the 2n + 1 values of
     |xi|**alpha and of v per shell, in index order with the zero cell
-    first (``shell_values``).  Together they are the whole operator:
-    ``apply`` computes H v from them and ``max_abs`` the largest entry, and
-    no dense matrix is built.  The N-length ``kinetic_diagonal`` and
-    ``potential_diagonal`` are those values spread over the shell runs,
-    built on first read.
+    first (``shell_values``), and ``kinetic_coeff`` is a.  Together they
+    are the whole operator, held in O(n): ``apply`` computes H v on a tree
+    node, ``apply_shells`` H u on the shell-constant functions and
+    ``max_abs`` the largest entry; no dense matrix and no array of N rows
+    is kept.
     """
 
     grid: Grid
-    alpha: float
     kinetic_coeff: float
-    potential: RadialPotential
-    convention: ZeroCellConvention
     kinetic_shells: np.ndarray
     potential_shells: np.ndarray
     kernel: np.ndarray
@@ -597,14 +587,6 @@ class HamiltonianModel:
     @property
     def size(self) -> int:
         return self.grid.size
-
-    @cached_property
-    def kinetic_diagonal(self) -> np.ndarray:
-        return self.grid.spread_shells(self.kinetic_shells)
-
-    @cached_property
-    def potential_diagonal(self) -> np.ndarray:
-        return self.grid.spread_shells(self.potential_shells)
 
     def apply(self, v, depth: int = 0, node: int = 0) -> np.ndarray:
         """H v on tree node ``node`` at ``depth`` < 2n (the whole grid by default), by block sums.
@@ -630,11 +612,41 @@ class HamiltonianModel:
         terms = steps[0] * sums[width]
         for s in range(1, width):
             terms = np.repeat(terms, q, axis=0) + steps[s] * sums[width - s]
-        pot = self.potential_diagonal[node * size : (node + 1) * size]
-        out = (pot + steps[width])[:, None] * cols
+        # the shell runs are [0, 1) and [q**(i-1), q**i): node 0 holds the first width + 1,
+        # and any other node lies inside one
+        if node:
+            first, top = node * size, 2 * self.grid.n
+            pot = self.potential_shells[next(i for i in range(1, top + 1) if first < q**i)]
+        else:
+            runs = list(self.grid.shell_sizes.values())[: width + 1]
+            pot = np.repeat(self.potential_shells[: width + 1], runs)
+        out = np.reshape(pot + steps[width], (-1, 1)) * cols
         leaves = out.reshape(size // q, q, k)  # splits the leading axis only: a view of out
         leaves += terms[:, None, :]
         return out.reshape(v.shape)
+
+    def apply_shells(self, u) -> np.ndarray:
+        """H u for a shell-constant u given by its 2n + 1 shell values, in O(n) per vector.
+
+        u is (2n+1,) or (2n+1, k) in index order (zero cell first), the
+        rows of a radial template; the shape is kept.  By depth d (shell
+        n - d, m_d points) the block sums of ``apply`` are B_s u = tail_s =
+        sum_{e >= s} m_e u_e for s <= d, and q**(2n - s) u_d for s > d, so
+        (H u)_d = sum_{s <= d} dk_s tail_s + (sum_{s > d} dk_s q**(2n - s)
+        + pot_d) u_d with dk_s = kappa_s - kappa_{s-1}: the kernel steps of
+        ``apply``, not the symbol.
+        """
+        u = np.asarray(u)
+        q, width = self.grid.field.q, 2 * self.grid.n
+        by_depth = u.reshape(width + 1, -1)[::-1]
+        sizes = np.array([len(run) for run in self.grid.depth_runs()], dtype=np.float64)
+        steps = np.diff(self.kernel, prepend=0.0)
+        tails = np.cumsum((sizes[:, None] * by_depth)[::-1], axis=0)[::-1]
+        near = np.cumsum(steps[:, None] * tails, axis=0)
+        blocks = steps * float(q) ** (width - np.arange(width + 1))
+        far = np.append(np.cumsum(blocks[::-1])[::-1][1:], 0.0)  # sum over s > d
+        out = near + (far + self.potential_shells[::-1])[:, None] * by_depth
+        return out[::-1].reshape(u.shape)
 
     def max_abs(self) -> float:
         """Largest |entry| of H, O(n): kernel[s < 2n] off the diagonal, kernel[2n] + pot on it."""
@@ -693,12 +705,5 @@ def assemble_hamiltonian(
     pot = shell_values(grid, potential, pot_convention)
     kernel = np.zeros(2 * grid.n + 1) if a == 0 else a * _tree_kernel(grid, kin)
     return HamiltonianModel(
-        grid=grid,
-        alpha=float(alpha),
-        kinetic_coeff=float(a),
-        potential=potential,
-        convention=convention,
-        kinetic_shells=kin,
-        potential_shells=pot,
-        kernel=kernel,
+        grid=grid, kinetic_coeff=float(a), kinetic_shells=kin, potential_shells=pot, kernel=kernel
     )

@@ -530,10 +530,12 @@ def _tree_eigensystem(model: HamiltonianModel):
 def _tree_residuals(model: HamiltonianModel, families):
     """||Hv - lambda v|| for every sorted column, each family applied on its own tree node.
 
-    A family's vectors on its first node stand for the rest (a radial one
-    is on node 0 at depth 0, the whole grid).  On the node H v is
-    ``model.apply(block, depth, node)``; off it, at the (q - 1)
-    q**(2n-1-s) points whose digits first differ from the node's at
+    A radial family, one with no shell, is checked on its template by
+    ``model.apply_shells``: its residual is sqrt(sum_k m_k r_k**2) over
+    the shell residuals r_k, with m_k = ``repeats`` the shell sizes.  The
+    vectors of any other family on its first node stand for the rest: on
+    the node H v is ``model.apply(block, depth, node)``; off it, at the
+    (q - 1) q**(2n-1-s) points whose digits first differ from the node's at
     s < depth, it is kappa_s times the block's column sums, so a template
     that is not zero-sum fails here too.  A family's columns get the
     largest residual of its block.  NaN stays NaN, overflow is inf.
@@ -541,11 +543,15 @@ def _tree_residuals(model: HamiltonianModel, families):
     q, n = model.grid.field.q, model.grid.n
     residuals = np.empty(model.size)
     for f in families:
-        block = np.repeat(f.template, f.repeats, axis=0)
-        on_node = model.apply(block, f.depth, f.first_node) - f.value * block
-        off_points = (q - 1) * float(q) ** (2 * n - 1 - np.arange(f.depth))
-        off_node = off_points @ (np.outer(model.kernel[: f.depth], block.sum(axis=0)) ** 2)
-        worst = np.sqrt((on_node**2).sum(axis=0) + off_node).max()
+        if f.shell is None:
+            shells = model.apply_shells(f.template) - f.value * f.template
+            worst = np.sqrt(f.repeats @ shells**2).max()
+        else:
+            block = np.repeat(f.template, f.repeats, axis=0)
+            on_node = model.apply(block, f.depth, f.first_node) - f.value * block
+            off_points = (q - 1) * float(q) ** (2 * n - 1 - np.arange(f.depth))
+            off_node = off_points @ (np.outer(model.kernel[: f.depth], block.sum(axis=0)) ** 2)
+            worst = np.sqrt((on_node**2).sum(axis=0) + off_node).max()
         residuals[f.start : f.start + f.multiplicity] = worst
     return residuals
 

@@ -192,13 +192,11 @@ def run_verify(config: RunConfig) -> VerifyOutcome:
     model = assemble_hamiltonian(
         grid, config.alpha, config.kinetic_coeff, config.potential, config.convention
     )
-    kin, pot = model.kinetic_diagonal, model.potential_diagonal
-    kinetic = model.kinetic_coeff * fourier_apply(grid, kin[:, None] * once, inverse=True)
-    operator_defect = np.abs(kinetic + pot[:, None] * probes - model.apply(probes)).max()
+    kin = grid.spread_shells(model.kinetic_shells)[:, None]
+    pot = grid.spread_shells(model.potential_shells)[:, None]
+    kinetic = model.kinetic_coeff * fourier_apply(grid, kin * once, inverse=True)
+    operator_defect = np.abs(kinetic + pot * probes - model.apply(probes)).max()
     record("hamiltonian_hermiticity", operator_defect / max(1.0, model.max_abs()))
-    record(
-        "potential_diagonal_nonnegative",
-        max(0.0, -float(model.potential_diagonal.min())),
-        0.0,
-    )
+    # every shell is nonempty, so the smallest shell value is the smallest diagonal entry
+    record("potential_diagonal_nonnegative", max(0.0, -float(model.potential_shells.min())), 0.0)
     return VerifyOutcome(checks=checks)

@@ -24,8 +24,9 @@ def fourier_operator():
 
     def build(model):
         fmat = fourier_matrix(model.grid)
-        h = model.kinetic_coeff * (fmat.conj().T @ (model.kinetic_diagonal[:, None] * fmat))
-        h[np.diag_indices_from(h)] += model.potential_diagonal
+        kin = model.grid.spread_shells(model.kinetic_shells)
+        h = model.kinetic_coeff * (fmat.conj().T @ (kin[:, None] * fmat))
+        h[np.diag_indices_from(h)] += model.grid.spread_shells(model.potential_shells)
         return h
 
     return build

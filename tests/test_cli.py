@@ -40,12 +40,15 @@ def write_config(tmp_path, data, name="run.cfg"):
     return path
 
 
-def run_cli(cwd, *args):
-    """The command line in a fresh interpreter, so stderr holds every warning a user sees."""
+def run_cli(cwd, *args, **kwargs):
+    """The command line in a fresh interpreter, so stderr holds every warning a user sees.
+
+    ``kwargs`` go to ``subprocess.run``, such as a timeout.
+    """
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     command = [sys.executable, "-m", "ultraspec.cli", *args]
-    return subprocess.run(command, cwd=cwd, env=env, capture_output=True, text=True)
+    return subprocess.run(command, cwd=cwd, env=env, capture_output=True, text=True, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +509,95 @@ def test_overflowing_exponent_exits_one(tmp_path, capsys, key, patch):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: invalid config field '{key}'")
         assert not out.exists()
+
+
+BIG = 10**400  # an integer literal past the float range
+BIG_TABLE = {"-1": 1.0, "0": 2.0, "1": 3.0, "2": 4.0}
+
+
+@pytest.mark.parametrize(
+    "key, patch",
+    [
+        ("alpha", {"alpha": BIG}),
+        ("kinetic_coeff", {"kinetic_coeff": BIG}),
+        ("potential.c", {"potential": {"kind": "monomial", "c": BIG, "s": 2.0}}),
+        ("potential.s", {"potential": {"kind": "monomial", "c": 0.5, "s": BIG}}),
+        (
+            "potential.values.2",
+            {"potential": {"kind": "table", "values": dict(BIG_TABLE, **{"2": BIG})}},
+        ),
+        ("potential.w0", {"potential": {"kind": "table", "values": BIG_TABLE, "w0": BIG}}),
+        ("tolerances.cluster_tol", {"tolerances": {"cluster_tol": BIG}}),
+        ("ground_state_upper_bound", {"ground_state_upper_bound": BIG}),
+    ],
+    ids=["alpha", "kinetic_coeff", "c", "s", "table-value", "w0", "tol", "bound"],
+)
+def test_integer_past_the_float_range_exits_one(tmp_path, capsys, key, patch):
+    config = write_config(tmp_path, dict(CANONICAL, **patch))
+    with pytest.raises(ValidationError) as err:
+        load_config(config)
+    assert err.value.field == key
+    assert main(["spectrum", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: invalid config field '{key}': integer too large for a float"]
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_integer_past_the_digit_limit_exits_one(tmp_path, capsys):
+    # json reads a 5000-digit literal with int(), which refuses more than 4300 digits
+    text = json.dumps(CANONICAL).replace('"alpha": 2.0', '"alpha": 1' + "0" * 4999)
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    assert main(["spectrum", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize(
+    "patch, levels",
+    [({"n": 4600}, [4600]), ({"levels": [2, 4600]}, [2, 4600])],
+    ids=["n", "levels"],
+)
+def test_level_with_a_huge_grid_exits_one(tmp_path, capsys, patch, levels):
+    # q**(2n) has more than 4300 digits; the message gives the power, not its digits
+    data = dict(CANONICAL, **patch)
+    if "levels" in patch:
+        del data["n"]
+    config = write_config(tmp_path, data)
+    for command in ("spectrum", "converge", "verify"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: level 4600: q**(2n) = 3**9200 exceeds the grid cap 1048576"]
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"n": 10**300},
+        {"field": {"family": "eisenstein", "p": 2**61 - 1}},
+        {"field": {"family": "laurent", "p": 3, "f": 40}},
+    ],
+    ids=["n-googol-cubed", "p-mersenne-61", "laurent-f40"],
+)
+def test_grid_cap_is_checked_before_the_field_is_built(tmp_path, patch):
+    # the cap is decided from the exponent 2nf, before the power, the primality test of p
+    # or the search for a degree-f modulus; a timeout and a memory bound keep a regression
+    # from hanging the suite
+    config = write_config(tmp_path, dict(CANONICAL, **patch))
+    args = ("spectrum", "--config", str(config), "--out", "out")
+    result = run_cli(tmp_path, *args, timeout=20, preexec_fn=_limit_address_space)
+    assert result.returncode == 1
+    err = result.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: level ") and "exceeds the grid cap" in err[0]
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_converge_prints_each_warning_once(tmp_path):

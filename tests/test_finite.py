@@ -77,13 +77,13 @@ def test_grid_cap_enforced(q3sqrt3):
 
 def test_grid_index_round_trip(grid_n2):
     for i in (0, 1, 17, 80):
-        assert grid_n2.index_of_element(grid_n2.points[i]) == i
+        assert grid_n2.reduce_element(grid_n2.points[i]) == i
 
 
 def test_grid_points_are_built_on_first_read(q3sqrt3):
     assert "points" not in vars(build_grid(q3sqrt3, 5))  # N = 59049, numpy arrays only
     grid = build_grid(q3sqrt3, 1)
-    assert [grid.index_of_element(x) for x in grid.points] == list(range(grid.size))
+    assert [grid.reduce_element(x) for x in grid.points] == list(range(grid.size))
     assert "points" in vars(grid)
 
 
@@ -248,7 +248,7 @@ def test_free_model_oracle_in_positive_characteristic(zero_potential):
     grid = build_grid(f4, 2)  # 256 points, q = 4
     model = assemble_hamiltonian(grid, alpha=1.0, a=1.0, potential=zero_potential)
     spectrum = np.linalg.eigvalsh(model.apply(np.eye(grid.size)))
-    assert np.abs(spectrum - np.sort(model.kinetic_diagonal)).max() < 1e-10
+    assert np.abs(spectrum - np.sort(position_diagonal(grid, 1.0))).max() < 1e-10
 
 
 def test_phase_table_keeps_no_point_coordinates(q3sqrt3):
@@ -481,13 +481,13 @@ def test_table_potential_must_cover_grid(grid_n2):
 def test_free_model_spectrum_is_kinetic_diagonal(grid_n2, zero_potential):
     model = assemble_hamiltonian(grid_n2, alpha=2.0, a=1.0, potential=zero_potential)
     spectrum = np.linalg.eigvalsh(model.apply(np.eye(grid_n2.size)))
-    assert np.abs(spectrum - np.sort(model.kinetic_diagonal)).max() < 1e-10
+    assert np.abs(spectrum - np.sort(position_diagonal(grid_n2, 2.0))).max() < 1e-10
 
 
 def test_diagonal_model_when_kinetic_coefficient_vanishes(grid_n2):
     pot = MonomialPotential(c=1.0, s=1.0)
     model = assemble_hamiltonian(grid_n2, alpha=2.0, a=0.0, potential=pot)
-    oracle = np.diag(model.potential_diagonal)
+    oracle = np.diag(position_diagonal(grid_n2, pot))
     assert np.array_equal(model.apply(np.eye(grid_n2.size)), oracle)
     assert model.max_abs() == np.abs(oracle).max()
 
@@ -499,7 +499,7 @@ def test_assembled_matrix_is_hermitian(canonical_model):
     rows = {check.name: check for check in run_verify(load_config(REPO_CONFIG)).checks}
     assert rows["hamiltonian_hermiticity"].defect < 1e-12
     assert isinstance(canonical_model, HamiltonianModel)
-    assert (canonical_model.potential_diagonal >= 0).all()
+    assert (canonical_model.potential_shells >= 0).all()
 
 
 def test_assembly_validates_parameters(grid_n1, ho_potential):
@@ -536,7 +536,7 @@ def test_apply_follows_first_differing_digit(grid_n2, ho_potential):
     rng = np.random.default_rng(12)
     for kernel in (rng.standard_normal(5) * 100, np.array([-500.0, 3.0, 0.0, 2.0, 1.0])):
         model.kernel = kernel
-        oracle = kernel[depth] + np.diag(model.potential_diagonal)
+        oracle = kernel[depth] + np.diag(grid_n2.spread_shells(model.potential_shells))
         assert model.max_abs() == np.abs(oracle).max()
         block = rand_fn(rng, (grid_n2.size, 2))
         assert np.abs(model.apply(block) - oracle @ block).max() <= 1e-12 * np.abs(oracle).sum()
@@ -570,6 +570,35 @@ def test_apply_on_a_node_is_the_padded_apply_restricted(spec, n):
             off[rows] = False
             expected = model.kernel[shared][:, None] * block.sum(axis=0)
             assert np.abs(full[off] - expected[off]).max(initial=0.0) <= tol
+
+
+# test_tree's grids, and the q = 2 grids of the dense Fourier oracle up to N = 4096
+SHELL_APPLY_GRIDS = GRIDS + [
+    (spec, n)
+    for spec in DENSE_ORACLE_FIELDS
+    if make_field(spec).q == 2
+    for n in range(1, 7)
+    if (spec, n) not in GRIDS
+]
+
+
+@pytest.mark.parametrize("spec, n", SHELL_APPLY_GRIDS, ids=[grid_id(g) for g in SHELL_APPLY_GRIDS])
+def test_apply_shells_is_apply_on_shell_constant_functions(spec, n):
+    grid = build_grid(make_field(spec), n)
+    sizes = list(grid.shell_sizes.values())
+    shells = np.random.default_rng(14).standard_normal((2 * n + 1, 3))
+    lifted = np.repeat(shells, sizes, axis=0)
+    for potential in potentials(n).values():
+        for convention in ZeroCellConvention:
+            for a in (0.75, 0.0):
+                model = assemble_hamiltonian(grid, 1.5, a, potential, convention)
+                out = model.apply_shells(shells)
+                assert out.shape == shells.shape
+                tol = 1e-13 * max(1.0, model.max_abs())
+                assert np.abs(np.repeat(out, sizes, axis=0) - model.apply(lifted)).max() <= tol
+                single = model.apply_shells(shells[:, 1])
+                assert single.shape == (2 * n + 1,)
+                assert np.abs(single - out[:, 1]).max() <= tol
 
 
 def test_assembly_memory_is_linear_in_grid_size(q3sqrt3, ho_potential):

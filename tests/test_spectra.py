@@ -9,6 +9,7 @@ import pytest
 
 from ultraspec import (
     EisensteinExtension,
+    HamiltonianModel,
     LaurentField,
     MonomialPotential,
     NotAnEigenspace,
@@ -25,10 +26,12 @@ from ultraspec import (
     embed_function,
     fourier_apply,
     make_field,
+    position_diagonal,
     project_cutoff,
     project_smooth,
     shell_adapt,
 )
+from ultraspec.output import SPECTRUM_HEADER, spectrum_rows, write_table
 import ultraspec.spectra as spectra
 from test_tree import GRIDS, dense_families, grid_id, potentials
 
@@ -60,7 +63,7 @@ def test_diagonal_model_eigensolve(grid_n2):
     pot = MonomialPotential(c=1.0, s=1.0)
     model = assemble_hamiltonian(grid_n2, alpha=2.0, a=0.0, potential=pot)
     report = eigensolve(model)
-    assert np.abs(report.eigenvalues - np.sort(model.potential_diagonal)).max() < 1e-12
+    assert np.abs(report.eigenvalues - np.sort(position_diagonal(grid_n2, pot))).max() < 1e-12
     # eigenvectors are a permuted standard basis, phase-fixed to +1 pivots
     for j in range(model.size):
         col = np.abs(report.eigenvectors[:, j])
@@ -82,7 +85,7 @@ def test_diagonal_model_is_the_sorted_point_basis(spec, n, potential_kind, conve
     potential = point_potentials(n)[potential_kind]
     model = assemble_hamiltonian(grid, 2.0, 0.0, potential, convention)
     report = eigensolve(model)
-    pot = model.potential_diagonal
+    pot = grid.spread_shells(model.potential_shells)
     order = np.argsort(pot, kind="stable")
     assert report.eigenvalues.tobytes() == pot[order].tobytes()
     vectors = report.eigenvectors
@@ -152,7 +155,7 @@ def test_eigensolve_invariants(canonical_report, canonical_model, fourier_operat
 def test_free_model_report_matches_kinetic_multiset(grid_n2, zero_potential):
     model = assemble_hamiltonian(grid_n2, alpha=2.0, a=1.0, potential=zero_potential)
     report = eigensolve(model)
-    assert np.abs(report.eigenvalues - np.sort(model.kinetic_diagonal)).max() < 1e-10
+    assert np.abs(report.eigenvalues - np.sort(position_diagonal(grid_n2, 2.0))).max() < 1e-10
 
 
 def test_eigensolve_memory_stays_below_four_dense_matrices(q3sqrt3, ho_potential):
@@ -264,6 +267,72 @@ def test_report_holds_every_eigenvector_as_a_family(spec, n, a, ho_potential):
     assert np.all(covered == 1)
     radial = [f.template.shape for f in report.families if f.shell is None]
     assert radial == ([(2 * n + 1, 1)] * (2 * n + 1) if a else [])
+
+
+@pytest.mark.parametrize("a", [0.75, 0.0])
+@pytest.mark.parametrize("spec, n", GATE_GRIDS, ids=[grid_id(g) for g in GATE_GRIDS])
+def test_gate_checks_radial_families_in_shell_coordinates(spec, n, a, ho_potential, monkeypatch):
+    # apply once per family with a shell, apply_shells once per radial family on its
+    # (2n+1)-row template, and the model holds its shell data only
+    grid = build_grid(make_field(spec), n)
+    model = assemble_hamiltonian(grid, 1.5, a, ho_potential)
+    calls = {"apply": [], "apply_shells": []}
+    for name, shapes in calls.items():
+
+        def counted(self, v, *args, _method=getattr(HamiltonianModel, name), _shapes=shapes):
+            _shapes.append(np.shape(v))
+            return _method(self, v, *args)
+
+        monkeypatch.setattr(HamiltonianModel, name, counted)
+    report = eigensolve(model)
+    report.summary_rows()
+    radial = [f for f in report.families if f.shell is None]
+    assert len(calls["apply"]) == len(report.families) - len(radial)
+    assert calls["apply_shells"] == [(2 * n + 1, 1)] * len(radial)
+    # a radial residual is its lifted column's, off an eigenvector too
+    rng = np.random.default_rng(15)
+    for f in radial:
+        f.template = f.template + 1e-3 * rng.standard_normal(f.template.shape)
+        lifted = np.repeat(f.template, f.repeats, axis=0)
+        full = np.linalg.norm(model.apply(lifted) - f.value * lifted)
+        assert spectra._tree_residuals(model, [f])[f.start] == pytest.approx(full, rel=1e-10)
+    for name in ("alpha", "potential", "convention", "kinetic_diagonal", "potential_diagonal"):
+        assert not hasattr(model, name)
+    held = [x.shape for x in vars(model).values() if isinstance(x, np.ndarray)]
+    assert held and max(np.prod(shape) for shape in held) == 2 * n + 1
+
+
+SAME_Q_FIELDS = {
+    q: [
+        EisensteinExtension(p=q, e=1),
+        EisensteinExtension(p=q, e=3 if q == 2 else 2),
+        LaurentField(p=q, f=1),
+    ]
+    for q in (2, 3, 5, 7)
+}
+
+
+@pytest.mark.parametrize("q", sorted(SAME_Q_FIELDS))
+def test_solve_depends_on_the_field_only_through_q(q, ho_potential, tmp_path):
+    # Q_p, a tame ramified extension and F_p((t)) share q, hence the tree, the model,
+    # the spectrum and the eigenvalue file, at every level with N <= 2401
+    fields = [make_field(spec) for spec in SAME_Q_FIELDS[q]]
+    n = 1
+    while q ** (2 * n) <= 2401:
+        for convention in ZeroCellConvention:
+            for a in (0.5, 0.0):
+                seen = []
+                for field in fields:
+                    grid = build_grid(field, n)
+                    model = assemble_hamiltonian(grid, 2.0, a, ho_potential, convention)
+                    report = eigensolve(model)
+                    path = tmp_path / "eigenvalues.csv"
+                    write_table(path, SPECTRUM_HEADER, spectrum_rows(report))
+                    data = [model.kernel, model.kinetic_shells, model.potential_shells]
+                    data.append(report.eigenvalues)
+                    seen.append([x.tobytes() for x in data] + [path.read_bytes()])
+                assert seen[1:] == seen[:1] * 2, (n, convention, a)
+        n += 1
 
 
 @pytest.mark.parametrize("a", [0.75, 0.0])
@@ -442,8 +511,8 @@ def test_wavelet_value_is_the_symbol_plus_the_potential(spec, n, potential_kind,
     _, families = spectra._tree_eigensystem(model)
     a = Fraction(model.kinetic_coeff)
     for f in (f for f in families if f.shell is not None):
-        kin = model.kinetic_diagonal[grid.shell_run(f.depth + 1 - n).start]
-        pot = model.potential_diagonal[grid.shell_run(f.shell).start]
+        kin = grid.spread_shells(model.kinetic_shells)[grid.shell_run(f.depth + 1 - n).start]
+        pot = grid.spread_shells(model.potential_shells)[grid.shell_run(f.shell).start]
         exact = a * Fraction(kin) + Fraction(pot)
         assert abs(Fraction(f.value) - exact) <= Fraction(math.ulp(f.value))
 
@@ -968,18 +1037,8 @@ def test_single_level_trace_is_degenerate(q3sqrt3, ho_potential):
 
 def test_free_model_trajectories_have_zero_drift(q3sqrt3, zero_potential):
     trace = convergence_report(q3sqrt3, 2.0, 1.0, zero_potential, [1, 2])
-    kin1 = set(
-        np.round(
-            assemble_hamiltonian(build_grid(q3sqrt3, 1), 2.0, 1.0, zero_potential).kinetic_diagonal,
-            12,
-        )
-    )
-    kin2 = set(
-        np.round(
-            assemble_hamiltonian(build_grid(q3sqrt3, 2), 2.0, 1.0, zero_potential).kinetic_diagonal,
-            12,
-        )
-    )
+    kin1 = set(np.round(position_diagonal(build_grid(q3sqrt3, 1), 2.0), 12))
+    kin2 = set(np.round(position_diagonal(build_grid(q3sqrt3, 2), 2.0), 12))
     shared = kin1 & kin2
     matched = [t for t in trace.trajectories if len(t.steps) == 2]
     shared_matched = [t for t in matched if round(t.steps[0].value, 12) in shared]
