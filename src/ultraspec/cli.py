@@ -154,8 +154,8 @@ def main(argv=None) -> int:
             failure, code = f"error: {exc}", 1
         except NUMERICAL_ERRORS as exc:
             failure, code = f"numerical failure: {exc}", 3
-        except (OSError, UnicodeDecodeError) as exc:  # unreadable config, unwritable output
-            failure, code = f"error: {exc}", 1
+        except (OSError, UnicodeDecodeError, MemoryError) as exc:  # bad files, or out of memory
+            failure, code = f"error: {str(exc) or 'out of memory'}", 1
         finally:
             for caught_warning in caught:
                 print(f"warning: {caught_warning.message}", file=sys.stderr)

@@ -21,6 +21,11 @@ from ultraspec.cli import main
 import ultraspec.cli
 import ultraspec.finite
 
+try:
+    from numpy._core._exceptions import _ArrayMemoryError
+except ImportError:  # numpy < 2
+    from numpy.core._exceptions import _ArrayMemoryError
+
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "q3sqrt3_ho.cfg"
 LAURENT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "f3_laurent.cfg"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -390,6 +395,26 @@ def test_out_naming_an_existing_file_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify", "converge"])
+@pytest.mark.parametrize(
+    "exc",
+    [
+        MemoryError(),
+        _ArrayMemoryError((59049, 59049), np.dtype(np.float64)),
+    ],
+    ids=["bare", "numpy"],
+)
+def test_memory_error_exits_one_with_one_line(tmp_path, monkeypatch, capsys, command, exc):
+    def out_of_memory(config):
+        raise exc
+
+    monkeypatch.setattr(ultraspec.cli, f"cmd_{command}", out_of_memory)
+    assert main([command, "--config", str(REPO_CONFIG), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {exc}" if str(exc) else "error: out of memory"]
 
 
 def test_config_error_exits_one(tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""The streamed eigenvector bundle against the row functions and stdlib encoders."""
+"""The table writers and the streamed eigenvector bundle against the stdlib encoders."""
 
 import csv
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -21,13 +22,18 @@ from ultraspec import (
 from ultraspec.output import (
     EIGENVECTOR_HEADER,
     GRID_HEADER,
+    SPECTRUM_HEADER,
     eigenvector_rows,
     grid_rows,
+    spectrum_rows,
     write_eigenvector_bundle,
     write_spectrum_outputs,
     write_table,
+    _fmt,
     _point_labels,
 )
+import ultraspec.cli
+import ultraspec.output
 
 FORMATS = ("csv", "json")
 
@@ -41,12 +47,32 @@ def report(request, ho_potential):
     return eigensolve(assemble_hamiltonian(grid, 2.0, 0.5, ho_potential))
 
 
+def oracle_write_table(path, header, rows, fmt="csv"):
+    """A table through the stdlib csv/json encoders, cell by cell."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    rows = list(rows)
+    if fmt == "csv":
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+    elif fmt == "json":
+        records = [dict(zip(header, row)) for row in rows]
+        with open(path, "w") as handle:
+            handle.write(json.dumps(records, indent=1, sort_keys=True, default=_fmt) + "\n")
+    else:
+        raise ValueError(f"unknown output format {fmt!r}")
+    return path
+
+
 def oracle_bundle(path, grid, vectors, fmt):
-    """The bundle through ``write_table``, i.e. the stdlib csv/json encoders."""
+    """The bundle through ``oracle_write_table``, i.e. the stdlib csv/json encoders."""
     rows = [
         [j] + row for j in range(vectors.shape[1]) for row in eigenvector_rows(grid, vectors[:, j])
     ]
-    return write_table(path, ["vector"] + EIGENVECTOR_HEADER, rows, fmt)
+    return oracle_write_table(path, ["vector"] + EIGENVECTOR_HEADER, rows, fmt)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -55,8 +81,9 @@ def test_spectrum_outputs_match_row_path(report, fmt, tmp_path):
     written = {p.name: p.read_bytes() for p in write_spectrum_outputs(tmp_path / "new", report, fmt)}
     old = tmp_path / "old"
     expected = [
-        write_table(old / f"grid.{fmt}", GRID_HEADER, grid_rows(grid), fmt),
-        write_table(
+        oracle_write_table(old / f"grid.{fmt}", GRID_HEADER, grid_rows(grid), fmt),
+        oracle_write_table(old / f"eigenvalues.{fmt}", SPECTRUM_HEADER, spectrum_rows(report), fmt),
+        oracle_write_table(
             old / f"ground_state.{fmt}",
             EIGENVECTOR_HEADER,
             eigenvector_rows(grid, report.eigenvectors[:, 0]),
@@ -84,7 +111,9 @@ def test_complex_and_nonfinite_vectors_match_row_path(grid_n1, fmt, tmp_path):
     pooled.imag = rng.choice(pool, size=pooled.shape)
     pooled[:, 0].real = -0.0
     pooled[:, 0].imag = 1 / 3
-    for k, vectors in enumerate([vectors, pooled]):
+    # other dtypes give what complex() of each entry gives
+    others = [pooled.real.astype(np.float32), np.arange(3 * size).reshape(size, 3) - size]
+    for k, vectors in enumerate([vectors, pooled, *others]):
         new = write_eigenvector_bundle(tmp_path / f"new{k}.{fmt}", grid_n1, vectors, fmt)
         old = oracle_bundle(tmp_path / f"old{k}.{fmt}", grid_n1, vectors, fmt)
         assert new.read_bytes() == old.read_bytes()
@@ -97,6 +126,12 @@ def test_rows_label_points_with_format_element(grid_n2):
     ]
     assert [row[:3] for row in grid_rows(grid_n2)] == expected
     assert [row[:3] for row in eigenvector_rows(grid_n2, np.ones(grid_n2.size))] == expected
+    # |x| = q**shell, read per point, and the zero cell's +0.0
+    q = float(grid_n2.field.q)
+    radii = [q**shell if shell != ZERO_SHELL else 0.0 for shell in grid_n2.shells]
+    rows = list(grid_rows(grid_n2))
+    assert [repr(row[3]) for row in rows] == [repr(float(r)) for r in radii]
+    assert {row[4] for row in rows} == {grid_n2.mass}
 
 
 def test_csv_quotes_comma_bearing_digits(grid_n1, tmp_path):
@@ -160,3 +195,107 @@ def test_bundle_memory_stays_below_a_quarter_matrix(fmt, tmp_path):
 def test_digit_labels_match_format_element(spec, n):
     grid = build_grid(make_field(spec), n)
     assert [digits for digits, _ in _point_labels(grid)] == [format_element(x) for x in grid.points]
+
+
+NUMPY_CELLS = [np.int64(7), np.float64(-0.0), np.float64(2.5), np.float32(0.5), np.bool_(True)]
+EDGE_TABLES = {
+    "floats": (
+        ["x", "y"],
+        [[0.0, np.float64(0.1)], [-0.0, -0.0], [float("nan"), np.float64("nan")], [np.inf, 1 / 3],
+         [-np.inf, 5e-324], [1e300, np.float64(-np.inf)], [0.0, 0.0]],
+    ),
+    "ints": (["i", "j"], [[0, -1], [2**70, 5], [-(2**64), 5]]),
+    "drift": (["value", "drift"], [[1.5, None], [2.5, 1e-3], [3.5, None], [4.5, -0.0]]),
+    "bools": (["b", "ib"], [[True, 1], [False, True], [True, 0]]),
+    "numpy": (["a", "b", "c", "d", "e"], [NUMPY_CELLS, NUMPY_CELLS[::-1], [np.int64(-3)] * 5]),
+    "strings": (
+        ["s", "t"],
+        [["a,b", 'say "hi"'], ["line\nbreak", "carriage\rreturn"], ["crlf\r\n", "é ü 日本"],
+         ["", " lead"], ["plain", ""], ["a,b", "é ü 日本"]],
+    ),
+    "mixed": (["m"], [[1], ["1"], [1.0], [None], [True], [""], [np.int64(1)], ["x,y"]]),
+    "lone-empty": (["s"], [[""], ["a"], [""], ["\r"], ["\n"]]),
+    "lone-float": (["x"], [[0.0], [-0.0], [np.nan]]),
+    "lone-none": (["x"], [[None], [None]]),
+    "float32": (["x", "y"], [[np.float32(0.5), np.float32(-0.0)], [np.float32(0.1), np.float32(0.1)]]),
+    "nested": (["c", "d"], [[[1, [2, 3]], {"b": 1, "a": [None, 2.5]}], [[], {}]]),
+    "keys": (["b", "a", "é", 'q"k', "a"], [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]]),
+    "no-rows": (GRID_HEADER, []),
+    "no-columns": ([], [[], [], []]),
+    "empty-header-name": ([""], [["x"], [""]]),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", sorted(EDGE_TABLES))
+def test_write_table_matches_stdlib_encoders(case, fmt, tmp_path):
+    header, rows = EDGE_TABLES[case]
+    new = write_table(tmp_path / f"new.{fmt}", header, iter(rows), fmt)
+    old = oracle_write_table(tmp_path / f"old.{fmt}", header, iter(rows), fmt)
+    assert new.read_bytes() == old.read_bytes()
+
+
+def test_write_table_rejects_unknown_format_and_ragged_rows(tmp_path):
+    with pytest.raises(ValueError, match="unknown output format"):
+        write_table(tmp_path / "t.txt", ["a"], [[1]], "txt")
+    with pytest.raises(ValueError, match="unknown output format"):
+        oracle_write_table(tmp_path / "t.txt", ["a"], [[1]], "txt")
+    for fmt in FORMATS:
+        with pytest.raises(ValueError, match="needs 2 cells"):
+            write_table(tmp_path / f"r.{fmt}", ["a", "b"], [[1, 2], [3]], fmt)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _column_sample(write):
+    """``write`` of about 30 of the bundle's columns, so the in-memory oracle stays small."""
+
+    def bundle(path, grid, vectors, fmt):
+        return write(path, grid, vectors[:, :: max(1, grid.size // 30)], fmt)
+
+    return bundle
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+FIELDS = {
+    "Q7": {"family": "eisenstein", "p": 7, "e": 1},
+    "F7t": {"family": "laurent", "p": 7, "f": 1},
+}
+CLI_RUNS = [
+    pytest.param(fixture, None, command, level, id=f"{fixture}-{command}-{level}")
+    for fixture in ("q3sqrt3_ho", "f3_laurent")
+    for command, level in [("spectrum", 1), ("spectrum", 2), ("spectrum", 3), ("verify", 1)]
+    + [("verify", 2), ("verify", 3), ("converge", [1, 2, 3])]
+] + [
+    pytest.param("q3sqrt3_ho", FIELDS[name], command, level, id=f"{name}-{command}-{level}")
+    for name in FIELDS
+    for command, level in [("spectrum", 2), ("verify", 2), ("converge", [1, 2])]
+]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("fixture, field, command, level", CLI_RUNS)
+def test_command_files_match_stdlib_encoders(
+    fixture, field, command, level, fmt, tmp_path, monkeypatch
+):
+    data = json.loads((CONFIGS / f"{fixture}.cfg").read_text())
+    data.pop("n")
+    data.update({"levels": level} if command == "converge" else {"n": level})
+    if field is not None:
+        data["field"] = field
+    config = tmp_path / "run.cfg"
+    config.write_text(json.dumps(data))
+    writers = {
+        "new": (write_table, write_eigenvector_bundle),
+        "old": (oracle_write_table, oracle_bundle),
+    }
+    for out, (table, bundle) in writers.items():
+        monkeypatch.setattr(ultraspec.output, "write_table", table)
+        monkeypatch.setattr(ultraspec.cli, "write_table", table)
+        monkeypatch.setattr(ultraspec.output, "write_eigenvector_bundle", _column_sample(bundle))
+        argv = [command, "--config", str(config), "--format", fmt, "--out", str(tmp_path / out)]
+        assert ultraspec.cli.main(argv) in (0, 2)  # verify exits 2 on a failed check
+    new = {p.name: p.read_bytes() for p in (tmp_path / "new").iterdir()}
+    old = {p.name: p.read_bytes() for p in (tmp_path / "old").iterdir()}
+    assert new.keys() == old.keys() and new
+    for name in new:
+        assert new[name] == old[name], name
