@@ -1,9 +1,9 @@
 """Finite spectral models of Schrodinger operators over local fields.
 
 Builds the level-n quantum models over Q_p, tame Eisenstein extensions and
-Laurent series fields, computes their spectra and eigenfunctions, classifies
-eigenfunctions as radial or shell functions, and verifies the structural
-identities of the finite Fourier calculus.
+Laurent series fields, computes their spectra and eigenvector families,
+classifies each family as radial or shell off its template, and verifies
+the structural identities of the finite Fourier calculus.
 """
 
 import os as _os
@@ -22,7 +22,6 @@ from .errors import (
     NoConvergence,
     NonConfiningPotentialWarning,
     NonPrimeP,
-    NotAnEigenspace,
     ParseError,
     ReducibleModulus,
     ResidualTooLarge,
@@ -69,16 +68,14 @@ from .finite import (
 from .spectra import (
     ConvergenceTrace,
     EigenCluster,
-    Mixed,
     Radial,
     Shell,
     SpectrumReport,
-    classify_eigenvector,
+    classify_family,
     cluster_eigenvalues,
     convergence_report,
     eigensolve,
     embed_function,
-    shell_adapt,
 )
 from .verify import CheckResult, VerifyOutcome, run_verify
 

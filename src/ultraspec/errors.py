@@ -29,10 +29,6 @@ class ResidualTooLarge(UltraspecError):
     """An eigenpair residual exceeded its tolerance."""
 
 
-class NotAnEigenspace(UltraspecError):
-    """Vectors handed to the shell adaptor do not span a common eigenspace."""
-
-
 class ConfigError(UltraspecError):
     """Base class for configuration problems (maps to exit code 1)."""
 

@@ -112,9 +112,9 @@ class Grid:
     is [q**(n+k-1), q**(n+k)), and the zero cell (``ZERO_SHELL``) is [0, 1).
     The points with |x| <= q**k are the prefix [0, ``ball_size(k)``), so a
     level-n function lifts to level m by repeating each value q**(m-n)
-    times over the first q**(m+n) indices.  The ``digits`` matrix, the
-    per-point ``shells`` labels and the exact ``points`` are built on first
-    read; the solver reads only the runs.
+    times over the first q**(m+n) indices.  The ``digits`` matrix and the
+    per-point ``shells`` labels are built on first read, and ``point(i)``
+    builds one exact point; the solver reads only the runs.
     """
 
     def __init__(self, field: Field, n: int):
@@ -148,11 +148,6 @@ class Grid:
         n = self.n
         row = self.digits[i].tolist()
         return elem_from_pairs(self.field, [(pos - n, d) for pos, d in enumerate(row) if d])
-
-    @cached_property
-    def points(self) -> list:
-        """Every point as a field element, in index order; built on first read."""
-        return [self.point(i) for i in range(self.size)]
 
     @cached_property
     def shells(self) -> np.ndarray:

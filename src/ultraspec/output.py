@@ -84,13 +84,17 @@ def grid_rows(grid: Grid):
 
 
 def spectrum_rows(report: SpectrumReport):
-    values, classes = report.eigenvalues.tolist(), report.classifications
-    # a family's members share one classification object: format each object once
-    unique = {id(c): c for c in classes}
-    texts = {key: [c.label(), _profile_str(c.profile)] for key, c in unique.items()}
+    """One row per sorted column; each family's label and profile are formatted once."""
+    values = report.eigenvalues.tolist()
+    families = zip(report.families, report.family_classifications)  # in column order
+    stop = 0
     for ci, cluster in enumerate(report.clusters):
         for rank in cluster.indices:
-            yield [rank, values[rank], ci, cluster.multiplicity, *texts[id(classes[rank])]]
+            if rank == stop:  # the next family's first column
+                family, c = next(families)
+                stop = family.start + family.multiplicity
+                texts = [c.label(), _profile_str(c.profile)]
+            yield [rank, values[rank], ci, cluster.multiplicity, *texts]
 
 
 def eigenvector_rows(grid: Grid, vector: np.ndarray):

@@ -16,18 +16,15 @@ The solver keeps that structure in its ``SpectrumReport``, one store of
 families: the wavelets of one (depth, shell) each, with one eigenvalue, a
 multiplicity and a q-point template, and each radial eigenvector as one
 column with a (2n+1)-row template by shell; at a = 0 the point basis.
-The residual check, clustering, shell adaptation and classification all
-run on it, with no array of N rows: the check applies each family on its
-own tree node, plus the off-node term, and radial clusters are adapted
-by shell.  A cluster's block of eigenvectors is built from the families
-on its own, the dense N x N matrix only when a caller reads it.  A
-report of dense eigenvectors is one family per column.
-
-On top of that, eigenvalues are grouped into multiplicity clusters,
-degenerate radial eigenspaces are rotated onto a shell-adapted basis (the
-shell projections restricted to the span are jointly block-diagonalized to
-make the shell structure reproducible), eigenvectors are classified as
-radial / shell / mixed, and clusters are tracked across grid levels.
+Everything runs on it with no array of N rows: the residual check applies
+each family on its own tree node, plus the off-node term; eigenvalues are
+grouped into multiplicity clusters; degenerate radial clusters are rotated
+by shell onto a shell-adapted basis (the shell projections restricted to
+the span jointly block-diagonalized); each family is classified once, off
+its template, as radial or shell, and a cluster as radial, shell or mixed;
+and clusters are tracked across grid levels.  A cluster's block of
+eigenvectors is built from the families on its own, the dense N x N matrix
+only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -36,11 +33,12 @@ import bisect
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import NoConvergence, NotAnEigenspace, ResidualTooLarge
+from .errors import NoConvergence, ResidualTooLarge
 from .finite import (
     GRID_CAP_DEFAULT,
     Grid,
@@ -58,7 +56,6 @@ __all__ = [
     "DEFAULT_RESIDUAL_TOL",
     "Radial",
     "Shell",
-    "Mixed",
     "Classification",
     "EigenCluster",
     "SpectrumReport",
@@ -67,8 +64,7 @@ __all__ = [
     "ConvergenceTrace",
     "eigensolve",
     "cluster_eigenvalues",
-    "classify_eigenvector",
-    "shell_adapt",
+    "classify_family",
     "embed_function",
     "convergence_report",
 ]
@@ -77,7 +73,6 @@ DEFAULT_CLUSTER_TOL = 1e-6
 DEFAULT_RADIAL_TOL = 1e-8
 DEFAULT_SHELL_TOL = 1e-10
 DEFAULT_RESIDUAL_TOL = 1e-9
-EIGENSPACE_TOL = 1e-6  # shell_adapt's relative eigen-residual bound
 MATCH_WINDOW = 0.5  # convergence_report's largest cluster drift between levels
 
 
@@ -88,7 +83,7 @@ MATCH_WINDOW = 0.5  # convergence_report's largest cluster drift between levels
 
 @dataclass(frozen=True)
 class Radial:
-    """Constant on every shell; carries the worst within-shell deviation."""
+    """Constant on every shell, within ``max_deviation`` (0.0 when read off a radial template)."""
 
     max_deviation: float
     profile: dict
@@ -113,52 +108,11 @@ class Shell:
         return f"shell({_format_shell(self.k)})"
 
 
-@dataclass(frozen=True)
-class Mixed:
-    """Neither radial nor single-shell; carries the squared-norm profile."""
-
-    profile: dict
-
-    kind = "mixed"
-
-    def label(self) -> str:
-        return "mixed"
-
-
-Classification = Union[Radial, Shell, Mixed]
+Classification = Union[Radial, Shell]
 
 
 def _format_shell(k: float) -> str:
     return "-inf" if k == ZERO_SHELL else str(int(k))
-
-
-def classify_eigenvector(
-    grid: Grid,
-    v: np.ndarray,
-    radial_tol: float = DEFAULT_RADIAL_TOL,
-    shell_tol: float = DEFAULT_SHELL_TOL,
-) -> Classification:
-    """Classify a normalized eigenvector by its shell support.
-
-    Shell(k) when at least 1 - shell_tol of the squared norm sits on one
-    shell; otherwise Radial when the values deviate from their shell means
-    by at most radial_tol on every shell; otherwise Mixed.
-    """
-    v = np.asarray(v)
-    runs = {k: grid.shell_run(k) for k in grid.shell_labels()}
-    norms = {k: float((np.abs(v[run.start : run.stop]) ** 2).sum()) for k, run in runs.items()}
-    total = sum(norms.values())
-    profile = {k: val / total for k, val in norms.items()}
-    top = max(profile, key=profile.get)
-    if profile[top] >= 1.0 - shell_tol:
-        return Shell(k=top, leakage=1.0 - profile[top], profile=profile)
-    max_dev = 0.0
-    for run in runs.values():
-        vals = v[run.start : run.stop]
-        max_dev = max(max_dev, float(np.abs(vals - vals.mean()).max()))
-    if max_dev <= radial_tol:
-        return Radial(max_deviation=max_dev, profile=profile)
-    return Mixed(profile=profile)
 
 
 # ---------------------------------------------------------------------------
@@ -226,45 +180,13 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * _phase_scale(vectors)
 
 
-def shell_adapt(
-    grid: Grid,
-    vectors: np.ndarray,
-    model: Optional[HamiltonianModel] = None,
-    split_tol: float = 1e-7,
-) -> np.ndarray:
-    """Rotate an eigenspace basis onto shell-concentrated vectors.
-
-    Within the span, each shell-indicator projector restricts to a Hermitian
-    matrix; the family is jointly block-diagonalized by sequential
-    refinement, so every output vector is concentrated on as few shells as
-    the eigenspace allows.  When ``model`` is given, the columns are first
-    checked to span a common eigenspace, with H applied through
-    ``model.apply``: an eigen-residual above EIGENSPACE_TOL * max(1, |lambda|),
-    or a NaN one, raises NotAnEigenspace.
-    """
-    v = np.asarray(vectors)
-    if v.ndim == 1:
-        v = v[:, None]
-    m = v.shape[1]
-    if model is not None:
-        hv = model.apply(v)
-        rayleigh = np.real(np.einsum("ij,ij->j", v.conj(), hv))
-        lam = float(rayleigh.mean())
-        with np.errstate(over="ignore"):  # a norm past the float range is inf and fails
-            residual = float(np.linalg.norm(hv - lam * v, axis=0).max())
-        if not residual <= EIGENSPACE_TOL * max(1.0, abs(lam)):  # a NaN residual fails too
-            raise NotAnEigenspace(
-                f"eigen-residual {residual:.3e} at lambda = {lam:.6g} exceeds tolerance"
-            )
-    if m == 1:
-        return _fix_phases(v)
-    basis = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64, copy=True)
-    runs = [grid.shell_run(k) for k in grid.shell_labels()]
-    return _fix_phases(_refine_on_runs(basis, runs, split_tol))
-
-
 def _refine_on_runs(basis: np.ndarray, runs, split_tol: float) -> np.ndarray:
-    """``shell_adapt``'s sequential refinement of ``basis``, in place, over the row ``runs``."""
+    """Jointly block-diagonalize the row ``runs``' projectors on the span of ``basis``, in place.
+
+    Each run restricts to a Hermitian matrix on every block of columns not
+    yet split; its eigenvectors rotate the block, which splits where their
+    eigenvalues differ by more than ``split_tol``.
+    """
     blocks = [list(range(basis.shape[1]))]
     for run in runs:
         new_blocks = []
@@ -302,8 +224,8 @@ class VectorFamily:
     ``off_support`` the signed zero each column holds off its node (a
     negated column holds -0.0).  The columns are the ``multiplicity``
     consecutive ones of the sorted spectrum from ``start``, node by node
-    from ``first_node``.  Every vector lies on ``shell``; with no shell it
-    is classified numerically.  Wavelets: with e = n - shell the depth of
+    from ``first_node``.  Every vector lies on ``shell``, if it has one
+    (see ``classify_family``).  Wavelets: with e = n - shell the depth of
     the nodes' first nonzero digit, the nodes are the (q - 1) q**(d-e-1)
     ids from q**(d-e-1) when e < d, with q - 1 wavelets each, q rows
     repeated over one child each; when e = d the family is node 0 alone,
@@ -326,20 +248,41 @@ class VectorFamily:
     start: int = 0  # set once the spectrum is sorted
 
 
+def classify_family(family: VectorFamily, labels: list, shell_tol: float) -> Classification:
+    """The one classification of every vector of ``family``, read off its template.
+
+    With a shell it is Shell(k) with the exact profile (1.0 on k, 0.0 on
+    every other shell).  A radial template has a row u_k per shell k of
+    ``labels``, repeated m_k times: its profile is m_k u_k**2 / sum_j m_j
+    u_j**2, Shell(top) if the top share is at least 1 - shell_tol, else
+    Radial.  Any other template with no shell raises ValueError.
+    """
+    if family.shell is not None:
+        profile = {k: 1.0 if k == family.shell else 0.0 for k in labels}
+        return Shell(k=family.shell, leakage=0.0, profile=profile)
+    if family.template.shape != (len(labels), 1):
+        raise ValueError(f"a radial template is one column of {len(labels)} rows, one per shell")
+    weights = (np.asarray(family.repeats) * np.abs(family.template[:, 0]) ** 2).tolist()
+    total = sum(weights)
+    profile = {k: w / total for k, w in zip(labels, weights)}
+    top = max(profile, key=profile.get)
+    if profile[top] >= 1.0 - shell_tol:
+        return Shell(k=top, leakage=1.0 - profile[top], profile=profile)
+    return Radial(max_deviation=0.0, profile=profile)
+
+
 class SpectrumReport:
     """Sorted eigenvalues, residuals and clusters, with the eigenvectors as families.
 
     Each sorted column is a vector of exactly one of the ``families`` (see
-    VectorFamily); families that do not cover every column once raise
-    ValueError.  ``columns(span)`` builds any run of sorted columns, such
-    as a cluster's ``indices``.  ``eigenvectors``, the dense N x N matrix of
-    orthonormal, phase-fixed columns in spectrum order, is
-    ``columns(range(N))``, built the first time it is read and then kept.
-    So are ``classifications``, with the report's ``radial_tol`` and
-    ``shell_tol`` (those ``eigensolve`` was given): a family's vectors are
-    Shell(k) with the exact profile (1.0 on its shell, 0.0 on every other),
-    as ``classify_eigenvector`` finds them, and the columns of a family
-    with no shell, a depth-0 one, go through ``classify_eigenvector``.
+    VectorFamily), which the report holds in column order; families that do
+    not cover every column once raise ValueError.  ``columns(span)`` builds
+    any run of sorted columns, such as a cluster's ``indices``.
+    ``eigenvectors``, the dense N x N matrix of orthonormal, phase-fixed
+    columns in spectrum order, is ``columns(range(N))``, built the first
+    time it is read and then kept.  So are ``family_classifications``, one
+    per family with the report's ``shell_tol`` (see ``classify_family``),
+    which ``summary_rows`` reads: column i's is ``classification(i)``.
     """
 
     def __init__(
@@ -349,20 +292,17 @@ class SpectrumReport:
         residuals: np.ndarray,
         clusters: list,
         grid: Grid,
-        radial_tol: float = DEFAULT_RADIAL_TOL,
         shell_tol: float = DEFAULT_SHELL_TOL,
     ):
         self.eigenvalues = eigenvalues
-        self.families = list(families)
+        self.families = sorted(families, key=lambda f: (f.start, f.multiplicity))
         self.residuals = residuals
         self.clusters = clusters
         self.grid = grid
-        self.radial_tol = radial_tol
         self.shell_tol = shell_tol
-        covered = np.zeros(grid.size, dtype=np.int64)
-        for f in self.families:
-            covered[f.start : f.start + f.multiplicity] += 1
-        if sum(f.multiplicity for f in self.families) != grid.size or (covered != 1).any():
+        self._starts = [f.start for f in self.families]
+        # each family starts where the one before it stops, and the last stops at N
+        if self._starts + [grid.size] != [0, *accumulate(f.multiplicity for f in self.families)]:
             raise ValueError("the families must cover each of the N sorted columns exactly once")
 
     @cached_property
@@ -388,33 +328,23 @@ class SpectrumReport:
         return vectors
 
     @cached_property
-    def classifications(self) -> list:
-        grid = self.grid
-        labels, tols = grid.shell_labels(), (self.radial_tol, self.shell_tol)
-        out = [None] * grid.size
-        for f in self.families:
-            if f.shell is None:
-                lift = np.repeat(f.template, f.repeats, axis=0)
-                classes = [classify_eigenvector(grid, v, *tols) for v in lift.T]
-            else:
-                profile = {k: 1.0 if k == f.shell else 0.0 for k in labels}
-                classes = [Shell(k=f.shell, leakage=0.0, profile=profile)] * f.multiplicity
-            out[f.start : f.start + f.multiplicity] = classes
-        return out
+    def family_classifications(self) -> list:
+        labels = self.grid.shell_labels()
+        return [classify_family(f, labels, self.shell_tol) for f in self.families]
+
+    def classification(self, i: int) -> Classification:
+        """Sorted column i's classification, the one its family's vectors share."""
+        i = range(self.grid.size)[i]  # an IndexError past the columns, as in a list
+        return self.family_classifications[bisect.bisect_right(self._starts, i) - 1]
 
     def cluster_kind(self, cluster: EigenCluster) -> str:
-        span, kinds = cluster.indices, set()
-        for f in self.families:  # a family with a shell is one "shell"
-            cut = range(max(span.start, f.start), min(span.stop, f.start + f.multiplicity))
-            if f.shell is None:
-                kinds.update(self.classifications[i].kind for i in cut)
-            elif cut:
-                kinds.add("shell")
-        if kinds == {"radial"}:
-            return "radial"
+        span, starts = cluster.indices, self._starts
+        first = bisect.bisect_right(starts, span.start) - 1
+        last = bisect.bisect_left(starts, span.stop)
+        kinds = {c.kind for c in self.family_classifications[first:last]}
         if "radial" not in kinds:
             return "shell"
-        return "mixed"
+        return "radial" if kinds == {"radial"} else "mixed"
 
     def summary_rows(self):
         """(mean value, multiplicity, kind) per cluster, ascending."""
@@ -572,13 +502,13 @@ def eigensolve(
     phase-fixed (largest entry real positive, ties to the lowest index).
     Residuals ||Hv - lambda v|| (see ``_tree_residuals``) are checked
     against tol * max(1, max|H|) * size; a NaN residual fails the check.
-    Shell adaptation then rotates the radial members of each cluster as
-    ``shell_adapt`` would on the grid, but by shell: scaled by sqrt(m_k),
-    the templates hold shell k's projector as m_k on row k.  Wavelets lie
-    on a single shell already.  Rotating inside a cluster moves residuals
-    by at most the cluster width.  ``radial_tol`` and ``shell_tol`` are
-    kept on the report, which classifies the eigenvectors only when its
-    ``classifications`` are first read.
+    Shell adaptation then rotates the radial members of each cluster by
+    shell (``_refine_on_runs``): scaled by sqrt(m_k), the templates hold
+    shell k's projector as m_k on row k.  Wavelets lie on a single shell
+    already.  Rotating inside a cluster moves residuals by at most the
+    cluster width.  The report classifies the families with ``shell_tol``
+    when first asked; ``radial_tol`` is accepted and changes no label, a
+    radial family being constant on every shell by construction.
     """
     eigenvalues, families = _tree_eigensystem(model)
     residuals = _tree_residuals(model, families)
@@ -598,9 +528,7 @@ def eigensolve(
             block = _refine_on_runs(block, shells, max(shell_tol, 1e-9)) / weights
             for f, template in zip(members, np.hsplit(_fix_phases(block), len(members))):
                 f.template = template
-    return SpectrumReport(
-        eigenvalues, families, residuals, clusters, model.grid, radial_tol, shell_tol
-    )
+    return SpectrumReport(eigenvalues, families, residuals, clusters, model.grid, shell_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_reference_eigenfunctions(reports, field):
         sampled = reports[ZeroCellConvention.SAMPLE_AT_ZERO]
         grid = sampled.grid
         ground = sampled.eigenvectors[:, 0]
-        cls = sampled.classifications[0]
+        cls = sampled.classification(0)
         assert cls.kind == "radial"
         assert ground.real.min() > 0
         for shell, expected in load_golden_ground_state().items():
@@ -132,19 +132,19 @@ def test_reference_eigenfunctions(reports, field):
             assert np.abs(values - expected).max() <= GROUND_STATE_TOL
 
         default = reports[ZeroCellConvention.AVERAGE_OF_POWER]
-        assert default.classifications[0].kind == "radial"
+        assert default.classification(0).kind == "radial"
         assert default.eigenvectors[:, 0].real.min() > 0
 
         nine = next(c for c in default.clusters if abs(c.mean - 9.0) < 1e-3)
         assert nine.multiplicity == 4
         for i in nine.indices:
-            c = default.classifications[i]
+            c = default.classification(i)
             assert c.kind == "shell" and c.k == 1.0 and c.leakage <= LEAKAGE_TOL
 
         five = next(c for c in default.clusters if abs(c.mean - 5.0) < 1e-3)
         assert five.multiplicity == 2
         for i in five.indices:
-            profile = default.classifications[i].profile
+            profile = default.classification(i).profile
             outside = sum(v for k, v in profile.items() if k not in (1.0, 0.0))
             assert outside <= LEAKAGE_TOL
 
@@ -175,18 +175,18 @@ def test_structural_identity_suite():
                             assert np.abs(cs - sc).max() <= LINEAR_TOL
             grid = build_grid(field, 3)
             for _ in range(200):
-                x = grid.points[pyrng.randrange(grid.size)]
-                y = grid.points[pyrng.randrange(grid.size)]
+                x = grid.point(pyrng.randrange(grid.size))
+                y = grid.point(pyrng.randrange(grid.size))
                 lhs = character_phase(field, elem_add(field, x, y)).r
                 rhs = (character_phase(field, x).r + character_phase(field, y).r) % 1
                 assert lhs == rhs
             assert all(
-                character_phase(field, grid.points[i]).r == 0
+                character_phase(field, grid.point(i)).r == 0
                 for i in range(grid.size)
                 if grid.shells[i] <= 0
             )
             assert any(
-                grid.shells[i] == 1 and character_phase(field, grid.points[i]).r != 0
+                grid.shells[i] == 1 and character_phase(field, grid.point(i)).r != 0
                 for i in range(grid.size)
             )
 

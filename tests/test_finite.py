@@ -77,18 +77,19 @@ def test_grid_cap_enforced(q3sqrt3):
 
 def test_grid_index_round_trip(grid_n2):
     for i in (0, 1, 17, 80):
-        assert grid_n2.reduce_element(grid_n2.points[i]) == i
+        assert grid_n2.reduce_element(grid_n2.point(i)) == i
 
 
 def test_grid_points_are_built_on_first_read(q3sqrt3):
-    assert "points" not in vars(build_grid(q3sqrt3, 5))  # N = 59049, numpy arrays only
+    big = build_grid(q3sqrt3, 5)  # N = 59049: no digit row is built, and no list of points
+    assert "digits" not in vars(big) and not hasattr(big, "points")
     grid = build_grid(q3sqrt3, 1)
-    assert [grid.reduce_element(x) for x in grid.points] == list(range(grid.size))
-    assert "points" in vars(grid)
+    assert [grid.reduce_element(grid.point(i)) for i in range(grid.size)] == list(range(grid.size))
 
 
 def test_grid_point_is_one_exact_element(grid_n2):
-    assert [grid_n2.point(i) for i in range(grid_n2.size)] == grid_n2.points
+    points = [grid_n2.point(i) for i in range(grid_n2.size)]
+    assert [grid_n2.reduce_element(x) for x in points] == list(range(grid_n2.size))
     assert grid_n2.point(grid_n2.zero_index).is_zero
     # verify's exact checks read |x| <= 1 as the first q**n indices and shell 1 as the next block
     q, n = 3, 2
@@ -111,8 +112,8 @@ def test_fourier_of_cell_indicator_matches_character_sum(grid_n2, q3sqrt3):
         out = fourier_apply(grid_n2, f)
         expected = np.array(
             [
-                np.conj(character(q3sqrt3, elem_mul(q3sqrt3, x, grid_n2.points[z]))) / 9.0
-                for x in grid_n2.points
+                np.conj(character(q3sqrt3, elem_mul(q3sqrt3, x, grid_n2.point(z)))) / 9.0
+                for x in map(grid_n2.point, range(grid_n2.size))
             ]
         )
         assert np.abs(out - expected).max() < 1e-13
@@ -164,7 +165,8 @@ def test_neg_indices_match_exact_negation(spec):
     n = 1
     while field.q ** (2 * n) <= 729:
         grid = build_grid(field, n)
-        oracle = [grid.reduce_element(elem_neg(field, x, mod_exp=n)) for x in grid.points]
+        points = map(grid.point, range(grid.size))
+        oracle = [grid.reduce_element(elem_neg(field, x, mod_exp=n)) for x in points]
         assert grid.neg_indices().tolist() == oracle, n
         n += 1
 

@@ -31,6 +31,7 @@ from ultraspec.output import (
     write_table,
     _fmt,
     _point_labels,
+    _profile_str,
 )
 import ultraspec.cli
 import ultraspec.output
@@ -95,6 +96,19 @@ def test_spectrum_outputs_match_row_path(report, fmt, tmp_path):
         assert written[path.name] == path.read_bytes(), path.name
 
 
+def test_spectrum_rows_label_every_column_by_its_family(report):
+    # the per-column path: each sorted column's cluster, and the label and profile of the
+    # classification its family shares
+    expected = [
+        [rank, report.eigenvalues[rank], ci, cluster.multiplicity]
+        + [report.classification(rank).label(), _profile_str(report.classification(rank).profile)]
+        for ci, cluster in enumerate(report.clusters)
+        for rank in cluster.indices
+    ]
+    assert list(spectrum_rows(report)) == expected
+    assert len(expected) == report.grid.size and len({row[4] for row in expected}) > 2
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_complex_and_nonfinite_vectors_match_row_path(grid_n1, fmt, tmp_path):
     size = grid_n1.size
@@ -121,8 +135,8 @@ def test_complex_and_nonfinite_vectors_match_row_path(grid_n1, fmt, tmp_path):
 
 def test_rows_label_points_with_format_element(grid_n2):
     expected = [
-        [i, format_element(point), "-inf" if shell == ZERO_SHELL else str(int(shell))]
-        for i, (point, shell) in enumerate(zip(grid_n2.points, grid_n2.shells))
+        [i, format_element(grid_n2.point(i)), "-inf" if shell == ZERO_SHELL else str(int(shell))]
+        for i, shell in enumerate(grid_n2.shells)
     ]
     assert [row[:3] for row in grid_rows(grid_n2)] == expected
     assert [row[:3] for row in eigenvector_rows(grid_n2, np.ones(grid_n2.size))] == expected
@@ -136,8 +150,8 @@ def test_rows_label_points_with_format_element(grid_n2):
 
 def test_csv_quotes_comma_bearing_digits(grid_n1, tmp_path):
     path = write_eigenvector_bundle(tmp_path / "v.csv", grid_n1, np.eye(grid_n1.size), "csv")
-    index = next(i for i, p in enumerate(grid_n1.points) if "," in format_element(p))
-    digits = format_element(grid_n1.points[index])
+    index = next(i for i in range(grid_n1.size) if "," in format_element(grid_n1.point(i)))
+    digits = format_element(grid_n1.point(index))
     line = path.read_text().splitlines()[1 + index]
     assert line.startswith(f'0,{index},"{digits}",')
     assert next(csv.reader([line]))[2] == digits
@@ -194,7 +208,8 @@ def test_bundle_memory_stays_below_a_quarter_matrix(fmt, tmp_path):
 )
 def test_digit_labels_match_format_element(spec, n):
     grid = build_grid(make_field(spec), n)
-    assert [digits for digits, _ in _point_labels(grid)] == [format_element(x) for x in grid.points]
+    expected = [format_element(grid.point(i)) for i in range(grid.size)]
+    assert [digits for digits, _ in _point_labels(grid)] == expected
 
 
 NUMPY_CELLS = [np.int64(7), np.float64(-0.0), np.float64(2.5), np.float32(0.5), np.bool_(True)]

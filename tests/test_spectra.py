@@ -1,7 +1,9 @@
+import json
 import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,28 +14,35 @@ from ultraspec import (
     HamiltonianModel,
     LaurentField,
     MonomialPotential,
-    NotAnEigenspace,
     SpectrumReport,
     TablePotential,
     ZERO_SHELL,
     ZeroCellConvention,
     assemble_hamiltonian,
     build_grid,
-    classify_eigenvector,
     cluster_eigenvalues,
     convergence_report,
     eigensolve,
     embed_function,
     fourier_apply,
+    load_config,
     make_field,
     position_diagonal,
     project_cutoff,
     project_smooth,
-    shell_adapt,
 )
 from ultraspec.output import SPECTRUM_HEADER, spectrum_rows, write_table
 import ultraspec.spectra as spectra
+from oracles import (
+    NotAnEigenspace,
+    assert_matches_numeric,
+    classify_eigenvector,
+    numeric_classifications,
+    shell_adapt,
+)
 from test_tree import GRIDS, dense_families, grid_id, potentials
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # the tree oracle's grids (N <= 729) and two of N = 2401
 GATE_GRIDS = GRIDS + [(EisensteinExtension(p=7, e=1), 2), (LaurentField(p=7, f=1), 2)]
@@ -91,7 +100,7 @@ def test_diagonal_model_is_the_sorted_point_basis(spec, n, potential_kind, conve
     vectors = report.eigenvectors
     assert vectors.tobytes() == np.eye(grid.size)[:, order].tobytes()
     assert np.all(report.residuals == 0.0)
-    assert report.classifications == [
+    assert [report.classification(i) for i in range(grid.size)] == [
         classify_eigenvector(grid, vectors[:, i]) for i in range(grid.size)
     ]
     if potential_kind == "table" and convention is ZeroCellConvention.SAMPLE_AT_ZERO:
@@ -173,13 +182,53 @@ def test_eigensolve_memory_stays_below_four_dense_matrices(q3sqrt3, ho_potential
 
 def test_classifications_are_computed_on_first_read(canonical_model):
     report = eigensolve(canonical_model, radial_tol=1e-8, shell_tol=1.0)
-    assert "classifications" not in vars(report)
+    assert "family_classifications" not in vars(report)
     # with shell_tol = 1 every vector has a shell holding at least 1 - shell_tol of its norm
-    assert {c.kind for c in report.classifications} == {"shell"}
-    assert "classifications" in vars(report)
-    assert report.classifications[0] == classify_eigenvector(
-        canonical_model.grid, report.eigenvectors[:, 0], 1e-8, 1.0
-    )
+    assert {c.kind for c in report.family_classifications} == {"shell"}
+    assert "family_classifications" in vars(report)
+    assert len(report.family_classifications) == len(report.families)
+    expected = classify_eigenvector(canonical_model.grid, report.eigenvectors[:, 0], 1e-8, 1.0)
+    assert_matches_numeric(report.classification(0), expected, report.families[0].shell)
+
+
+def test_summary_rows_of_a_million_points_stay_below_one_megabyte(ho_potential):
+    # Q_2 at n = 10, N = 2**20: each family is classified once, off its template,
+    # with no N-row lift of a radial template and no N-entry list of labels
+    grid = build_grid(make_field(EisensteinExtension(p=2, e=1)), 10)
+    report = eigensolve(assemble_hamiltonian(grid, 2.0, 0.5, ho_potential))
+    tracemalloc.start()
+    try:
+        rows = report.summary_rows()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert sum(mult for _, mult, _ in rows) == grid.size
+    assert "radial" in {kind for _, _, kind in rows}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", ["q3sqrt3_ho", "f3_laurent"])
+def test_radial_tol_changes_no_label(name, n, tmp_path):
+    # a radial family is constant on every shell by construction, so even a radial_tol
+    # below any rounding error keeps every label, profile and summary row
+    data = json.loads((CONFIGS / f"{name}.cfg").read_text())
+    seen = []
+    for tolerances in ({}, {"radial_tol": 1e-300}):
+        path = tmp_path / f"{name}_{len(tolerances)}.cfg"
+        path.write_text(json.dumps(dict(data, n=n, tolerances=tolerances)))
+        config = load_config(path)
+        model = assemble_hamiltonian(
+            build_grid(config.field, n),
+            config.alpha,
+            config.kinetic_coeff,
+            config.potential,
+            config.convention,
+        )
+        report = eigensolve(model, radial_tol=config.tolerances.radial_tol)
+        seen.append((list(spectrum_rows(report)), report.summary_rows()))
+    assert seen[1] == seen[0]
+    assert "radial" in {row[4] for row in seen[0][0]}
 
 
 def test_eigensolve_enforces_residual_tolerance(canonical_model):
@@ -359,9 +408,10 @@ def test_structured_classifications_match_numeric_path(spec, n, ho_potential):
     grid = build_grid(make_field(spec), n)
     report = eigensolve(assemble_hamiltonian(grid, 1.5, 0.75, ho_potential))
     vectors = report.eigenvectors
-    assert report.classifications == [
-        classify_eigenvector(grid, vectors[:, i]) for i in range(grid.size)
-    ]
+    for f, got in zip(report.families, report.family_classifications):
+        for i in range(f.start, f.start + f.multiplicity):
+            assert report.classification(i) is got
+            assert_matches_numeric(got, classify_eigenvector(grid, vectors[:, i]), f.shell)
 
 
 @pytest.mark.parametrize("spec, n", GATE_GRIDS, ids=[grid_id(g) for g in GATE_GRIDS])
@@ -435,7 +485,11 @@ def test_dense_report_is_one_family_per_column(canonical_model, fourier_operator
     for span in spans:
         assert report.columns(span).tobytes() == vectors[:, span].tobytes()
     assert report.eigenvectors.tobytes() == vectors.tobytes()
-    assert report.classifications == [
+    # a dense column is no radial template: classifying it raises, it is not misread
+    for read in (lambda: report.classification(0), report.summary_rows):
+        with pytest.raises(ValueError, match="radial template"):
+            read()
+    assert numeric_classifications(report) == [
         classify_eigenvector(grid, vectors[:, i]) for i in range(grid.size)
     ]
 
@@ -638,7 +692,7 @@ def test_cluster_bisection_matches_greedy_loop_on_spectra(spec, n, ho_potential)
 
 
 def test_ground_state_is_radial_and_positive(canonical_report):
-    cls = canonical_report.classifications[0]
+    cls = canonical_report.classification(0)
     assert cls.kind == "radial"
     assert canonical_report.eigenvectors[:, 0].real.min() > 0
     assert sum(cls.profile.values()) == pytest.approx(1.0, abs=1e-10)
@@ -686,7 +740,7 @@ def test_mixed_classification_profile(grid_n2):
 
 def test_lambda41_splits_four_plus_four(canonical_report):
     cluster = cluster_near(canonical_report, 41.0)
-    labels = [canonical_report.classifications[i] for i in cluster.indices]
+    labels = [canonical_report.classification(i) for i in cluster.indices]
     shells = sorted(cls.k for cls in labels)
     assert all(cls.kind == "shell" for cls in labels)
     assert shells == [0.0, 0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 2.0]
@@ -695,7 +749,7 @@ def test_lambda41_splits_four_plus_four(canonical_report):
 def test_lambda9_adapted_basis_is_pure_shell_one(canonical_report):
     cluster = cluster_near(canonical_report, 9.0)
     for i in cluster.indices:
-        cls = canonical_report.classifications[i]
+        cls = canonical_report.classification(i)
         assert cls.kind == "shell" and cls.k == 1.0
         assert cls.leakage <= 1e-10
 
@@ -703,7 +757,7 @@ def test_lambda9_adapted_basis_is_pure_shell_one(canonical_report):
 def test_lambda5_support_confined_to_shells_one_and_zero(canonical_report):
     cluster = cluster_near(canonical_report, 5.0)
     for i in cluster.indices:
-        profile = canonical_report.classifications[i].profile
+        profile = canonical_report.classification(i).profile
         outside = sum(v for k, v in profile.items() if k not in (0.0, 1.0))
         assert outside <= 1e-10
 
@@ -1023,7 +1077,7 @@ def test_convergence_report_never_classifies(q3sqrt3, ho_potential, monkeypatch)
     def refuse(*args, **kwargs):
         raise AssertionError("convergence_report classified an eigenvector")
 
-    monkeypatch.setattr(spectra, "classify_eigenvector", refuse)
+    monkeypatch.setattr(spectra, "classify_family", refuse)
     trace = convergence_report(q3sqrt3, 2.0, 0.5, ho_potential, [2, 3])
     assert trace.levels == [2, 3]
     assert [level.level for level in trace.per_level] == [2, 3]

@@ -1,8 +1,9 @@
 """The tree solver against the dense Fourier oracle on every grid with N <= 729.
 
 The oracle is the operator a * F* diag(kin) F + diag(pot) built from the
-public Fourier kernel, diagonalized by dense ``eigh`` and then clustered,
-shell-adapted and classified with the public spectral toolkit.
+public Fourier kernel, diagonalized by dense ``eigh`` and then clustered
+with the public spectral toolkit, and shell-adapted and classified column
+by column with the test oracles.
 """
 
 import numpy as np
@@ -17,13 +18,12 @@ from ultraspec import (
     ZeroCellConvention,
     assemble_hamiltonian,
     build_grid,
-    classify_eigenvector,
     cluster_eigenvalues,
     eigensolve,
     make_field,
-    shell_adapt,
 )
 from ultraspec.spectra import VectorFamily, _tree_eigensystem
+from oracles import assert_matches_numeric, classify_eigenvector, numeric_summary_rows, shell_adapt
 
 GRIDS = [
     (EisensteinExtension(p=3, e=2), 2),
@@ -55,10 +55,10 @@ def dense_families(values, vectors):
 
 
 def dense_report(model, h):
-    """Dense eigh, then the public clustering and shell adaptation.
+    """Dense eigh, then the public clustering and the oracle's shell adaptation.
 
-    The report classifies its vectors when ``summary_rows`` reads them, through
-    the same property as the tree solver's report.
+    Its dense columns are no radial templates: ``numeric_summary_rows``
+    classifies them column by column.
     """
     grid = model.grid
     values, vectors = np.linalg.eigh(h)
@@ -103,7 +103,9 @@ def test_tree_solver_matches_dense_oracle(grid, convention, potential_kind, four
     v = tree.eigenvectors
     residuals = np.linalg.norm(h @ v - v * tree.eigenvalues, axis=0)
     assert residuals.max() <= TOL * max(1.0, float(np.abs(h).max()))
-    assert [row[1:] for row in tree.summary_rows()] == [row[1:] for row in oracle.summary_rows()]
+    assert [row[1:] for row in tree.summary_rows()] == [
+        row[1:] for row in numeric_summary_rows(oracle)
+    ]
 
 
 def lift(family):
@@ -116,6 +118,7 @@ def test_radial_adaptation_matches_shell_adapt_oracle(grid, convention):
     model = assemble_hamiltonian(grid, 2.0, 0.5, MonomialPotential(c=0.5, s=2.0), convention)
     report = eigensolve(model)
     _, unadapted = _tree_eigensystem(model)
+    unadapted.sort(key=lambda f: f.start)  # the report holds its families in column order
     radial = [(f, g) for f, g in zip(report.families, unadapted) if f.shell is None]
     assert len(radial) == 2 * grid.n + 1
     for cluster in report.clusters:
@@ -126,8 +129,5 @@ def test_radial_adaptation_matches_shell_adapt_oracle(grid, convention):
         oracle = shell_adapt(grid, np.hstack([lift(g) for _, g in members]), split_tol=1e-9)
         assert np.abs(adapted - oracle).max() <= 1e-14
         for (f, _), column in zip(members, oracle.T):
-            got, expected = report.classifications[f.start], classify_eigenvector(grid, column)
-            assert got.kind == expected.kind
-            assert getattr(got, "k", None) == getattr(expected, "k", None)  # the shell, if any
-            assert got.profile.keys() == expected.profile.keys()
-            assert all(abs(got.profile[k] - expected.profile[k]) <= 1e-14 for k in got.profile)
+            expected = classify_eigenvector(grid, column)
+            assert_matches_numeric(report.classification(f.start), expected, f.shell)
