@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage/config error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 
@@ -27,16 +28,18 @@ USAGE_ERRORS = (
 NUMERICAL_ERRORS = (errors.ResidualTooLarge, errors.NoConvergence)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``main`` finds the handler by command name."""
     parser = argparse.ArgumentParser(
         prog="ultraspec",
         description="Finite spectral models of Schrodinger operators over local fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, text in (
-        ("spectrum", cmd_spectrum, "diagonalize the configured model and write spectra"),
-        ("verify", cmd_verify, "run the structural identity suite"),
-        ("converge", cmd_converge, "track clusters across grid levels"),
+    for name, text in (
+        ("spectrum", "diagonalize the configured model and write spectra"),
+        ("verify", "run the structural identity suite"),
+        ("converge", "track clusters across grid levels"),
     ):
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, help="path to a JSON run configuration")
@@ -47,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=[c.value for c in ZeroCellConvention],
             help="zero-cell convention override",
         )
-        cmd.set_defaults(handler=handler)
     return parser
 
 
@@ -142,14 +144,14 @@ def _trajectory_preview(trace, limit: int = 12):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = globals()[f"cmd_{args.command}"]  # looked up per call, so a replaced handler runs
     # each warning of loading and running is printed once, as one line, before any failure
     with warnings.catch_warnings(record=True) as caught:
         warnings.filterwarnings("always", "ground state ", UserWarning)
         try:
             config = _apply_overrides(load_config(args.config), args)
-            return args.handler(config)
+            return handler(config)
         except USAGE_ERRORS as exc:
             failure, code = f"error: {exc}", 1
         except NUMERICAL_ERRORS as exc:

@@ -14,11 +14,22 @@ Two families are implemented:
   as integers < q (base-p coefficient vectors).  Digit arithmetic has no
   carries, so all ring operations including negation are exact.
 
+All of it runs on plain integers.  A product convolves integer digit lists
+once and normalizes each output digit once: by the carry rule, or, for
+F_q((t)), by one reduction modulo the residue modulus of the digit's
+F_p[z] coefficients, which the convolution keeps apart at stride 2f - 1.
+The residue trace is F_p-linear, tr(a) = sum c_i * tr(z**i) mod p, from f
+basis traces computed once per residue field, as sums of Frobenius images
+that are checked to land in F_p.
+
 Characters are additive and of rank zero (trivial exactly on the unit ball).
 Phases are kept as exact rationals with p-power denominator so that
 additivity checks and the Fourier kernels downstream are reproducible bit
-for bit.  ``format_element`` writes an expansion as ordered ``exp:digit``
-pairs such as ``-2:1,0:2`` (the zero element as the empty string).
+for bit; an Eisenstein phase reads its digits as one integer numerator over
+p**K, one ``Fraction`` per phase.  ``format_element`` writes an expansion as
+ordered ``exp:digit`` pairs such as ``-2:1,0:2`` (the zero element as the
+empty string).  The digit-by-digit forms of these kernels are the test
+oracles of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -72,7 +83,14 @@ def _is_prime(n: int) -> bool:
 
 
 class ResidueField:
-    """F_q arithmetic on integer-encoded elements (sum c_i * p**i <-> sum c_i z**i)."""
+    """F_q arithmetic on integer-encoded elements (sum c_i * p**i <-> sum c_i z**i).
+
+    Sums and negatives work on the base-p digits of the code; a product
+    convolves the two coefficient lists as plain integers and reduces modulo
+    ``modulus`` once.  The trace is F_p-linear, tr(a) = sum c_i * tr(z**i)
+    mod p, from the f basis traces, which the first call computes as sums
+    of Frobenius images.
+    """
 
     def __init__(self, p: int, f: int, modulus: Sequence[int]):
         self.p = p
@@ -81,6 +99,7 @@ class ResidueField:
         self.modulus = tuple(int(c) % p for c in modulus[:-1]) + (1,)
         # z**k mod modulus for k in [f, 2f-2], as coefficient tuples
         self._high_powers = self._reduce_high_powers()
+        self._basis_traces = None  # tr(z**i), i < f; computed by the first trace
 
     def _reduce_high_powers(self):
         p, f = self.p, self.f
@@ -95,38 +114,68 @@ class ResidueField:
             powers[k] = cur
         return powers
 
-    def decode(self, a: int) -> tuple:
-        p = self.p
-        return tuple((a // p**i) % p for i in range(self.f))
+    def _coeffs(self, a: int) -> list:
+        """The f coefficients of a in F_p[z], lowest first."""
+        p, out = self.p, []
+        for _ in range(self.f):
+            a, c = divmod(a, p)
+            out.append(c)
+        return out
 
-    def encode(self, coeffs: Sequence[int]) -> int:
-        return sum((c % self.p) * self.p**i for i, c in enumerate(coeffs))
+    def _spread(self, digits: Sequence[int]) -> list:
+        """The coefficients of a digit sequence at stride 2f - 1: digit i's z**s at (2f - 1) * i + s."""
+        gap = [0] * (self.f - 1)
+        out = self._coeffs(digits[0])
+        for d in digits[1:]:
+            out += gap
+            out += self._coeffs(d)
+        return out
+
+    def _reduce(self, conv: Sequence[int], count: int) -> list:
+        """The codes of ``count`` digits held at stride 2f - 1 in ``conv``, each reduced once.
+
+        Digit k is sum conv[(2f - 1) * k + s] z**s over s < 2f - 1, with any
+        integer coefficients.
+        """
+        p, f = self.p, self.f
+        w = 2 * f - 1
+        high = [self._high_powers[s] for s in range(f, w)]  # z**s mod modulus
+        out = []
+        for k in range(0, count * w, w):
+            low = conv[k : k + f]
+            for c, red in zip(conv[k + f : k + w], high):
+                if c:
+                    for i, r in enumerate(red):
+                        low[i] += c * r
+            code = 0
+            for c in reversed(low):
+                code = code * p + c % p
+            out.append(code)
+        return out
 
     def add(self, a: int, b: int) -> int:
-        ca, cb = self.decode(a), self.decode(b)
-        return self.encode(ca[i] + cb[i] for i in range(self.f))
+        p = self.p
+        out, scale = 0, 1
+        while a or b:
+            a, ca = divmod(a, p)
+            b, cb = divmod(b, p)
+            out += (ca + cb) % p * scale
+            scale *= p
+        return out
 
     def neg(self, a: int) -> int:
-        return self.encode(-c for c in self.decode(a))
+        p = self.p
+        out, scale = 0, 1
+        while a:
+            a, c = divmod(a, p)
+            out += (-c) % p * scale
+            scale *= p
+        return out
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        p, f = self.p, self.f
-        ca, cb = self.decode(a), self.decode(b)
-        conv = [0] * (2 * f - 1)
-        for i, ci in enumerate(ca):
-            if ci:
-                for j, cj in enumerate(cb):
-                    conv[i + j] += ci * cj
-        out = [c % p for c in conv[:f]]
-        for k in range(f, 2 * f - 1):
-            c = conv[k] % p
-            if c:
-                red = self._high_powers[k]
-                for i in range(f):
-                    out[i] = (out[i] + c * red[i]) % p
-        return self.encode(out)
+        return self._reduce(_convolve(self._coeffs(a), self._coeffs(b), 2 * self.f - 1), 1)[0]
 
     def pow(self, a: int, k: int) -> int:
         result, base = 1, a
@@ -138,7 +187,18 @@ class ResidueField:
         return result
 
     def trace(self, a: int) -> int:
-        """Trace to the prime field: sum of Frobenius images, returned in {0..p-1}."""
+        """Trace to the prime field, in {0..p-1}: sum c_i * tr(z**i) mod p."""
+        basis = self._basis_traces
+        if basis is None:
+            basis = self._basis_traces = [self._frobenius_trace(self.p**i) for i in range(self.f)]
+        p, total = self.p, 0
+        for t in basis:
+            a, c = divmod(a, p)
+            total += c * t
+        return total % p
+
+    def _frobenius_trace(self, a: int) -> int:
+        """Sum of the Frobenius images a**(p**i), i < f; it must land in the prime field."""
         acc, frob = a, a
         for _ in range(self.f - 1):
             frob = self.pow(frob, self.p)
@@ -146,6 +206,16 @@ class ResidueField:
         if acc >= self.p:
             raise ArithmeticError("residue trace left the prime field")
         return acc
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], size: int) -> list:
+    """The first ``size`` coefficients of the product of two integer coefficient lists."""
+    out = [0] * size
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b, i):
+                out[j] += u * v
+    return out
 
 
 def _poly_divmod(p: int, num: Sequence[int], den: Sequence[int]):
@@ -311,16 +381,16 @@ class FieldElement:
         return format_element(self) or "0"
 
 
-def _canonical(lo: int, digits: Iterable[int]) -> FieldElement:
-    digits = list(digits)
-    start = 0
-    while start < len(digits) and digits[start] == 0:
-        start += 1
+def _canonical(lo: int, digits: list) -> FieldElement:
+    """The element sum digits[i] * b**(lo + i), its zero digits at both ends stripped by index."""
     end = len(digits)
-    while end > start and digits[end - 1] == 0:
+    while end and not digits[end - 1]:
         end -= 1
-    if start == end:
+    if not end:
         return FieldElement(0, ())
+    start = 0
+    while not digits[start]:
+        start += 1
     return FieldElement(lo + start, tuple(digits[start:end]))
 
 
@@ -343,63 +413,63 @@ def elem_from_pairs(field: Field, pairs: Iterable) -> FieldElement:
 
 
 def _carry_normalize(p: int, e: int, lo: int, buf: list) -> FieldElement:
-    # buf holds non-negative integer coefficients; carries only move upward.
-    i = 0
-    while i < len(buf):
-        c = buf[i]
+    # buf holds non-negative integer coefficients; carries only move upward,
+    # and the loop goes on over the places a carry appends
+    for i, c in enumerate(buf):
         if c >= p:
             if i + e >= len(buf):
-                buf.extend([0] * (i + e + 1 - len(buf)))
-            buf[i] = c % p
-            buf[i + e] += c // p
-        i += 1
+                buf += [0] * (i + e + 1 - len(buf))
+            carry, buf[i] = divmod(c, p)
+            buf[i + e] += carry
     return _canonical(lo, buf)
 
 
 def elem_add(field: Field, x: FieldElement, y: FieldElement) -> FieldElement:
-    """Exact sum; Eisenstein digit sums >= p promote p*b**i to b**(i+e)."""
-    if x.is_zero:
+    """Exact sum; Eisenstein digit sums >= p promote p*b**i to b**(i+e).
+
+    One buffer: the digits of the operand with the lower exponent, the other
+    added in place.
+    """
+    if not x.digits:
         return y
-    if y.is_zero:
+    if not y.digits:
         return x
-    lo = min(x.lo, y.lo)
-    hi = max(x.lo + len(x.digits), y.lo + len(y.digits))
-    if field.is_laurent:
-        rf = field.residue
-        buf = [0] * (hi - lo)
-        for i, d in enumerate(x.digits):
-            buf[x.lo - lo + i] = d
-        for i, d in enumerate(y.digits):
-            j = y.lo - lo + i
-            buf[j] = rf.add(buf[j], d)
-        return _canonical(lo, buf)
-    buf = [0] * (hi - lo)
-    for i, d in enumerate(x.digits):
-        buf[x.lo - lo + i] += d
-    for i, d in enumerate(y.digits):
-        buf[y.lo - lo + i] += d
-    return _carry_normalize(field.p, field.e, lo, buf)
+    if y.lo < x.lo:
+        x, y = y, x
+    buf = list(x.digits)
+    start = y.lo - x.lo
+    pad = start + len(y.digits) - len(buf)
+    if pad > 0:
+        buf += [0] * pad
+    rf = field.residue  # a Laurent field's; None for an Eisenstein one
+    if rf is not None:
+        add = rf.add
+        for i, d in enumerate(y.digits, start):
+            buf[i] = add(buf[i], d)
+        return _canonical(x.lo, buf)
+    for i, d in enumerate(y.digits, start):
+        buf[i] += d
+    return _carry_normalize(field.p, field.e, x.lo, buf)
 
 
 def elem_mul(field: Field, x: FieldElement, y: FieldElement) -> FieldElement:
-    """Exact product by digit convolution plus carry normalization."""
-    if x.is_zero or y.is_zero:
+    """Exact product by integer digit convolution, normalized once per output digit.
+
+    Eisenstein: the carry rule.  Laurent: each digit's F_p[z] coefficients
+    sit at stride w = 2f - 1, so one convolution of the two lists holds every
+    digit product at its own offset, and each output digit is reduced modulo
+    the residue modulus once.
+    """
+    if not x.digits or not y.digits:
         return field.zero()
     lo = x.lo + y.lo
-    conv = [0] * (len(x.digits) + len(y.digits) - 1)
-    if field.is_laurent:
-        rf = field.residue
-        for i, a in enumerate(x.digits):
-            if a:
-                for j, b in enumerate(y.digits):
-                    if b:
-                        conv[i + j] = rf.add(conv[i + j], rf.mul(a, b))
-        return _canonical(lo, conv)
-    for i, a in enumerate(x.digits):
-        if a:
-            for j, b in enumerate(y.digits):
-                conv[i + j] += a * b
-    return _carry_normalize(field.p, field.e, lo, conv)
+    size = len(x.digits) + len(y.digits) - 1
+    rf = field.residue
+    if rf is not None:
+        w = 2 * rf.f - 1
+        conv = _convolve(rf._spread(x.digits), rf._spread(y.digits), size * w)
+        return _canonical(lo, rf._reduce(conv, size))
+    return _carry_normalize(field.p, field.e, lo, _convolve(x.digits, y.digits, size))
 
 
 def elem_neg(field: Field, x: FieldElement, mod_exp: Union[int, None] = None) -> FieldElement:
@@ -410,29 +480,34 @@ def elem_neg(field: Field, x: FieldElement, mod_exp: Union[int, None] = None) ->
     representative of -x modulo b**mod_exp; ``elem_add(x, elem_neg(x, N))``
     then has valuation >= N, and is exactly zero after grid reduction.
     """
-    if x.is_zero:
+    if not x.digits:
         return x
-    if field.is_laurent:
-        return _canonical(x.lo, [field.residue.neg(d) for d in x.digits])
+    rf = field.residue
+    if rf is not None:
+        return _canonical(x.lo, [rf.neg(d) for d in x.digits])
     if mod_exp is None:
         raise ValueError("Eisenstein negation needs a truncation exponent mod_exp")
     if mod_exp <= x.lo:
         return field.zero()
     p, e = field.p, field.e
-    out = []
-    carry = {}
-    for i in range(x.lo, mod_exp):
-        s = x.digit_at(i) + carry.pop(i, 0)
-        b = (-s) % p
-        out.append(b)
-        if s + b:
-            carry[i + e] = carry.get(i + e, 0) + (s + b) // p
-    return _canonical(x.lo, out)
+    # each digit s (with its carry) becomes (-s) mod p and carries (s + that) / p
+    # to e places up; carries at mod_exp and above drop out
+    width = mod_exp - x.lo
+    buf = list(x.digits[:width])
+    buf += [0] * (width - len(buf))
+    for i in range(width):
+        s = buf[i]
+        if s:
+            b = -s % p
+            buf[i] = b
+            if i + e < width:
+                buf[i + e] += (s + b) // p
+    return _canonical(x.lo, buf)
 
 
 def valuation(field: Field, x: FieldElement):
     """Lowest nonzero b-exponent, or +inf for the zero element."""
-    return math.inf if x.is_zero else x.lo
+    return x.lo if x.digits else math.inf
 
 
 def abs_value(field: Field, x: FieldElement) -> float:
@@ -454,22 +529,19 @@ class CharacterPhase:
     r: Fraction
 
     def __post_init__(self):
-        if not 0 <= self.r < 1:
-            raise ValueError(f"phase {self.r} outside [0, 1)")
+        r = self.r
+        if isinstance(r, Fraction):  # its integers; the denominator is positive
+            in_range = 0 <= r.numerator < r.denominator
+        else:
+            in_range = 0 <= r < 1
+        if not in_range:
+            raise ValueError(f"phase {r} outside [0, 1)")
 
     @property
     def complex_value(self) -> complex:
         if self.r == 0:
             return 1.0 + 0.0j
         return cmath.exp(2j * math.pi * float(self.r))
-
-
-def _padic_fractional(r: Fraction, p: int) -> Fraction:
-    # denominator of r is a power of p by construction
-    den = r.denominator
-    if den == 1:
-        return Fraction(0)
-    return Fraction(r.numerator % den, den)
 
 
 def beta_monomial_phase(field: Field, m: int, digit: int = 1) -> Fraction:
@@ -486,32 +558,33 @@ def beta_monomial_phase(field: Field, m: int, digit: int = 1) -> Fraction:
     k = shifted // field.e
     if k >= 0:
         return Fraction(0)
-    return _padic_fractional(Fraction(digit * field.e, field.p ** (-k)), field.p)
+    den = field.p ** (-k)
+    return Fraction(digit * field.e % den, den)
 
 
 def character_phase(field: Field, x: FieldElement) -> CharacterPhase:
     """Exact rational phase r with chi(x) = exp(2*pi*i*r).
 
     Eisenstein: r = { tr(b**(-d) * x) } with tr(b**j) = e * p**(j/e) when
-    e | j and 0 otherwise (tame power basis).  Laurent: r = tr(x_{-1}) / p
-    with the residue-field Frobenius trace.
+    e | j and 0 otherwise (tame power basis), so only the digits at
+    exponents d + e*k, k = -K, ..., -1, count: read as one base-p integer
+    num (the k = -K digit lowest), r = (e * num mod p**K) / p**K.  Laurent:
+    r = tr(x_{-1}) / p with the residue trace.
     """
-    if x.is_zero:
+    if not x.digits:
         return CharacterPhase(Fraction(0))
     if field.is_laurent:
         return CharacterPhase(beta_monomial_phase(field, -1, x.digit_at(-1)))
     e, p, d = field.e, field.p, field.d
-    total = Fraction(0)
-    for offset, digit in enumerate(x.digits):
-        if not digit:
-            continue
-        j = x.lo - d + offset
-        if j % e == 0:
-            k = j // e
-            if k >= 0:
-                continue  # integer contribution, no fractional part
-            total += Fraction(digit * e, p ** (-k))
-    return CharacterPhase(_padic_fractional(total, p))
+    places = (d - x.lo) // e  # K: exponent d - e*K is the lowest at or above x.lo
+    if places <= 0:
+        return CharacterPhase(Fraction(0))  # an integer trace
+    start = d - e * places - x.lo
+    num = 0
+    for c in reversed(x.digits[start : start + e * places : e]):
+        num = num * p + c
+    den = p**places
+    return CharacterPhase(Fraction(e * num % den, den))
 
 
 def character(field: Field, x: FieldElement) -> complex:

@@ -47,7 +47,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import GridTooLarge, NonConfiningPotentialWarning
-from .fields import Field, FieldElement, beta_monomial_phase, elem_from_pairs
+from .fields import Field, FieldElement, _canonical, beta_monomial_phase
 
 __all__ = [
     "ZERO_SHELL",
@@ -144,10 +144,8 @@ class Grid:
         return digits
 
     def point(self, i: int) -> FieldElement:
-        """Point i as an exact field element, built from digit row i."""
-        n = self.n
-        row = self.digits[i].tolist()
-        return elem_from_pairs(self.field, [(pos - n, d) for pos, d in enumerate(row) if d])
+        """Point i as an exact field element, read straight off digit row i (exponents -n, ...)."""
+        return _canonical(-self.n, self.digits[i].tolist())
 
     @cached_property
     def shells(self) -> np.ndarray:

@@ -1,23 +1,259 @@
-"""Dense test oracles for the spectral toolkit: the numeric classifier and the grid shell adaptor.
+"""Test oracles: digit-by-digit field arithmetic, the numeric classifier and the grid shell adaptor.
+
+The exact arithmetic of ``ultraspec.fields`` works on plain integers: one
+numerator per character phase, an F_p-linear residue trace, and products
+reduced once per digit.  The first part of this module is the digit-by-digit
+form it is checked against: residue digits decoded to coefficient tuples and
+encoded back for every operation, a Laurent product summed pair by pair in
+the residue field, a trace by Frobenius sums, and a phase summed one
+``Fraction`` per digit.
 
 The solver classifies each eigenvector family off its template and adapts
-radial clusters by shell (``ultraspec.spectra``).  These are the per-column
-forms on N-row vectors that it is checked against, and the numeric summary
-of a report, such as one of dense eigenvectors, whose families are lifted to
-N rows and classified column by column.
+radial clusters by shell (``ultraspec.spectra``).  The second part holds the
+per-column forms on N-row vectors that it is checked against, and the
+numeric summary of a report, such as one of dense eigenvectors, whose
+families are lifted to N rows and classified column by column.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from ultraspec import Grid, HamiltonianModel, Radial, Shell, UltraspecError
+from ultraspec import (
+    CharacterPhase,
+    Field,
+    FieldElement,
+    Grid,
+    HamiltonianModel,
+    Radial,
+    Shell,
+    UltraspecError,
+    fields,
+)
 from ultraspec.spectra import DEFAULT_RADIAL_TOL, DEFAULT_SHELL_TOL, _fix_phases, _refine_on_runs
 
 EIGENSPACE_TOL = 1e-6  # shell_adapt's relative eigen-residual bound
+
+
+# ---------------------------------------------------------------------------
+# Exact field arithmetic, digit by digit
+# ---------------------------------------------------------------------------
+
+
+class ResidueField(fields.ResidueField):
+    """F_q arithmetic through coefficient tuples: every operation decodes and encodes."""
+
+    def decode(self, a: int) -> tuple:
+        p = self.p
+        return tuple((a // p**i) % p for i in range(self.f))
+
+    def encode(self, coeffs: Sequence[int]) -> int:
+        return sum((c % self.p) * self.p**i for i, c in enumerate(coeffs))
+
+    def add(self, a: int, b: int) -> int:
+        ca, cb = self.decode(a), self.decode(b)
+        return self.encode(ca[i] + cb[i] for i in range(self.f))
+
+    def neg(self, a: int) -> int:
+        return self.encode(-c for c in self.decode(a))
+
+    def mul(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        p, f = self.p, self.f
+        ca, cb = self.decode(a), self.decode(b)
+        conv = [0] * (2 * f - 1)
+        for i, ci in enumerate(ca):
+            if ci:
+                for j, cj in enumerate(cb):
+                    conv[i + j] += ci * cj
+        out = [c % p for c in conv[:f]]
+        for k in range(f, 2 * f - 1):
+            c = conv[k] % p
+            if c:
+                red = self._high_powers[k]
+                for i in range(f):
+                    out[i] = (out[i] + c * red[i]) % p
+        return self.encode(out)
+
+    def trace(self, a: int) -> int:
+        """Trace to the prime field: sum of Frobenius images, returned in {0..p-1}."""
+        acc, frob = a, a
+        for _ in range(self.f - 1):
+            frob = self.pow(frob, self.p)
+            acc = self.add(acc, frob)
+        if acc >= self.p:
+            raise ArithmeticError("residue trace left the prime field")
+        return acc
+
+
+def oracle_field(field: Field) -> Field:
+    """``field`` with its residue arithmetic done digit by digit (``ResidueField`` above)."""
+    if not field.is_laurent:
+        return field
+    rf = field.residue
+    return dataclasses.replace(field, residue=ResidueField(rf.p, rf.f, rf.modulus))
+
+
+def _canonical(lo: int, digits: Iterable[int]) -> FieldElement:
+    digits = list(digits)
+    start = 0
+    while start < len(digits) and digits[start] == 0:
+        start += 1
+    end = len(digits)
+    while end > start and digits[end - 1] == 0:
+        end -= 1
+    if start == end:
+        return FieldElement(0, ())
+    return FieldElement(lo + start, tuple(digits[start:end]))
+
+
+def _carry_normalize(p: int, e: int, lo: int, buf: list) -> FieldElement:
+    # buf holds non-negative integer coefficients; carries only move upward.
+    i = 0
+    while i < len(buf):
+        c = buf[i]
+        if c >= p:
+            if i + e >= len(buf):
+                buf.extend([0] * (i + e + 1 - len(buf)))
+            buf[i] = c % p
+            buf[i + e] += c // p
+        i += 1
+    return _canonical(lo, buf)
+
+
+def elem_add(field: Field, x: FieldElement, y: FieldElement) -> FieldElement:
+    """Exact sum; Eisenstein digit sums >= p promote p*b**i to b**(i+e)."""
+    if x.is_zero:
+        return y
+    if y.is_zero:
+        return x
+    lo = min(x.lo, y.lo)
+    hi = max(x.lo + len(x.digits), y.lo + len(y.digits))
+    if field.is_laurent:
+        rf = field.residue
+        buf = [0] * (hi - lo)
+        for i, d in enumerate(x.digits):
+            buf[x.lo - lo + i] = d
+        for i, d in enumerate(y.digits):
+            j = y.lo - lo + i
+            buf[j] = rf.add(buf[j], d)
+        return _canonical(lo, buf)
+    buf = [0] * (hi - lo)
+    for i, d in enumerate(x.digits):
+        buf[x.lo - lo + i] += d
+    for i, d in enumerate(y.digits):
+        buf[y.lo - lo + i] += d
+    return _carry_normalize(field.p, field.e, lo, buf)
+
+
+def elem_mul(field: Field, x: FieldElement, y: FieldElement) -> FieldElement:
+    """Exact product by digit convolution plus carry normalization."""
+    if x.is_zero or y.is_zero:
+        return field.zero()
+    lo = x.lo + y.lo
+    conv = [0] * (len(x.digits) + len(y.digits) - 1)
+    if field.is_laurent:
+        rf = field.residue
+        for i, a in enumerate(x.digits):
+            if a:
+                for j, b in enumerate(y.digits):
+                    if b:
+                        conv[i + j] = rf.add(conv[i + j], rf.mul(a, b))
+        return _canonical(lo, conv)
+    for i, a in enumerate(x.digits):
+        if a:
+            for j, b in enumerate(y.digits):
+                conv[i + j] += a * b
+    return _carry_normalize(field.p, field.e, lo, conv)
+
+
+def elem_neg(field: Field, x: FieldElement, mod_exp: Union[int, None] = None) -> FieldElement:
+    """Negate x.
+
+    Laurent fields: exact (digit-wise residue negation).  Eisenstein fields:
+    the canonical expansion of -x is infinite, so the result is the canonical
+    representative of -x modulo b**mod_exp; ``elem_add(x, elem_neg(x, N))``
+    then has valuation >= N, and is exactly zero after grid reduction.
+    """
+    if x.is_zero:
+        return x
+    if field.is_laurent:
+        return _canonical(x.lo, [field.residue.neg(d) for d in x.digits])
+    if mod_exp is None:
+        raise ValueError("Eisenstein negation needs a truncation exponent mod_exp")
+    if mod_exp <= x.lo:
+        return field.zero()
+    p, e = field.p, field.e
+    out = []
+    carry = {}
+    for i in range(x.lo, mod_exp):
+        s = x.digit_at(i) + carry.pop(i, 0)
+        b = (-s) % p
+        out.append(b)
+        if s + b:
+            carry[i + e] = carry.get(i + e, 0) + (s + b) // p
+    return _canonical(x.lo, out)
+
+
+def _padic_fractional(r: Fraction, p: int) -> Fraction:
+    # denominator of r is a power of p by construction
+    den = r.denominator
+    if den == 1:
+        return Fraction(0)
+    return Fraction(r.numerator % den, den)
+
+
+def beta_monomial_phase(field: Field, m: int, digit: int = 1) -> Fraction:
+    """Phase of digit * b**m; closed form used to build Fourier kernels."""
+    if digit == 0:
+        return Fraction(0)
+    if field.is_laurent:
+        if m != -1:
+            return Fraction(0)
+        return Fraction(field.residue.trace(digit), field.p)
+    shifted = m - field.d
+    if shifted % field.e:
+        return Fraction(0)
+    k = shifted // field.e
+    if k >= 0:
+        return Fraction(0)
+    return _padic_fractional(Fraction(digit * field.e, field.p ** (-k)), field.p)
+
+
+def character_phase(field: Field, x: FieldElement) -> CharacterPhase:
+    """Exact rational phase r with chi(x) = exp(2*pi*i*r).
+
+    Eisenstein: r = { tr(b**(-d) * x) } with tr(b**j) = e * p**(j/e) when
+    e | j and 0 otherwise (tame power basis).  Laurent: r = tr(x_{-1}) / p
+    with the residue-field Frobenius trace.
+    """
+    if x.is_zero:
+        return CharacterPhase(Fraction(0))
+    if field.is_laurent:
+        return CharacterPhase(beta_monomial_phase(field, -1, x.digit_at(-1)))
+    e, p, d = field.e, field.p, field.d
+    total = Fraction(0)
+    for offset, digit in enumerate(x.digits):
+        if not digit:
+            continue
+        j = x.lo - d + offset
+        if j % e == 0:
+            k = j // e
+            if k >= 0:
+                continue  # integer contribution, no fractional part
+            total += Fraction(digit * e, p ** (-k))
+    return CharacterPhase(_padic_fractional(total, p))
+
+
+# ---------------------------------------------------------------------------
+# Eigenvector classification and shell adaptation
+# ---------------------------------------------------------------------------
 
 
 class NotAnEigenspace(UltraspecError):

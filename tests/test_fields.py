@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from ultraspec import (
+    CharacterPhase,
     EisensteinExtension,
     LaurentField,
     NonPrimeP,
     ReducibleModulus,
     WildRamification,
     abs_value,
+    build_grid,
     character,
     character_phase,
     elem_add,
@@ -209,6 +212,14 @@ def test_phase_examples_from_trace_rule(q3sqrt3):
     assert character_phase(q3sqrt3, q3sqrt3.beta_power(-1)).r == Fraction(2, 3)
 
 
+@pytest.mark.parametrize(
+    "r", [Fraction(1), Fraction(4, 3), Fraction(-1, 3), -1, 1, 1.5, -0.25, math.inf, math.nan]
+)
+def test_phase_outside_unit_interval_rejected(r):
+    with pytest.raises(ValueError):
+        CharacterPhase(r)
+
+
 def test_character_at_zero(q3sqrt3):
     assert character(q3sqrt3, q3sqrt3.zero()) == 1
 
@@ -296,3 +307,109 @@ def test_elem_from_pairs_validates_digits(q3sqrt3):
         elem_from_pairs(q3sqrt3, [(0, 3)])
     with pytest.raises(ValueError):
         elem_from_pairs(q3sqrt3, [(0, 1), (0, 2)])
+
+
+# ---------------------------------------------------------------------------
+# The integer kernels against the digit-by-digit oracle (tests/oracles.py)
+# ---------------------------------------------------------------------------
+
+KERNEL_FIELDS = [
+    EisensteinExtension(p=2),
+    EisensteinExtension(p=3),
+    EisensteinExtension(p=5),
+    EisensteinExtension(p=7),
+    EisensteinExtension(p=3, e=2),
+    EisensteinExtension(p=2, e=3),
+    EisensteinExtension(p=5, e=2),
+    EisensteinExtension(p=5, e=4),
+    LaurentField(p=2),
+    LaurentField(p=3),
+    LaurentField(p=2, f=2),
+    LaurentField(p=2, f=3),
+    LaurentField(p=3, f=2),
+    LaurentField(p=5, f=2),
+]
+
+
+def kernel_element(field, rng):
+    """A random element: zero, a run of top digits that carries, or random digits.
+
+    Exponents start anywhere in [-9, 6], and lengths reach 24 digits, longer
+    than any grid row the tests build.
+    """
+    kind = rng.randrange(6)
+    if kind == 0:
+        return field.zero()
+    lo, length = rng.randrange(-9, 7), rng.randrange(1, 25)
+    if kind == 1:  # digit p - 1 (q - 1 for Laurent), which carries or wraps on every add
+        digits = [field.q - 1] * length
+    else:
+        digits = [rng.randrange(field.q) for _ in range(length)]
+    return elem_from_pairs(field, [(lo + i, d) for i, d in enumerate(digits)])
+
+
+def as_pair(x):
+    return (x.lo, x.digits)
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
+def test_integer_kernels_match_digit_by_digit_oracle(spec):
+    field = make_field(spec)
+    slow = oracles.oracle_field(field)
+    rng = random.Random(20251019)
+    for _ in range(300):
+        x, y = kernel_element(field, rng), kernel_element(field, rng)
+        assert as_pair(elem_add(field, x, y)) == as_pair(oracles.elem_add(slow, x, y))
+        assert as_pair(elem_mul(field, x, y)) == as_pair(oracles.elem_mul(slow, x, y))
+        # truncation at, below and above the lowest exponent (zero has lo = 0)
+        mod_exp = x.lo + rng.randrange(-3, len(x.digits) + 4)
+        assert as_pair(elem_neg(field, x, mod_exp)) == as_pair(oracles.elem_neg(slow, x, mod_exp))
+        got, expected = character_phase(field, x).r, oracles.character_phase(slow, x).r
+        assert type(got) is Fraction and got == expected
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
+def test_grid_point_matches_pairs(spec):
+    field = make_field(spec)
+    grid = build_grid(field, 1 if field.q > 5 else 2)
+    for i in range(grid.size):
+        row = grid.digits[i].tolist()
+        expected = elem_from_pairs(field, [(pos - grid.n, d) for pos, d in enumerate(row)])
+        assert as_pair(grid.point(i)) == as_pair(expected)
+
+
+def test_residue_arithmetic_matches_digit_by_digit_oracle():
+    for p, f in [(2, 2), (2, 3), (3, 2), (5, 2), (2, 4), (3, 3)]:
+        rf = ResidueField(p, f, default_modulus(p, f))
+        slow = oracles.ResidueField(p, f, rf.modulus)
+        for a in range(rf.q):
+            assert rf.neg(a) == slow.neg(a)
+            for b in range(rf.q):
+                assert (rf.add(a, b), rf.mul(a, b)) == (slow.add(a, b), slow.mul(a, b))
+
+
+# q <= 27: (p, f) with p**f <= 27
+SMALL_RESIDUE_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)] + [
+    (p, 1) for p in (7, 11, 13, 17, 19, 23)
+]
+
+
+@pytest.mark.parametrize("p, f", SMALL_RESIDUE_FIELDS)
+def test_residue_trace_matches_frobenius_oracle(p, f):
+    rf = ResidueField(p, f, default_modulus(p, f))
+    slow = oracles.ResidueField(p, f, rf.modulus)
+    assert [rf.trace(a) for a in range(rf.q)] == [slow.trace(a) for a in range(rf.q)]
+
+
+@pytest.mark.parametrize("p, f, modulus", [(3, 2, (2, 0, 1)), (2, 2, (1, 0, 1))])
+def test_residue_trace_checks_reducible_modulus(p, f, modulus):
+    # z**2 - 1 over F_3 and z**2 + 1 = (z + 1)**2 over F_2: the Frobenius sum
+    # leaves the prime field, which the trace reports rather than hides
+    rf = ResidueField(p, f, modulus)
+    failures = 0
+    for a in range(rf.q):
+        try:
+            rf.trace(a)
+        except ArithmeticError:
+            failures += 1
+    assert failures > 0
