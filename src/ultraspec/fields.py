@@ -123,7 +123,7 @@ class ResidueField:
         return out
 
     def _spread(self, digits: Sequence[int]) -> list:
-        """The coefficients of a digit sequence at stride 2f - 1: digit i's z**s at (2f - 1) * i + s."""
+        """The digits' coefficients at stride 2f - 1: digit i's z**s at (2f - 1) * i + s."""
         gap = [0] * (self.f - 1)
         out = self._coeffs(digits[0])
         for d in digits[1:]:
@@ -131,7 +131,7 @@ class ResidueField:
             out += self._coeffs(d)
         return out
 
-    def _reduce(self, conv: Sequence[int], count: int) -> list:
+    def _reduce(self, conv: list, count: int) -> list:
         """The codes of ``count`` digits held at stride 2f - 1 in ``conv``, each reduced once.
 
         Digit k is sum conv[(2f - 1) * k + s] z**s over s < 2f - 1, with any
@@ -209,7 +209,7 @@ class ResidueField:
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], size: int) -> list:
-    """The first ``size`` coefficients of the product of two integer coefficient lists."""
+    """The product of two integer coefficient lists, in ``size`` >= len(a) + len(b) - 1 entries."""
     out = [0] * size
     for i, u in enumerate(a):
         if u:

@@ -1,4 +1,4 @@
-"""Test oracles: digit-by-digit field arithmetic, the numeric classifier and the grid shell adaptor.
+"""Test oracles: digit-by-digit field arithmetic, the numeric classifier, the shell adaptor.
 
 The exact arithmetic of ``ultraspec.fields`` works on plain integers: one
 numerator per character phase, an F_p-linear residue trace, and products
