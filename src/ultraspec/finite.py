@@ -26,13 +26,14 @@ where x_i and x_j differ: the grid is a q-ary tree of depth 2n and the
 operator takes 2n + 1 values kappa_s.  Assembly computes them in closed
 form from rank-zero character sums, and the Hamiltonian is shell data:
 those values and the 2n + 1 shell values of the symbol and the potential,
-applied by block sums over the tree, or over one node's subtree, never as
-a dense matrix.  No solve builds digits, phases or a Fourier transform:
-``verify`` (at every grid size) and the dense test oracles check kappa
-against F* diag(|xi|**alpha) F.  The residual gate, which applies each
-eigenvector family on its own node (a radial one by shell), sees a kappa
-error only above its threshold: a 1e-6 shift of kappa_1 at n = 1 and 2,
-not from n = 3 up; a NaN kappa fails eigh.
+applied by block sums over the tree or in closed form on shell-constant
+functions, never as a dense matrix.  No solve builds digits, phases or a
+Fourier transform: ``verify`` (at every grid size) and the dense test
+oracles check kappa against F* diag(|xi|**alpha) F.  The residual gate,
+which checks each eigenvector family on its template (a radial one by
+shell, any other by child and shell), sees a kappa error only above its
+threshold: a 1e-6 shift of kappa_1 at n = 1 and 2, not from n = 3 up; a
+NaN kappa fails eigh.
 """
 
 from __future__ import annotations
@@ -112,9 +113,9 @@ class Grid:
     is [q**(n+k-1), q**(n+k)), and the zero cell (``ZERO_SHELL``) is [0, 1).
     The points with |x| <= q**k are the prefix [0, ``ball_size(k)``), so a
     level-n function lifts to level m by repeating each value q**(m-n)
-    times over the first q**(m+n) indices.  The ``digits`` matrix and the
-    per-point ``shells`` labels are built on first read, and ``point(i)``
-    builds one exact point; the solver reads only the runs.
+    times over the first q**(m+n) indices.  ``digits``, the point labels
+    ``shells`` and the exact ``phase_table`` are built on first read, and
+    ``point(i)`` builds one exact point; the solver reads only the runs.
     """
 
     def __init__(self, field: Field, n: int):
@@ -126,8 +127,6 @@ class Grid:
         self._weights = q ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
         self.zero_index = 0  # all-zero tuple is lexicographically first
         self.shell_sizes = {k: len(self.shell_run(k)) for k in self.shell_labels()}
-
-        self._phase_cache = None
 
     def __len__(self) -> int:
         return self.size
@@ -189,13 +188,17 @@ class Grid:
         """
         return [self.shell_run(k) for k in reversed(self.shell_labels())]
 
-    def index_of_digits(self, row) -> int:
-        return int(np.dot(np.asarray(row, dtype=np.int64), self._weights))
-
     def reduce_element(self, x: FieldElement) -> int:
-        """Index of x modulo b**n (digits at exponents >= n dropped)."""
-        row = [x.digit_at(pos - self.n) for pos in range(2 * self.n)]
-        return self.index_of_digits(row)
+        """Index of x mod b**n, Horner over its digits at exponents -n..n-1 (the rest dropped)."""
+        q, index = self.field.q, 0
+        for exp in range(-self.n, self.n):
+            index = index * q + x.digit_at(exp)
+        return index
+
+    @cached_property
+    def phase_table(self) -> _PhaseTable:
+        """The exact kernel phases by digit step; built on first read, by ``verify`` and oracles."""
+        return _PhaseTable(self)
 
     def neg_indices(self) -> np.ndarray:
         """Index of -x modulo b**n for every grid point x, from the digit array.
@@ -328,12 +331,6 @@ def _p_power_exponent(den: int, p: int) -> int:
     return t
 
 
-def _phase_table(grid: Grid) -> _PhaseTable:
-    if grid._phase_cache is None:
-        grid._phase_cache = _PhaseTable(grid)
-    return grid._phase_cache
-
-
 # ---------------------------------------------------------------------------
 # Fourier transform on the grid
 # ---------------------------------------------------------------------------
@@ -346,7 +343,7 @@ def fourier_matrix(grid: Grid) -> np.ndarray:
             f"dense Fourier kernel capped at {FOURIER_DENSE_CAP} rows; "
             f"grid has {grid.size} (use fourier_apply)"
         )
-    table = _phase_table(grid)
+    table = grid.phase_table
     p = table.numerators(grid)
     p = (table.denominator - p) % table.denominator
     return table.roots[p] * float(grid.field.q) ** (-grid.n)
@@ -354,7 +351,7 @@ def fourier_matrix(grid: Grid) -> np.ndarray:
 
 def _step_phases(grid: Grid, inverse: bool = False):
     """The (q**t, q, q) root tables of the 2n digit steps, t = 0, ..., 2n - 1."""
-    table = _phase_table(grid)
+    table = grid.phase_table
     sign = 1 if inverse else -1
     for num in table.steps:
         yield table.roots[(sign * num) % table.denominator]
@@ -565,10 +562,10 @@ class HamiltonianModel:
     ``kinetic_shells`` and ``potential_shells`` are the 2n + 1 values of
     |xi|**alpha and of v per shell, in index order with the zero cell
     first (``shell_values``), and ``kinetic_coeff`` is a.  Together they
-    are the whole operator, held in O(n): ``apply`` computes H v on a tree
-    node, ``apply_shells`` H u on the shell-constant functions and
-    ``max_abs`` the largest entry; no dense matrix and no array of N rows
-    is kept.
+    are the whole operator, held in O(n): ``apply`` computes H v on the
+    grid, ``apply_shells`` H u on the shell-constant functions, ``far``
+    their common kernel sums and ``max_abs`` the largest entry; no dense
+    matrix and no array of N rows is kept.
     """
 
     grid: Grid
@@ -581,42 +578,40 @@ class HamiltonianModel:
     def size(self) -> int:
         return self.grid.size
 
-    def apply(self, v, depth: int = 0, node: int = 0) -> np.ndarray:
-        """H v on tree node ``node`` at ``depth`` < 2n (the whole grid by default), by block sums.
+    def apply(self, v) -> np.ndarray:
+        """H v for an (N,) or (N, k) array v, by block sums over the tree; the shape is kept.
 
-        v is (M,) or (M, k) on the node's M = q**(2n - depth) points, rows
-        [node M, (node + 1) M).  Points sharing their first s digits form
-        contiguous blocks of q**(2n - s) indices.  With B_s v the sum of v
-        over each point's block, H v = sum_{s >= depth} (kappa_s -
-        kappa_{s-1}) B_s v + pot * v on the node, kappa_{depth-1} = 0 and
-        B_2n v = v: sums go up the subtree, terms down it, O(M) per vector.
-        Off the node, where a point's digits first differ from the node's at
-        s < depth, H v is kappa_s times the sum of v.
+        Points sharing their first s digits form contiguous blocks of
+        q**(2n - s) indices.  With B_s v the sum of v over each point's
+        block, H v = sum_s (kappa_s - kappa_{s-1}) B_s v + pot * v,
+        kappa_{-1} = 0 and B_2n v = v: sums go up the tree, terms down it,
+        O(N) per vector.
         """
-        v = np.asarray(v)
-        q, width = self.grid.field.q, 2 * self.grid.n - depth
-        size = q**width
-        cols = v.reshape(size, -1)
+        q, width = self.grid.field.q, 2 * self.grid.n
+        cols = np.reshape(v, (self.size, -1))
         k = cols.shape[1]
-        steps = np.diff(self.kernel[depth:], prepend=0.0)
+        steps = np.diff(self.kernel, prepend=0.0)
         sums = [cols]  # sums[t] has one row per block of the first 2n - t digits
         for _ in range(width):
             sums.append(sums[-1].reshape(len(sums[-1]) // q, q, k).sum(axis=1))
         terms = steps[0] * sums[width]
         for s in range(1, width):
             terms = np.repeat(terms, q, axis=0) + steps[s] * sums[width - s]
-        # the shell runs are [0, 1) and [q**(i-1), q**i): node 0 holds the first width + 1,
-        # and any other node lies inside one
-        if node:
-            first, top = node * size, 2 * self.grid.n
-            pot = self.potential_shells[next(i for i in range(1, top + 1) if first < q**i)]
-        else:
-            runs = list(self.grid.shell_sizes.values())[: width + 1]
-            pot = np.repeat(self.potential_shells[: width + 1], runs)
+        pot = self.grid.spread_shells(self.potential_shells)
         out = np.reshape(pot + steps[width], (-1, 1)) * cols
-        leaves = out.reshape(size // q, q, k)  # splits the leading axis only: a view of out
+        leaves = out.reshape(self.size // q, q, k)  # splits the leading axis only: a view of out
         leaves += terms[:, None, :]
-        return out.reshape(v.shape)
+        return out.reshape(np.shape(v))
+
+    def far(self) -> np.ndarray:
+        """far_d = sum_{s > d} (kappa_s - kappa_{s-1}) q**(2n - s) by depth d = 0, ..., 2n.
+
+        The block sums B_s with s > d stay inside a child of a depth-d node,
+        so H scales a function constant on each child there by far_d + pot.
+        """
+        q, width = self.grid.field.q, 2 * self.grid.n
+        blocks = np.diff(self.kernel, prepend=0.0) * float(q) ** (width - np.arange(width + 1))
+        return np.append(np.cumsum(blocks[::-1])[::-1][1:], 0.0)
 
     def apply_shells(self, u) -> np.ndarray:
         """H u for a shell-constant u given by its 2n + 1 shell values, in O(n) per vector.
@@ -625,21 +620,18 @@ class HamiltonianModel:
         rows of a radial template; the shape is kept.  By depth d (shell
         n - d, m_d points) the block sums of ``apply`` are B_s u = tail_s =
         sum_{e >= s} m_e u_e for s <= d, and q**(2n - s) u_d for s > d, so
-        (H u)_d = sum_{s <= d} dk_s tail_s + (sum_{s > d} dk_s q**(2n - s)
-        + pot_d) u_d with dk_s = kappa_s - kappa_{s-1}: the kernel steps of
-        ``apply``, not the symbol.
+        (H u)_d = sum_{s <= d} dk_s tail_s + (``far``_d + pot_d) u_d with
+        dk_s = kappa_s - kappa_{s-1}: the kernel steps of ``apply``, not
+        the symbol.
         """
-        u = np.asarray(u)
-        q, width = self.grid.field.q, 2 * self.grid.n
-        by_depth = u.reshape(width + 1, -1)[::-1]
+        width = 2 * self.grid.n
+        by_depth = np.reshape(u, (width + 1, -1))[::-1]
         sizes = np.array([len(run) for run in self.grid.depth_runs()], dtype=np.float64)
         steps = np.diff(self.kernel, prepend=0.0)
         tails = np.cumsum((sizes[:, None] * by_depth)[::-1], axis=0)[::-1]
         near = np.cumsum(steps[:, None] * tails, axis=0)
-        blocks = steps * float(q) ** (width - np.arange(width + 1))
-        far = np.append(np.cumsum(blocks[::-1])[::-1][1:], 0.0)  # sum over s > d
-        out = near + (far + self.potential_shells[::-1])[:, None] * by_depth
-        return out[::-1].reshape(u.shape)
+        out = near + (self.far() + self.potential_shells[::-1])[:, None] * by_depth
+        return out[::-1].reshape(np.shape(u))
 
     def max_abs(self) -> float:
         """Largest |entry| of H, O(n): kernel[s < 2n] off the diagonal, kernel[2n] + pot on it."""

@@ -16,13 +16,13 @@ The solver keeps that structure in its ``SpectrumReport``, one store of
 families: the wavelets of one (depth, shell) each, with one eigenvalue, a
 multiplicity and a q-point template, and each radial eigenvector as one
 column with a (2n+1)-row template by shell; at a = 0 the point basis.
-Everything runs on it with no array of N rows: the residual check applies
-each family on its own tree node, plus the off-node term; eigenvalues are
-grouped into multiplicity clusters; degenerate radial clusters are rotated
-by shell onto a shell-adapted basis (the shell projections restricted to
-the span jointly block-diagonalized); each family is classified once, off
-its template, as radial or shell, and a cluster as radial, shell or mixed;
-and clusters are tracked across grid levels.  A cluster's block of
+Everything runs on it with no array of N rows: each family's one residual
+is read off its template, in O(q n) for a wavelet; eigenvalues are grouped
+into multiplicity clusters; degenerate radial clusters are rotated by shell
+onto a shell-adapted basis (the shell projections restricted to the span
+jointly block-diagonalized); each family is classified once, off its
+template, as radial or shell, and a cluster as radial, shell or mixed; and
+clusters are tracked across grid levels.  A cluster's block of
 eigenvectors is built from the families on its own, the dense N x N matrix
 only when a caller reads it.
 """
@@ -246,6 +246,7 @@ class VectorFamily:
     off_support: np.ndarray  # (vectors per node,)
     repeats: Union[int, np.ndarray]
     start: int = 0  # set once the spectrum is sorted
+    residual: float = 0.0  # the largest ||Hv - lambda v|| of its vectors, set by the gate
 
 
 def classify_family(family: VectorFamily, labels: list, shell_tol: float) -> Classification:
@@ -272,7 +273,7 @@ def classify_family(family: VectorFamily, labels: list, shell_tol: float) -> Cla
 
 
 class SpectrumReport:
-    """Sorted eigenvalues, residuals and clusters, with the eigenvectors as families.
+    """Sorted eigenvalues and clusters, with the eigenvectors as families, each with its residual.
 
     Each sorted column is a vector of exactly one of the ``families`` (see
     VectorFamily), which the report holds in column order; families that do
@@ -289,14 +290,12 @@ class SpectrumReport:
         self,
         eigenvalues: np.ndarray,
         families: Sequence[VectorFamily],
-        residuals: np.ndarray,
         clusters: list,
         grid: Grid,
         shell_tol: float = DEFAULT_SHELL_TOL,
     ):
         self.eigenvalues = eigenvalues
         self.families = sorted(families, key=lambda f: (f.start, f.multiplicity))
-        self.residuals = residuals
         self.clusters = clusters
         self.grid = grid
         self.shell_tol = shell_tol
@@ -457,33 +456,41 @@ def _tree_eigensystem(model: HamiltonianModel):
 
 
 @np.errstate(over="ignore")
-def _tree_residuals(model: HamiltonianModel, families):
-    """||Hv - lambda v|| for every sorted column, each family applied on its own tree node.
+def _tree_residuals(model: HamiltonianModel, families) -> None:
+    """Set each family's ``residual``, its vectors' largest ||Hv - lambda v||, from its template.
 
     A radial family, one with no shell, is checked on its template by
     ``model.apply_shells``: its residual is sqrt(sum_k m_k r_k**2) over
-    the shell residuals r_k, with m_k = ``repeats`` the shell sizes.  The
-    vectors of any other family on its first node stand for the rest: on
-    the node H v is ``model.apply(block, depth, node)``; off it, at the
-    (q - 1) q**(2n-1-s) points whose digits first differ from the node's at
-    s < depth, it is kappa_s times the block's column sums, so a template
-    that is not zero-sum fails here too.  A family's columns get the
-    largest residual of its block.  NaN stays NaN, overflow is inf.
+    the shell residuals r_k, with m_k = ``repeats`` the shell sizes.  Any
+    other family is checked on its first node, at depth d, in closed form:
+    template row u_c is constant on child c, so on the points of child c
+    in shell k (counted by child and shell; only node 0's child 0 spans
+    several) H v = kappa_d S + (far_d + pot_k) u_c, with S = ``repeats`` *
+    sum_c u_c and far_d from ``model.far``.  Off the node, at the (q - 1)
+    q**(2n-1-s) points whose digits first differ from the node's at s < d,
+    it is kappa_s S, so a template that is not zero-sum fails here too.  A
+    count of 0 weighs nothing, not even an overflowed term: NaN stays NaN,
+    overflow is inf.
     """
     q, n = model.grid.field.q, model.grid.n
-    residuals = np.empty(model.size)
+    far = model.far()
+    sizes = np.array(list(model.grid.shell_sizes.values()))[:, None]
+    ends = np.cumsum(sizes, axis=0)  # the shell runs end here, one row per shell k
+    starts, children = ends - sizes, np.arange(q)[:, None, None]
+    off_points = (q - 1) * float(q) ** (2 * n - 1 - np.arange(2 * n))  # by first digit off a node
     for f in families:
         if f.shell is None:
             shells = model.apply_shells(f.template) - f.value * f.template
-            worst = np.sqrt(f.repeats @ shells**2).max()
-        else:
-            block = np.repeat(f.template, f.repeats, axis=0)
-            on_node = model.apply(block, f.depth, f.first_node) - f.value * block
-            off_points = (q - 1) * float(q) ** (2 * n - 1 - np.arange(f.depth))
-            off_node = off_points @ (np.outer(model.kernel[: f.depth], block.sum(axis=0)) ** 2)
-            worst = np.sqrt((on_node**2).sum(axis=0) + off_node).max()
-        residuals[f.start : f.start + f.multiplicity] = worst
-    return residuals
+            f.residual = float(np.sqrt(f.repeats @ shells**2).max())
+            continue
+        d, u, child = f.depth, f.template, f.repeats
+        node_sum = child * u.sum(axis=0)
+        first = (f.first_node * q + children) * child  # child c's first index
+        counts = np.maximum(np.minimum(first + child, ends) - np.maximum(first, starts), 0)
+        shift = far[d] + model.potential_shells[:, None] - f.value  # (shell k, 1)
+        on_node = np.where(counts > 0, model.kernel[d] * node_sum + shift * u[:, None, :], 0.0)
+        off_node = off_points[:d] @ (model.kernel[:d, None] * node_sum) ** 2
+        f.residual = float(np.sqrt((counts * on_node**2).sum(axis=(0, 1)) + off_node).max())
 
 
 def eigensolve(
@@ -500,8 +507,8 @@ def eigensolve(
     no array of N rows is built; the report's dense ``eigenvectors`` only
     when they are first read.  Eigenvectors are Euclidean-normalized and
     phase-fixed (largest entry real positive, ties to the lowest index).
-    Residuals ||Hv - lambda v|| (see ``_tree_residuals``) are checked
-    against tol * max(1, max|H|) * size; a NaN residual fails the check.
+    The largest family residual ||Hv - lambda v|| (``_tree_residuals``) is
+    checked against tol * max(1, max|H|) * size; a NaN fails the check.
     Shell adaptation then rotates the radial members of each cluster by
     shell (``_refine_on_runs``): scaled by sqrt(m_k), the templates hold
     shell k's projector as m_k on row k.  Wavelets lie on a single shell
@@ -511,10 +518,10 @@ def eigensolve(
     radial family being constant on every shell by construction.
     """
     eigenvalues, families = _tree_eigensystem(model)
-    residuals = _tree_residuals(model, families)
+    _tree_residuals(model, families)
     scale = max(1.0, model.max_abs())
     threshold = tol * scale * model.size
-    worst = float(residuals.max())
+    worst = float(np.max([f.residual for f in families]))  # numpy's max keeps a NaN
     if not worst <= threshold:  # a NaN residual fails too
         raise ResidualTooLarge(f"residual {worst:.3e} exceeds {threshold:.3e}")
     clusters = cluster_eigenvalues(eigenvalues, cluster_tol)
@@ -528,7 +535,7 @@ def eigensolve(
             block = _refine_on_runs(block, shells, max(shell_tol, 1e-9)) / weights
             for f, template in zip(members, np.hsplit(_fix_phases(block), len(members))):
                 f.template = template
-    return SpectrumReport(eigenvalues, families, residuals, clusters, model.grid, shell_tol)
+    return SpectrumReport(eigenvalues, families, clusters, model.grid, shell_tol)
 
 
 # ---------------------------------------------------------------------------

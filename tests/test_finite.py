@@ -20,6 +20,7 @@ from ultraspec import (
     build_grid,
     character,
     eigensolve,
+    elem_from_pairs,
     elem_mul,
     elem_neg,
     fourier_apply,
@@ -85,6 +86,30 @@ def test_grid_points_are_built_on_first_read(q3sqrt3):
     assert "digits" not in vars(big) and not hasattr(big, "points")
     grid = build_grid(q3sqrt3, 1)
     assert [grid.reduce_element(grid.point(i)) for i in range(grid.size)] == list(range(grid.size))
+
+
+@pytest.mark.parametrize(
+    "spec", [EisensteinExtension(p=3, e=2), LaurentField(p=2, f=2)], ids=["Q3e2", "F4t"]
+)
+def test_reduce_element_is_the_digit_dot_product(spec):
+    # the Horner sum against the dot product of the window's digits with q**(2n-1-pos)
+    field = make_field(spec)
+    grid = build_grid(field, 2)
+    q, n = field.q, grid.n
+    weights = q ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
+
+    def dot_index(x):
+        return int(np.dot(np.array([x.digit_at(pos - n) for pos in range(2 * n)]), weights))
+
+    rng = np.random.default_rng(16)
+    outside = [  # digits on both sides of the window, or on one side only
+        elem_from_pairs(field, zip(range(lo, lo + width), rng.integers(1, q, width)))
+        for lo, width in [(-n - 3, 2 * n + 6), (-n - 2, 3), (n - 1, 4), (n, 2), (-n - 4, 2)]
+        for _ in range(5)
+    ]
+    elements = [grid.point(i) for i in range(grid.size)] + outside
+    assert [grid.reduce_element(x) for x in elements] == [dot_index(x) for x in elements]
+    assert [grid.reduce_element(x) for x in elements[: grid.size]] == list(range(grid.size))
 
 
 def test_grid_point_is_one_exact_element(grid_n2):
@@ -226,7 +251,7 @@ def test_fourier_apply_matches_dense_kernel(spec):
 def test_unitarity_defect_sees_one_flipped_numerator(q3sqrt3):
     grid = build_grid(q3sqrt3, 2)  # its own phase table, apart from the shared fixtures
     assert fourier_unitarity_defect(grid) <= 1e-12
-    finite._phase_table(grid).steps[2][4, 1, 2] += 1
+    grid.phase_table.steps[2][4, 1, 2] += 1
     assert fourier_unitarity_defect(grid) > 1e-2
 
 
@@ -256,7 +281,7 @@ def test_free_model_oracle_in_positive_characteristic(zero_potential):
 def test_phase_table_keeps_no_point_coordinates(q3sqrt3):
     grid = build_grid(q3sqrt3, 3)  # its own phase table, apart from the shared fixtures
     fourier_apply(grid, np.ones(grid.size))
-    table = finite._phase_table(grid)
+    table = grid.phase_table
     assert "coords" not in vars(table)
     # the step tables hold q**(t+2) numerators each, below 2 * q * N in all
     assert sum(step.size for step in table.steps) < 2 * grid.field.q * grid.size
@@ -542,36 +567,6 @@ def test_apply_follows_first_differing_digit(grid_n2, ho_potential):
         assert model.max_abs() == np.abs(oracle).max()
         block = rand_fn(rng, (grid_n2.size, 2))
         assert np.abs(model.apply(block) - oracle @ block).max() <= 1e-12 * np.abs(oracle).sum()
-
-
-@pytest.mark.parametrize("spec, n", GRIDS, ids=[grid_id(g) for g in GRIDS])
-def test_apply_on_a_node_is_the_padded_apply_restricted(spec, n):
-    # on a node, H v is the subtree operator; off it, kappa_s times the node sum
-    grid = build_grid(make_field(spec), n)
-    model = assemble_hamiltonian(grid, 1.5, 0.75, potentials(n)["table"])
-    q, width = grid.field.q, 2 * n
-    index = np.arange(grid.size)
-    rng = np.random.default_rng(13)
-    for depth in range(width):
-        size = q ** (width - depth)
-        for node in sorted({0, q**depth // 2, q**depth - 1}):
-            rows = slice(node * size, (node + 1) * size)
-            block = rng.standard_normal((size, 2))
-            padded = np.zeros((grid.size, 2))
-            padded[rows] = block
-            full = model.apply(padded)
-            tol = 1e-12 * max(1.0, model.max_abs()) * np.abs(block).sum(axis=0).max()
-            assert np.abs(model.apply(block, depth, node) - full[rows]).max() <= tol
-            assert model.apply(block[:, 0], depth, node).shape == (size,)
-            # the number of leading digits an off-node point shares with the node
-            shared = np.zeros(grid.size, dtype=int)
-            for prefix in range(1, depth + 1):
-                block_size = q ** (width - prefix)
-                shared += index // block_size == node * size // block_size
-            off = np.ones(grid.size, dtype=bool)
-            off[rows] = False
-            expected = model.kernel[shared][:, None] * block.sum(axis=0)
-            assert np.abs(full[off] - expected[off]).max(initial=0.0) <= tol
 
 
 # test_tree's grids, and the q = 2 grids of the dense Fourier oracle up to N = 4096

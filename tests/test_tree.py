@@ -70,7 +70,6 @@ def dense_report(model, h):
     return SpectrumReport(
         eigenvalues=values,
         families=dense_families(values, vectors),
-        residuals=np.zeros(grid.size),
         clusters=clusters,
         grid=grid,
     )
