@@ -84,8 +84,7 @@ def grid_rows(grid: Grid):
 
 
 def spectrum_rows(report: SpectrumReport):
-    """One row per sorted column; each family's label and profile are formatted once."""
-    values = report.eigenvalues.tolist()
+    """One row per sorted column; each family's value, label and profile are read once."""
     families = zip(report.families, report.family_classifications)  # in column order
     stop = 0
     for ci, cluster in enumerate(report.clusters):
@@ -93,8 +92,8 @@ def spectrum_rows(report: SpectrumReport):
             if rank == stop:  # the next family's first column
                 family, c = next(families)
                 stop = family.start + family.multiplicity
-                texts = [c.label(), _profile_str(c.profile)]
-            yield [rank, values[rank], ci, cluster.multiplicity, *texts]
+                value, texts = float(family.value), [c.label(), _profile_str(c.profile)]
+            yield [rank, value, ci, cluster.multiplicity, *texts]
 
 
 def eigenvector_rows(grid: Grid, vector: np.ndarray):

@@ -17,14 +17,14 @@ families: the wavelets of one (depth, shell) each, with one eigenvalue, a
 multiplicity and a q-point template, and each radial eigenvector as one
 column with a (2n+1)-row template by shell; at a = 0 the point basis.
 Everything runs on it with no array of N rows: each family's one residual
-is read off its template, in O(q n) for a wavelet; eigenvalues are grouped
-into multiplicity clusters; degenerate radial clusters are rotated by shell
-onto a shell-adapted basis (the shell projections restricted to the span
-jointly block-diagonalized); each family is classified once, off its
-template, as radial or shell, and a cluster as radial, shell or mixed; and
-clusters are tracked across grid levels.  A cluster's block of
-eigenvectors is built from the families on its own, the dense N x N matrix
-only when a caller reads it.
+is read off its template, in O(q n) for a wavelet; families are sorted and
+grouped into multiplicity clusters as (value, count) units; degenerate
+radial clusters are rotated by shell onto a shell-adapted basis (the shell
+projections restricted to the span jointly block-diagonalized); each
+family is classified once, off its template, as radial or shell, and a
+cluster as radial, shell or mixed; and clusters are tracked across grid
+levels.  A cluster's block of eigenvectors is built from the families on
+its own, the N eigenvalues and the N x N matrix only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -133,27 +133,36 @@ class EigenCluster:
         return len(self.indices)
 
 
-def cluster_eigenvalues(values: Sequence[float], cluster_tol: float = DEFAULT_CLUSTER_TOL):
-    """Greedy left-to-right clustering of an ascending eigenvalue list.
+def cluster_eigenvalues(
+    values: Sequence[float], counts: Sequence[int], cluster_tol: float = DEFAULT_CLUSTER_TOL
+):
+    """Greedy left-to-right clustering of an ascending list of values, value i on counts[i] columns.
 
     A value joins the open cluster iff it lies within
     cluster_tol * max(1, |rep|) of the cluster's first member, a test that
     only fails further along the list, so each cluster's end is found by
-    bisection.  The mean is taken as rep plus the mean offset from rep, so
-    a cluster of equal values has exactly their value as its mean.  A list
-    not ascending or not finite raises ValueError.
+    bisection, and its ``indices`` are the columns of its values.  The mean
+    is taken as rep plus the mean offset from rep over the columns, so a
+    cluster of equal values has exactly their value as its mean, and only a
+    cluster of unequal values is expanded to its columns.  A list not
+    ascending or not finite, or not one count of at least 1 per value,
+    raises ValueError.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(values).all() or (values[1:] < values[:-1]).any():
-        raise ValueError("cluster_eigenvalues takes an ascending list of finite values")
+    values, counts = np.asarray(values, dtype=np.float64), np.asarray(counts)
+    ascending = np.isfinite(values).all() and (values[1:] >= values[:-1]).all()
+    if not ascending or counts.shape != values.shape or (counts < 1).any():
+        raise ValueError("cluster_eigenvalues takes ascending finite values, each a count >= 1")
+    ends = list(accumulate(counts.tolist(), initial=0))  # each value's first column
     clusters = []
     start = 0
     while start < values.size:
         rep = float(values[start])
         bound = cluster_tol * max(1.0, abs(rep))
         stop = bisect.bisect_right(values, False, start + 1, key=lambda v: abs(v - rep) > bound)
-        mean = float(rep + (values[start:stop] - rep).mean())
-        clusters.append(EigenCluster(rep, range(start, stop), mean))
+        offsets = values[start:stop] - rep  # equal values: zeros, the first +0.0, mean +0.0
+        columns = np.repeat(offsets, counts[start:stop]) if offsets.any() else offsets
+        mean = float(rep + columns.mean())
+        clusters.append(EigenCluster(rep, range(ends[start], ends[stop]), mean))
         start = stop
     return clusters
 
@@ -273,7 +282,7 @@ def classify_family(family: VectorFamily, labels: list, shell_tol: float) -> Cla
 
 
 class SpectrumReport:
-    """Sorted eigenvalues and clusters, with the eigenvectors as families, each with its residual.
+    """The sorted spectrum as families, each one value with its vectors and residual, and clusters.
 
     Each sorted column is a vector of exactly one of the ``families`` (see
     VectorFamily), which the report holds in column order; families that do
@@ -281,20 +290,19 @@ class SpectrumReport:
     any run of sorted columns, such as a cluster's ``indices``.
     ``eigenvectors``, the dense N x N matrix of orthonormal, phase-fixed
     columns in spectrum order, is ``columns(range(N))``, built the first
-    time it is read and then kept.  So are ``family_classifications``, one
+    time it is read and then kept.  So are ``eigenvalues``, each family's
+    value repeated over its columns, and ``family_classifications``, one
     per family with the report's ``shell_tol`` (see ``classify_family``),
     which ``summary_rows`` reads: column i's is ``classification(i)``.
     """
 
     def __init__(
         self,
-        eigenvalues: np.ndarray,
         families: Sequence[VectorFamily],
         clusters: list,
         grid: Grid,
         shell_tol: float = DEFAULT_SHELL_TOL,
     ):
-        self.eigenvalues = eigenvalues
         self.families = sorted(families, key=lambda f: (f.start, f.multiplicity))
         self.clusters = clusters
         self.grid = grid
@@ -303,6 +311,10 @@ class SpectrumReport:
         # each family starts where the one before it stops, and the last stops at N
         if self._starts + [grid.size] != [0, *accumulate(f.multiplicity for f in self.families)]:
             raise ValueError("the families must cover each of the N sorted columns exactly once")
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return np.repeat([f.value for f in self.families], [f.multiplicity for f in self.families])
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
@@ -367,7 +379,7 @@ def _fold_phases(template: np.ndarray):
 
 
 def _tree_eigensystem(model: HamiltonianModel):
-    """Eigenvalues of H_n from its tree structure, ascending, and the families of their vectors.
+    """The eigenvector families of H_n from its tree structure, each with its first sorted column.
 
     With c = model.kernel, depths d = 0..2n (shell n - d, the zero cell at
     2n), sizes m_d, potentials v_d and symbols sigma_d = a |xi|**alpha on
@@ -384,8 +396,8 @@ def _tree_eigensystem(model: HamiltonianModel):
     The families, each one value repeated, are sorted as units, stably in
     the order: per depth, node 0 and then the other nodes by id, then the
     radial eigenvectors by value; each family's ``start`` is set to its
-    first sorted column.  Equal sums sigma_d + v_e tie exactly and keep
-    that order inside their cluster.
+    first sorted column, and they are returned in the order above.  Equal
+    sums sigma_d + v_e tie exactly and keep that order inside their cluster.
     """
     grid = model.grid
     q, n = grid.field.q, grid.n
@@ -444,15 +456,10 @@ def _tree_eigensystem(model: HamiltonianModel):
         for value, template in zip(radial_values, np.hsplit(templates, width + 1)):
             families.append(VectorFamily(0, None, value, 1, 0, template, np.zeros(1), sizes[::-1]))
 
-    values = np.array([f.value for f in families])
-    counts = np.array([f.multiplicity for f in families])
-    order = np.argsort(values, kind="stable")
-    sorted_counts = counts[order]
-    starts = np.empty_like(order)
-    starts[order] = np.cumsum(sorted_counts) - sorted_counts
-    for f, start in zip(families, starts):
-        f.start = int(start)
-    return np.repeat(values[order], sorted_counts), families
+    ordered = sorted(families, key=lambda f: f.value)  # stable: ties keep the order above
+    for f, start in zip(ordered, accumulate((f.multiplicity for f in ordered), initial=0)):
+        f.start = start
+    return families
 
 
 @np.errstate(over="ignore")
@@ -504,8 +511,9 @@ def eigensolve(
 
     The eigenpairs are the radial block's and the closed-form Haar
     wavelets, every eigenvector a family (see ``_tree_eigensystem``), so
-    no array of N rows is built; the report's dense ``eigenvectors`` only
-    when they are first read.  Eigenvectors are Euclidean-normalized and
+    no array of N rows is built: the families are clustered as (value,
+    count) units, the report's ``eigenvalues`` and dense ``eigenvectors``
+    built when first read.  Eigenvectors are Euclidean-normalized and
     phase-fixed (largest entry real positive, ties to the lowest index).
     The largest family residual ||Hv - lambda v|| (``_tree_residuals``) is
     checked against tol * max(1, max|H|) * size; a NaN fails the check.
@@ -517,14 +525,16 @@ def eigensolve(
     when first asked; ``radial_tol`` is accepted and changes no label, a
     radial family being constant on every shell by construction.
     """
-    eigenvalues, families = _tree_eigensystem(model)
+    families = _tree_eigensystem(model)
     _tree_residuals(model, families)
     scale = max(1.0, model.max_abs())
     threshold = tol * scale * model.size
     worst = float(np.max([f.residual for f in families]))  # numpy's max keeps a NaN
     if not worst <= threshold:  # a NaN residual fails too
         raise ResidualTooLarge(f"residual {worst:.3e} exceeds {threshold:.3e}")
-    clusters = cluster_eigenvalues(eigenvalues, cluster_tol)
+    ordered = sorted(families, key=lambda f: f.start)
+    values, counts = [f.value for f in ordered], [f.multiplicity for f in ordered]
+    clusters = cluster_eigenvalues(values, counts, cluster_tol)
     radial = [f for f in families if f.shell is None]
     for cluster in clusters:
         members = [f for f in radial if f.start in cluster.indices]
@@ -535,7 +545,7 @@ def eigensolve(
             block = _refine_on_runs(block, shells, max(shell_tol, 1e-9)) / weights
             for f, template in zip(members, np.hsplit(_fix_phases(block), len(members))):
                 f.template = template
-    return SpectrumReport(eigenvalues, families, clusters, model.grid, shell_tol)
+    return SpectrumReport(families, clusters, model.grid, shell_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +659,7 @@ def convergence_report(
             cluster_tol=cluster_tol,
             shell_tol=shell_tol,
         )
-        lowest = float(report.eigenvalues[0])
+        lowest = float(report.families[0].value)
         per_level.append(
             LevelClusters(
                 level=n,

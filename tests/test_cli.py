@@ -12,6 +12,7 @@ from ultraspec import (
     MonomialPotential,
     ParseError,
     ResidualTooLarge,
+    SpectrumReport,
     ValidationError,
     ZeroCellConvention,
     load_config,
@@ -358,6 +359,20 @@ def test_converge_output_is_deterministic(tmp_path, fmt):
         assert main(["converge", "--config", str(config), "--out", str(out), "--format", fmt]) == 0
     for name in (f"level_clusters.{fmt}", f"trajectories.{fmt}"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_spectrum_and_converge_never_expand_the_eigenvalues(tmp_path, monkeypatch):
+    # both commands read each family's one value; the N sorted eigenvalues stay unbuilt
+    def expand(report):
+        raise AssertionError("the N sorted eigenvalues were built")
+
+    monkeypatch.setattr(SpectrumReport, "eigenvalues", property(expand))
+    assert main(["spectrum", "--config", str(REPO_CONFIG), "--out", str(tmp_path / "s")]) == 0
+    data = dict(CANONICAL)
+    del data["n"]
+    data["levels"] = [1, 2, 3]
+    config = write_config(tmp_path, data)
+    assert main(["converge", "--config", str(config), "--out", str(tmp_path / "c")]) == 0
 
 
 def test_converge_single_level(tmp_path):

@@ -249,9 +249,9 @@ def test_nan_residual_raises(canonical_model, monkeypatch, tmp_path, capsys):
     for radial in (True, False):
 
         def poisoned(model, radial=radial):
-            values, families = exact(model)
+            families = exact(model)
             next(f for f in families if (f.shell is None) == radial).template[0, 0] = np.nan
-            return values, families
+            return families
 
         monkeypatch.setattr(spectra, "_tree_eigensystem", poisoned)
         with pytest.raises(ResidualTooLarge, match="residual nan"):
@@ -294,7 +294,7 @@ def test_gate_reads_each_shell_family_off_its_template(spec, n):
     for potential in potentials(n).values():
         for a in (0.75, 0.0):
             model = assemble_hamiltonian(grid, 1.5, a, potential)
-            _, families = spectra._tree_eigensystem(model)
+            families = spectra._tree_eigensystem(model)
             shell_families = [f for f in families if f.shell is not None]
             # node 0 holds families but for q = 2 at a > 0, whose path to 0 has no wavelet
             assert (0 in {f.first_node for f in shell_families}) == (q > 2 or a == 0)
@@ -323,7 +323,25 @@ def test_residual_gate_holds_no_block_per_family(spec, n, ho_potential):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 8 * grid.size
+    assert peak < 8 * grid.size
+
+
+def test_spectrum_of_millions_of_points_holds_no_array_of_them(q3sqrt3, ho_potential):
+    # Q_3[sqrt 3] at n = 7, N = 3**14: the families are sorted and clustered as
+    # (value, count) units, and the N sorted eigenvalues are built only when read
+    grid = build_grid(q3sqrt3, 7, cap=3**14)
+    model = assemble_hamiltonian(grid, 2.0, 0.5, ho_potential)
+    tracemalloc.start()
+    try:
+        report = eigensolve(model)
+        rows = report.summary_rows()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert "eigenvalues" not in vars(report)
+    assert sum(mult for _, mult, _ in rows) == grid.size
+    assert {5.0, 9.0, 41.0, 45.0} <= {value for value, _, _ in rows}
 
 
 @pytest.mark.parametrize("a", [0.75, 0.0])
@@ -505,8 +523,8 @@ def test_dense_report_is_one_family_per_column(canonical_model, fourier_operator
     grid = canonical_model.grid
     values, vectors = np.linalg.eigh(fourier_operator(canonical_model))
     families = dense_families(values, vectors)
-    clusters = cluster_eigenvalues(values)
-    report = SpectrumReport(values, families, clusters, grid)
+    clusters = cluster_eigenvalues(values, np.ones(values.size, dtype=int))
+    report = SpectrumReport(families, clusters, grid)
     assert [f.start for f in report.families] == list(range(grid.size))
     spans = [c.indices for c in report.clusters] + [range(5, 40), range(grid.size)]
     for span in spans:
@@ -523,8 +541,8 @@ def test_dense_report_is_one_family_per_column(canonical_model, fourier_operator
 
 def test_families_must_cover_every_column_once(canonical_model):
     grid = canonical_model.grid
-    values, families = spectra._tree_eigensystem(canonical_model)
-    SpectrumReport(values, families, [], grid)
+    families = spectra._tree_eigensystem(canonical_model)
+    values = SpectrumReport(families, [], grid).eigenvalues
     radial = [f for f in families if f.shell is None]
     assert len(radial) == 2 * grid.n + 1
     dense = dense_families(values, np.eye(grid.size))
@@ -536,7 +554,7 @@ def test_families_must_cover_every_column_once(canonical_model):
         dense[:-1] + [replace(dense[-1], multiplicity=2)],  # past the last column
     ]:
         with pytest.raises(ValueError, match="exactly once"):
-            SpectrumReport(values, cover, [], grid)
+            SpectrumReport(cover, [], grid)
 
 
 def expanded_sort(families):
@@ -566,7 +584,8 @@ def test_unit_sort_matches_expanded_stable_sort(spec, n, a, monkeypatch):
         return solved[-1]
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    eigenvalues, families = spectra._tree_eigensystem(model)
+    families = spectra._tree_eigensystem(model)
+    eigenvalues = SpectrumReport(families, [], grid).eigenvalues
     radial_values = solved[0][0] if solved else np.empty(0)
     assert len(solved) == (a != 0)
     # the radial eigenvectors come last, one family each, in the order of their values
@@ -588,7 +607,7 @@ def test_wavelet_value_is_the_symbol_plus_the_potential(spec, n, potential_kind,
     # to within an ulp of the exact sum of the float inputs
     grid = build_grid(make_field(spec), n)
     model = assemble_hamiltonian(grid, 1.5, 0.75, potentials(n)[potential_kind], convention)
-    _, families = spectra._tree_eigensystem(model)
+    families = spectra._tree_eigensystem(model)
     a = Fraction(model.kinetic_coeff)
     for f in (f for f in families if f.shell is not None):
         kin = grid.spread_shells(model.kinetic_shells)[grid.shell_run(f.depth + 1 - n).start]
@@ -617,13 +636,13 @@ def test_cluster_multiplicities_match_reference_table(canonical_report):
 
 def test_cluster_separated_values_stay_singletons():
     values = [0.0, 1.0, 2.5, 2.5 + 1e-3]
-    clusters = cluster_eigenvalues(values, cluster_tol=1e-6)
+    clusters = cluster_eigenvalues(values, [1] * len(values), cluster_tol=1e-6)
     assert [c.multiplicity for c in clusters] == [1, 1, 1, 1]
 
 
 def test_cluster_merges_close_values():
     values = [2.0, 2.0 + 1e-8, 2.0 + 2e-8, 3.0]
-    clusters = cluster_eigenvalues(values, cluster_tol=1e-6)
+    clusters = cluster_eigenvalues(values, [1] * len(values), cluster_tol=1e-6)
     assert [c.multiplicity for c in clusters] == [3, 1]
     assert clusters[0].rep == 2.0
 
@@ -631,9 +650,10 @@ def test_cluster_merges_close_values():
 def test_equal_values_cluster_to_their_value():
     value = 0.05555555555555555
     assert np.full(6, value).mean() != value  # the plain mean is an ulp off
-    [cluster] = cluster_eigenvalues([value] * 6)
+    [cluster] = cluster_eigenvalues([value] * 6, [1] * 6)
     assert cluster.mean == value
-    assert [c.mean for c in cluster_eigenvalues([-3.5] * 7 + [value] * 6)] == [-3.5, value]
+    clusters = cluster_eigenvalues([-3.5] * 7 + [value] * 6, [1] * 13)
+    assert [c.mean for c in clusters] == [-3.5, value]
 
 
 @pytest.mark.parametrize(
@@ -643,7 +663,17 @@ def test_equal_values_cluster_to_their_value():
 )
 def test_cluster_rejects_unsorted_or_nonfinite_values(values):
     with pytest.raises(ValueError, match="ascending"):
-        cluster_eigenvalues(values)
+        cluster_eigenvalues(values, [1] * len(values))
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [[1, 1], [1, 1, 1, 1], [[1, 1, 1]], [1, 0, 1], [2, 3, -1]],
+    ids=["short", "long", "nested", "zero", "negative"],
+)
+def test_cluster_rejects_counts_not_one_per_value_of_at_least_1(counts):
+    with pytest.raises(ValueError, match="each a count >= 1"):
+        cluster_eigenvalues([0.0, 1.0, 2.0], counts)
 
 
 def greedy_clusters(values, cluster_tol):
@@ -662,12 +692,14 @@ def greedy_clusters(values, cluster_tol):
     ]
 
 
-def assert_matches_greedy(values, cluster_tol):
-    clusters = cluster_eigenvalues(values, cluster_tol)
+def assert_matches_greedy(values, counts, cluster_tol, columns):
+    """The clusters of the (value, count) units against the greedy loop on the ``columns``."""
+    clusters = cluster_eigenvalues(values, counts, cluster_tol)
     assert all(isinstance(c.indices, range) for c in clusters)
     got = [(c.rep.hex(), list(c.indices), c.mean.hex()) for c in clusters]
-    oracle = greedy_clusters(values, cluster_tol)
+    oracle = greedy_clusters(columns, cluster_tol)
     assert got == [(rep.hex(), idx, mean.hex()) for rep, idx, mean in oracle]
+    return clusters
 
 
 def adversarial_values(rng, cluster_tol, segments=60):
@@ -699,17 +731,33 @@ def adversarial_values(rng, cluster_tol, segments=60):
 @pytest.mark.parametrize("cluster_tol", [1e-8, 1e-7, 1e-6, 2**-20, 1e-5, 2**-14, 1e-4])
 @pytest.mark.parametrize("seed", range(4))
 def test_cluster_bisection_matches_greedy_loop(seed, cluster_tol):
-    values = adversarial_values(np.random.default_rng(seed), cluster_tol)
-    assert_matches_greedy(values, cluster_tol)
-    assert_matches_greedy(values.tolist(), cluster_tol)
+    rng = np.random.default_rng(seed)
+    values = adversarial_values(rng, cluster_tol)
+    # each value a unit of one column, then of a count drawn from 1 to 5
+    for counts in (np.ones(values.size, dtype=int), rng.integers(1, 6, values.size)):
+        columns = np.repeat(values, counts)
+        assert_matches_greedy(values, counts, cluster_tol, columns)
+        assert_matches_greedy(values.tolist(), counts.tolist(), cluster_tol, columns.tolist())
 
 
-@pytest.mark.parametrize("spec, n", GRIDS, ids=[grid_id(g) for g in GRIDS])
+# Q_3[sqrt 3] at n = 4 has a cluster of several values whose counts exceed 1
+SPECTRA_GRIDS = GRIDS + [(EisensteinExtension(p=3, e=2), 4)]
+
+
+@pytest.mark.parametrize("spec, n", SPECTRA_GRIDS, ids=[grid_id(g) for g in SPECTRA_GRIDS])
 def test_cluster_bisection_matches_greedy_loop_on_spectra(spec, n, ho_potential):
     grid = build_grid(make_field(spec), n)
-    values = eigensolve(assemble_hamiltonian(grid, 1.5, 0.75, ho_potential)).eigenvalues
+    report = eigensolve(assemble_hamiltonian(grid, 1.5, 0.75, ho_potential))
+    values = [f.value for f in report.families]  # the units, in column order
+    counts = [f.multiplicity for f in report.families]
+    expanded = []
     for cluster_tol in (1e-8, 1e-6, 1e-4):
-        assert_matches_greedy(values, cluster_tol)
+        clusters = assert_matches_greedy(values, counts, cluster_tol, report.eigenvalues)
+        for c in clusters:
+            units = [f for f in report.families if f.start in c.indices]
+            if len({f.value for f in units}) > 1 and max(f.multiplicity for f in units) > 1:
+                expanded.append(c)
+    assert expanded or (spec, n) != SPECTRA_GRIDS[-1]
 
 
 # ---------------------------------------------------------------------------

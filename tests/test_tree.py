@@ -62,13 +62,12 @@ def dense_report(model, h):
     """
     grid = model.grid
     values, vectors = np.linalg.eigh(h)
-    clusters = cluster_eigenvalues(values)
+    clusters = cluster_eigenvalues(values, np.ones(values.size, dtype=int))
     for cluster in clusters:
         if cluster.multiplicity > 1:
             idx = cluster.indices
             vectors[:, idx] = shell_adapt(grid, vectors[:, idx], split_tol=1e-9)
     return SpectrumReport(
-        eigenvalues=values,
         families=dense_families(values, vectors),
         clusters=clusters,
         grid=grid,
@@ -116,7 +115,7 @@ def test_radial_adaptation_matches_shell_adapt_oracle(grid, convention):
     # the harmonic oscillator's parameters give radial pairs within cluster_tol (40.52, 364.50)
     model = assemble_hamiltonian(grid, 2.0, 0.5, MonomialPotential(c=0.5, s=2.0), convention)
     report = eigensolve(model)
-    _, unadapted = _tree_eigensystem(model)
+    unadapted = _tree_eigensystem(model)
     unadapted.sort(key=lambda f: f.start)  # the report holds its families in column order
     radial = [(f, g) for f, g in zip(report.families, unadapted) if f.shell is None]
     assert len(radial) == 2 * grid.n + 1
