@@ -18,7 +18,7 @@ class ReducibleModulus(UltraspecError):
 
 
 class GridTooLarge(UltraspecError):
-    """q**(2n) exceeds the configured grid cap."""
+    """q**(2n) exceeds the configured grid cap or the int64 index range 2**63 - 1."""
 
 
 class NoConvergence(UltraspecError):

@@ -223,12 +223,14 @@ class Grid:
 def check_grid_cap(p: int, f: int, n: int, cap: int) -> None:
     """Raise GridTooLarge when the level-n grid, q**(2n) = p**(2nf) points, exceeds ``cap``.
 
-    The exponent decides first (p >= 2, so 2nf >= cap.bit_length() is too
-    large), so a huge n, p or f costs nothing; p < 2 is left to make_field.
+    It also may not exceed 2**63 - 1, as shell sizes and their sums are
+    int64.  The exponent decides first (p >= 2, so 2nf >= limit.bit_length()
+    is too large), so a huge n, p or f costs nothing; p < 2 is left to make_field.
     """
     exponent = 2 * n * f
-    if p >= 2 and (exponent >= cap.bit_length() or p**exponent > cap):
-        raise GridTooLarge(f"level {n}: q**(2n) = {p}**{exponent} exceeds the grid cap {cap}")
+    for limit, name in ((cap, "the grid cap"), (2**63 - 1, "the int64 index range")):
+        if p >= 2 and (exponent >= limit.bit_length() or p**exponent > limit):
+            raise GridTooLarge(f"level {n}: q**(2n) = {p}**{exponent} exceeds {name} {limit}")
 
 
 def build_grid(field: Field, n: int, cap: int = GRID_CAP_DEFAULT) -> Grid:

@@ -18,7 +18,8 @@ multiplicity and a q-point template, and each radial eigenvector as one
 column with a (2n+1)-row template by shell; at a = 0 the point basis.
 Everything runs on it with no array of N rows: each family's one residual
 is read off its template, in O(q n) for a wavelet; families are sorted and
-grouped into multiplicity clusters as (value, count) units; degenerate
+grouped into multiplicity clusters as (value, count) units, each cluster's
+mean the exact mean of its units rounded once; degenerate
 radial clusters are rotated by shell onto a shell-adapted basis (the shell
 projections restricted to the span jointly block-diagonalized); each
 family is classified once, off its template, as radial or shell, and a
@@ -32,6 +33,7 @@ from __future__ import annotations
 import bisect
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from typing import Optional, Sequence, Union
@@ -126,7 +128,7 @@ class EigenCluster:
 
     rep: float  # first member, the joining reference
     indices: range
-    mean: float
+    mean: float  # the correctly rounded mean of the columns' values, from the units
 
     @property
     def multiplicity(self) -> int:
@@ -142,11 +144,11 @@ def cluster_eigenvalues(
     cluster_tol * max(1, |rep|) of the cluster's first member, a test that
     only fails further along the list, so each cluster's end is found by
     bisection, and its ``indices`` are the columns of its values.  The mean
-    is taken as rep plus the mean offset from rep over the columns, so a
-    cluster of equal values has exactly their value as its mean, and only a
-    cluster of unequal values is expanded to its columns.  A list not
-    ascending or not finite, or not one count of at least 1 per value,
-    raises ValueError.
+    is the exact sum of value * count over the cluster's units divided by
+    its column count, rounded once: the correctly rounded mean of its
+    columns, so a cluster of equal values has exactly their value, and no
+    cluster is expanded to its columns.  A list not ascending or not finite,
+    or not one count of at least 1 per value, raises ValueError.
     """
     values, counts = np.asarray(values, dtype=np.float64), np.asarray(counts)
     ascending = np.isfinite(values).all() and (values[1:] >= values[:-1]).all()
@@ -159,9 +161,8 @@ def cluster_eigenvalues(
         rep = float(values[start])
         bound = cluster_tol * max(1.0, abs(rep))
         stop = bisect.bisect_right(values, False, start + 1, key=lambda v: abs(v - rep) > bound)
-        offsets = values[start:stop] - rep  # equal values: zeros, the first +0.0, mean +0.0
-        columns = np.repeat(offsets, counts[start:stop]) if offsets.any() else offsets
-        mean = float(rep + columns.mean())
+        units = zip(values[start:stop].tolist(), counts[start:stop].tolist())
+        mean = float(sum(Fraction(v) * c for v, c in units) / (ends[stop] - ends[start]))
         clusters.append(EigenCluster(rep, range(ends[start], ends[stop]), mean))
         start = stop
     return clusters

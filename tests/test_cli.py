@@ -616,6 +616,22 @@ def test_level_with_a_huge_grid_exits_one(tmp_path, capsys, patch, levels):
     assert list(tmp_path.iterdir()) == [config]
 
 
+@pytest.mark.parametrize(
+    "field, n, p",
+    [({"family": "eisenstein", "p": 3, "e": 2}, 20, 3), ({"family": "eisenstein", "p": 2}, 32, 2)],
+    ids=["Q3e2-n20", "Q2-n32"],
+)
+def test_level_past_the_int64_index_range_exits_one(tmp_path, capsys, field, n, p):
+    # the cap is raised to the grid's size; the int64 index limit still refuses it
+    config = write_config(tmp_path, dict(CANONICAL, field=field, n=n, grid_cap=p ** (2 * n)))
+    for command in ("spectrum", "converge", "verify"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        limit = "the int64 index range 9223372036854775807"
+        assert err == [f"error: level {n}: q**(2n) = {p}**{2 * n} exceeds {limit}"]
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def _limit_address_space():
     import resource
 

@@ -76,6 +76,22 @@ def test_grid_cap_enforced(q3sqrt3):
         build_grid(q3sqrt3, 8)  # 3**16 exceeds the default cap
 
 
+@pytest.mark.parametrize(
+    "spec, n",
+    [(EisensteinExtension(p=3, e=2), 20), (EisensteinExtension(p=2, e=1), 32)],
+    ids=["Q3e2-n20", "Q2-n32"],
+)
+def test_grid_past_the_int64_index_range_is_refused(spec, n):
+    # 3**40 and 2**64 points pass a cap raised to their size, yet their shell sizes
+    # and sums would wrap in int64; the refusal comes before any Grid is built
+    field = make_field(spec)
+    size = field.q ** (2 * n)
+    with pytest.raises(GridTooLarge, match=r"exceeds the int64 index range 9223372036854775807"):
+        build_grid(field, n, cap=size)
+    grid = build_grid(field, n - 1, cap=size)  # below 2**63: built, as O(n) shell data
+    assert grid.size == size // field.q**2 and sum(grid.shell_sizes.values()) == grid.size
+
+
 def test_grid_index_round_trip(grid_n2):
     for i in (0, 1, 17, 80):
         assert grid_n2.reduce_element(grid_n2.point(i)) == i

@@ -344,6 +344,31 @@ def test_spectrum_of_millions_of_points_holds_no_array_of_them(q3sqrt3, ho_poten
     assert {5.0, 9.0, 41.0, 45.0} <= {value for value, _, _ in rows}
 
 
+@pytest.mark.parametrize(
+    "spec, n",
+    [(EisensteinExtension(p=3, e=2), 12), (EisensteinExtension(p=2, e=1), 20)],
+    ids=["Q3e2-n12", "Q2-n20"],
+)
+def test_spectrum_of_a_trillion_points_holds_no_array_of_them(spec, n, ho_potential):
+    # N = 3**24 and 2**40: each cluster's mean is taken off its (value, count) units,
+    # so the peak stays bounded however many points the grid has
+    field = make_field(spec)
+    grid = build_grid(field, n, cap=field.q ** (2 * n))
+    model = assemble_hamiltonian(grid, 2.0, 0.5, ho_potential)
+    tracemalloc.start()
+    try:
+        report = eigensolve(model)
+        rows = report.summary_rows()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
+    assert "eigenvalues" not in vars(report)
+    assert sum(mult for _, mult, _ in rows) == grid.size
+    if field.q == 3:
+        assert {5.0, 9.0, 41.0, 45.0} <= {value for value, _, _ in rows}
+
+
 @pytest.mark.parametrize("a", [0.75, 0.0])
 @pytest.mark.parametrize("spec, n", GATE_GRIDS, ids=[grid_id(g) for g in GATE_GRIDS])
 def test_report_holds_every_eigenvector_as_a_family(spec, n, a, ho_potential):
@@ -656,6 +681,23 @@ def test_equal_values_cluster_to_their_value():
     assert [c.mean for c in clusters] == [-3.5, value]
 
 
+def test_cluster_mean_is_the_correctly_rounded_mean_of_its_columns(q3sqrt3, ho_potential):
+    # the a = 0 ground cluster of Q_3[sqrt 3] at n = 5 under cluster_tol 1e-4: the zero
+    # cell once and shell 1 - n twice; rep plus numpy's mean offset from rep is an ulp off
+    low = float.fromhex("0x1.8966e5cb6bd05p-18")
+    high = float.fromhex("0x1.3fa39ab547995p-14")
+    columns = np.array([low, high, high])
+    exact = float.fromhex("0x1.ba93c284d94a7p-15")
+    assert exact == float((Fraction(low) + 2 * Fraction(high)) / 3)
+    assert low + (columns - low).mean() != exact
+    [cluster] = cluster_eigenvalues([low, high], [1, 2], cluster_tol=1e-4)
+    assert cluster.mean == exact and cluster.indices == range(3)
+    model = assemble_hamiltonian(build_grid(q3sqrt3, 5), 2.0, 0.0, ho_potential)
+    report = eigensolve(model, cluster_tol=1e-4)
+    assert [(f.value, f.multiplicity) for f in report.families[:2]] == [(low, 1), (high, 2)]
+    assert report.clusters[0].mean == exact
+
+
 @pytest.mark.parametrize(
     "values",
     [[1.0, 0.5], [0.0, 2.0, 2.0 - 1e-12], [0.0, np.nan, 1.0], [np.nan], [-np.inf, 0.0]],
@@ -687,8 +729,10 @@ def greedy_clusters(values, cluster_tol):
                 clusters[-1][1].append(i)
                 continue
         clusters.append((val, [i]))
+    # the exact mean of the columns, rounded once, walked column by column
     return [
-        (rep, idx, rep + float(np.mean([values[i] - rep for i in idx]))) for rep, idx in clusters
+        (rep, idx, float(sum(Fraction(float(values[i])) for i in idx) / len(idx)))
+        for rep, idx in clusters
     ]
 
 
