@@ -128,9 +128,6 @@ class Grid:
         self.zero_index = 0  # all-zero tuple is lexicographically first
         self.shell_sizes = {k: len(self.shell_run(k)) for k in self.shell_labels()}
 
-    def __len__(self) -> int:
-        return self.size
-
     @cached_property
     def digits(self) -> np.ndarray:
         """The (N, 2n) int16 digit rows in index order; built on first read."""
@@ -682,14 +679,8 @@ def assemble_hamiltonian(
         raise ValueError(f"alpha = {alpha} must be > 0")
     if a < 0:
         raise ValueError(f"kinetic coefficient a = {a} must be >= 0")
-    convention = ZeroCellConvention(convention)
     kin = shell_values(grid, float(alpha), convention)
-    pot_convention = (
-        ZeroCellConvention.SAMPLE_AT_ZERO
-        if convention is ZeroCellConvention.SAMPLE_AT_ZERO
-        else ZeroCellConvention.AVERAGE_OF_POWER
-    )
-    pot = shell_values(grid, potential, pot_convention)
+    pot = shell_values(grid, potential, convention)
     kernel = np.zeros(2 * grid.n + 1) if a == 0 else a * _tree_kernel(grid, kin)
     return HamiltonianModel(
         grid=grid, kinetic_coeff=float(a), kinetic_shells=kin, potential_shells=pot, kernel=kernel

@@ -6,7 +6,8 @@ the same configuration produce byte-identical files, in the bytes of
 formatted column by column (``repr`` once per distinct float bit pattern, a
 string quoted once per distinct string) and laid out from separators derived
 from its header, with one join per file, or per vector for the N**2-row
-eigenvector bundle.  At N = 2401 (Q_7, n = 2) the library path's three tables
+eigenvector bundle, which reads ``report.columns`` in blocks, so no N x N
+matrix is built.  At N = 2401 (Q_7, n = 2) the library path's three tables
 take 0.013 s as JSON and 0.014 s as CSV (best of 9, 2 cores, numpy 2.4.6),
 against 0.062 and 0.037 s when each cell went through the stdlib encoders.
 """
@@ -16,10 +17,12 @@ from __future__ import annotations
 import csv
 import json
 import weakref
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
+from .errors import GridTooLarge
 from .finite import Grid, ZERO_SHELL
 from .spectra import ConvergenceTrace, SpectrumReport, _format_shell
 
@@ -40,6 +43,8 @@ SPECTRUM_HEADER = ["rank", "eigenvalue", "cluster_id", "multiplicity", "classifi
 EIGENVECTOR_HEADER = ["point_index", "digits", "shell", "re", "im"]
 TRAJECTORY_HEADER = ["trajectory", "level", "value", "multiplicity", "drift", "alignment"]
 LEVEL_CLUSTER_HEADER = ["level", "cluster_id", "value", "multiplicity"]
+BUNDLE_ROW_CAP = 2**30  # the most rows (N**2) a bundle may have, about 46 bytes each as CSV
+BUNDLE_BLOCK_ENTRIES = 2**20  # its vectors are built this many at a time: one block for N <= 1024
 
 
 def _fmt(value) -> str:
@@ -225,20 +230,16 @@ def write_table(path, header, rows, fmt: str = "csv"):
     return _write(path, fmt, ["".join([head] + parts)])
 
 
-def write_eigenvector_bundle(path, grid: Grid, vectors: np.ndarray, fmt: str = "csv"):
-    """Write ``eigenvector_rows`` of every column of ``vectors``, led by its index.
+def write_eigenvector_bundle(path, grid: Grid, blocks, fmt: str = "csv"):
+    """Write ``eigenvector_rows`` of every column of the (N, k) ``blocks``, numbered in order.
 
     The bytes are ``write_table``'s with the header ``vector`` + EIGENVECTOR_HEADER,
-    streamed one vector at a time, with the point labels formatted once.
+    streamed one vector at a time, with the point labels formatted once.  The
+    first record is made before the file opens, so a bad first block writes none.
     """
     header = ["vector"] + EIGENVECTOR_HEADER
     head, order, affixes, close, end = _layout(header, fmt)
-    vectors = np.asarray(vectors)
-    if vectors.ndim != 2 or vectors.shape[0] != grid.size:
-        raise ValueError(
-            f"vectors on {grid.size} points have shape ({grid.size}, k), not {vectors.shape}"
-        )
-    size, count = vectors.shape
+    size = grid.size
     digits, shells = zip(*_point_labels(grid))
     labels = dict(zip(EIGENVECTOR_HEADER[:3], [range(size), digits, shells]))
     affix = dict(zip([header[c] for c in order], affixes))
@@ -253,48 +254,58 @@ def write_eigenvector_bundle(path, grid: Grid, vectors: np.ndarray, fmt: str = "
         else:
             runs.append(_column(labels[name], fmt, affix[name]))
     parts = _records([run if isinstance(run, list) else [""] * size for run in runs])
-    # a real vector's imaginary parts are all 0.0
-    zero = None if np.iscomplexobj(vectors) else _column((0.0,), fmt, affix["im"]) * size
+    zero = _column((0.0,), fmt, affix["im"]) * size  # a real vector's imaginary parts
 
     def chunks():
-        yield head if count or fmt == "csv" else "[]\n"
-        for j in range(count):
-            column = vectors[:, j]  # its parts as float64, as complex() of each entry gives them
-            texts = {
-                "vector": _column((j,), fmt, affix["vector"]) * size,
-                "re": _column(np.real(column).astype(np.float64), fmt, affix["re"]),
-                "im": zero or _column(np.imag(column).astype(np.float64), fmt, affix["im"]),
-            }
-            for k, run in enumerate(runs):
-                if isinstance(run, str):
-                    parts[k :: len(runs)] = texts[run]
-            if j + 1 == count:
-                parts[-1] = parts[-1].removesuffix(close) + end
-            yield "".join(parts)
+        text, j = None, 0  # a vector's records wait until it is known whether they end the file
+        for block in map(np.asarray, blocks):
+            if block.ndim != 2 or block.shape[0] != size:
+                raise ValueError(
+                    f"vectors on {size} points have shape ({size}, k), not {block.shape}"
+                )
+            for column in block.T:  # its parts as float64, as complex() of each entry gives them
+                yield head if text is None else text
+                texts = {
+                    "vector": _column((j,), fmt, affix["vector"]) * size,
+                    "re": _column(np.real(column).astype(np.float64), fmt, affix["re"]),
+                    "im": _column(np.imag(column).astype(np.float64), fmt, affix["im"])
+                    if np.iscomplexobj(column)
+                    else zero,
+                }
+                for k, run in enumerate(runs):
+                    if isinstance(run, str):
+                        parts[k :: len(runs)] = texts[run]
+                text, j = "".join(parts), j + 1
+        yield text.removesuffix(close) + end if text else ("[]\n" if fmt == "json" else head)
 
-    return _write(path, fmt, chunks())
+    texts = chunks()
+    return _write(path, fmt, chain([next(texts)], texts))
 
 
 def write_spectrum_outputs(outdir, report: SpectrumReport, fmt: str = "csv"):
-    """Write the standard spectrum artifacts; returns the file paths."""
-    outdir = Path(outdir)
-    ext = fmt
-    paths = [
-        write_table(outdir / f"grid.{ext}", GRID_HEADER, grid_rows(report.grid), fmt),
-        write_table(outdir / f"eigenvalues.{ext}", SPECTRUM_HEADER, spectrum_rows(report), fmt),
+    """Write the grid, eigenvalue, ground-state and eigenvector files; returns their paths.
+
+    No N x N matrix is built: the ground state is ``report.columns(range(1))``,
+    and the bundle reads ``report.columns`` in blocks of BUNDLE_BLOCK_ENTRIES.
+    A bundle of more than BUNDLE_ROW_CAP rows raises GridTooLarge first.
+    """
+    outdir, grid, size = Path(outdir), report.grid, report.grid.size
+    if size**2 > BUNDLE_ROW_CAP:
+        message = f"the eigenvector bundle's N**2 = {size**2} rows exceed the row cap"
+        raise GridTooLarge(f"level {grid.n}: {message} {BUNDLE_ROW_CAP}")
+    width = max(1, BUNDLE_BLOCK_ENTRIES // size)
+    blocks = (report.columns(range(lo, min(lo + width, size))) for lo in range(0, size, width))
+    return [
+        write_table(outdir / f"grid.{fmt}", GRID_HEADER, grid_rows(grid), fmt),
+        write_table(outdir / f"eigenvalues.{fmt}", SPECTRUM_HEADER, spectrum_rows(report), fmt),
         write_table(
-            outdir / f"ground_state.{ext}",
+            outdir / f"ground_state.{fmt}",
             EIGENVECTOR_HEADER,
-            eigenvector_rows(report.grid, report.eigenvectors[:, 0]),
+            eigenvector_rows(grid, report.columns(range(1))[:, 0]),
             fmt,
         ),
+        write_eigenvector_bundle(outdir / f"eigenvectors.{fmt}", grid, blocks, fmt),
     ]
-    paths.append(
-        write_eigenvector_bundle(
-            outdir / f"eigenvectors.{ext}", report.grid, report.eigenvectors, fmt
-        )
-    )
-    return paths
 
 
 def write_convergence_outputs(outdir, trace: ConvergenceTrace, fmt: str = "csv"):

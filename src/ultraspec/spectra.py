@@ -291,7 +291,8 @@ class SpectrumReport:
     any run of sorted columns, such as a cluster's ``indices``.
     ``eigenvectors``, the dense N x N matrix of orthonormal, phase-fixed
     columns in spectrum order, is ``columns(range(N))``, built the first
-    time it is read and then kept.  So are ``eigenvalues``, each family's
+    time it is read and then kept; no command reads it (the ``spectrum``
+    files read ``columns`` in blocks).  So are ``eigenvalues``, each family's
     value repeated over its columns, and ``family_classifications``, one
     per family with the report's ``shell_tol`` (see ``classify_family``),
     which ``summary_rows`` reads: column i's is ``classification(i)``.
@@ -599,10 +600,6 @@ class Trajectory:
     @property
     def start_level(self) -> int:
         return self.steps[0].level
-
-    @property
-    def values(self):
-        return [s.value for s in self.steps]
 
 
 @dataclass

@@ -11,6 +11,7 @@ import pytest
 from ultraspec import (
     ZERO_SHELL,
     EisensteinExtension,
+    GridTooLarge,
     LaurentField,
     assemble_hamiltonian,
     build_grid,
@@ -68,8 +69,9 @@ def oracle_write_table(path, header, rows, fmt="csv"):
     return path
 
 
-def oracle_bundle(path, grid, vectors, fmt):
-    """The bundle through ``oracle_write_table``, i.e. the stdlib csv/json encoders."""
+def oracle_bundle(path, grid, blocks, fmt):
+    """The bundle of the blocks' columns through ``oracle_write_table`` (the stdlib encoders)."""
+    vectors = np.hstack(list(blocks))
     rows = [
         [j] + row for j in range(vectors.shape[1]) for row in eigenvector_rows(grid, vectors[:, j])
     ]
@@ -90,7 +92,7 @@ def test_spectrum_outputs_match_row_path(report, fmt, tmp_path):
             eigenvector_rows(grid, report.eigenvectors[:, 0]),
             fmt,
         ),
-        oracle_bundle(old / f"eigenvectors.{fmt}", grid, report.eigenvectors, fmt),
+        oracle_bundle(old / f"eigenvectors.{fmt}", grid, [report.eigenvectors], fmt),
     ]
     for path in expected:
         assert written[path.name] == path.read_bytes(), path.name
@@ -128,8 +130,8 @@ def test_complex_and_nonfinite_vectors_match_row_path(grid_n1, fmt, tmp_path):
     # other dtypes give what complex() of each entry gives
     others = [pooled.real.astype(np.float32), np.arange(3 * size).reshape(size, 3) - size]
     for k, vectors in enumerate([vectors, pooled, *others]):
-        new = write_eigenvector_bundle(tmp_path / f"new{k}.{fmt}", grid_n1, vectors, fmt)
-        old = oracle_bundle(tmp_path / f"old{k}.{fmt}", grid_n1, vectors, fmt)
+        new = write_eigenvector_bundle(tmp_path / f"new{k}.{fmt}", grid_n1, [vectors], fmt)
+        old = oracle_bundle(tmp_path / f"old{k}.{fmt}", grid_n1, [vectors], fmt)
         assert new.read_bytes() == old.read_bytes()
 
 
@@ -149,7 +151,7 @@ def test_rows_label_points_with_format_element(grid_n2):
 
 
 def test_csv_quotes_comma_bearing_digits(grid_n1, tmp_path):
-    path = write_eigenvector_bundle(tmp_path / "v.csv", grid_n1, np.eye(grid_n1.size), "csv")
+    path = write_eigenvector_bundle(tmp_path / "v.csv", grid_n1, [np.eye(grid_n1.size)], "csv")
     index = next(i for i in range(grid_n1.size) if "," in format_element(grid_n1.point(i)))
     digits = format_element(grid_n1.point(index))
     line = path.read_text().splitlines()[1 + index]
@@ -159,7 +161,7 @@ def test_csv_quotes_comma_bearing_digits(grid_n1, tmp_path):
 
 def test_bundle_rejects_unknown_format(grid_n1, tmp_path):
     with pytest.raises(ValueError, match="unknown output format"):
-        write_eigenvector_bundle(tmp_path / "v.txt", grid_n1, np.eye(grid_n1.size), "txt")
+        write_eigenvector_bundle(tmp_path / "v.txt", grid_n1, [np.eye(grid_n1.size)], "txt")
 
 
 @pytest.mark.parametrize("shape", [(8, 9), (10, 9), (9,)], ids=["short", "long", "1d"])
@@ -167,7 +169,7 @@ def test_bundle_rejects_unknown_format(grid_n1, tmp_path):
 def test_bundle_rejects_wrong_row_count(grid_n1, shape, fmt, tmp_path):
     assert grid_n1.size == 9
     with pytest.raises(ValueError, match="points have shape"):
-        write_eigenvector_bundle(tmp_path / f"v.{fmt}", grid_n1, np.ones(shape), fmt)
+        write_eigenvector_bundle(tmp_path / f"v.{fmt}", grid_n1, [np.ones(shape)], fmt)
     assert not (tmp_path / f"v.{fmt}").exists()
 
 
@@ -178,8 +180,12 @@ def test_rows_reject_wrong_length(grid_n1, shape):
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_bundle_memory_stays_below_a_quarter_matrix(fmt, tmp_path):
-    """The writer's traced peak at N = 729 stays below 0.25 * 8 N**2 bytes."""
+def test_bundle_memory_stays_below_a_quarter_matrix(fmt, tmp_path, monkeypatch):
+    """The spectrum files' traced peak at N = 729, vectors included, stays below 0.25 * 8 N**2.
+
+    The block is set to 27 columns: at its default, N = 729 is a single block,
+    the whole matrix; the blocks are cut only past N = 1024.
+    """
     config = load_config(Path(__file__).resolve().parents[1] / "configs" / "q3sqrt3_ho.cfg")
     grid = build_grid(config.field, 3)
     report = eigensolve(
@@ -187,14 +193,47 @@ def test_bundle_memory_stays_below_a_quarter_matrix(fmt, tmp_path):
             grid, config.alpha, config.kinetic_coeff, config.potential, config.convention
         )
     )
-    vectors = report.eigenvectors  # the dense build is not the writer's
+    monkeypatch.setattr(ultraspec.output, "BUNDLE_BLOCK_ENTRIES", 27 * grid.size)
     tracemalloc.start()
     try:
-        write_eigenvector_bundle(tmp_path / f"v.{fmt}", grid, vectors, fmt)
+        write_spectrum_outputs(tmp_path, report, fmt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * 8 * grid.size**2
+    assert "eigenvectors" not in vars(report)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("field", ["q3sqrt3", "f4_laurent"])
+def test_bundle_bytes_survive_block_cuts(field, fmt, tmp_path, monkeypatch, ho_potential):
+    fields = {"q3sqrt3": EisensteinExtension(p=3, e=2), "f4_laurent": LaurentField(p=2, f=2)}
+    grid = build_grid(make_field(fields[field]), 2)
+    report = eigensolve(assemble_hamiltonian(grid, 2.0, 0.5, ho_potential))
+    expected = oracle_bundle(tmp_path / f"old.{fmt}", grid, [report.eigenvectors], fmt)
+    widest = max(f.multiplicity for f in report.families)
+    assert widest > 2  # a block of widest - 1 columns cuts every family that wide
+    for width in (1, widest - 1, grid.size):
+        monkeypatch.setattr(ultraspec.output, "BUNDLE_BLOCK_ENTRIES", width * grid.size)
+        written = write_spectrum_outputs(tmp_path / f"w{width}", report, fmt)[-1]
+        assert written.read_bytes() == expected.read_bytes(), width
+
+
+def test_bundle_past_the_row_cap_is_refused_before_any_file(
+    canonical_report, tmp_path, monkeypatch, capsys
+):
+    # by estimate only: the cap is lowered below 81**2 rather than a level-5 grid solved
+    monkeypatch.setattr(ultraspec.output, "BUNDLE_ROW_CAP", 81**2 - 1)
+    assert canonical_report.grid.size == 81
+    with pytest.raises(GridTooLarge, match="6561 rows exceed the row cap 6560"):
+        write_spectrum_outputs(tmp_path / "lib", canonical_report, "csv")
+    config = tmp_path / "run.cfg"
+    config.write_text(json.dumps(dict(json.loads((CONFIGS / "q3sqrt3_ho.cfg").read_text()), n=2)))
+    argv = ["spectrum", "--config", str(config), "--out", str(tmp_path / "cli")]
+    assert ultraspec.cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: level 2: ")
+    assert list(tmp_path.iterdir()) == [config]
 
 
 @pytest.mark.parametrize(
@@ -264,8 +303,9 @@ def test_write_table_rejects_unknown_format_and_ragged_rows(tmp_path):
 def _column_sample(write):
     """``write`` of about 30 of the bundle's columns, so the in-memory oracle stays small."""
 
-    def bundle(path, grid, vectors, fmt):
-        return write(path, grid, vectors[:, :: max(1, grid.size // 30)], fmt)
+    def bundle(path, grid, blocks, fmt):
+        vectors = np.hstack(list(blocks))
+        return write(path, grid, [vectors[:, :: max(1, grid.size // 30)]], fmt)
 
     return bundle
 
