@@ -6,10 +6,15 @@ the same configuration produce byte-identical files, in the bytes of
 formatted column by column (``repr`` once per distinct float bit pattern, a
 string quoted once per distinct string) and laid out from separators derived
 from its header, with one join per file, or per vector for the N**2-row
-eigenvector bundle, which reads ``report.columns`` in blocks, so no N x N
-matrix is built.  At N = 2401 (Q_7, n = 2) the library path's three tables
-take 0.013 s as JSON and 0.014 s as CSV (best of 9, 2 cores, numpy 2.4.6),
-against 0.062 and 0.037 s when each cell went through the stdlib encoders.
+eigenvector bundle.  At N = 2401 (Q_7, n = 2) the library path's three
+tables take 0.013 s as JSON and 0.014 s as CSV (best of 9, 2 cores, numpy
+2.4.6), against 0.062 and 0.037 s when each cell went through the stdlib
+encoders.  The bundle is written from the report's families: a vector is a
+template on one tree node, so its texts are formatted once per family and
+spliced into record pieces built once per row, and no N x N matrix, nor
+any block of its columns, is built.  At n = 3 (N = 729) it takes 0.031 s as
+CSV and 0.063 s as JSON, against 0.075 and 0.091 s with a sort of each
+column's values.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 import csv
 import json
 import weakref
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +48,6 @@ EIGENVECTOR_HEADER = ["point_index", "digits", "shell", "re", "im"]
 TRAJECTORY_HEADER = ["trajectory", "level", "value", "multiplicity", "drift", "alignment"]
 LEVEL_CLUSTER_HEADER = ["level", "cluster_id", "value", "multiplicity"]
 BUNDLE_ROW_CAP = 2**30  # the most rows (N**2) a bundle may have, about 46 bytes each as CSV
-BUNDLE_BLOCK_ENTRIES = 2**20  # its vectors are built this many at a time: one block for N <= 1024
 
 
 def _fmt(value) -> str:
@@ -230,71 +233,86 @@ def write_table(path, header, rows, fmt: str = "csv"):
     return _write(path, fmt, ["".join([head] + parts)])
 
 
-def write_eigenvector_bundle(path, grid: Grid, blocks, fmt: str = "csv"):
-    """Write ``eigenvector_rows`` of every column of the (N, k) ``blocks``, numbered in order.
+def write_eigenvector_bundle(path, report: SpectrumReport, fmt: str = "csv"):
+    """Write ``eigenvector_rows`` of every sorted column of ``report``, numbered in order.
 
     The bytes are ``write_table``'s with the header ``vector`` + EIGENVECTOR_HEADER,
-    streamed one vector at a time, with the point labels formatted once.  The
-    first record is made before the file opens, so a bad first block writes none.
+    one vector at a time.  Each record's text is held once, split at its
+    ``vector`` cell into pieces around its ``re`` cell, and each off-support
+    signed zero's pieces are filled once.  A vector is those pieces with the
+    pieces of its node (``report.placement``) spliced in, from its family's
+    template texts, formatted once per family, joined with its number; no
+    array of N vectors is built.  A template that is not real float64 raises
+    ValueError before the file opens.
     """
     header = ["vector"] + EIGENVECTOR_HEADER
     head, order, affixes, close, end = _layout(header, fmt)
-    size = grid.size
-    digits, shells = zip(*_point_labels(grid))
-    labels = dict(zip(EIGENVECTOR_HEADER[:3], [range(size), digits, shells]))
-    affix = dict(zip([header[c] for c in order], affixes))
-    # the parts of a record: the name of a column that changes with the vector, or
-    # the texts of neighbouring label columns, formatted once and joined
-    runs = []
-    for name in affix:
-        if name not in labels:
-            runs.append(name)
-        elif runs and isinstance(runs[-1], list):
-            runs[-1] = list(map(str.__add__, runs[-1], _column(labels[name], fmt, affix[name])))
+    for f in report.families:
+        if f.template.dtype != np.float64 or f.off_support.dtype != np.float64:
+            raise ValueError("the bundle takes real float64 templates and off-support values")
+    size = report.grid.size
+    digits, shells = zip(*_point_labels(report.grid))
+    labels = {"point_index": range(size), "digits": digits, "shell": shells, "im": (0.0,) * size}
+    # each record is segments[0] + x + segments[1] + y + segments[2], with x, y its
+    # vector and re cells in ``slots`` order
+    segments, slots = [[""] * size], []
+    for name, affix in zip([header[c] for c in order], affixes):
+        if name in ("vector", "re"):
+            slots.append(name)
+            segments[-1] = [text + affix[0] for text in segments[-1]]
+            segments.append([affix[1]] * size)
         else:
-            runs.append(_column(labels[name], fmt, affix[name]))
-    parts = _records([run if isinstance(run, list) else [""] * size for run in runs])
-    zero = _column((0.0,), fmt, affix["im"]) * size  # a real vector's imaginary parts
+            segments[-1] = list(map(str.__add__, segments[-1], _column(labels[name], fmt, affix)))
+    first, middle, last = segments
+    del segments, labels
+    # the pieces a vector's number joins: row i's re cell is in piece i + shift, between
+    # before[i] and after[i]; the one other piece, ``outer``, holds no re cell
+    if slots == ["vector", "re"]:
+        shift, outer, before = 1, first[0], middle
+        after = list(map(str.__add__, last, first[1:] + [""]))
+    else:
+        shift, outer, after = 0, last[-1], middle
+        before = list(map(str.__add__, [""] + last[:-1], first))
+    del first, middle, last
+    distinct = {}  # the rows' few ``after`` texts (their shell and im cells), each held once
+    after = [distinct.setdefault(text, text) for text in after]
+    zeros = {}  # each off-support value's bits: every row's piece with that value, and ``outer``
+    offs = np.concatenate([f.off_support for f in report.families])
+    for bits, text in dict(zip(offs.view(np.uint64).tolist(), _column(offs, fmt))).items():
+        zeros[bits] = [b + text + a for b, a in zip(before, after)]
+        zeros[bits].insert(0 if shift else size, outer)
+    final = report.families[-1].start + report.families[-1].multiplicity - 1  # ends the file
 
     def chunks():
-        text, j = None, 0  # a vector's records wait until it is known whether they end the file
-        for block in map(np.asarray, blocks):
-            if block.ndim != 2 or block.shape[0] != size:
-                raise ValueError(
-                    f"vectors on {size} points have shape ({size}, k), not {block.shape}"
-                )
-            for column in block.T:  # its parts as float64, as complex() of each entry gives them
-                yield head if text is None else text
-                texts = {
-                    "vector": _column((j,), fmt, affix["vector"]) * size,
-                    "re": _column(np.real(column).astype(np.float64), fmt, affix["re"]),
-                    "im": _column(np.imag(column).astype(np.float64), fmt, affix["im"])
-                    if np.iscomplexobj(column)
-                    else zero,
-                }
-                for k, run in enumerate(runs):
-                    if isinstance(run, str):
-                        parts[k :: len(runs)] = texts[run]
-                text, j = "".join(parts), j + 1
-        yield text.removesuffix(close) + end if text else ("[]\n" if fmt == "json" else head)
+        yield head
+        for f in report.families:
+            columns, node, starts, wavelets = report.placement(f, range(size))
+            rows, k = f.template.shape
+            texts = np.array(_column(f.template.ravel(order="F"), fmt), dtype=object)
+            values = [np.repeat(t, f.repeats).tolist() for t in texts.reshape(k, rows)]
+            off = f.off_support.view(np.uint64).tolist()
+            for j, a, w in zip(columns, starts.tolist(), wavelets.tolist()):
+                on_node = map(str.__add__, before[a : a + node], values[w])
+                parts = zeros[off[w]].copy()
+                parts[a + shift : a + node + shift] = map(str.__add__, on_node, after[a : a + node])
+                if j == final:
+                    parts[-1] = parts[-1].removesuffix(close) + end
+                yield str(j).join(parts)
 
-    texts = chunks()
-    return _write(path, fmt, chain([next(texts)], texts))
+    return _write(path, fmt, chunks())
 
 
 def write_spectrum_outputs(outdir, report: SpectrumReport, fmt: str = "csv"):
     """Write the grid, eigenvalue, ground-state and eigenvector files; returns their paths.
 
     No N x N matrix is built: the ground state is ``report.columns(range(1))``,
-    and the bundle reads ``report.columns`` in blocks of BUNDLE_BLOCK_ENTRIES.
+    and the bundle is written from the families.
     A bundle of more than BUNDLE_ROW_CAP rows raises GridTooLarge first.
     """
     outdir, grid, size = Path(outdir), report.grid, report.grid.size
     if size**2 > BUNDLE_ROW_CAP:
         message = f"the eigenvector bundle's N**2 = {size**2} rows exceed the row cap"
         raise GridTooLarge(f"level {grid.n}: {message} {BUNDLE_ROW_CAP}")
-    width = max(1, BUNDLE_BLOCK_ENTRIES // size)
-    blocks = (report.columns(range(lo, min(lo + width, size))) for lo in range(0, size, width))
     return [
         write_table(outdir / f"grid.{fmt}", GRID_HEADER, grid_rows(grid), fmt),
         write_table(outdir / f"eigenvalues.{fmt}", SPECTRUM_HEADER, spectrum_rows(report), fmt),
@@ -304,7 +322,7 @@ def write_spectrum_outputs(outdir, report: SpectrumReport, fmt: str = "csv"):
             eigenvector_rows(grid, report.columns(range(1))[:, 0]),
             fmt,
         ),
-        write_eigenvector_bundle(outdir / f"eigenvectors.{fmt}", grid, blocks, fmt),
+        write_eigenvector_bundle(outdir / f"eigenvectors.{fmt}", report, fmt),
     ]
 
 

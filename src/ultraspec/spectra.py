@@ -287,12 +287,13 @@ class SpectrumReport:
 
     Each sorted column is a vector of exactly one of the ``families`` (see
     VectorFamily), which the report holds in column order; families that do
-    not cover every column once raise ValueError.  ``columns(span)`` builds
-    any run of sorted columns, such as a cluster's ``indices``.
-    ``eigenvectors``, the dense N x N matrix of orthonormal, phase-fixed
-    columns in spectrum order, is ``columns(range(N))``, built the first
-    time it is read and then kept; no command reads it (the ``spectrum``
-    files read ``columns`` in blocks).  So are ``eigenvalues``, each family's
+    not cover every column once raise ValueError.  ``placement`` says where
+    a family's columns lie, and ``columns(span)`` builds any run of sorted
+    columns from it, such as a cluster's ``indices``.  ``eigenvectors``, the
+    dense N x N matrix of orthonormal, phase-fixed columns in spectrum
+    order, is ``columns(range(N))``, built the first time it is read and
+    then kept; no command reads it (the ``spectrum`` bundle is written from
+    each family's ``placement``).  So are ``eigenvalues``, each family's
     value repeated over its columns, and ``family_classifications``, one
     per family with the report's ``shell_tol`` (see ``classify_family``),
     which ``summary_rows`` reads: column i's is ``classification(i)``.
@@ -322,22 +323,33 @@ class SpectrumReport:
     def eigenvectors(self) -> np.ndarray:
         return self.columns(range(self.grid.size))
 
+    def placement(self, family: VectorFamily, span: range):
+        """Where ``family``'s sorted columns in ``span`` lie: ``(columns, node, starts, wavelets)``.
+
+        Column ``columns[i]`` is template column ``wavelets[i]``, each row
+        repeated ``repeats`` times, on the ``node`` rows from ``starts[i]``,
+        and ``off_support[wavelets[i]]`` on every other row.
+        """
+        f = family
+        columns = range(max(span.start, f.start), min(span.stop, f.start + f.multiplicity))
+        node = self.grid.size // self.grid.field.q**f.depth
+        offsets = np.arange(columns.start, columns.stop) - f.start
+        nodes, wavelets = np.divmod(offsets, f.template.shape[1])
+        return columns, node, (f.first_node + nodes) * node, wavelets
+
     def columns(self, span: range) -> np.ndarray:
         """The sorted columns ``span``, any run of them, column-major; a cut family in part."""
         lo, hi = span.start, span.stop
-        q, size = self.grid.field.q, self.grid.size
         dtype = np.result_type(*{f.template.dtype for f in self.families})
-        vectors = np.empty((size, len(span)), dtype, order="F")
-        for f in self.families:
-            first, last = max(lo, f.start), min(hi, f.start + f.multiplicity)
-            if first >= last:
-                continue
-            node = size // q**f.depth
+        vectors = np.empty((self.grid.size, len(span)), dtype, order="F")
+        first = bisect.bisect_right(self._starts, lo) - 1  # the families that meet the span
+        last = bisect.bisect_left(self._starts, hi) if hi > lo else first
+        for f in self.families[first:last]:
+            cols, node, starts, wavelets = self.placement(f, span)
             block = np.repeat(f.template, f.repeats, axis=0)  # the vectors on one node
-            nodes, wavelets = np.divmod(np.arange(first, last) - f.start, block.shape[1])
-            vectors[:, first - lo : last - lo] = f.off_support[wavelets]
-            rows = (f.first_node + nodes) * node + np.arange(node)[:, None]
-            vectors[rows, np.arange(first - lo, last - lo)] = block[:, wavelets]
+            vectors[:, cols.start - lo : cols.stop - lo] = f.off_support[wavelets]
+            at = np.arange(cols.start - lo, cols.stop - lo)
+            vectors[starts + np.arange(node)[:, None], at] = block[:, wavelets]
         return vectors
 
     @cached_property

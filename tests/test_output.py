@@ -1,6 +1,8 @@
 """The table writers and the streamed eigenvector bundle against the stdlib encoders."""
 
+import copy
 import csv
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -20,6 +22,7 @@ from ultraspec import (
     load_config,
     make_field,
 )
+from ultraspec.spectra import SpectrumReport, VectorFamily
 from ultraspec.output import (
     EIGENVECTOR_HEADER,
     GRID_HEADER,
@@ -69,13 +72,42 @@ def oracle_write_table(path, header, rows, fmt="csv"):
     return path
 
 
-def oracle_bundle(path, grid, blocks, fmt):
-    """The bundle of the blocks' columns through ``oracle_write_table`` (the stdlib encoders)."""
+def oracle_bundle(path, grid, blocks, fmt, numbers=None):
+    """The bundle of the blocks' columns through ``oracle_write_table`` (the stdlib encoders).
+
+    Column k is numbered ``numbers[k]``, by default k.
+    """
     vectors = np.hstack(list(blocks))
-    rows = [
-        [j] + row for j in range(vectors.shape[1]) for row in eigenvector_rows(grid, vectors[:, j])
-    ]
+    numbers = range(vectors.shape[1]) if numbers is None else numbers
+    columns = zip(numbers, vectors.T)
+    rows = [[j] + row for j, vector in columns for row in eigenvector_rows(grid, vector)]
     return oracle_write_table(path, ["vector"] + EIGENVECTOR_HEADER, rows, fmt)
+
+
+# repeated values, keyed apart by their bits (±0.0, ±nan)
+POOL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 0.1 + 0.2, 1 / 3]
+
+
+def hand_made_report(grid, dtype=np.float64):
+    """A report on the 9 points of ``grid`` (q = 3, n = 1) whose templates are drawn from POOL.
+
+    One column over the shells (sizes 1, 2, 6), two wavelets on each of the
+    three depth-1 nodes, and two single points; each family holds a signed
+    zero or a NaN off its node.
+    """
+    assert grid.size == 9 and grid.field.q == 3
+    rng = np.random.default_rng(3)
+
+    def draw(rows, k):
+        return rng.choice(POOL, size=(rows, k)).astype(dtype)
+
+    families = [
+        VectorFamily(0, None, 0.0, 1, 0, draw(3, 1), np.array([-0.0]), np.array([1, 2, 6])),
+        VectorFamily(1, 0.0, 1.0, 6, 0, draw(3, 2), np.array([-0.0, 0.0]), 1, start=1),
+        VectorFamily(2, 1.0, 2.0, 2, 3, draw(1, 1), np.array([np.nan]), 1, start=7),
+    ]
+    families[1].template[:, 0] = [-0.0, 1 / 3, -0.0]  # a column of few values, -0.0 among them
+    return SpectrumReport(families, [], grid)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -112,27 +144,49 @@ def test_spectrum_rows_label_every_column_by_its_family(report):
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_complex_and_nonfinite_vectors_match_row_path(grid_n1, fmt, tmp_path):
-    size = grid_n1.size
-    rng = np.random.default_rng(3)
-    vectors = rng.normal(size=(size, 3)) + 1j * rng.normal(size=(size, 3))
-    vectors[0, 0] = complex(-0.0, -0.0)
-    vectors[1, 0] = complex(0.0, -0.0)
-    vectors[2, 0] = complex(-0.0, 0.0)
-    vectors[:3, 2] = [complex(np.nan, 1.0), complex(np.inf, -np.inf), complex(-np.inf, np.nan)]
-    # repeated values from a small pool, keyed apart by their bits (±0.0, ±nan)
-    pool = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 0.1 + 0.2, 1 / 3]
-    pooled = np.empty((size, 40), dtype=complex)
-    pooled.real = rng.choice(pool, size=pooled.shape)
-    pooled.imag = rng.choice(pool, size=pooled.shape)
-    pooled[:, 0].real = -0.0
-    pooled[:, 0].imag = 1 / 3
-    # other dtypes give what complex() of each entry gives
-    others = [pooled.real.astype(np.float32), np.arange(3 * size).reshape(size, 3) - size]
-    for k, vectors in enumerate([vectors, pooled, *others]):
-        new = write_eigenvector_bundle(tmp_path / f"new{k}.{fmt}", grid_n1, [vectors], fmt)
-        old = oracle_bundle(tmp_path / f"old{k}.{fmt}", grid_n1, [vectors], fmt)
-        assert new.read_bytes() == old.read_bytes()
+def test_hand_made_families_match_row_path(grid_n1, fmt, tmp_path):
+    report = hand_made_report(grid_n1)
+    vectors = report.eigenvectors
+    assert np.isnan(vectors).any() and (np.signbit(vectors) & (vectors == 0)).any()
+    new = write_eigenvector_bundle(tmp_path / f"new.{fmt}", report, fmt)
+    old = oracle_bundle(tmp_path / f"old.{fmt}", grid_n1, [vectors], fmt)
+    assert new.read_bytes() == old.read_bytes()
+    # a template that is not real float64 is refused before the file opens
+    for dtype in (np.complex128, np.float32):
+        bad = hand_made_report(grid_n1, dtype)
+        assert bad.families[0].template.dtype == dtype
+        bad.families[0].template[0] += 1j if dtype == np.complex128 else 0
+        with pytest.raises(ValueError, match="real float64"):
+            write_eigenvector_bundle(tmp_path / f"bad.{fmt}", bad, fmt)
+        assert not (tmp_path / f"bad.{fmt}").exists()
+
+
+FAMILY_SHAPES = {
+    "Q2-n1": (EisensteinExtension(p=2, e=1), 1, 0.5, 1e-6),  # q = 2: no wavelet on the path
+    "Q2-n2": (EisensteinExtension(p=2, e=1), 2, 0.5, 1e-6),
+    "Q2-n3": (EisensteinExtension(p=2, e=1), 3, 0.5, 1e-6),
+    "F4t-n2": (LaurentField(p=2, f=2), 2, 0.5, 1e-6),  # f > 1
+    "point-basis": (EisensteinExtension(p=3, e=2), 2, 0.0, 1e-6),  # a = 0
+    "rotated-radial": (EisensteinExtension(p=3, e=2), 2, 0.5, 1e-4),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("shape", sorted(FAMILY_SHAPES))
+def test_bundle_matches_oracle_on_every_family_shape(shape, fmt, tmp_path, ho_potential):
+    spec, n, a, cluster_tol = FAMILY_SHAPES[shape]
+    grid = build_grid(make_field(spec), n)
+    report = eigensolve(assemble_hamiltonian(grid, 2.0, a, ho_potential), cluster_tol=cluster_tol)
+    radial = [f.start for f in report.families if f.shell is None]
+    premise = {
+        "point-basis": {f.depth for f in report.families} == {2 * n - 1},
+        # a cluster of several radial families, whose templates the shell adaptation rotates
+        "rotated-radial": any(len(set(radial) & set(c.indices)) > 1 for c in report.clusters),
+    }
+    assert premise.get(shape, True)
+    new = write_eigenvector_bundle(tmp_path / f"new.{fmt}", report, fmt)
+    old = oracle_bundle(tmp_path / f"old.{fmt}", grid, [report.eigenvectors], fmt)
+    assert new.read_bytes() == old.read_bytes()
 
 
 def test_rows_label_points_with_format_element(grid_n2):
@@ -151,7 +205,7 @@ def test_rows_label_points_with_format_element(grid_n2):
 
 
 def test_csv_quotes_comma_bearing_digits(grid_n1, tmp_path):
-    path = write_eigenvector_bundle(tmp_path / "v.csv", grid_n1, [np.eye(grid_n1.size)], "csv")
+    path = write_eigenvector_bundle(tmp_path / "v.csv", hand_made_report(grid_n1), "csv")
     index = next(i for i in range(grid_n1.size) if "," in format_element(grid_n1.point(i)))
     digits = format_element(grid_n1.point(index))
     line = path.read_text().splitlines()[1 + index]
@@ -161,16 +215,8 @@ def test_csv_quotes_comma_bearing_digits(grid_n1, tmp_path):
 
 def test_bundle_rejects_unknown_format(grid_n1, tmp_path):
     with pytest.raises(ValueError, match="unknown output format"):
-        write_eigenvector_bundle(tmp_path / "v.txt", grid_n1, [np.eye(grid_n1.size)], "txt")
-
-
-@pytest.mark.parametrize("shape", [(8, 9), (10, 9), (9,)], ids=["short", "long", "1d"])
-@pytest.mark.parametrize("fmt", FORMATS)
-def test_bundle_rejects_wrong_row_count(grid_n1, shape, fmt, tmp_path):
-    assert grid_n1.size == 9
-    with pytest.raises(ValueError, match="points have shape"):
-        write_eigenvector_bundle(tmp_path / f"v.{fmt}", grid_n1, [np.ones(shape)], fmt)
-    assert not (tmp_path / f"v.{fmt}").exists()
+        write_eigenvector_bundle(tmp_path / "v.txt", hand_made_report(grid_n1), "txt")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("shape", [(8,), (10,), (9, 1)], ids=["short", "long", "2d"])
@@ -180,12 +226,8 @@ def test_rows_reject_wrong_length(grid_n1, shape):
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_bundle_memory_stays_below_a_quarter_matrix(fmt, tmp_path, monkeypatch):
-    """The spectrum files' traced peak at N = 729, vectors included, stays below 0.25 * 8 N**2.
-
-    The block is set to 27 columns: at its default, N = 729 is a single block,
-    the whole matrix; the blocks are cut only past N = 1024.
-    """
+def test_bundle_memory_stays_below_a_quarter_matrix(fmt, tmp_path):
+    """The spectrum files' traced peak at N = 729, vectors included, stays below 0.25 * 8 N**2."""
     config = load_config(Path(__file__).resolve().parents[1] / "configs" / "q3sqrt3_ho.cfg")
     grid = build_grid(config.field, 3)
     report = eigensolve(
@@ -193,7 +235,6 @@ def test_bundle_memory_stays_below_a_quarter_matrix(fmt, tmp_path, monkeypatch):
             grid, config.alpha, config.kinetic_coeff, config.potential, config.convention
         )
     )
-    monkeypatch.setattr(ultraspec.output, "BUNDLE_BLOCK_ENTRIES", 27 * grid.size)
     tracemalloc.start()
     try:
         write_spectrum_outputs(tmp_path, report, fmt)
@@ -206,17 +247,14 @@ def test_bundle_memory_stays_below_a_quarter_matrix(fmt, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("field", ["q3sqrt3", "f4_laurent"])
-def test_bundle_bytes_survive_block_cuts(field, fmt, tmp_path, monkeypatch, ho_potential):
+def test_bundle_bytes_survive_block_cuts(field, fmt, tmp_path, ho_potential):
+    """The bundle ``write_spectrum_outputs`` writes, every family whole, against the oracle."""
     fields = {"q3sqrt3": EisensteinExtension(p=3, e=2), "f4_laurent": LaurentField(p=2, f=2)}
     grid = build_grid(make_field(fields[field]), 2)
     report = eigensolve(assemble_hamiltonian(grid, 2.0, 0.5, ho_potential))
     expected = oracle_bundle(tmp_path / f"old.{fmt}", grid, [report.eigenvectors], fmt)
-    widest = max(f.multiplicity for f in report.families)
-    assert widest > 2  # a block of widest - 1 columns cuts every family that wide
-    for width in (1, widest - 1, grid.size):
-        monkeypatch.setattr(ultraspec.output, "BUNDLE_BLOCK_ENTRIES", width * grid.size)
-        written = write_spectrum_outputs(tmp_path / f"w{width}", report, fmt)[-1]
-        assert written.read_bytes() == expected.read_bytes(), width
+    written = write_spectrum_outputs(tmp_path / "new", report, fmt)[-1]
+    assert written.read_bytes() == expected.read_bytes()
 
 
 def test_bundle_past_the_row_cap_is_refused_before_any_file(
@@ -300,12 +338,51 @@ def test_write_table_rejects_unknown_format_and_ragged_rows(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def _column_sample(write):
-    """``write`` of about 30 of the bundle's columns, so the in-memory oracle stays small."""
+def _sampled_report(report, picks):
+    """A copy of ``report`` for the bundle writer: the sorted columns ``picks`` alone.
 
-    def bundle(path, grid, blocks, fmt):
-        vectors = np.hstack(list(blocks))
-        return write(path, grid, [vectors[:, :: max(1, grid.size // 30)]], fmt)
+    Each is a one-column family with its number, its node and its template
+    column (``report.placement``); the copy skips the check that the
+    families cover every column, which a sample does not.
+    """
+    families = []
+    for j in picks:
+        f = next(f for f in report.families if j - f.start in range(f.multiplicity))
+        _, node, starts, wavelets = report.placement(f, range(j, j + 1))
+        w = slice(int(wavelets[0]), int(wavelets[0]) + 1)
+        families.append(
+            dataclasses.replace(
+                f,
+                multiplicity=1,
+                first_node=int(starts[0]) // node,
+                template=f.template[:, w],
+                off_support=f.off_support[w],
+                start=j,
+            )
+        )
+    sample = copy.copy(report)
+    sample.families = families
+    return sample
+
+
+def _sampled_writer(path, report, picks, fmt):
+    return write_eigenvector_bundle(path, _sampled_report(report, picks), fmt)
+
+
+def _sampled_oracle(path, report, picks, fmt):
+    vectors = [report.columns(range(j, j + 1)) for j in picks]
+    return oracle_bundle(path, report.grid, vectors, fmt, picks)
+
+
+def _column_sample(write):
+    """``write(path, report, picks, fmt)`` of about 30 of the bundle's columns ``picks``.
+
+    So the in-memory oracle stays small; each column keeps its number.
+    """
+
+    def bundle(path, report, fmt):
+        size = report.grid.size
+        return write(path, report, range(0, size, max(1, size // 30)), fmt)
 
     return bundle
 
@@ -340,8 +417,8 @@ def test_command_files_match_stdlib_encoders(
     config = tmp_path / "run.cfg"
     config.write_text(json.dumps(data))
     writers = {
-        "new": (write_table, write_eigenvector_bundle),
-        "old": (oracle_write_table, oracle_bundle),
+        "new": (write_table, _sampled_writer),
+        "old": (oracle_write_table, _sampled_oracle),
     }
     for out, (table, bundle) in writers.items():
         monkeypatch.setattr(ultraspec.output, "write_table", table)
