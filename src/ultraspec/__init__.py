@@ -35,8 +35,6 @@ from .fields import (
     Field,
     FieldElement,
     LaurentField,
-    abs_value,
-    character,
     character_phase,
     elem_add,
     elem_from_pairs,
@@ -47,7 +45,6 @@ from .fields import (
     valuation,
 )
 from .finite import (
-    FOURIER_DENSE_CAP,
     GRID_CAP_DEFAULT,
     ZERO_SHELL,
     Grid,
@@ -57,12 +54,7 @@ from .finite import (
     ZeroCellConvention,
     assemble_hamiltonian,
     build_grid,
-    fourier_apply,
-    fourier_matrix,
-    fourier_unitarity_defect,
     position_diagonal,
-    project_cutoff,
-    project_smooth,
     zero_cell_average,
 )
 from .spectra import (
@@ -77,6 +69,16 @@ from .spectra import (
     eigensolve,
     embed_function,
 )
-from .verify import CheckResult, VerifyOutcome, run_verify
+from .verify import (
+    FOURIER_DENSE_CAP,
+    CheckResult,
+    VerifyOutcome,
+    fourier_apply,
+    fourier_matrix,
+    fourier_unitarity_defect,
+    project_cutoff,
+    project_smooth,
+    run_verify,
+)
 
 __version__ = "0.1.0"

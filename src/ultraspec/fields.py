@@ -34,7 +34,6 @@ oracles of ``tests/oracles.py``.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,10 +53,8 @@ __all__ = [
     "elem_add",
     "elem_mul",
     "elem_neg",
-    "abs_value",
     "valuation",
     "character_phase",
-    "character",
     "format_element",
 ]
 
@@ -316,9 +313,6 @@ class Field:
     def one(self) -> "FieldElement":
         return FieldElement(0, (1,))
 
-    def beta_power(self, m: int) -> "FieldElement":
-        return FieldElement(m, (1,))
-
 
 def make_field(spec: FieldSpec) -> Field:
     """Validate a field spec and compute q, e, f, d."""
@@ -510,13 +504,6 @@ def valuation(field: Field, x: FieldElement):
     return x.lo if x.digits else math.inf
 
 
-def abs_value(field: Field, x: FieldElement) -> float:
-    """Canonical absolute value q**(-valuation); 0 for the zero element."""
-    if x.is_zero:
-        return 0.0
-    return float(field.q) ** (-x.lo)
-
-
 # ---------------------------------------------------------------------------
 # Rank-zero characters
 # ---------------------------------------------------------------------------
@@ -537,15 +524,9 @@ class CharacterPhase:
         if not in_range:
             raise ValueError(f"phase {r} outside [0, 1)")
 
-    @property
-    def complex_value(self) -> complex:
-        if self.r == 0:
-            return 1.0 + 0.0j
-        return cmath.exp(2j * math.pi * float(self.r))
-
 
 def beta_monomial_phase(field: Field, m: int, digit: int = 1) -> Fraction:
-    """Phase of digit * b**m; closed form used to build Fourier kernels."""
+    """Phase of digit * b**m, a residue code for F_q((t)); ``verify``'s Fourier kernel reads it."""
     if digit == 0:
         return Fraction(0)
     if field.is_laurent:
@@ -585,11 +566,6 @@ def character_phase(field: Field, x: FieldElement) -> CharacterPhase:
         num = num * p + c
     den = p**places
     return CharacterPhase(Fraction(e * num % den, den))
-
-
-def character(field: Field, x: FieldElement) -> complex:
-    """Unit complex chi(x); use ``character_phase`` for the exact rational."""
-    return character_phase(field, x).complex_value
 
 
 # ---------------------------------------------------------------------------

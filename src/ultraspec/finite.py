@@ -1,4 +1,4 @@
-"""Finite model: grid X_n, finite Fourier transform, projections, operators.
+"""Finite model: the grid X_n and the Hamiltonian as shell data.
 
 The level-n grid holds the q**(2n) canonical representatives
 sum_{i=-n}^{n-1} a_i b**i, ordered lexicographically in the digit tuple
@@ -8,17 +8,7 @@ the grid is a q-ary tree and every shell |x| = q**k is one run of indices,
 the shells <= k are a prefix, and a level-n function lifted to level m
 repeats each value q**(m-n) times over the first q**(m+n) indices.  ``Grid``
 owns this layout (``shell_run``, ``ball_size``, ``depth_runs``) and every
-shell operation is a slice of it.  The Fourier
-kernel q**(-n) * chi(-x*y) is evaluated through exact integer phase
-numerators: the additive character makes the phase of x*y bilinear over F_p
-in the digit coordinates, so D * phase(x_i * x_j) mod D is a plain integer
-matrix product, and kernel entries are table lookups of exact roots of
-unity.  The phase form pairs a digit of y only with the x digits of higher
-significance (the character has rank zero), so the transform factors into
-one step per digit, Cooley-Tukey style, and is unitary when every q x q
-root table of every step is √q times a unitary matrix
-(``fourier_unitarity_defect``).  The dense kernel is materialized only as a
-test oracle, up to ``FOURIER_DENSE_CAP`` rows.
+shell operation is a slice of it.
 
 The kinetic operator F* diag(|xi|**alpha) F is a convolution by a radial
 kernel, so its entry (i, j) depends only on s, the first digit position
@@ -28,12 +18,12 @@ form from rank-zero character sums, and the Hamiltonian is shell data:
 those values and the 2n + 1 shell values of the symbol and the potential,
 applied by block sums over the tree or in closed form on shell-constant
 functions, never as a dense matrix.  No solve builds digits, phases or a
-Fourier transform: ``verify`` (at every grid size) and the dense test
-oracles check kappa against F* diag(|xi|**alpha) F.  The residual gate,
-which checks each eigenvector family on its template (a radial one by
-shell, any other by child and shell), sees a kappa error only above its
-threshold: a 1e-6 shift of kappa_1 at n = 1 and 2, not from n = 3 up; a
-NaN kappa fails eigh.
+Fourier transform.  ``verify`` owns the exact-phase Fourier calculus, and
+it (at every grid size) and the dense test oracles check kappa against
+F* diag(|xi|**alpha) F.  The residual gate, which checks each eigenvector
+family on its template (a radial one by shell, any other by child and
+shell), sees a kappa error only above its threshold: a 1e-6 shift of
+kappa_1 at n = 1 and 2, not from n = 3 up; a NaN kappa fails eigh.
 """
 
 from __future__ import annotations
@@ -48,12 +38,11 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import GridTooLarge, NonConfiningPotentialWarning
-from .fields import Field, FieldElement, _canonical, beta_monomial_phase
+from .fields import Field, FieldElement, _canonical
 
 __all__ = [
     "ZERO_SHELL",
     "GRID_CAP_DEFAULT",
-    "FOURIER_DENSE_CAP",
     "Grid",
     "MonomialPotential",
     "TablePotential",
@@ -62,11 +51,6 @@ __all__ = [
     "HamiltonianModel",
     "build_grid",
     "check_grid_cap",
-    "fourier_matrix",
-    "fourier_apply",
-    "fourier_unitarity_defect",
-    "project_cutoff",
-    "project_smooth",
     "zero_cell_average",
     "potential_shell_value",
     "shell_values",
@@ -76,7 +60,6 @@ __all__ = [
 
 ZERO_SHELL = float("-inf")  # label of the single cell containing 0 (|x| = 0)
 GRID_CAP_DEFAULT = 1 << 20
-FOURIER_DENSE_CAP = 4096
 
 
 class ZeroCellConvention(str, Enum):
@@ -113,18 +96,16 @@ class Grid:
     is [q**(n+k-1), q**(n+k)), and the zero cell (``ZERO_SHELL``) is [0, 1).
     The points with |x| <= q**k are the prefix [0, ``ball_size(k)``), so a
     level-n function lifts to level m by repeating each value q**(m-n)
-    times over the first q**(m+n) indices.  ``digits``, the point labels
-    ``shells`` and the exact ``phase_table`` are built on first read, and
-    ``point(i)`` builds one exact point; the solver reads only the runs.
+    times over the first q**(m+n) indices.  ``digits`` and the point
+    labels ``shells`` are built on first read, and ``point(i)`` builds one
+    exact point; the solver reads only the runs.
     """
 
     def __init__(self, field: Field, n: int):
         self.field = field
         self.n = n
-        q = field.q
-        self.size = q ** (2 * n)
-        self.mass = float(q) ** (-n)
-        self._weights = q ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
+        self.size = field.q ** (2 * n)
+        self.mass = float(field.q) ** (-n)
         self.zero_index = 0  # all-zero tuple is lexicographically first
         self.shell_sizes = {k: len(self.shell_run(k)) for k in self.shell_labels()}
 
@@ -192,30 +173,6 @@ class Grid:
             index = index * q + x.digit_at(exp)
         return index
 
-    @cached_property
-    def phase_table(self) -> _PhaseTable:
-        """The exact kernel phases by digit step; built on first read, by ``verify`` and oracles."""
-        return _PhaseTable(self)
-
-    def neg_indices(self) -> np.ndarray:
-        """Index of -x modulo b**n for every grid point x, from the digit array.
-
-        Laurent fields negate digit by digit in the residue field.  In Q_p[b]
-        (b**e = p) the digits e positions apart form one p-adic number, whose
-        negation maps its lowest nonzero digit d to p - d and every higher
-        digit c to p - 1 - c: the carry of p * b**i = b**(i+e).
-        """
-        field, digits = self.field, self.digits
-        if field.is_laurent:
-            neg = np.array([field.residue.neg(d) for d in range(field.q)])[digits]
-        else:
-            p, e = field.p, field.e
-            carried = np.zeros(digits.shape, dtype=bool)
-            for pos in range(e, 2 * self.n):
-                carried[:, pos] = carried[:, pos - e] | (digits[:, pos - e] != 0)
-            neg = np.where(carried, p - 1 - digits, (p - digits) % p)
-        return neg @ self._weights
-
 
 def check_grid_cap(p: int, f: int, n: int, cap: int) -> None:
     """Raise GridTooLarge when the level-n grid, q**(2n) = p**(2nf) points, exceeds ``cap``.
@@ -236,187 +193,6 @@ def build_grid(field: Field, n: int, cap: int = GRID_CAP_DEFAULT) -> Grid:
         raise ValueError(f"grid level n = {n} must be >= 1")
     check_grid_cap(field.p, field.f, n, cap)
     return Grid(field, n)
-
-
-# ---------------------------------------------------------------------------
-# Exact kernel phases
-# ---------------------------------------------------------------------------
-
-
-class _PhaseTable:
-    """Integer data for D * phase(x_i * x_j) mod D = (C W C^T)_ij mod D, by digit step.
-
-    C holds the F_p coordinates of the digit rows (``_digit_coords``); only
-    ``numerators``, the dense test oracle, builds it for every point.
-    """
-
-    def __init__(self, grid: Grid):
-        field = grid.field
-        n, p = grid.n, field.p
-        width = 2 * n
-        if field.is_laurent:
-            f = field.f
-            rf = field.residue
-            trace_pow = []
-            for u in range(2 * f - 1):
-                if f == 1:
-                    trace_pow.append(rf.trace(1) if u == 0 else 0)
-                else:
-                    trace_pow.append(rf.trace(rf.pow(p, u)))  # p encodes z
-            denom = p
-            w = np.zeros((width * f, width * f), dtype=np.int64)
-            for pi in range(width):
-                for pj in range(width):
-                    if (pi - n) + (pj - n) != -1:
-                        continue
-                    for s in range(f):
-                        for t in range(f):
-                            w[pi * f + s, pj * f + t] = trace_pow[s + t] % p
-        else:
-            phases = {}
-            t_max = 0
-            for m in range(-2 * n, 2 * n - 1):
-                r = beta_monomial_phase(field, m)
-                phases[m] = r
-                t_max = max(t_max, _p_power_exponent(r.denominator, p))
-            denom = p**t_max
-            w = np.zeros((width, width), dtype=np.int64)
-            for pi in range(width):
-                for pj in range(width):
-                    r = phases[(pi - n) + (pj - n)]
-                    w[pi, pj] = int(r * denom) % denom
-        self.denominator = denom
-        self.bilinear = w
-        self.roots = np.exp(2j * np.pi * np.arange(denom) / denom)
-
-        # W[i, j] != 0 only when (i - n) + (j - n) <= -1: y digit j pairs with
-        # x digits 0, ..., 2n - 1 - j.  Step t contracts y digit j = 2n - 1 - t
-        # once x digits 0, ..., t are known; its numerators are indexed
-        # [x digits 0..t-1, x digit t, y digit j].
-        q = field.q
-        per_digit = w.shape[0] // width
-        digit_coords = _digit_coords(field, np.arange(q)[:, None])  # digit values 0, ..., q-1
-        self.steps = []
-        for t in range(width):
-            j = width - 1 - t
-            # the points with digits > t zero
-            prefixes = _digit_coords(field, grid.digits[:: q**j, : t + 1])
-            block = w[: (t + 1) * per_digit, j * per_digit : (j + 1) * per_digit]
-            num = (prefixes @ block @ digit_coords.T) % denom
-            self.steps.append(num.reshape(q**t, q, q))
-
-    def numerators(self, grid: Grid) -> np.ndarray:
-        # float64 so the contraction runs through BLAS; every intermediate is
-        # a small integer, far below 2**53, hence exact
-        coords = _digit_coords(grid.field, grid.digits).astype(np.float64)
-        prod = (coords @ self.bilinear.astype(np.float64)) @ coords.T
-        return np.rint(prod).astype(np.int64) % self.denominator
-
-
-def _digit_coords(field: Field, digits: np.ndarray) -> np.ndarray:
-    """The F_p coordinates of digit rows, f per digit (the digit itself when q = p), as int64."""
-    p, f = field.p, field.f
-    coords = digits[:, :, None] // p ** np.arange(f, dtype=digits.dtype) % p
-    return coords.reshape(len(digits), -1).astype(np.int64)
-
-
-def _p_power_exponent(den: int, p: int) -> int:
-    t = 0
-    while den % p == 0:
-        den //= p
-        t += 1
-    if den != 1:
-        raise ArithmeticError(f"phase denominator {den} is not a power of {p}")
-    return t
-
-
-# ---------------------------------------------------------------------------
-# Fourier transform on the grid
-# ---------------------------------------------------------------------------
-
-
-def fourier_matrix(grid: Grid) -> np.ndarray:
-    """Dense kernel q**(-n) * chi(-x*y), uncached and capped: the test oracle of the step form."""
-    if grid.size > FOURIER_DENSE_CAP:
-        raise ValueError(
-            f"dense Fourier kernel capped at {FOURIER_DENSE_CAP} rows; "
-            f"grid has {grid.size} (use fourier_apply)"
-        )
-    table = grid.phase_table
-    p = table.numerators(grid)
-    p = (table.denominator - p) % table.denominator
-    return table.roots[p] * float(grid.field.q) ** (-grid.n)
-
-
-def _step_phases(grid: Grid, inverse: bool = False):
-    """The (q**t, q, q) root tables of the 2n digit steps, t = 0, ..., 2n - 1."""
-    table = grid.phase_table
-    sign = 1 if inverse else -1
-    for num in table.steps:
-        yield table.roots[(sign * num) % table.denominator]
-
-
-def fourier_apply(grid: Grid, f, inverse: bool = False) -> np.ndarray:
-    """The finite Fourier transform (or its inverse) of an (N,) or (N, k) array.
-
-    Runs as 2n digit steps: step t contracts y digit 2n - 1 - t against x
-    digits 0, ..., t with one batched matmul by a (q**t, q, q) table of exact
-    roots of unity.  O(N * 2n * q) per column; the shape is kept.
-    """
-    v = np.asarray(f)
-    q, width = grid.field.q, 2 * grid.n
-    # y digits least significant first, so each step contracts the leading y axis
-    digits = v.reshape((q,) * width + (-1,)).transpose(tuple(range(width - 1, -1, -1)) + (width,))
-    work = np.ascontiguousarray(digits, dtype=np.complex128)
-    for t, phases in enumerate(_step_phases(grid, inverse)):
-        work = np.matmul(phases, work.reshape(q**t, q, -1))
-    return (work * float(q) ** (-grid.n)).reshape(v.shape)
-
-
-def fourier_unitarity_defect(grid: Grid) -> float:
-    """max |B* B / q - 1| over the q x q root tables B of fourier_apply's steps.
-
-    The transform is q**(-n) times the product of its 2n steps, each a
-    block-diagonal batch of these tables, so it is unitary when every table
-    is √q times a unitary matrix: the rank-zero pairing is nondegenerate
-    digit by digit.  O(N * q**2) in all, at every grid size.
-    """
-    q = grid.field.q
-    defect = 0.0
-    for phases in _step_phases(grid):
-        gram = np.matmul(phases.conj().transpose(0, 2, 1), phases) / q
-        defect = max(defect, float(np.abs(gram - np.eye(q)).max()))
-    return defect
-
-
-# ---------------------------------------------------------------------------
-# Projections
-# ---------------------------------------------------------------------------
-
-
-def project_cutoff(grid: Grid, k: int, f) -> np.ndarray:
-    """Finite-level cutoff of an (N,) or (N, m) array: zero the rows with |x| > q**k."""
-    v = np.asarray(f)
-    out = np.zeros_like(v)
-    end = grid.ball_size(k)  # the shells <= k are a prefix of the grid
-    out[:end] = v[:end]
-    return out
-
-
-def project_smooth(grid: Grid, k: int, f) -> np.ndarray:
-    """Finite-level smoothing of an (N,) or (N, m) array: average over x + B_{-k} (k < n).
-
-    Points sharing the digits at exponents below k form contiguous
-    lexicographic blocks of q**(n-k) points, so this is a blockwise mean of
-    the rows; the shape is kept.
-    """
-    n = grid.n
-    if not -n <= k < n:
-        raise ValueError(f"smoothing level k = {k} must satisfy -n <= k < n (n = {n})")
-    v = np.asarray(f)
-    block = grid.field.q ** (n - k)
-    means = v.reshape((grid.size // block, block) + v.shape[1:]).mean(axis=1)
-    return np.repeat(means, block, axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -85,9 +85,8 @@ MATCH_WINDOW = 0.5  # convergence_report's largest cluster drift between levels
 
 @dataclass(frozen=True)
 class Radial:
-    """Constant on every shell, within ``max_deviation`` (0.0 when read off a radial template)."""
+    """Constant on every shell: read off a radial template, whose rows are the shells."""
 
-    max_deviation: float
     profile: dict
 
     kind = "radial"
@@ -279,7 +278,7 @@ def classify_family(family: VectorFamily, labels: list, shell_tol: float) -> Cla
     top = max(profile, key=profile.get)
     if profile[top] >= 1.0 - shell_tol:
         return Shell(k=top, leakage=1.0 - profile[top], profile=profile)
-    return Radial(max_deviation=0.0, profile=profile)
+    return Radial(profile=profile)
 
 
 class SpectrumReport:
@@ -296,7 +295,7 @@ class SpectrumReport:
     each family's ``placement``).  So are ``eigenvalues``, each family's
     value repeated over its columns, and ``family_classifications``, one
     per family with the report's ``shell_tol`` (see ``classify_family``),
-    which ``summary_rows`` reads: column i's is ``classification(i)``.
+    which ``summary_rows`` reads; each column shares its family's.
     """
 
     def __init__(
@@ -356,11 +355,6 @@ class SpectrumReport:
     def family_classifications(self) -> list:
         labels = self.grid.shell_labels()
         return [classify_family(f, labels, self.shell_tol) for f in self.families]
-
-    def classification(self, i: int) -> Classification:
-        """Sorted column i's classification, the one its family's vectors share."""
-        i = range(self.grid.size)[i]  # an IndexError past the columns, as in a list
-        return self.family_classifications[bisect.bisect_right(self._starts, i) - 1]
 
     def cluster_kind(self, cluster: EigenCluster) -> str:
         span, starts = cluster.indices, self._starts

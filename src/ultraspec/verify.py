@@ -1,4 +1,4 @@
-"""Structural identity suite for fields and finite models.
+"""Structural identity suite for fields and finite models, and the exact-phase Fourier calculus.
 
 Each check measures a defect against a fixed threshold; the suite never
 raises on failure (failures are outcomes).  Exact-arithmetic checks report a
@@ -6,32 +6,239 @@ defect of 0.0 or the number of violations.  Every check takes one path at
 every grid size: unitarity is read off the Fourier transform's digit steps,
 the other Fourier and projection identities are tested on blocks of random
 probes, and exact field elements are built only for the points a check reads.
+
+The Fourier kernel q**(-n) * chi(-x*y) is evaluated through exact integer
+phase numerators: the additive character makes the phase of x*y bilinear
+over F_p in the digit coordinates, so D * phase(x_i * x_j) mod D is a plain
+integer matrix product, and kernel entries are table lookups of exact roots
+of unity.  Each entry of the bilinear form is one ``beta_monomial_phase``
+of ``fields``, the phase of a monomial z**u * b**m.  The phase form pairs a
+digit of y only with the x digits of higher significance (the character has
+rank zero), so the transform factors into one step per digit, Cooley-Tukey
+style, and is unitary when every q x q root table of every step is √q times
+a unitary matrix (``fourier_unitarity_defect``).  The dense kernel is
+materialized only as a test oracle, up to ``FOURIER_DENSE_CAP`` rows.  No
+solve builds a phase table.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RunConfig
-from .fields import character_phase, elem_add, elem_mul, elem_neg, valuation
-from .finite import (
-    ZERO_SHELL,
-    assemble_hamiltonian,
-    build_grid,
-    fourier_apply,
-    fourier_unitarity_defect,
-    project_cutoff,
-    project_smooth,
+from .fields import (
+    Field,
+    beta_monomial_phase,
+    character_phase,
+    elem_add,
+    elem_mul,
+    elem_neg,
+    valuation,
 )
+from .finite import ZERO_SHELL, Grid, assemble_hamiltonian, build_grid
 
-__all__ = ["CheckResult", "VerifyOutcome", "run_verify"]
+__all__ = [
+    "FOURIER_DENSE_CAP",
+    "CheckResult",
+    "VerifyOutcome",
+    "fourier_matrix",
+    "fourier_apply",
+    "fourier_unitarity_defect",
+    "neg_indices",
+    "project_cutoff",
+    "project_smooth",
+    "run_verify",
+]
 
+FOURIER_DENSE_CAP = 4096
 LINEAR_TOL = 1e-12
 RANDOM_SEED = 20240901
+
+
+# ---------------------------------------------------------------------------
+# Exact kernel phases
+# ---------------------------------------------------------------------------
+
+
+class _PhaseTable:
+    """Integer data for D * phase(x_i * x_j) mod D = (C W C^T)_ij mod D, by digit step.
+
+    C holds the F_p coordinates of the digit rows (``_digit_coords``), f per
+    digit: coordinate pos * f + s is the z**s coefficient of digit pos.  So
+    W pairs digit positions at the exponent m = (pos - n) + (pos' - n) and
+    coordinates at z**(s + s'), and its entry is D times the phase of
+    z**(s + s') * b**m, each (m, s + s') computed once; D is the largest of
+    these denominators, which are all p-powers.  Only ``numerators``, the
+    dense test oracle, builds C for every point.
+    """
+
+    def __init__(self, grid: Grid):
+        field, q, f = grid.field, grid.field.q, grid.field.f
+        rf, width = field.residue, 2 * grid.n
+        # the residue codes of z**u, u < 2f - 1 (p encodes z); just 1 when f = 1
+        codes = [1] if rf is None else [rf.pow(field.p, u) for u in range(2 * f - 1)]
+        phases = [
+            [beta_monomial_phase(field, m, c) for c in codes] for m in range(-width, width - 1)
+        ]
+        self.denominator = denom = max(r.denominator for row in phases for r in row)
+        nums = [[r.numerator * (denom // r.denominator) for r in row] for row in phases]
+        pos, power = np.divmod(np.arange(width * f), f)
+        self.bilinear = np.array(nums, dtype=np.int64)[pos[:, None] + pos, power[:, None] + power]
+        self.roots = np.exp(2j * np.pi * np.arange(denom) / denom)
+
+        # W[i, j] != 0 only when (i - n) + (j - n) <= -1: y digit j pairs with
+        # x digits 0, ..., 2n - 1 - j.  Step t contracts y digit j = 2n - 1 - t
+        # once x digits 0, ..., t are known; its numerators are indexed
+        # [x digits 0..t-1, x digit t, y digit j].
+        digit_coords = _digit_coords(field, np.arange(q)[:, None])  # digit values 0, ..., q-1
+        self.steps = []
+        for t in range(width):
+            j = width - 1 - t
+            # the points with digits > t zero
+            prefixes = _digit_coords(field, grid.digits[:: q**j, : t + 1])
+            block = self.bilinear[: (t + 1) * f, j * f : (j + 1) * f]
+            num = (prefixes @ block @ digit_coords.T) % denom
+            self.steps.append(num.reshape(q**t, q, q))
+
+    def numerators(self, grid: Grid) -> np.ndarray:
+        # float64 so the contraction runs through BLAS; every intermediate is
+        # a small integer, far below 2**53, hence exact
+        coords = _digit_coords(grid.field, grid.digits).astype(np.float64)
+        prod = (coords @ self.bilinear.astype(np.float64)) @ coords.T
+        return np.rint(prod).astype(np.int64) % self.denominator
+
+
+# the phase table of each grid, built on first use; a pure function of the
+# grid, held only while the grid lives
+_PHASE_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _phase_table(grid: Grid) -> _PhaseTable:
+    table = _PHASE_TABLES.get(grid)
+    if table is None:
+        table = _PHASE_TABLES[grid] = _PhaseTable(grid)
+    return table
+
+
+def _digit_coords(field: Field, digits: np.ndarray) -> np.ndarray:
+    """The F_p coordinates of digit rows, f per digit (the digit itself when q = p), as int64."""
+    p, f = field.p, field.f
+    coords = digits[:, :, None] // p ** np.arange(f, dtype=digits.dtype) % p
+    return coords.reshape(len(digits), -1).astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# Fourier transform and projections on the grid
+# ---------------------------------------------------------------------------
+
+
+def fourier_matrix(grid: Grid) -> np.ndarray:
+    """Dense kernel q**(-n) * chi(-x*y), uncached and capped: the test oracle of the step form."""
+    if grid.size > FOURIER_DENSE_CAP:
+        raise ValueError(
+            f"dense Fourier kernel capped at {FOURIER_DENSE_CAP} rows; "
+            f"grid has {grid.size} (use fourier_apply)"
+        )
+    table = _phase_table(grid)
+    p = table.numerators(grid)
+    p = (table.denominator - p) % table.denominator
+    return table.roots[p] * float(grid.field.q) ** (-grid.n)
+
+
+def _step_phases(grid: Grid, inverse: bool = False):
+    """The (q**t, q, q) root tables of the 2n digit steps, t = 0, ..., 2n - 1."""
+    table = _phase_table(grid)
+    sign = 1 if inverse else -1
+    for num in table.steps:
+        yield table.roots[(sign * num) % table.denominator]
+
+
+def fourier_apply(grid: Grid, f, inverse: bool = False) -> np.ndarray:
+    """The finite Fourier transform (or its inverse) of an (N,) or (N, k) array.
+
+    Runs as 2n digit steps: step t contracts y digit 2n - 1 - t against x
+    digits 0, ..., t with one batched matmul by a (q**t, q, q) table of exact
+    roots of unity.  O(N * 2n * q) per column; the shape is kept.
+    """
+    v = np.asarray(f)
+    q, width = grid.field.q, 2 * grid.n
+    # y digits least significant first, so each step contracts the leading y axis
+    digits = v.reshape((q,) * width + (-1,)).transpose(tuple(range(width - 1, -1, -1)) + (width,))
+    work = np.ascontiguousarray(digits, dtype=np.complex128)
+    for t, phases in enumerate(_step_phases(grid, inverse)):
+        work = np.matmul(phases, work.reshape(q**t, q, -1))
+    return (work * float(q) ** (-grid.n)).reshape(v.shape)
+
+
+def fourier_unitarity_defect(grid: Grid) -> float:
+    """max |B* B / q - 1| over the q x q root tables B of fourier_apply's steps.
+
+    The transform is q**(-n) times the product of its 2n steps, each a
+    block-diagonal batch of these tables, so it is unitary when every table
+    is √q times a unitary matrix: the rank-zero pairing is nondegenerate
+    digit by digit.  O(N * q**2) in all, at every grid size.
+    """
+    q = grid.field.q
+    defect = 0.0
+    for phases in _step_phases(grid):
+        gram = np.matmul(phases.conj().transpose(0, 2, 1), phases) / q
+        defect = max(defect, float(np.abs(gram - np.eye(q)).max()))
+    return defect
+
+
+def neg_indices(grid: Grid) -> np.ndarray:
+    """Index of -x modulo b**n for every grid point x, from the digit array.
+
+    Laurent fields negate digit by digit in the residue field.  In Q_p[b]
+    (b**e = p) the digits e positions apart form one p-adic number, whose
+    negation maps its lowest nonzero digit d to p - d and every higher
+    digit c to p - 1 - c: the carry of p * b**i = b**(i+e).
+    """
+    field, digits, width = grid.field, grid.digits, 2 * grid.n
+    if field.is_laurent:
+        neg = np.array([field.residue.neg(d) for d in range(field.q)])[digits]
+    else:
+        p, e = field.p, field.e
+        carried = np.zeros(digits.shape, dtype=bool)
+        for pos in range(e, width):
+            carried[:, pos] = carried[:, pos - e] | (digits[:, pos - e] != 0)
+        neg = np.where(carried, p - 1 - digits, (p - digits) % p)
+    return neg @ field.q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
+def project_cutoff(grid: Grid, k: int, f) -> np.ndarray:
+    """Finite-level cutoff of an (N,) or (N, m) array: zero the rows with |x| > q**k."""
+    v = np.asarray(f)
+    out = np.zeros_like(v)
+    end = grid.ball_size(k)  # the shells <= k are a prefix of the grid
+    out[:end] = v[:end]
+    return out
+
+
+def project_smooth(grid: Grid, k: int, f) -> np.ndarray:
+    """Finite-level smoothing of an (N,) or (N, m) array: average over x + B_{-k} (k < n).
+
+    Points sharing the digits at exponents below k form contiguous
+    lexicographic blocks of q**(n-k) points, so this is a blockwise mean of
+    the rows; the shape is kept.
+    """
+    n = grid.n
+    if not -n <= k < n:
+        raise ValueError(f"smoothing level k = {k} must satisfy -n <= k < n (n = {n})")
+    v = np.asarray(f)
+    block = grid.field.q ** (n - k)
+    means = v.reshape((grid.size // block, block) + v.shape[1:]).mean(axis=1)
+    return np.repeat(means, block, axis=0)
+
+
+# ---------------------------------------------------------------------------
+# The identity suite
+# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -107,7 +314,7 @@ def run_verify(config: RunConfig) -> VerifyOutcome:
         "fourier_fourth_power",
         np.abs(fourier_apply(grid, fourier_apply(grid, twice)) - probes).max(),
     )
-    record("fourier_reflection", np.abs(twice - probes[grid.neg_indices()]).max())
+    record("fourier_reflection", np.abs(twice - probes[neg_indices(grid)]).max())
     ball = np.zeros(grid.size, dtype=complex)
     ball[: grid.ball_size(0)] = 1.0
     record("unit_ball_fixed_point", np.abs(fourier_apply(grid, ball) - ball).max())

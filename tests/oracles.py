@@ -6,7 +6,8 @@ reduced once per digit.  The first part of this module is the digit-by-digit
 form it is checked against: residue digits decoded to coefficient tuples and
 encoded back for every operation, a Laurent product summed pair by pair in
 the residue field, a trace by Frobenius sums, and a phase summed one
-``Fraction`` per digit.
+``Fraction`` per digit.  Float views of the exact values, such as the unit
+complex character, sit beside them.
 
 The solver classifies each eigenvector family off its template and adapts
 radial clusters by shell (``ultraspec.spectra``).  The second part holds the
@@ -17,7 +18,10 @@ families are lifted to N rows and classified column by column.
 
 from __future__ import annotations
 
+import bisect
+import cmath
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -251,6 +255,22 @@ def character_phase(field: Field, x: FieldElement) -> CharacterPhase:
     return CharacterPhase(_padic_fractional(total, p))
 
 
+def beta_power(m: int) -> FieldElement:
+    """The element b**m."""
+    return FieldElement(m, (1,))
+
+
+def abs_value(field: Field, x: FieldElement) -> float:
+    """Canonical absolute value q**(-valuation); 0 for the zero element."""
+    return 0.0 if x.is_zero else float(field.q) ** (-x.lo)
+
+
+def character(field: Field, x: FieldElement) -> complex:
+    """Unit complex chi(x), the float view of the exact ``ultraspec.character_phase``."""
+    r = fields.character_phase(field, x).r
+    return 1.0 + 0.0j if r == 0 else cmath.exp(2j * math.pi * float(r))
+
+
 # ---------------------------------------------------------------------------
 # Eigenvector classification and shell adaptation
 # ---------------------------------------------------------------------------
@@ -297,7 +317,7 @@ def classify_eigenvector(
         vals = v[run.start : run.stop]
         max_dev = max(max_dev, float(np.abs(vals - vals.mean()).max()))
     if max_dev <= radial_tol:
-        return Radial(max_deviation=max_dev, profile=profile)
+        return Radial(profile=profile)
     return Mixed(profile=profile)
 
 
@@ -388,3 +408,10 @@ def numeric_summary_rows(report, radial_tol=DEFAULT_RADIAL_TOL) -> list:
         kind = "radial" if kinds == {"radial"} else "shell" if "radial" not in kinds else "mixed"
         rows.append((c.mean, c.multiplicity, kind))
     return rows
+
+
+def classification(report, i: int):
+    """Sorted column i's classification, the one its family's vectors share."""
+    i = range(report.grid.size)[i]  # an IndexError past the columns, as in a list
+    starts = [f.start for f in report.families]
+    return report.family_classifications[bisect.bisect_right(starts, i) - 1]

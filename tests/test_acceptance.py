@@ -31,6 +31,7 @@ from ultraspec import (
     project_cutoff,
     project_smooth,
 )
+from oracles import classification
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -124,7 +125,7 @@ def test_reference_eigenfunctions(reports, field):
         sampled = reports[ZeroCellConvention.SAMPLE_AT_ZERO]
         grid = sampled.grid
         ground = sampled.eigenvectors[:, 0]
-        cls = sampled.classification(0)
+        cls = classification(sampled, 0)
         assert cls.kind == "radial"
         assert ground.real.min() > 0
         for shell, expected in load_golden_ground_state().items():
@@ -132,19 +133,19 @@ def test_reference_eigenfunctions(reports, field):
             assert np.abs(values - expected).max() <= GROUND_STATE_TOL
 
         default = reports[ZeroCellConvention.AVERAGE_OF_POWER]
-        assert default.classification(0).kind == "radial"
+        assert classification(default, 0).kind == "radial"
         assert default.eigenvectors[:, 0].real.min() > 0
 
         nine = next(c for c in default.clusters if abs(c.mean - 9.0) < 1e-3)
         assert nine.multiplicity == 4
         for i in nine.indices:
-            c = default.classification(i)
+            c = classification(default, i)
             assert c.kind == "shell" and c.k == 1.0 and c.leakage <= LEAKAGE_TOL
 
         five = next(c for c in default.clusters if abs(c.mean - 5.0) < 1e-3)
         assert five.multiplicity == 2
         for i in five.indices:
-            profile = default.classification(i).profile
+            profile = classification(default, i).profile
             outside = sum(v for k, v in profile.items() if k not in (1.0, 0.0))
             assert outside <= LEAKAGE_TOL
 

@@ -21,6 +21,8 @@ from ultraspec import (
 from ultraspec.cli import main
 import ultraspec.cli
 import ultraspec.finite
+import ultraspec.verify
+from oracles import classification
 
 try:
     from numpy._core._exceptions import _ArrayMemoryError
@@ -254,14 +256,14 @@ def test_verify_passes_with_nontrivial_residue_field(tmp_path):
 
 def test_corrupted_kernel_trips_unitarity(monkeypatch):
     config = load_config(REPO_CONFIG)
-    exact = ultraspec.finite._PhaseTable
+    exact = ultraspec.verify._PhaseTable
 
     class FlipOneNumerator(exact):
         def __init__(self, grid):
             super().__init__(grid)
             self.steps[1][0, 1, 2] += 1
 
-    monkeypatch.setattr(ultraspec.finite, "_PhaseTable", FlipOneNumerator)
+    monkeypatch.setattr(ultraspec.verify, "_PhaseTable", FlipOneNumerator)
     outcome = run_verify(config)
     assert not outcome.passed
     failed = {c.name for c in outcome.checks if not c.passed}
@@ -734,8 +736,8 @@ def test_solve_path_builds_no_exact_phase(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the solve path reached the exact-phase machinery")
 
-    monkeypatch.setattr(ultraspec.finite, "_PhaseTable", refuse)
-    monkeypatch.setattr(ultraspec.finite, "fourier_apply", refuse)
+    monkeypatch.setattr(ultraspec.verify, "_PhaseTable", refuse)
+    monkeypatch.setattr(ultraspec.verify, "fourier_apply", refuse)
     monkeypatch.setattr(ultraspec.finite.Grid, "digits", property(refuse))
     for path in (REPO_CONFIG, LAURENT_CONFIG):
         config = load_config(path)
@@ -745,7 +747,7 @@ def test_solve_path_builds_no_exact_phase(tmp_path, monkeypatch):
                 grid, config.alpha, config.kinetic_coeff, config.potential, config.convention
             )
             report = ultraspec.eigensolve(model)
-            assert report.summary_rows() and report.classification(grid.size - 1)
+            assert report.summary_rows() and classification(report, grid.size - 1)
         data = dict(json.loads(path.read_text()), levels=[1, 2, 3])
         del data["n"]
         config = write_config(tmp_path, data, name=f"{path.stem}_levels.cfg")

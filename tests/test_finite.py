@@ -18,7 +18,6 @@ from ultraspec import (
     ZeroCellConvention,
     assemble_hamiltonian,
     build_grid,
-    character,
     eigensolve,
     elem_from_pairs,
     elem_mul,
@@ -35,6 +34,8 @@ from ultraspec import (
     zero_cell_average,
 )
 import ultraspec.finite as finite
+import ultraspec.verify as verify
+from oracles import character
 from test_tree import GRIDS, grid_id, potentials
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "q3sqrt3_ho.cfg"
@@ -144,20 +145,40 @@ def test_grid_point_is_one_exact_element(grid_n2):
 # ---------------------------------------------------------------------------
 
 
-def test_fourier_of_cell_indicator_matches_character_sum(grid_n2, q3sqrt3):
-    # single-term oracle: (F 1_z)(x) = q**-n * chi(-x z)
+# both families; F_9((t)) under its default modulus, that modulus (1, 0, 1)
+# spelled out, and a second irreducible one
+CHARACTER_FIELDS = [
+    EisensteinExtension(p=3, e=2),
+    EisensteinExtension(p=2, e=1),
+    EisensteinExtension(p=2, e=3),
+    LaurentField(p=3, f=1),
+    LaurentField(p=2, f=2),
+    LaurentField(p=3, f=2),
+    LaurentField(p=3, f=2, modulus=(1, 0, 1)),
+    LaurentField(p=3, f=2, modulus=(2, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("spec", CHARACTER_FIELDS, ids=repr)
+def test_fourier_of_cell_indicator_matches_character_sum(spec):
+    # single-term oracle: (F 1_z)(x) = q**-n * chi(-x z), on every grid of at most 729 points
+    field = make_field(spec)
     rng = np.random.default_rng(0)
-    for z in rng.choice(grid_n2.size, size=5, replace=False):
-        f = np.zeros(grid_n2.size)
-        f[z] = 1.0
-        out = fourier_apply(grid_n2, f)
-        expected = np.array(
-            [
-                np.conj(character(q3sqrt3, elem_mul(q3sqrt3, x, grid_n2.point(z)))) / 9.0
-                for x in map(grid_n2.point, range(grid_n2.size))
-            ]
-        )
-        assert np.abs(out - expected).max() < 1e-13
+    n = 1
+    while field.q ** (2 * n) <= 729:
+        grid = build_grid(field, n)
+        for z in rng.choice(grid.size, size=min(5, grid.size), replace=False):
+            f = np.zeros(grid.size)
+            f[z] = 1.0
+            out = fourier_apply(grid, f)
+            expected = np.array(
+                [
+                    np.conj(character(field, elem_mul(field, x, grid.point(z)))) / field.q**n
+                    for x in map(grid.point, range(grid.size))
+                ]
+            )
+            assert np.abs(out - expected).max() < 1e-13, (n, z)
+        n += 1
 
 
 def test_fourier_of_constant_is_zero_cell_spike(grid_n2):
@@ -190,7 +211,7 @@ def test_fourier_reflection(grid_n2):
     rng = np.random.default_rng(2)
     f = rand_fn(rng, grid_n2.size)
     twice = fourier_apply(grid_n2, fourier_apply(grid_n2, f))
-    assert np.abs(twice - f[grid_n2.neg_indices()]).max() < 1e-12
+    assert np.abs(twice - f[verify.neg_indices(grid_n2)]).max() < 1e-12
 
 
 # Q_p[p**(1/e)] with e <= 3 tame, and F_{p**f}((t)) with p in {2, 3}, f in {1, 2}
@@ -208,7 +229,7 @@ def test_neg_indices_match_exact_negation(spec):
         grid = build_grid(field, n)
         points = map(grid.point, range(grid.size))
         oracle = [grid.reduce_element(elem_neg(field, x, mod_exp=n)) for x in points]
-        assert grid.neg_indices().tolist() == oracle, n
+        assert verify.neg_indices(grid).tolist() == oracle, n
         n += 1
 
 
@@ -246,7 +267,7 @@ def test_fourier_apply_matches_dense_kernel(spec):
     field = make_field(spec)
     rng = np.random.default_rng(4)
     n = 1
-    while field.q ** (2 * n) <= finite.FOURIER_DENSE_CAP:
+    while field.q ** (2 * n) <= verify.FOURIER_DENSE_CAP:
         grid = build_grid(field, n)
         fmat = fourier_matrix(grid)
         # unitarity read off the digit steps, next to the dense oracle's F* F = 1
@@ -267,12 +288,12 @@ def test_fourier_apply_matches_dense_kernel(spec):
 def test_unitarity_defect_sees_one_flipped_numerator(q3sqrt3):
     grid = build_grid(q3sqrt3, 2)  # its own phase table, apart from the shared fixtures
     assert fourier_unitarity_defect(grid) <= 1e-12
-    grid.phase_table.steps[2][4, 1, 2] += 1
+    verify._phase_table(grid).steps[2][4, 1, 2] += 1
     assert fourier_unitarity_defect(grid) > 1e-2
 
 
 def test_fourier_matrix_capped(grid_n2, monkeypatch):
-    monkeypatch.setattr(finite, "FOURIER_DENSE_CAP", 16)
+    monkeypatch.setattr(verify, "FOURIER_DENSE_CAP", 16)
     with pytest.raises(ValueError):
         fourier_matrix(grid_n2)
 
@@ -297,7 +318,7 @@ def test_free_model_oracle_in_positive_characteristic(zero_potential):
 def test_phase_table_keeps_no_point_coordinates(q3sqrt3):
     grid = build_grid(q3sqrt3, 3)  # its own phase table, apart from the shared fixtures
     fourier_apply(grid, np.ones(grid.size))
-    table = grid.phase_table
+    table = verify._phase_table(grid)
     assert "coords" not in vars(table)
     # the step tables hold q**(t+2) numerators each, below 2 * q * N in all
     assert sum(step.size for step in table.steps) < 2 * grid.field.q * grid.size

@@ -23,6 +23,7 @@ from ultraspec import (
     make_field,
 )
 from ultraspec.spectra import SpectrumReport, VectorFamily
+from oracles import classification
 from ultraspec.output import (
     EIGENVECTOR_HEADER,
     GRID_HEADER,
@@ -135,7 +136,10 @@ def test_spectrum_rows_label_every_column_by_its_family(report):
     # classification its family shares
     expected = [
         [rank, report.eigenvalues[rank], ci, cluster.multiplicity]
-        + [report.classification(rank).label(), _profile_str(report.classification(rank).profile)]
+        + [
+            classification(report, rank).label(),
+            _profile_str(classification(report, rank).profile),
+        ]
         for ci, cluster in enumerate(report.clusters)
         for rank in cluster.indices
     ]

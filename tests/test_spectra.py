@@ -36,6 +36,7 @@ import ultraspec.spectra as spectra
 from oracles import (
     NotAnEigenspace,
     assert_matches_numeric,
+    classification,
     classify_eigenvector,
     numeric_classifications,
     shell_adapt,
@@ -100,7 +101,7 @@ def test_diagonal_model_is_the_sorted_point_basis(spec, n, potential_kind, conve
     vectors = report.eigenvectors
     assert vectors.tobytes() == np.eye(grid.size)[:, order].tobytes()
     assert [f.residual for f in report.families] == [0.0] * len(report.families)
-    assert [report.classification(i) for i in range(grid.size)] == [
+    assert [classification(report, i) for i in range(grid.size)] == [
         classify_eigenvector(grid, vectors[:, i]) for i in range(grid.size)
     ]
     if potential_kind == "table" and convention is ZeroCellConvention.SAMPLE_AT_ZERO:
@@ -188,7 +189,7 @@ def test_classifications_are_computed_on_first_read(canonical_model):
     assert "family_classifications" in vars(report)
     assert len(report.family_classifications) == len(report.families)
     expected = classify_eigenvector(canonical_model.grid, report.eigenvectors[:, 0], 1e-8, 1.0)
-    assert_matches_numeric(report.classification(0), expected, report.families[0].shell)
+    assert_matches_numeric(classification(report, 0), expected, report.families[0].shell)
 
 
 def test_summary_rows_of_a_million_points_stay_below_one_megabyte(ho_potential):
@@ -480,7 +481,7 @@ def test_structured_classifications_match_numeric_path(spec, n, ho_potential):
     vectors = report.eigenvectors
     for f, got in zip(report.families, report.family_classifications):
         for i in range(f.start, f.start + f.multiplicity):
-            assert report.classification(i) is got
+            assert classification(report, i) is got
             assert_matches_numeric(got, classify_eigenvector(grid, vectors[:, i]), f.shell)
 
 
@@ -556,7 +557,7 @@ def test_dense_report_is_one_family_per_column(canonical_model, fourier_operator
         assert report.columns(span).tobytes() == vectors[:, span].tobytes()
     assert report.eigenvectors.tobytes() == vectors.tobytes()
     # a dense column is no radial template: classifying it raises, it is not misread
-    for read in (lambda: report.classification(0), report.summary_rows):
+    for read in (lambda: classification(report, 0), report.summary_rows):
         with pytest.raises(ValueError, match="radial template"):
             read()
     assert numeric_classifications(report) == [
@@ -810,7 +811,7 @@ def test_cluster_bisection_matches_greedy_loop_on_spectra(spec, n, ho_potential)
 
 
 def test_ground_state_is_radial_and_positive(canonical_report):
-    cls = canonical_report.classification(0)
+    cls = classification(canonical_report, 0)
     assert cls.kind == "radial"
     assert canonical_report.eigenvectors[:, 0].real.min() > 0
     assert sum(cls.profile.values()) == pytest.approx(1.0, abs=1e-10)
@@ -858,7 +859,7 @@ def test_mixed_classification_profile(grid_n2):
 
 def test_lambda41_splits_four_plus_four(canonical_report):
     cluster = cluster_near(canonical_report, 41.0)
-    labels = [canonical_report.classification(i) for i in cluster.indices]
+    labels = [classification(canonical_report, i) for i in cluster.indices]
     shells = sorted(cls.k for cls in labels)
     assert all(cls.kind == "shell" for cls in labels)
     assert shells == [0.0, 0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 2.0]
@@ -867,7 +868,7 @@ def test_lambda41_splits_four_plus_four(canonical_report):
 def test_lambda9_adapted_basis_is_pure_shell_one(canonical_report):
     cluster = cluster_near(canonical_report, 9.0)
     for i in cluster.indices:
-        cls = canonical_report.classification(i)
+        cls = classification(canonical_report, i)
         assert cls.kind == "shell" and cls.k == 1.0
         assert cls.leakage <= 1e-10
 
@@ -875,7 +876,7 @@ def test_lambda9_adapted_basis_is_pure_shell_one(canonical_report):
 def test_lambda5_support_confined_to_shells_one_and_zero(canonical_report):
     cluster = cluster_near(canonical_report, 5.0)
     for i in cluster.indices:
-        profile = canonical_report.classification(i).profile
+        profile = classification(canonical_report, i).profile
         outside = sum(v for k, v in profile.items() if k not in (0.0, 1.0))
         assert outside <= 1e-10
 
@@ -1011,12 +1012,17 @@ def test_embedding_needs_a_higher_level(q3sqrt3, levels):
         embed_function(grid_from, grid_to, np.ones(grid_from.size))
 
 
+def _index_weights(grid):
+    # the base-q place values of the 2n digits: a digit row's dot product with them is its index
+    return grid.field.q ** np.arange(2 * grid.n - 1, -1, -1, dtype=np.int64)
+
+
 def _digit_lift(grid_from, grid_to, values):
     # the lift read off the digit rows: parent point by the kept digits, zero
     # where a digit below the level-n ball is set
     gap = grid_to.n - grid_from.n
     digits = grid_to.digits
-    parent = digits[:, gap : gap + 2 * grid_from.n] @ grid_from._weights
+    parent = digits[:, gap : gap + 2 * grid_from.n] @ _index_weights(grid_from)
     out = np.asarray(values)[parent]
     out[digits[:, :gap].any(axis=1)] = 0
     norms = np.linalg.norm(out, axis=0)
@@ -1095,7 +1101,7 @@ def test_library_path_builds_no_shell_labels(q3sqrt3, ho_potential, monkeypatch)
 def _lift_one_level(grid_from, grid_to, vec):
     # level n -> n + 1, one vector: the dense oracle for embed_function
     inner = grid_to.digits[:, 1 : 2 * grid_from.n + 1].astype(np.int64)
-    out = np.asarray(vec)[inner @ grid_from._weights].astype(np.complex128)
+    out = np.asarray(vec)[inner @ _index_weights(grid_from)].astype(np.complex128)
     out[grid_to.digits[:, 0] != 0] = 0.0
     return out / np.linalg.norm(out)
 

@@ -23,7 +23,13 @@ from ultraspec import (
     make_field,
 )
 from ultraspec.spectra import VectorFamily, _tree_eigensystem
-from oracles import assert_matches_numeric, classify_eigenvector, numeric_summary_rows, shell_adapt
+from oracles import (
+    assert_matches_numeric,
+    classification,
+    classify_eigenvector,
+    numeric_summary_rows,
+    shell_adapt,
+)
 
 GRIDS = [
     (EisensteinExtension(p=3, e=2), 2),
@@ -128,4 +134,4 @@ def test_radial_adaptation_matches_shell_adapt_oracle(grid, convention):
         assert np.abs(adapted - oracle).max() <= 1e-14
         for (f, _), column in zip(members, oracle.T):
             expected = classify_eigenvector(grid, column)
-            assert_matches_numeric(report.classification(f.start), expected, f.shell)
+            assert_matches_numeric(classification(report, f.start), expected, f.shell)
