@@ -3,18 +3,24 @@
 Floats are serialized with ``repr`` (shortest round-trip form), so reruns of
 the same configuration produce byte-identical files, in the bytes of
 ``csv.writer`` and ``json.dumps(indent=1, sort_keys=True)``.  A table is
-formatted column by column (``repr`` once per distinct float bit pattern, a
-string quoted once per distinct string) and laid out from separators derived
-from its header, with one join per file, or per vector for the N**2-row
-eigenvector bundle.  At N = 2401 (Q_7, n = 2) the library path's three
-tables take 0.013 s as JSON and 0.014 s as CSV (best of 9, 2 cores, numpy
-2.4.6), against 0.062 and 0.037 s when each cell went through the stdlib
-encoders.  The bundle is written from the report's families: a vector is a
-template on one tree node, so its texts are formatted once per family and
-spliced into record pieces built once per row, and no N x N matrix, nor
-any block of its columns, is built.  At n = 3 (N = 729) it takes 0.031 s as
-CSV and 0.063 s as JSON, against 0.075 and 0.091 s with a sort of each
-column's values.
+formatted column by column (``repr`` once per distinct float bit pattern,
+a JSON string once per distinct string, and a CSV string quoted by hand
+unless csv.writer must decide) and joined once per file, each cell and
+each separator a part, or once per vector for the N**2-row eigenvector
+bundle.  The point labels are two columns per grid, built along the digit
+tree, and the row views of the grid and of a vector are zipped from whole
+columns.  At N = 2401 (Q_7, n = 2) the library path's three tables, labels
+included, take 0.009 s as CSV and 0.010 s as JSON (best of 9, 2 cores,
+numpy 2.4.6), against 0.016 and 0.014 s with labels joined row by row and
+each distinct cell memoized; at N = 531 441 (q = 3, n = 6) they take
+3.3-3.4 s as CSV at a peak RSS of 464 MB, against 7.4-7.5 s and 505 MB.
+
+The bundle is written from the report's families: a vector is a template
+on one tree node, so its texts are formatted once per family and spliced
+into record pieces built once per row, and no N x N matrix, nor any block
+of its columns, is built.  At n = 3 (N = 729) it takes 0.031 s as CSV and
+0.063 s as JSON, against 0.075 and 0.091 s with a sort of each column's
+values.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from __future__ import annotations
 import csv
 import json
 import weakref
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -62,33 +70,41 @@ def _profile_str(profile: dict) -> str:
     return ";".join(f"{_format_shell(k)}:{repr(float(v))}" for k, v in sorted(profile.items()))
 
 
-# (digits, shell) label strings of each grid's points, formatted once per grid;
+# the digit and shell label columns of each grid's points, built once per grid;
 # a pure function of the grid, held only while the grid lives
 _LABELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _point_labels(grid: Grid) -> list:
-    """``format_element`` of each point and its shell label, read off the digit rows.
+def _point_labels(grid: Grid) -> tuple:
+    """``(digits, shells)``: ``format_element`` of each point and its shell label, in index order.
 
-    Digit ``pos`` of a row has exponent ``pos - n``, and the label lists the
-    nonzero ones in ascending exponent, so no field element is built.
+    A point's text lists its nonzero digits ``exponent:digit`` in ascending
+    exponent, and index order is big-endian base-q counting from exponent
+    -n.  So the texts are built along the digit tree: each prefix text is
+    extended by the q texts of the next digit (digit 0 adds none), 2n passes
+    in all, and no field element or digit row is built.  A shell's text is
+    repeated over its run.
     """
     labels = _LABELS.get(grid)
     if labels is None:
-        n = grid.n
-        shell_text = {k: _format_shell(k) for k in grid.shell_labels()}
-        labels = _LABELS[grid] = [
-            (",".join(f"{pos - n}:{d}" for pos, d in enumerate(row) if d), shell_text[shell])
-            for row, shell in zip(grid.digits.tolist(), grid.shells.tolist())
-        ]
+        q, n = grid.field.q, grid.n
+        digits = [""]  # the all-zero prefix is first, and only it takes no comma
+        for exponent in range(-n, n):
+            texts = [f"{exponent}:{d}" for d in range(1, q)]
+            extend = ["", *("," + text for text in texts)]
+            digits = ["", *texts] + [prefix + t for prefix in digits[1:] for t in extend]
+        shells = []
+        for k, size in grid.shell_sizes.items():
+            shells += [_format_shell(k)] * size
+        labels = _LABELS[grid] = (digits, shells)
     return labels
 
 
 def grid_rows(grid: Grid):
     q = float(grid.field.q)
     values = grid.spread_shells([q**k if k != ZERO_SHELL else 0.0 for k in grid.shell_labels()])
-    for i, ((digits, shell), value) in enumerate(zip(_point_labels(grid), values.tolist())):
-        yield [i, digits, shell, value, grid.mass]
+    digits, shells = _point_labels(grid)
+    return map(list, zip(range(grid.size), digits, shells, values.tolist(), repeat(grid.mass)))
 
 
 def spectrum_rows(report: SpectrumReport):
@@ -110,9 +126,10 @@ def eigenvector_rows(grid: Grid, vector: np.ndarray):
         raise ValueError(
             f"a vector on {grid.size} points has shape ({grid.size},), not {vector.shape}"
         )
-    return (
-        [i, digits, shell, value.real, value.imag]
-        for i, ((digits, shell), value) in enumerate(zip(_point_labels(grid), map(complex, vector)))
+    values = vector.astype(complex, copy=False)  # each cell as complex() reads it
+    digits, shells = _point_labels(grid)
+    return map(
+        list, zip(range(grid.size), digits, shells, values.real.tolist(), values.imag.tolist())
     )
 
 
@@ -165,44 +182,61 @@ def _layout(header, fmt: str):
     return head, order, affixes, close, end
 
 
-def _column(cells, fmt: str, affix=("", ""), lone: bool = False) -> list:
-    """The text of each cell, inside ``affix``, as the stdlib encoders write it.
+def _column(cells, fmt: str, lone: bool = False) -> list:
+    """The text of each cell as the stdlib encoders write it.
 
-    Float, int and str columns format each distinct value once (floats by
-    bits: ``-0.0 == 0.0``); others keep the per-cell rule.  csv.writer quotes
-    each string, alone in its row if ``lone`` (it quotes a lone "").
+    A float column formats each distinct value once (by bits: ``-0.0 ==
+    0.0``) and a JSON str column each distinct string; an int column formats
+    every cell, as its cells are mostly distinct (index, rank).  A CSV str
+    cell with none of ',', '"', "\\r", "\\n" is its own text, and one with a
+    comma alone is quoted here; a cell with one of the other three, and a
+    lone "" (which csv.writer quotes alone in its row), go through
+    csv.writer.  Other columns keep the per-cell rule.
     """
     kinds = {cells.dtype.type} if isinstance(cells, np.ndarray) else set(map(type, cells))
     if kinds and kinds <= {float, np.float64}:
         bits, inverse = np.unique(
             np.ascontiguousarray(cells, dtype=np.float64).view(np.uint64), return_inverse=True
         )
-        texts = map(repr, bits.view(np.float64).tolist())
+        texts = list(map(repr, bits.view(np.float64).tolist()))
         if fmt == "json":
-            texts = (_JSON_NONFINITE.get(t, t) for t in texts)
-        return np.array([affix[0] + t + affix[1] for t in texts], dtype=object)[inverse].tolist()
+            texts = [_JSON_NONFINITE.get(t, t) for t in texts]
+        return list(map(texts.__getitem__, inverse.tolist()))
     if kinds not in ({int}, {str}):
         if fmt == "json":
-            return [affix[0] + _JSON_CELL.encode(v).replace("\n", "\n  ") + affix[1] for v in cells]
+            return [_JSON_CELL.encode(v).replace("\n", "\n  ") for v in cells]
         cells, kinds = list(map(_fmt, cells)), {str}
-    distinct = list(dict.fromkeys(cells))
     if kinds == {int}:
-        texts = map(int.__repr__, distinct)
-    elif fmt == "json":
-        texts = map(json.encoder.encode_basestring_ascii, distinct)
-    else:
-        lines, pad = _Lines(), [] if lone else [""]
-        csv.writer(lines, lineterminator="\n").writerows([s, *pad] for s in distinct)
-        texts = [line[: -1 - len(pad)] for line in lines]
-    memo = dict(zip(distinct, [affix[0] + t + affix[1] for t in texts]))
-    return [memo[v] for v in cells]
+        return list(map(repr, cells))  # int.__repr__: each exact int
+    if fmt == "json":
+        distinct = list(dict.fromkeys(cells))
+        memo = dict(zip(distinct, map(json.encoder.encode_basestring_ascii, distinct)))
+        return [memo[v] for v in cells]
+    odd = [""] if lone else []
+    joined = "".join(cells)
+    if '"' in joined or "\r" in joined or "\n" in joined:
+        odd += [s for s in dict.fromkeys(cells) if '"' in s or "\r" in s or "\n" in s]
+    lines, pad = _Lines(), [] if lone else [""]
+    csv.writer(lines, lineterminator="\n").writerows([s, *pad] for s in odd)
+    memo = {s: line[: -1 - len(pad)] for s, line in zip(odd, lines)}
+    return [memo[s] if s in memo else '"' + s + '"' if "," in s else s for s in cells]
 
 
-def _records(columns: list) -> list:
-    """The parts of the records whose cell texts are ``columns``, row by row."""
-    parts = [None] * (len(columns) * len(columns[0]))
-    for k, texts in enumerate(columns):
-        parts[k :: len(columns)] = texts
+def _records(head: str, columns: list, affixes: list, end: str) -> list:
+    """The parts of the file whose cell texts are ``columns``, row by row.
+
+    Each cell is a part and the separator after it another, so no cell's
+    text is copied: ``head`` and the first prefix, then each record's cells
+    with the prefix of the next between them, its ``close`` and the next
+    record's first prefix after it, and ``end`` after the last.
+    """
+    width, rows = 2 * len(columns), len(columns[0])
+    glues = [a[1] + b[0] for a, b in zip(affixes, affixes[1:] + affixes[:1])]
+    parts = [head + affixes[0][0]] + [None] * (width * rows)
+    for k, (texts, glue) in enumerate(zip(columns, glues)):
+        parts[2 * k + 1 :: width] = texts
+        parts[2 * k + 2 :: width] = [glue] * rows
+    parts[-1] = end
     return parts
 
 
@@ -226,11 +260,10 @@ def write_table(path, header, rows, fmt: str = "csv"):
         return _write(path, fmt, ["[]\n" if fmt == "json" else head])
     if set(map(len, rows)) != {len(header)}:
         raise ValueError(f"each row of this table needs {len(header)} cells")
-    columns = list(zip(*rows))
-    texts = [_column(columns[c], fmt, a, len(header) == 1) for c, a in zip(order, affixes)]
-    parts = _records(texts or [[close] * len(rows)])  # records of no columns are all ``close``
-    parts[-1] = parts[-1].removesuffix(close) + end
-    return _write(path, fmt, ["".join([head] + parts)])
+    if not header:  # records of no columns are all ``close``
+        return _write(path, fmt, ["".join([head] + [close] * (len(rows) - 1) + [end])])
+    texts = [_column(list(map(itemgetter(c), rows)), fmt, len(header) == 1) for c in order]
+    return _write(path, fmt, ["".join(_records(head, texts, affixes, end))])
 
 
 def write_eigenvector_bundle(path, report: SpectrumReport, fmt: str = "csv"):
@@ -251,7 +284,7 @@ def write_eigenvector_bundle(path, report: SpectrumReport, fmt: str = "csv"):
         if f.template.dtype != np.float64 or f.off_support.dtype != np.float64:
             raise ValueError("the bundle takes real float64 templates and off-support values")
     size = report.grid.size
-    digits, shells = zip(*_point_labels(report.grid))
+    digits, shells = _point_labels(report.grid)
     labels = {"point_index": range(size), "digits": digits, "shell": shells, "im": (0.0,) * size}
     # each record is segments[0] + x + segments[1] + y + segments[2], with x, y its
     # vector and re cells in ``slots`` order
@@ -262,7 +295,9 @@ def write_eigenvector_bundle(path, report: SpectrumReport, fmt: str = "csv"):
             segments[-1] = [text + affix[0] for text in segments[-1]]
             segments.append([affix[1]] * size)
         else:
-            segments[-1] = list(map(str.__add__, segments[-1], _column(labels[name], fmt, affix)))
+            prefix, suffix = affix
+            cells = _column(labels[name], fmt)
+            segments[-1] = [text + prefix + c + suffix for text, c in zip(segments[-1], cells)]
     first, middle, last = segments
     del segments, labels
     # the pieces a vector's number joins: row i's re cell is in piece i + shift, between

@@ -14,6 +14,10 @@ radial clusters by shell (``ultraspec.spectra``).  The second part holds the
 per-column forms on N-row vectors that it is checked against, and the
 numeric summary of a report, such as one of dense eigenvectors, whose
 families are lifted to N rows and classified column by column.
+
+The table writers (``ultraspec.output``) zip their row views from whole
+label columns built along the digit tree.  The third part builds the same
+rows one point at a time, each label read off its digit row.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from ultraspec import (
+    ZERO_SHELL,
     CharacterPhase,
     Field,
     FieldElement,
@@ -39,7 +44,13 @@ from ultraspec import (
     UltraspecError,
     fields,
 )
-from ultraspec.spectra import DEFAULT_RADIAL_TOL, DEFAULT_SHELL_TOL, _fix_phases, _refine_on_runs
+from ultraspec.spectra import (
+    DEFAULT_RADIAL_TOL,
+    DEFAULT_SHELL_TOL,
+    _fix_phases,
+    _format_shell,
+    _refine_on_runs,
+)
 
 EIGENSPACE_TOL = 1e-6  # shell_adapt's relative eigen-residual bound
 
@@ -415,3 +426,33 @@ def classification(report, i: int):
     i = range(report.grid.size)[i]  # an IndexError past the columns, as in a list
     starts = [f.start for f in report.families]
     return report.family_classifications[bisect.bisect_right(starts, i) - 1]
+
+
+# ---------------------------------------------------------------------------
+# Table rows, point by point
+# ---------------------------------------------------------------------------
+
+
+def point_labels(grid: Grid) -> list:
+    """(digits, shell) label texts of each point: its digit row's nonzero ``exponent:digit``."""
+    n = grid.n
+    return [
+        (",".join(f"{pos - n}:{d}" for pos, d in enumerate(row) if d), _format_shell(shell))
+        for row, shell in zip(grid.digits.tolist(), grid.shells.tolist())
+    ]
+
+
+def grid_rows(grid: Grid):
+    """``output.grid_rows``, one row per point: index, labels, |x| and the point mass."""
+    q = float(grid.field.q)
+    values = grid.spread_shells([q**k if k != ZERO_SHELL else 0.0 for k in grid.shell_labels()])
+    for i, ((digits, shell), value) in enumerate(zip(point_labels(grid), values.tolist())):
+        yield [i, digits, shell, value, grid.mass]
+
+
+def eigenvector_rows(grid: Grid, vector):
+    """``output.eigenvector_rows``, one row per point: index, labels, and complex() of its cell."""
+    return (
+        [i, digits, shell, value.real, value.imag]
+        for i, ((digits, shell), value) in enumerate(zip(point_labels(grid), map(complex, vector)))
+    )

@@ -22,7 +22,8 @@ from ultraspec import (
     load_config,
     make_field,
 )
-from ultraspec.spectra import SpectrumReport, VectorFamily
+from ultraspec.spectra import SpectrumReport, VectorFamily, _format_shell
+import oracles
 from oracles import classification
 from ultraspec.output import (
     EIGENVECTOR_HEADER,
@@ -208,6 +209,26 @@ def test_rows_label_points_with_format_element(grid_n2):
     assert {row[4] for row in rows} == {grid_n2.mass}
 
 
+def _typed(rows):
+    return [[(type(cell), repr(cell)) for cell in row] for row in rows]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("field", ["q3sqrt3", "f3_laurent"])
+def test_row_views_match_per_row_oracle(field, n, request):
+    """The zipped row views against the per-point rows: equal cells of equal types."""
+    grid = build_grid(request.getfixturevalue(field), n)
+    assert _typed(grid_rows(grid)) == _typed(oracles.grid_rows(grid))
+    rng = np.random.default_rng(n)
+    real = rng.choice(POOL + [-2.5, 7.0], size=grid.size)
+    cplx = np.empty(grid.size, dtype=complex)
+    cplx.real, cplx.imag = real, real[::-1]
+    vectors = [real, cplx, real.astype(np.float32), np.arange(grid.size) - 3]
+    for vector in vectors:
+        expected = _typed(oracles.eigenvector_rows(grid, vector))
+        assert _typed(eigenvector_rows(grid, vector)) == expected, vector.dtype
+
+
 def test_csv_quotes_comma_bearing_digits(grid_n1, tmp_path):
     path = write_eigenvector_bundle(tmp_path / "v.csv", hand_made_report(grid_n1), "csv")
     index = next(i for i in range(grid_n1.size) if "," in format_element(grid_n1.point(i)))
@@ -278,19 +299,38 @@ def test_bundle_past_the_row_cap_is_refused_before_any_file(
     assert list(tmp_path.iterdir()) == [config]
 
 
-@pytest.mark.parametrize(
-    "spec, n",
-    [
-        (EisensteinExtension(p=7, e=1), 2),
-        (EisensteinExtension(p=3, e=2), 3),
-        (LaurentField(p=2, f=2), 2),
-    ],
-    ids=["Q7-n2", "Q3e2-n3", "F4t-n2"],
-)
+LABEL_FIELDS = {
+    **{
+        f"Q{p}" + (f"e{e}" if e > 1 else ""): EisensteinExtension(p=p, e=e)
+        for p, e in [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (11, 1)]
+    },
+    **{
+        f"F{p**f}t": LaurentField(p=p, f=f)
+        for p, f in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1)]
+    },
+}
+
+
+def _label_grids(limit=4096):
+    """Every level with N <= limit of each of LABEL_FIELDS, ids as ``Q7-n2``, ``F4t-n2``.
+
+    The residue fields run to q = 11 and q = 16, whose digits print as two
+    characters.
+    """
+    params = []
+    for name, spec in LABEL_FIELDS.items():
+        q = make_field(spec).q
+        levels = [n for n in range(1, 7) if q ** (2 * n) <= limit]  # q >= 2, so n <= 6
+        params += [pytest.param(spec, n, id=f"{name}-n{n}") for n in levels]
+    return params
+
+
+@pytest.mark.parametrize("spec, n", _label_grids())
 def test_digit_labels_match_format_element(spec, n):
     grid = build_grid(make_field(spec), n)
-    expected = [format_element(grid.point(i)) for i in range(grid.size)]
-    assert [digits for digits, _ in _point_labels(grid)] == expected
+    digits, shells = _point_labels(grid)
+    assert digits == [format_element(grid.point(i)) for i in range(grid.size)]
+    assert shells == [_format_shell(k) for k in grid.shells.tolist()]
 
 
 NUMPY_CELLS = [np.int64(7), np.float64(-0.0), np.float64(2.5), np.float32(0.5), np.bool_(True)]
@@ -319,6 +359,14 @@ EDGE_TABLES = {
     "no-rows": (GRID_HEADER, []),
     "no-columns": ([], [[], [], []]),
     "empty-header-name": ([""], [["x"], [""]]),
+    # long columns: distinct ints, comma-bearing and repeated strings, a few odd cells
+    "many-rows": (
+        ["i", "digits", "shell", "x"],
+        [[i - 600, f"{i % 7 - 3}:{i % 5},{i}:1" if i % 3 else f"{i}:2",
+          ["-inf", "0", "a,b", "3"][i % 4] if i % 101 else 'q"t,', [0.5, -0.0, i / 7][i % 3]]
+         for i in range(1200)],
+    ),
+    "many-lone": (["s"], [[["", "a,b", str(i), "x\ny", "c\rd"][i % 5]] for i in range(1200)]),
 }
 
 
