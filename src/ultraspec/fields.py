@@ -14,22 +14,30 @@ Two families are implemented:
   as integers < q (base-p coefficient vectors).  Digit arithmetic has no
   carries, so all ring operations including negation are exact.
 
-All of it runs on plain integers.  A product convolves integer digit lists
-once and normalizes each output digit once: by the carry rule, or, for
-F_q((t)), by one reduction modulo the residue modulus of the digit's
-F_p[z] coefficients, which the convolution keeps apart at stride 2f - 1.
-The residue trace is F_p-linear, tr(a) = sum c_i * tr(z**i) mod p, from f
-basis traces computed once per residue field, as sums of Frobenius images
-that are checked to land in F_p.
+Element arithmetic runs on integer digit arrays: an (S, W) array holds S
+elements as rows, column j at exponent lo + j, and each kernel (``add_rows``,
+``mul_rows``, ``neg_rows``, ``valuation_rows``, ``phase_rows``) treats all S
+rows in one numpy computation, one step per column.  Q_p[b] sums and
+products take column sums or a convolution of W shifted multiply-adds, then
+one carry sweep that moves each p at column i to column i + e; F_q((t))
+reads the residue addition, product and negation tables, built once per
+field on first use.  The one-element operations (``elem_add``, ``elem_mul``,
+``elem_neg``, ``valuation``, ``character_phase``) are one-row calls of the
+same kernels over the element's own window.  The residue field itself works
+on integer codes: a product convolves the F_p[z] coefficients once and
+reduces modulo the residue modulus once, and the trace is F_p-linear, tr(a)
+= sum c_i * tr(z**i) mod p, from f basis traces computed once per residue
+field, as sums of Frobenius images that are checked to land in F_p.
 
 Characters are additive and of rank zero (trivial exactly on the unit ball).
 Phases are kept as exact rationals with p-power denominator so that
 additivity checks and the Fourier kernels downstream are reproducible bit
-for bit; an Eisenstein phase reads its digits as one integer numerator over
-p**K, one ``Fraction`` per phase.  ``format_element`` writes an expansion as
-ordered ``exp:digit`` pairs such as ``-2:1,0:2`` (the zero element as the
-empty string).  The digit-by-digit forms of these kernels are the test
-oracles of ``tests/oracles.py``.
+for bit.  The phase is F_p-linear in the digit coordinates, so ``phase_rows``
+is one integer dot product per row with ``beta_monomial_phase`` weights over
+one p-power denominator; no float is used.  ``format_element`` writes an
+expansion as ordered ``exp:digit`` pairs such as ``-2:1,0:2`` (the zero
+element as the empty string).  The digit-by-digit forms of these kernels
+are the test oracles of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -37,7 +45,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence, Union
+
+import numpy as np
 
 from .errors import NonPrimeP, ReducibleModulus, WildRamification
 
@@ -55,6 +66,11 @@ __all__ = [
     "elem_neg",
     "valuation",
     "character_phase",
+    "add_rows",
+    "mul_rows",
+    "neg_rows",
+    "valuation_rows",
+    "phase_rows",
     "format_element",
 ]
 
@@ -86,7 +102,8 @@ class ResidueField:
     convolves the two coefficient lists as plain integers and reduces modulo
     ``modulus`` once.  The trace is F_p-linear, tr(a) = sum c_i * tr(z**i)
     mod p, from the f basis traces, which the first call computes as sums
-    of Frobenius images.
+    of Frobenius images.  ``tables`` holds these operations as q x q lookup
+    tables for the digit-array kernels.
     """
 
     def __init__(self, p: int, f: int, modulus: Sequence[int]):
@@ -119,36 +136,18 @@ class ResidueField:
             out.append(c)
         return out
 
-    def _spread(self, digits: Sequence[int]) -> list:
-        """The digits' coefficients at stride 2f - 1: digit i's z**s at (2f - 1) * i + s."""
-        gap = [0] * (self.f - 1)
-        out = self._coeffs(digits[0])
-        for d in digits[1:]:
-            out += gap
-            out += self._coeffs(d)
-        return out
-
-    def _reduce(self, conv: list, count: int) -> list:
-        """The codes of ``count`` digits held at stride 2f - 1 in ``conv``, each reduced once.
-
-        Digit k is sum conv[(2f - 1) * k + s] z**s over s < 2f - 1, with any
-        integer coefficients.
-        """
+    def _reduce(self, conv: list) -> int:
+        """The code of sum conv[s] z**s over s < 2f - 1, with any integer coefficients."""
         p, f = self.p, self.f
-        w = 2 * f - 1
-        high = [self._high_powers[s] for s in range(f, w)]  # z**s mod modulus
-        out = []
-        for k in range(0, count * w, w):
-            low = conv[k : k + f]
-            for c, red in zip(conv[k + f : k + w], high):
-                if c:
-                    for i, r in enumerate(red):
-                        low[i] += c * r
-            code = 0
-            for c in reversed(low):
-                code = code * p + c % p
-            out.append(code)
-        return out
+        low = conv[:f]
+        for s, c in enumerate(conv[f:], f):
+            if c:
+                for i, r in enumerate(self._high_powers[s]):  # z**s mod modulus
+                    low[i] += c * r
+        code = 0
+        for c in reversed(low):
+            code = code * p + c % p
+        return code
 
     def add(self, a: int, b: int) -> int:
         p = self.p
@@ -172,7 +171,7 @@ class ResidueField:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._reduce(_convolve(self._coeffs(a), self._coeffs(b), 2 * self.f - 1), 1)[0]
+        return self._reduce(_convolve(self._coeffs(a), self._coeffs(b), 2 * self.f - 1))
 
     def pow(self, a: int, k: int) -> int:
         result, base = 1, a
@@ -203,6 +202,24 @@ class ResidueField:
         if acc >= self.p:
             raise ArithmeticError("residue trace left the prime field")
         return acc
+
+    @cached_property
+    def tables(self) -> "ResidueTables":
+        """The q x q sum and product tables and the negation table, by code; built on first read."""
+        codes = range(self.q)
+        return ResidueTables(
+            add=np.array([[self.add(a, b) for b in codes] for a in codes], dtype=np.int64),
+            mul=np.array([[self.mul(a, b) for b in codes] for a in codes], dtype=np.int64),
+            neg=np.array([self.neg(a) for a in codes], dtype=np.int64),
+        )
+
+
+class ResidueTables(NamedTuple):
+    """F_q arithmetic as lookup tables: ``add[a, b]``, ``mul[a, b]`` and ``neg[a]``."""
+
+    add: np.ndarray
+    mul: np.ndarray
+    neg: np.ndarray
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], size: int) -> list:
@@ -406,104 +423,6 @@ def elem_from_pairs(field: Field, pairs: Iterable) -> FieldElement:
     return _canonical(lo, digits)
 
 
-def _carry_normalize(p: int, e: int, lo: int, buf: list) -> FieldElement:
-    # buf holds non-negative integer coefficients; carries only move upward,
-    # and the loop goes on over the places a carry appends
-    for i, c in enumerate(buf):
-        if c >= p:
-            if i + e >= len(buf):
-                buf += [0] * (i + e + 1 - len(buf))
-            carry, buf[i] = divmod(c, p)
-            buf[i + e] += carry
-    return _canonical(lo, buf)
-
-
-def elem_add(field: Field, x: FieldElement, y: FieldElement) -> FieldElement:
-    """Exact sum; Eisenstein digit sums >= p promote p*b**i to b**(i+e).
-
-    One buffer: the digits of the operand with the lower exponent, the other
-    added in place.
-    """
-    if not x.digits:
-        return y
-    if not y.digits:
-        return x
-    if y.lo < x.lo:
-        x, y = y, x
-    buf = list(x.digits)
-    start = y.lo - x.lo
-    pad = start + len(y.digits) - len(buf)
-    if pad > 0:
-        buf += [0] * pad
-    rf = field.residue  # a Laurent field's; None for an Eisenstein one
-    if rf is not None:
-        add = rf.add
-        for i, d in enumerate(y.digits, start):
-            buf[i] = add(buf[i], d)
-        return _canonical(x.lo, buf)
-    for i, d in enumerate(y.digits, start):
-        buf[i] += d
-    return _carry_normalize(field.p, field.e, x.lo, buf)
-
-
-def elem_mul(field: Field, x: FieldElement, y: FieldElement) -> FieldElement:
-    """Exact product by integer digit convolution, normalized once per output digit.
-
-    Eisenstein: the carry rule.  Laurent: each digit's F_p[z] coefficients
-    sit at stride w = 2f - 1, so one convolution of the two lists holds every
-    digit product at its own offset, and each output digit is reduced modulo
-    the residue modulus once.
-    """
-    if not x.digits or not y.digits:
-        return field.zero()
-    lo = x.lo + y.lo
-    size = len(x.digits) + len(y.digits) - 1
-    rf = field.residue
-    if rf is not None:
-        w = 2 * rf.f - 1
-        conv = _convolve(rf._spread(x.digits), rf._spread(y.digits), size * w)
-        return _canonical(lo, rf._reduce(conv, size))
-    return _carry_normalize(field.p, field.e, lo, _convolve(x.digits, y.digits, size))
-
-
-def elem_neg(field: Field, x: FieldElement, mod_exp: Union[int, None] = None) -> FieldElement:
-    """Negate x.
-
-    Laurent fields: exact (digit-wise residue negation).  Eisenstein fields:
-    the canonical expansion of -x is infinite, so the result is the canonical
-    representative of -x modulo b**mod_exp; ``elem_add(x, elem_neg(x, N))``
-    then has valuation >= N, and is exactly zero after grid reduction.
-    """
-    if not x.digits:
-        return x
-    rf = field.residue
-    if rf is not None:
-        return _canonical(x.lo, [rf.neg(d) for d in x.digits])
-    if mod_exp is None:
-        raise ValueError("Eisenstein negation needs a truncation exponent mod_exp")
-    if mod_exp <= x.lo:
-        return field.zero()
-    p, e = field.p, field.e
-    # each digit s (with its carry) becomes (-s) mod p and carries (s + that) / p
-    # to e places up; carries at mod_exp and above drop out
-    width = mod_exp - x.lo
-    buf = list(x.digits[:width])
-    buf += [0] * (width - len(buf))
-    for i in range(width):
-        s = buf[i]
-        if s:
-            b = -s % p
-            buf[i] = b
-            if i + e < width:
-                buf[i + e] += (s + b) // p
-    return _canonical(x.lo, buf)
-
-
-def valuation(field: Field, x: FieldElement):
-    """Lowest nonzero b-exponent, or +inf for the zero element."""
-    return x.lo if x.digits else math.inf
-
-
 # ---------------------------------------------------------------------------
 # Rank-zero characters
 # ---------------------------------------------------------------------------
@@ -526,7 +445,12 @@ class CharacterPhase:
 
 
 def beta_monomial_phase(field: Field, m: int, digit: int = 1) -> Fraction:
-    """Phase of digit * b**m, a residue code for F_q((t)); ``verify``'s Fourier kernel reads it."""
+    """Phase of digit * b**m, a residue code for F_q((t)); the phase kernels read it.
+
+    Eisenstein: tr(b**(-d) * b**m) = e * p**k when m - d = e*k and 0
+    otherwise (tame power basis), so only k < 0 leaves a fraction.
+    Laurent: the residue trace of the t**(-1) digit, over p.
+    """
     if digit == 0:
         return Fraction(0)
     if field.is_laurent:
@@ -543,29 +467,198 @@ def beta_monomial_phase(field: Field, m: int, digit: int = 1) -> Fraction:
     return Fraction(digit * field.e % den, den)
 
 
+# ---------------------------------------------------------------------------
+# Batch kernels on digit rows: an (S, W) integer array, column j at exponent lo + j
+# ---------------------------------------------------------------------------
+
+
+def _digit_coords(field: Field, digits: np.ndarray) -> np.ndarray:
+    """The F_p coordinates of digit rows, f per digit (the digit itself when q = p), as int64."""
+    p, f = field.p, field.f
+    coords = digits[:, :, None] // p ** np.arange(f, dtype=digits.dtype) % p
+    return coords.reshape(len(digits), -1).astype(np.int64)
+
+
+def _normalize(p: int, e: int, cols: np.ndarray) -> np.ndarray:
+    """Q_p[b] digit rows of non-negative column values: each p at column i moves to column i + e.
+
+    One sweep from the lowest column, on a buffer widened for the carries: a
+    column holds at most m = ``cols.max()`` plus its carry in, which stays at
+    most c = m // (p - 1), and past the last column the carries fall by a
+    factor p every e columns, so L blocks of e columns with p**L > c hold them.
+    """
+    carry, blocks = int(cols.max(initial=0)) // (p - 1), 0
+    while carry:
+        carry //= p
+        blocks += 1
+    buf = np.zeros((len(cols), cols.shape[1] + e * blocks), dtype=np.int64)
+    buf[:, : cols.shape[1]] = cols
+    for i in range(buf.shape[1] - e):
+        carry = buf[:, i] // p
+        buf[:, i] -= p * carry
+        buf[:, i + e] += carry
+    return buf
+
+
+def add_rows(field: Field, x, y) -> np.ndarray:
+    """Digit rows of x + y, for (S, W) rows x and y over one window.
+
+    The result is (S, W') over the same lowest exponent, W' >= W: the
+    residue addition table for F_q((t)), which has no carries; a column sum
+    and the carry sweep for Q_p[b].
+    """
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    if field.is_laurent:
+        return field.residue.tables.add[x, y]
+    return _normalize(field.p, field.e, x + y)
+
+
+def mul_rows(field: Field, x, y) -> np.ndarray:
+    """Digit rows of x * y, for (S, Wx) and (S, Wy) rows; the lowest exponents add.
+
+    The digit convolution as Wx shifted multiply-adds: then the carry sweep
+    for Q_p[b], and through the residue product and sum tables for F_q((t)).
+    """
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    wy = y.shape[1]
+    out = np.zeros((len(x), x.shape[1] + wy - 1), dtype=np.int64)
+    if field.is_laurent:
+        tables = field.residue.tables
+        for j in range(x.shape[1]):
+            out[:, j : j + wy] = tables.add[out[:, j : j + wy], tables.mul[x[:, j : j + 1], y]]
+        return out
+    for j in range(x.shape[1]):
+        out[:, j : j + wy] += x[:, j : j + 1] * y
+    return _normalize(field.p, field.e, out)
+
+
+def neg_rows(field: Field, x, lo: int, mod_exp: Union[int, None] = None) -> np.ndarray:
+    """Digit rows of -x, for (S, W) rows x with lowest exponent ``lo``.
+
+    F_q((t)): the residue negation table, exact, on the same window.  Q_p[b]:
+    -x modulo b**mod_exp, on the window [lo, mod_exp): each digit s (with its
+    carry) becomes (-s) mod p and carries (s + that) / p to e places up;
+    carries at mod_exp and above drop out.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    if field.is_laurent:
+        return field.residue.tables.neg[x]
+    if mod_exp is None:
+        raise ValueError("Eisenstein negation needs a truncation exponent mod_exp")
+    p, e, width = field.p, field.e, max(mod_exp - lo, 0)
+    buf = np.zeros((len(x), width), dtype=np.int64)
+    keep = min(width, x.shape[1])
+    buf[:, :keep] = x[:, :keep]
+    for i in range(width):
+        s = buf[:, i].copy()
+        buf[:, i] = -s % p
+        if i + e < width:
+            buf[:, i + e] += (s + buf[:, i]) // p
+    return buf
+
+
+def valuation_rows(x, lo: int) -> np.ndarray:
+    """The valuation of each of the (S, W) rows x: lo plus its first nonzero column.
+
+    A zero row reads lo + W, past every column of the window, so above the
+    valuation of every nonzero row.
+    """
+    nonzero = np.asarray(x) != 0
+    sentinel = np.ones((len(nonzero), 1), dtype=bool)
+    return lo + np.argmax(np.concatenate([nonzero, sentinel], axis=1), axis=1)
+
+
+def _phase_weights(field: Field, lo: int, width: int):
+    """(w, D) with the phase of z**s * b**(lo + j) equal to w[j * f + s] / D.
+
+    Each is a ``beta_monomial_phase`` (z**s has the residue code p**s), and D
+    is the largest of their denominators, all p-powers.  The weights are
+    int64 when every dot product with F_p coordinates fits, Python integers
+    otherwise.
+    """
+    codes = [field.p**s for s in range(field.f)]
+    phases = [beta_monomial_phase(field, lo + j, c) for j in range(width) for c in codes]
+    den = max((r.denominator for r in phases), default=1)
+    weights = [r.numerator * (den // r.denominator) for r in phases]
+    fits = den * field.p * max(len(weights), 1) < 2**63
+    return np.array(weights, dtype=np.int64 if fits else object), den
+
+
+def phase_rows(field: Field, x, lo: int):
+    """(numerators, D): the character phase of each (S, W) row x is its numerator over D.
+
+    The phase is F_p-linear in the digit coordinates (the character is
+    additive), so it is the dot product of the coordinates with the
+    ``_phase_weights`` of the window, modulo D, a p-power.
+    """
+    x = np.asarray(x)
+    weights, den = _phase_weights(field, lo, x.shape[1])
+    return _digit_coords(field, x) @ weights % den, den
+
+
+# ---------------------------------------------------------------------------
+# Element operations: one-row calls of the batch kernels, on the element's own window
+# ---------------------------------------------------------------------------
+
+
+def _row(x: FieldElement, lo: Union[int, None] = None, width: int = 0) -> np.ndarray:
+    """x as one digit row over exponents lo, ..., lo + width - 1; by default its own digits."""
+    if lo is None:
+        return np.array([x.digits], dtype=np.int64)
+    row = np.zeros((1, width), dtype=np.int64)
+    row[0, x.lo - lo : x.lo - lo + len(x.digits)] = x.digits
+    return row
+
+
+def elem_add(field: Field, x: FieldElement, y: FieldElement) -> FieldElement:
+    """Exact sum; Eisenstein digit sums >= p promote p*b**i to b**(i+e)."""
+    if not x.digits:
+        return y
+    if not y.digits:
+        return x
+    lo = min(x.lo, y.lo)
+    width = max(x.lo + len(x.digits), y.lo + len(y.digits)) - lo
+    total = add_rows(field, _row(x, lo, width), _row(y, lo, width))
+    return _canonical(lo, total[0].tolist())
+
+
+def elem_mul(field: Field, x: FieldElement, y: FieldElement) -> FieldElement:
+    """Exact product by digit convolution, normalized once per output digit."""
+    if not x.digits or not y.digits:
+        return field.zero()
+    product = mul_rows(field, _row(x), _row(y))
+    return _canonical(x.lo + y.lo, product[0].tolist())
+
+
+def elem_neg(field: Field, x: FieldElement, mod_exp: Union[int, None] = None) -> FieldElement:
+    """Negate x.
+
+    Laurent fields: exact (digit-wise residue negation).  Eisenstein fields:
+    the canonical expansion of -x is infinite, so the result is the canonical
+    representative of -x modulo b**mod_exp; ``elem_add(x, elem_neg(x, N))``
+    then has valuation >= N, and is exactly zero after grid reduction.
+    """
+    if not x.digits:
+        return x
+    minus = neg_rows(field, _row(x), x.lo, mod_exp)
+    return _canonical(x.lo, minus[0].tolist())
+
+
+def valuation(field: Field, x: FieldElement):
+    """Lowest nonzero b-exponent, or +inf for the zero element."""
+    v = int(valuation_rows(_row(x), x.lo)[0])
+    return v if x.digits else math.inf
+
+
 def character_phase(field: Field, x: FieldElement) -> CharacterPhase:
     """Exact rational phase r with chi(x) = exp(2*pi*i*r).
 
     Eisenstein: r = { tr(b**(-d) * x) } with tr(b**j) = e * p**(j/e) when
-    e | j and 0 otherwise (tame power basis), so only the digits at
-    exponents d + e*k, k = -K, ..., -1, count: read as one base-p integer
-    num (the k = -K digit lowest), r = (e * num mod p**K) / p**K.  Laurent:
-    r = tr(x_{-1}) / p with the residue trace.
+    e | j and 0 otherwise (tame power basis).  Laurent: r = tr(x_{-1}) / p
+    with the residue trace.
     """
-    if not x.digits:
-        return CharacterPhase(Fraction(0))
-    if field.is_laurent:
-        return CharacterPhase(beta_monomial_phase(field, -1, x.digit_at(-1)))
-    e, p, d = field.e, field.p, field.d
-    places = (d - x.lo) // e  # K: exponent d - e*K is the lowest at or above x.lo
-    if places <= 0:
-        return CharacterPhase(Fraction(0))  # an integer trace
-    start = d - e * places - x.lo
-    num = 0
-    for c in reversed(x.digits[start : start + e * places : e]):
-        num = num * p + c
-    den = p**places
-    return CharacterPhase(Fraction(e * num % den, den))
+    num, den = phase_rows(field, _row(x), x.lo)
+    return CharacterPhase(Fraction(int(num[0]), den))
 
 
 # ---------------------------------------------------------------------------

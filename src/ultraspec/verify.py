@@ -5,7 +5,10 @@ raises on failure (failures are outcomes).  Exact-arithmetic checks report a
 defect of 0.0 or the number of violations.  Every check takes one path at
 every grid size: unitarity is read off the Fourier transform's digit steps,
 the other Fourier and projection identities are tested on blocks of random
-probes, and exact field elements are built only for the points a check reads.
+probes, and each exact field check is one integer array computation over
+digit rows of the grid (the batch kernels of ``fields``): 900 rows sampled
+in one draw for the sums, products and negations, and the whole unit ball
+and shell 1 for the rank-zero character.  No exact element is built.
 
 The Fourier kernel q**(-n) * chi(-x*y) is evaluated through exact integer
 phase numerators: the additive character makes the phase of x*y bilinear
@@ -23,8 +26,6 @@ solve builds a phase table.
 
 from __future__ import annotations
 
-import functools
-import random
 import weakref
 from dataclasses import dataclass
 
@@ -32,13 +33,13 @@ import numpy as np
 
 from .config import RunConfig
 from .fields import (
-    Field,
+    _digit_coords,
+    add_rows,
     beta_monomial_phase,
-    character_phase,
-    elem_add,
-    elem_mul,
-    elem_neg,
-    valuation,
+    mul_rows,
+    neg_rows,
+    phase_rows,
+    valuation_rows,
 )
 from .finite import ZERO_SHELL, Grid, assemble_hamiltonian, build_grid
 
@@ -125,13 +126,6 @@ def _phase_table(grid: Grid) -> _PhaseTable:
     return table
 
 
-def _digit_coords(field: Field, digits: np.ndarray) -> np.ndarray:
-    """The F_p coordinates of digit rows, f per digit (the digit itself when q = p), as int64."""
-    p, f = field.p, field.f
-    coords = digits[:, :, None] // p ** np.arange(f, dtype=digits.dtype) % p
-    return coords.reshape(len(digits), -1).astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # Fourier transform and projections on the grid
 # ---------------------------------------------------------------------------
@@ -192,23 +186,10 @@ def fourier_unitarity_defect(grid: Grid) -> float:
 
 
 def neg_indices(grid: Grid) -> np.ndarray:
-    """Index of -x modulo b**n for every grid point x, from the digit array.
-
-    Laurent fields negate digit by digit in the residue field.  In Q_p[b]
-    (b**e = p) the digits e positions apart form one p-adic number, whose
-    negation maps its lowest nonzero digit d to p - d and every higher
-    digit c to p - 1 - c: the carry of p * b**i = b**(i+e).
-    """
-    field, digits, width = grid.field, grid.digits, 2 * grid.n
-    if field.is_laurent:
-        neg = np.array([field.residue.neg(d) for d in range(field.q)])[digits]
-    else:
-        p, e = field.p, field.e
-        carried = np.zeros(digits.shape, dtype=bool)
-        for pos in range(e, width):
-            carried[:, pos] = carried[:, pos - e] | (digits[:, pos - e] != 0)
-        neg = np.where(carried, p - 1 - digits, (p - digits) % p)
-    return neg @ field.q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    """Index of -x modulo b**n for every grid point x, from the digit array (``fields.neg_rows``)."""
+    field, n = grid.field, grid.n
+    neg = neg_rows(field, grid.digits, -n, n)
+    return neg @ field.q ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
 
 
 def project_cutoff(grid: Grid, k: int, f) -> np.ndarray:
@@ -269,7 +250,6 @@ def run_verify(config: RunConfig) -> VerifyOutcome:
     n = config.require_level()
     grid = build_grid(field, n, cap=config.grid_cap)
     rng = np.random.default_rng(RANDOM_SEED)
-    pyrng = random.Random(RANDOM_SEED)
     checks = []
 
     def record(name, defect, threshold=LINEAR_TOL):
@@ -348,52 +328,38 @@ def run_verify(config: RunConfig) -> VerifyOutcome:
     record("projection_idempotent", idem_defect)
 
     # --- characters (exact) -----------------------------------------------------
-    # exact elements only for the indices read, each built once: on small
-    # grids the 500 samples repeat indices
-    point = functools.cache(grid.point)
-    additivity_failures = 0
-    for _ in range(200):
-        x = point(pyrng.randrange(grid.size))
-        y = point(pyrng.randrange(grid.size))
-        phases = [character_phase(field, z).r for z in (elem_add(field, x, y), x, y)]
-        den = max(r.denominator for r in phases)  # p-powers all, so a multiple of each
-        s, a, b = (r.numerator * (den // r.denominator) for r in phases)
-        if (s - a - b) % den:  # phase(x + y) = phase(x) + phase(y) mod 1
-            additivity_failures += 1
-    record("character_additivity", additivity_failures, 0.0)
+    # each check is one exact array computation over sampled digit rows of
+    # the grid (exponents -n, ..., n - 1); the samples are drawn after the
+    # probes, so every float check reads the same random numbers
+    lo = -n
+    samples = grid.digits[rng.integers(grid.size, size=900)]
+    add_x, add_y, ultra_x, ultra_y, neg_x = np.split(samples, [200, 400, 600, 800])
+
+    # phase(x + y) = phase(x) + phase(y) mod 1, over one p-power denominator
+    phases = [phase_rows(field, z, lo) for z in (add_rows(field, add_x, add_y), add_x, add_y)]
+    den = max(d for _, d in phases)  # a multiple of each
+    s, a, b = (num * (den // d) for num, d in phases)
+    record("character_additivity", np.count_nonzero((s - a - b) % den), 0.0)
 
     # the points with |x| <= 1, and shell 1 after them
-    rank_zero_failures = sum(
-        1 for i in range(grid.ball_size(0)) if character_phase(field, point(i)).r != 0
-    )
-    witness = any(character_phase(field, point(i)).r != 0 for i in grid.shell_run(1))
-    record("character_rank_zero", rank_zero_failures + (0 if witness else 1), 0.0)
+    ball, _ = phase_rows(field, grid.digits[: grid.ball_size(0)], lo)
+    shell = grid.shell_run(1)
+    witness, _ = phase_rows(field, grid.digits[shell.start : shell.stop], lo)
+    record("character_rank_zero", np.count_nonzero(ball) + (0 if witness.any() else 1), 0.0)
 
-    ultra_failures = 0
-    mult_failures = 0
-    for _ in range(200):
-        x = point(pyrng.randrange(grid.size))
-        y = point(pyrng.randrange(grid.size))
-        vx, vy = valuation(field, x), valuation(field, y)
-        vs = valuation(field, elem_add(field, x, y))
-        if vs < min(vx, vy):  # |x+y| <= max(|x|,|y|)
-            ultra_failures += 1
-        if vx != vy and vs != min(vx, vy):  # equality when |x| != |y|
-            ultra_failures += 1
-        if not x.is_zero and not y.is_zero:
-            if valuation(field, elem_mul(field, x, y)) != vx + vy:
-                mult_failures += 1
+    vx, vy = valuation_rows(ultra_x, lo), valuation_rows(ultra_y, lo)
+    vs = valuation_rows(add_rows(field, ultra_x, ultra_y), lo)
+    low = np.minimum(vx, vy)
+    # |x+y| <= max(|x|,|y|), with equality when |x| != |y|
+    ultra_failures = np.count_nonzero(vs < low) + np.count_nonzero((vx != vy) & (vs != low))
     record("ultrametric_inequality", ultra_failures, 0.0)
-    record("valuation_multiplicative", mult_failures, 0.0)
+    nonzero = ultra_x.any(axis=1) & ultra_y.any(axis=1)
+    vp = valuation_rows(mul_rows(field, ultra_x, ultra_y), 2 * lo)
+    record("valuation_multiplicative", np.count_nonzero(nonzero & (vp != vx + vy)), 0.0)
 
-    neg_failures = 0
-    for _ in range(100):
-        i = pyrng.randrange(grid.size)
-        x = point(i)
-        minus = elem_neg(field, x, mod_exp=n)
-        if grid.reduce_element(elem_add(field, x, minus)) != grid.zero_index:
-            neg_failures += 1
-    record("negation_round_trip", neg_failures, 0.0)
+    # x + (-x mod b**n) is zero at every exponent of the grid
+    total = add_rows(field, neg_x, neg_rows(field, neg_x, lo, n))
+    record("negation_round_trip", np.count_nonzero(total[:, : 2 * n].any(axis=1)), 0.0)
 
     # --- Hamiltonian ---------------------------------------------------------
     # the closed-form kernel against the exact-phase Fourier operator

@@ -19,7 +19,9 @@ from ultraspec import (
     run_verify,
 )
 from ultraspec.cli import main
+import ultraspec
 import ultraspec.cli
+import ultraspec.fields
 import ultraspec.finite
 import ultraspec.verify
 from oracles import classification
@@ -292,18 +294,88 @@ def test_shifted_shell_run_fails_partition(monkeypatch, moved):
     assert ["shell_partition", "FAIL", 1.0, 0.0] in outcome.rows()
 
 
-def test_verify_builds_only_the_points_it_reads(tmp_path, monkeypatch):
-    built, point = set(), ultraspec.finite.Grid.point
+@pytest.mark.parametrize("n", [3, 4])  # N = 729 and 6561
+def test_verify_builds_no_exact_elements(tmp_path, monkeypatch, n):
+    # the exact checks read digit rows through the batch kernels only: no
+    # grid point and no one-element operation
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built an exact element")
 
-    def counted(grid, i):
-        built.add((grid.n, int(i)))
-        return point(grid, i)
-
-    monkeypatch.setattr(ultraspec.finite.Grid, "point", counted)
-    data = dict(CANONICAL, n=3)  # N = 729
-    outcome = run_verify(load_config(write_config(tmp_path, data)))
+    monkeypatch.setattr(ultraspec.finite.Grid, "point", refuse)
+    for name in ("elem_add", "elem_mul", "elem_neg", "valuation", "character_phase"):
+        for module in (ultraspec, ultraspec.fields, ultraspec.verify):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    outcome = run_verify(load_config(write_config(tmp_path, dict(CANONICAL, n=n))))
     assert outcome.passed, [c.name for c in outcome.checks if not c.passed]
-    assert 0 < len(built) < 729  # 521 distinct points, read one at a time, not the whole grid
+
+
+def carry_to_next_column(monkeypatch):
+    # p at column i lands on column i + 1 instead of i + e (e = 2 here)
+    normalize = ultraspec.fields._normalize
+    monkeypatch.setattr(ultraspec.fields, "_normalize", lambda p, e, cols: normalize(p, 1, cols))
+
+
+def phase_weight_raised(monkeypatch):
+    # the weight of exponent 0, which the unit ball must not see, raised by 1
+    weights = ultraspec.fields._phase_weights
+
+    def raised(field, lo, width):
+        w, den = weights(field, lo, width)
+        w = w.copy()
+        w[-lo * field.f] += 1
+        return w, den
+
+    monkeypatch.setattr(ultraspec.fields, "_phase_weights", raised)
+
+
+def negation_digit_off(monkeypatch):
+    neg_rows = ultraspec.verify.neg_rows
+
+    def off(field, x, lo, mod_exp=None):
+        out = neg_rows(field, x, lo, mod_exp)
+        out[:, 0] = (out[:, 0] + 1) % field.q
+        return out
+
+    monkeypatch.setattr(ultraspec.verify, "neg_rows", off)
+
+
+def valuation_shifted(monkeypatch):
+    valuation_rows = ultraspec.verify.valuation_rows
+    monkeypatch.setattr(ultraspec.verify, "valuation_rows", lambda x, lo: valuation_rows(x, lo) + 1)
+
+
+def valuation_from_the_top(monkeypatch):
+    # the columns read in reverse: minus the top exponent, which carries break
+    valuation_rows = ultraspec.verify.valuation_rows
+    monkeypatch.setattr(
+        ultraspec.verify, "valuation_rows", lambda x, lo: valuation_rows(x[:, ::-1], lo)
+    )
+
+
+EXACT_FAULTS = {
+    "carry_to_next_column": (carry_to_next_column, "character_additivity"),
+    "phase_weight_raised": (phase_weight_raised, "character_rank_zero"),
+    "negation_digit_off": (negation_digit_off, "negation_round_trip"),
+    "valuation_shifted": (valuation_shifted, "valuation_multiplicative"),
+    "valuation_from_the_top": (valuation_from_the_top, "ultrametric_inequality"),
+}
+
+
+@pytest.mark.parametrize("fault", list(EXACT_FAULTS))
+def test_exact_check_sees_planted_fault(monkeypatch, fault):
+    plant, check = EXACT_FAULTS[fault]
+    plant(monkeypatch)
+    outcome = run_verify(load_config(REPO_CONFIG))
+    row = next(c for c in outcome.checks if c.name == check)
+    assert not row.passed and row.defect > 0
+
+
+def test_exact_check_fault_fails_the_command(tmp_path, monkeypatch, capsys):
+    carry_to_next_column(monkeypatch)
+    code = main(["verify", "--config", str(REPO_CONFIG), "--out", str(tmp_path)])
+    assert code == 2
+    failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert "character_additivity" in failed
 
 
 def test_verify_reaches_past_the_dense_cap(tmp_path):

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
@@ -22,7 +23,15 @@ from ultraspec import (
     make_field,
     valuation,
 )
-from ultraspec.fields import ResidueField, default_modulus
+from ultraspec.fields import (
+    ResidueField,
+    add_rows,
+    default_modulus,
+    mul_rows,
+    neg_rows,
+    phase_rows,
+    valuation_rows,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -411,3 +420,54 @@ def test_residue_trace_checks_reducible_modulus(p, f, modulus):
         except ArithmeticError:
             failures += 1
     assert failures > 0
+
+
+# ---------------------------------------------------------------------------
+# The batch kernels on whole digit arrays against the digit-by-digit oracle
+# ---------------------------------------------------------------------------
+
+
+def digit_rows(elements, lo, width):
+    """The elements as an (S, width) array, column j at exponent lo + j; each must fit."""
+    rows = np.zeros((len(elements), width), dtype=np.int64)
+    for row, x in zip(rows, elements):
+        assert not x.digits or (x.lo >= lo and x.lo + len(x.digits) <= lo + width), (x, lo, width)
+        row[x.lo - lo : x.lo - lo + len(x.digits)] = x.digits
+    return rows
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
+def test_batch_kernels_match_digit_by_digit_oracle(spec):
+    # 300 rows of kernel_element pairs on one window: zero rows, carry runs
+    # of the top digit and valuations from -9 up
+    field = make_field(spec)
+    slow = oracles.oracle_field(field)
+    rng = random.Random(20261020)
+    xs = [kernel_element(field, rng) for _ in range(300)]
+    ys = [kernel_element(field, rng) for _ in range(300)]
+    lo = min(z.lo for z in xs + ys if z.digits)
+    width = max(z.lo + len(z.digits) for z in xs + ys) - lo
+    x, y = digit_rows(xs, lo, width), digit_rows(ys, lo, width)
+
+    total = add_rows(field, x, y)
+    expected = [oracles.elem_add(slow, a, b) for a, b in zip(xs, ys)]
+    assert np.array_equal(total, digit_rows(expected, lo, total.shape[1]))
+
+    product = mul_rows(field, x, y)
+    expected = [oracles.elem_mul(slow, a, b) for a, b in zip(xs, ys)]
+    assert np.array_equal(product, digit_rows(expected, 2 * lo, product.shape[1]))
+
+    # truncation inside and past the window (F_q((t)) negates exactly on it)
+    for mod_exp in (lo + width // 2, lo + width + 3):
+        minus = neg_rows(field, x, lo, mod_exp)
+        expected = [oracles.elem_neg(slow, a, mod_exp) for a in xs]
+        assert np.array_equal(minus, digit_rows(expected, lo, minus.shape[1])), mod_exp
+        assert minus.shape[1] == (width if field.is_laurent else mod_exp - lo)
+
+    valuations = [a.lo if a.digits else lo + width for a in xs]
+    assert valuation_rows(x, lo).tolist() == valuations
+
+    numerators, den = phase_rows(field, x, lo)
+    assert [Fraction(int(num), den) for num in numerators] == [
+        oracles.character_phase(slow, a).r for a in xs
+    ]

@@ -21,7 +21,6 @@ from ultraspec import (
     eigensolve,
     elem_from_pairs,
     elem_mul,
-    elem_neg,
     fourier_apply,
     fourier_matrix,
     fourier_unitarity_defect,
@@ -35,6 +34,8 @@ from ultraspec import (
 )
 import ultraspec.finite as finite
 import ultraspec.verify as verify
+from ultraspec.fields import phase_rows
+import oracles
 from oracles import character
 from test_tree import GRIDS, grid_id, potentials
 
@@ -222,13 +223,15 @@ NEGATION_FIELDS = [
 
 @pytest.mark.parametrize("spec", NEGATION_FIELDS, ids=repr)
 def test_neg_indices_match_exact_negation(spec):
-    # every grid of at most 729 points, against elem_neg and grid reduction point by point
+    # every grid of at most 729 points, against the digit-by-digit negation
+    # and grid reduction point by point
     field = make_field(spec)
+    slow = oracles.oracle_field(field)
     n = 1
     while field.q ** (2 * n) <= 729:
         grid = build_grid(field, n)
         points = map(grid.point, range(grid.size))
-        oracle = [grid.reduce_element(elem_neg(field, x, mod_exp=n)) for x in points]
+        oracle = [grid.reduce_element(oracles.elem_neg(slow, x, mod_exp=n)) for x in points]
         assert verify.neg_indices(grid).tolist() == oracle, n
         n += 1
 
@@ -324,6 +327,24 @@ def test_phase_table_keeps_no_point_coordinates(q3sqrt3):
     assert sum(step.size for step in table.steps) < 2 * grid.field.q * grid.size
     f = rand_fn(np.random.default_rng(3), grid.size)
     assert np.abs(fourier_matrix(grid) @ f - fourier_apply(grid, f)).max() < 1e-12
+
+
+@pytest.mark.parametrize("spec", DENSE_ORACLE_FIELDS, ids=repr)
+def test_batch_phases_match_phase_table_at_one(spec):
+    # the checks' phase kernel against the Fourier kernel's bilinear form:
+    # phase(x) = phase(x * 1), on every grid the dense kernel admits
+    field = make_field(spec)
+    n = 1
+    while field.q ** (2 * n) <= verify.FOURIER_DENSE_CAP:
+        grid = build_grid(field, n)
+        table = verify._PhaseTable(grid)
+        one = field.q ** (n - 1)  # the single digit 1 at exponent 0, position n
+        assert grid.point(one) == field.one()
+        numerators, den = phase_rows(field, grid.digits, -n)
+        assert table.denominator % den == 0
+        expected = table.numerators(grid)[:, one]
+        assert np.array_equal(numerators * (table.denominator // den), expected), n
+        n += 1
 
 
 # ---------------------------------------------------------------------------
