@@ -30,19 +30,10 @@ from .errors import (
     WildRamification,
 )
 from .fields import (
-    CharacterPhase,
     EisensteinExtension,
     Field,
-    FieldElement,
     LaurentField,
-    character_phase,
-    elem_add,
-    elem_from_pairs,
-    elem_mul,
-    elem_neg,
-    format_element,
     make_field,
-    valuation,
 )
 from .finite import (
     GRID_CAP_DEFAULT,

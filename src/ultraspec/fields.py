@@ -7,46 +7,41 @@ Two families are implemented:
   b-adic expansions with digits in {0, ..., p-1}; the carry rule
   p * b**i = b**(i+e) makes addition and multiplication exact and closed.
   Negation is only exact modulo a power of b (the canonical expansion of -x
-  is infinite), so ``elem_neg`` takes an explicit truncation exponent.
+  is infinite), so ``neg_rows`` takes an explicit truncation exponent.
 
 * ``LaurentField(p, f, modulus)``: F_q((t)) with q = p**f.  The residue
   field is F_p[z] modulo an irreducible ``modulus``; its elements are encoded
   as integers < q (base-p coefficient vectors).  Digit arithmetic has no
   carries, so all ring operations including negation are exact.
 
-Element arithmetic runs on integer digit arrays: an (S, W) array holds S
-elements as rows, column j at exponent lo + j, and each kernel (``add_rows``,
-``mul_rows``, ``neg_rows``, ``valuation_rows``, ``phase_rows``) treats all S
-rows in one numpy computation, one step per column.  Q_p[b] sums and
-products take column sums or a convolution of W shifted multiply-adds, then
-one carry sweep that moves each p at column i to column i + e; F_q((t))
-reads the residue addition, product and negation tables, built once per
-field on first use.  The one-element operations (``elem_add``, ``elem_mul``,
-``elem_neg``, ``valuation``, ``character_phase``) are one-row calls of the
-same kernels over the element's own window.  The residue field itself works
-on integer codes: a product convolves the F_p[z] coefficients once and
-reduces modulo the residue modulus once, and the trace is F_p-linear, tr(a)
-= sum c_i * tr(z**i) mod p, from f basis traces computed once per residue
-field, as sums of Frobenius images that are checked to land in F_p.
+Element arithmetic runs on integer digit arrays, and only there: an (S, W)
+array holds S elements as rows, column j at exponent lo + j, and each kernel
+(``add_rows``, ``mul_rows``, ``neg_rows``, ``valuation_rows``,
+``phase_rows``) treats all S rows in one numpy computation, one step per
+column.  Q_p[b] sums and products take column sums or a convolution of W
+shifted multiply-adds, then one carry sweep that moves each p at column i
+to column i + e; F_q((t)) reads the residue addition, product and negation
+tables of ``ResidueField.tables``, the one form of F_q arithmetic, built
+once per field on first use as array work on the F_p coordinates of the
+codes.  The residue trace is F_p-linear, tr(a) = sum c_i * tr(z**i) mod p,
+from f basis traces computed once per residue field, as sums of Frobenius
+images (table lookups) that are checked to land in F_p.
 
 Characters are additive and of rank zero (trivial exactly on the unit ball).
 Phases are kept as exact rationals with p-power denominator so that
 additivity checks and the Fourier kernels downstream are reproducible bit
 for bit.  The phase is F_p-linear in the digit coordinates, so ``phase_rows``
 is one integer dot product per row with ``beta_monomial_phase`` weights over
-one p-power denominator; no float is used.  ``format_element`` writes an
-expansion as ordered ``exp:digit`` pairs such as ``-2:1,0:2`` (the zero
-element as the empty string).  The digit-by-digit forms of these kernels
-are the test oracles of ``tests/oracles.py``.
+one p-power denominator; no float is used.  The digit-by-digit forms of these
+kernels, on single elements, are the test oracles of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -57,21 +52,12 @@ __all__ = [
     "LaurentField",
     "FieldSpec",
     "Field",
-    "FieldElement",
-    "CharacterPhase",
     "make_field",
-    "elem_from_pairs",
-    "elem_add",
-    "elem_mul",
-    "elem_neg",
-    "valuation",
-    "character_phase",
     "add_rows",
     "mul_rows",
     "neg_rows",
     "valuation_rows",
     "phase_rows",
-    "format_element",
 ]
 
 
@@ -96,14 +82,16 @@ def _is_prime(n: int) -> bool:
 
 
 class ResidueField:
-    """F_q arithmetic on integer-encoded elements (sum c_i * p**i <-> sum c_i z**i).
+    """F_q arithmetic on integer codes (sum c_i * p**i <-> sum c_i z**i), as lookup tables.
 
-    Sums and negatives work on the base-p digits of the code; a product
-    convolves the two coefficient lists as plain integers and reduces modulo
-    ``modulus`` once.  The trace is F_p-linear, tr(a) = sum c_i * tr(z**i)
-    mod p, from the f basis traces, which the first call computes as sums
-    of Frobenius images.  ``tables`` holds these operations as q x q lookup
-    tables for the digit-array kernels.
+    ``tables`` holds the q x q sum and product tables and the negation
+    table, built on first read as array work on the F_p coordinates of the
+    codes: a sum or a negative is coordinate-wise mod p, and a product is
+    the coordinate convolution reduced once modulo ``modulus`` through the
+    rows z**k, f <= k <= 2f - 2, of ``_high_powers``.  ``pow`` reads the
+    product table.  The trace is F_p-linear, tr(a) = sum c_i * tr(z**i) mod
+    p, from the f basis traces, which the first call computes as sums of
+    Frobenius images.
     """
 
     def __init__(self, p: int, f: int, modulus: Sequence[int]):
@@ -128,57 +116,12 @@ class ResidueField:
             powers[k] = cur
         return powers
 
-    def _coeffs(self, a: int) -> list:
-        """The f coefficients of a in F_p[z], lowest first."""
-        p, out = self.p, []
-        for _ in range(self.f):
-            a, c = divmod(a, p)
-            out.append(c)
-        return out
-
-    def _reduce(self, conv: list) -> int:
-        """The code of sum conv[s] z**s over s < 2f - 1, with any integer coefficients."""
-        p, f = self.p, self.f
-        low = conv[:f]
-        for s, c in enumerate(conv[f:], f):
-            if c:
-                for i, r in enumerate(self._high_powers[s]):  # z**s mod modulus
-                    low[i] += c * r
-        code = 0
-        for c in reversed(low):
-            code = code * p + c % p
-        return code
-
-    def add(self, a: int, b: int) -> int:
-        p = self.p
-        out, scale = 0, 1
-        while a or b:
-            a, ca = divmod(a, p)
-            b, cb = divmod(b, p)
-            out += (ca + cb) % p * scale
-            scale *= p
-        return out
-
-    def neg(self, a: int) -> int:
-        p = self.p
-        out, scale = 0, 1
-        while a:
-            a, c = divmod(a, p)
-            out += (-c) % p * scale
-            scale *= p
-        return out
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._reduce(_convolve(self._coeffs(a), self._coeffs(b), 2 * self.f - 1))
-
     def pow(self, a: int, k: int) -> int:
-        result, base = 1, a
+        mul, result, base = self.tables.mul, 1, a
         while k:
             if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = int(mul[result, base])
+            base = int(mul[base, base])
             k >>= 1
         return result
 
@@ -198,20 +141,38 @@ class ResidueField:
         acc, frob = a, a
         for _ in range(self.f - 1):
             frob = self.pow(frob, self.p)
-            acc = self.add(acc, frob)
+            acc = int(self.tables.add[acc, frob])
         if acc >= self.p:
             raise ArithmeticError("residue trace left the prime field")
         return acc
 
     @cached_property
     def tables(self) -> "ResidueTables":
-        """The q x q sum and product tables and the negation table, by code; built on first read."""
-        codes = range(self.q)
-        return ResidueTables(
-            add=np.array([[self.add(a, b) for b in codes] for a in codes], dtype=np.int64),
-            mul=np.array([[self.mul(a, b) for b in codes] for a in codes], dtype=np.int64),
-            neg=np.array([self.neg(a) for a in codes], dtype=np.int64),
-        )
+        """The q x q sum and product tables and the negation table, by code; built on first read.
+
+        Each coordinate i of a sum or a product is one q x q pass over the
+        (q, f) coordinate array C of the codes: the coordinate sum mod p, or
+        C M_i C^T mod p, where M_i[s, s'] is coordinate i of z**(s + s') mod
+        ``modulus``, so every product is reduced once.
+        """
+        p, f, q = self.p, self.f, self.q
+        place = p ** np.arange(f, dtype=np.int64)  # the code of z**i
+        coords = np.arange(q, dtype=np.int64)[:, None] // place % p
+        high = np.array(list(self._high_powers.values()), dtype=np.int64).reshape(-1, f)
+        powers = np.vstack([np.eye(f, dtype=np.int64), high])  # z**s mod modulus, s < 2f - 1
+        exps = np.add.outer(np.arange(f), np.arange(f))
+        add = np.zeros((q, q), dtype=np.int64)
+        mul = np.zeros((q, q), dtype=np.int64)
+        for i in range(f):
+            term = coords[:, i, None] + coords[:, i]
+            term %= p
+            term *= place[i]
+            add += term
+            term = coords @ powers[exps, i] @ coords.T
+            term %= p
+            term *= place[i]
+            mul += term
+        return ResidueTables(add=add, mul=mul, neg=-coords % p @ place)
 
 
 class ResidueTables(NamedTuple):
@@ -220,16 +181,6 @@ class ResidueTables(NamedTuple):
     add: np.ndarray
     mul: np.ndarray
     neg: np.ndarray
-
-
-def _convolve(a: Sequence[int], b: Sequence[int], size: int) -> list:
-    """The product of two integer coefficient lists, in ``size`` >= len(a) + len(b) - 1 entries."""
-    out = [0] * size
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b, i):
-                out[j] += u * v
-    return out
 
 
 def _poly_divmod(p: int, num: Sequence[int], den: Sequence[int]):
@@ -324,12 +275,6 @@ class Field:
     def is_laurent(self) -> bool:
         return isinstance(self.spec, LaurentField)
 
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, ())
-
-    def one(self) -> "FieldElement":
-        return FieldElement(0, (1,))
-
 
 def make_field(spec: FieldSpec) -> Field:
     """Validate a field spec and compute q, e, f, d."""
@@ -361,87 +306,8 @@ def make_field(spec: FieldSpec) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# Field elements: finite digit expansions sum a_i * b**i
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Finite expansion sum_{i} digits[i - lo] * b**(lo + i), canonical form.
-
-    First and last stored digits are nonzero; the zero element is
-    ``FieldElement(0, ())``.
-    """
-
-    lo: int
-    digits: tuple
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.digits
-
-    def digit_at(self, exp: int) -> int:
-        if not self.digits or exp < self.lo or exp >= self.lo + len(self.digits):
-            return 0
-        return self.digits[exp - self.lo]
-
-    def pairs(self):
-        return [(self.lo + i, d) for i, d in enumerate(self.digits) if d]
-
-    def __str__(self) -> str:
-        return format_element(self) or "0"
-
-
-def _canonical(lo: int, digits: list) -> FieldElement:
-    """The element sum digits[i] * b**(lo + i), its zero digits at both ends stripped by index."""
-    end = len(digits)
-    while end and not digits[end - 1]:
-        end -= 1
-    if not end:
-        return FieldElement(0, ())
-    start = 0
-    while not digits[start]:
-        start += 1
-    return FieldElement(lo + start, tuple(digits[start:end]))
-
-
-def elem_from_pairs(field: Field, pairs: Iterable) -> FieldElement:
-    """Build a canonical element from (exponent, digit) pairs."""
-    pairs = sorted((int(e), int(d)) for e, d in pairs)
-    for _, d in pairs:
-        if not 0 <= d < field.q:
-            raise ValueError(f"digit {d} out of range for q = {field.q}")
-    if not pairs:
-        return field.zero()
-    lo = pairs[0][0]
-    hi = pairs[-1][0]
-    digits = [0] * (hi - lo + 1)
-    for e, d in pairs:
-        if digits[e - lo]:
-            raise ValueError(f"duplicate exponent {e}")
-        digits[e - lo] = d
-    return _canonical(lo, digits)
-
-
-# ---------------------------------------------------------------------------
 # Rank-zero characters
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CharacterPhase:
-    """Exact character phase: the value is exp(2*pi*i*r), 0 <= r < 1."""
-
-    r: Fraction
-
-    def __post_init__(self):
-        r = self.r
-        if isinstance(r, Fraction):  # its integers; the denominator is positive
-            in_range = 0 <= r.numerator < r.denominator
-        else:
-            in_range = 0 <= r < 1
-        if not in_range:
-            raise ValueError(f"phase {r} outside [0, 1)")
 
 
 def beta_monomial_phase(field: Field, m: int, digit: int = 1) -> Fraction:
@@ -594,77 +460,3 @@ def phase_rows(field: Field, x, lo: int):
     x = np.asarray(x)
     weights, den = _phase_weights(field, lo, x.shape[1])
     return _digit_coords(field, x) @ weights % den, den
-
-
-# ---------------------------------------------------------------------------
-# Element operations: one-row calls of the batch kernels, on the element's own window
-# ---------------------------------------------------------------------------
-
-
-def _row(x: FieldElement, lo: Union[int, None] = None, width: int = 0) -> np.ndarray:
-    """x as one digit row over exponents lo, ..., lo + width - 1; by default its own digits."""
-    if lo is None:
-        return np.array([x.digits], dtype=np.int64)
-    row = np.zeros((1, width), dtype=np.int64)
-    row[0, x.lo - lo : x.lo - lo + len(x.digits)] = x.digits
-    return row
-
-
-def elem_add(field: Field, x: FieldElement, y: FieldElement) -> FieldElement:
-    """Exact sum; Eisenstein digit sums >= p promote p*b**i to b**(i+e)."""
-    if not x.digits:
-        return y
-    if not y.digits:
-        return x
-    lo = min(x.lo, y.lo)
-    width = max(x.lo + len(x.digits), y.lo + len(y.digits)) - lo
-    total = add_rows(field, _row(x, lo, width), _row(y, lo, width))
-    return _canonical(lo, total[0].tolist())
-
-
-def elem_mul(field: Field, x: FieldElement, y: FieldElement) -> FieldElement:
-    """Exact product by digit convolution, normalized once per output digit."""
-    if not x.digits or not y.digits:
-        return field.zero()
-    product = mul_rows(field, _row(x), _row(y))
-    return _canonical(x.lo + y.lo, product[0].tolist())
-
-
-def elem_neg(field: Field, x: FieldElement, mod_exp: Union[int, None] = None) -> FieldElement:
-    """Negate x.
-
-    Laurent fields: exact (digit-wise residue negation).  Eisenstein fields:
-    the canonical expansion of -x is infinite, so the result is the canonical
-    representative of -x modulo b**mod_exp; ``elem_add(x, elem_neg(x, N))``
-    then has valuation >= N, and is exactly zero after grid reduction.
-    """
-    if not x.digits:
-        return x
-    minus = neg_rows(field, _row(x), x.lo, mod_exp)
-    return _canonical(x.lo, minus[0].tolist())
-
-
-def valuation(field: Field, x: FieldElement):
-    """Lowest nonzero b-exponent, or +inf for the zero element."""
-    v = int(valuation_rows(_row(x), x.lo)[0])
-    return v if x.digits else math.inf
-
-
-def character_phase(field: Field, x: FieldElement) -> CharacterPhase:
-    """Exact rational phase r with chi(x) = exp(2*pi*i*r).
-
-    Eisenstein: r = { tr(b**(-d) * x) } with tr(b**j) = e * p**(j/e) when
-    e | j and 0 otherwise (tame power basis).  Laurent: r = tr(x_{-1}) / p
-    with the residue trace.
-    """
-    num, den = phase_rows(field, _row(x), x.lo)
-    return CharacterPhase(Fraction(int(num[0]), den))
-
-
-# ---------------------------------------------------------------------------
-# Text form: ordered exp:digit pairs, e.g. "-2:1,0:2"; zero is the empty string
-# ---------------------------------------------------------------------------
-
-
-def format_element(x: FieldElement) -> str:
-    return ",".join(f"{e}:{d}" for e, d in x.pairs())

@@ -38,7 +38,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import GridTooLarge, NonConfiningPotentialWarning
-from .fields import Field, FieldElement, _canonical
+from .fields import Field
 
 __all__ = [
     "ZERO_SHELL",
@@ -97,8 +97,9 @@ class Grid:
     The points with |x| <= q**k are the prefix [0, ``ball_size(k)``), so a
     level-n function lifts to level m by repeating each value q**(m-n)
     times over the first q**(m+n) indices.  ``digits`` and the point
-    labels ``shells`` are built on first read, and ``point(i)`` builds one
-    exact point; the solver reads only the runs.
+    labels ``shells`` are built on first read; ``digits[i]`` is point i as a
+    digit row at exponents -n, ..., n - 1, the form the exact kernels of
+    ``fields`` take.  The solver reads only the runs.
     """
 
     def __init__(self, field: Field, n: int):
@@ -119,10 +120,6 @@ class Grid:
         for pos in range(width):
             digits[:, pos] = (idx // q ** (width - 1 - pos)) % q
         return digits
-
-    def point(self, i: int) -> FieldElement:
-        """Point i as an exact field element, read straight off digit row i (exponents -n, ...)."""
-        return _canonical(-self.n, self.digits[i].tolist())
 
     @cached_property
     def shells(self) -> np.ndarray:
@@ -165,13 +162,6 @@ class Grid:
         a single digit 1 at position d.
         """
         return [self.shell_run(k) for k in reversed(self.shell_labels())]
-
-    def reduce_element(self, x: FieldElement) -> int:
-        """Index of x mod b**n, Horner over its digits at exponents -n..n-1 (the rest dropped)."""
-        q, index = self.field.q, 0
-        for exp in range(-self.n, self.n):
-            index = index * q + x.digit_at(exp)
-        return index
 
 
 def check_grid_cap(p: int, f: int, n: int, cap: int) -> None:

@@ -76,14 +76,14 @@ _LABELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _point_labels(grid: Grid) -> tuple:
-    """``(digits, shells)``: ``format_element`` of each point and its shell label, in index order.
+    """``(digits, shells)``: the digit text of each point and its shell label, in index order.
 
     A point's text lists its nonzero digits ``exponent:digit`` in ascending
-    exponent, and index order is big-endian base-q counting from exponent
-    -n.  So the texts are built along the digit tree: each prefix text is
-    extended by the q texts of the next digit (digit 0 adds none), 2n passes
-    in all, and no field element or digit row is built.  A shell's text is
-    repeated over its run.
+    exponent, such as ``-2:1,0:2`` (the zero point's is empty), and index
+    order is big-endian base-q counting from exponent -n.  So the texts are
+    built along the digit tree: each prefix text is extended by the q texts
+    of the next digit (digit 0 adds none), 2n passes in all, and no digit
+    row is built.  A shell's text is repeated over its run.
     """
     labels = _LABELS.get(grid)
     if labels is None:

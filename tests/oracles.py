@@ -1,13 +1,14 @@
 """Test oracles: digit-by-digit field arithmetic, the numeric classifier, the shell adaptor.
 
-The exact arithmetic of ``ultraspec.fields`` works on plain integers: one
-numerator per character phase, an F_p-linear residue trace, and products
-reduced once per digit.  The first part of this module is the digit-by-digit
-form it is checked against: residue digits decoded to coefficient tuples and
-encoded back for every operation, a Laurent product summed pair by pair in
-the residue field, a trace by Frobenius sums, and a phase summed one
-``Fraction`` per digit.  Float views of the exact values, such as the unit
-complex character, sit beside them.
+The exact arithmetic of ``ultraspec.fields`` works on integer digit rows,
+many elements in one array computation, with F_q arithmetic as lookup
+tables.  The first part of this module is the element-by-element form it is
+checked against: one ``FieldElement`` at a time, digit by digit, residue
+digits decoded to coefficient tuples and encoded back for every operation, a
+residue product reduced by long division by the modulus, a Laurent product
+summed pair by pair in the residue field, a trace by Frobenius sums, and a
+phase summed one ``Fraction`` per digit.  The absolute value, a float view,
+sits beside them.
 
 The solver classifies each eigenvector family off its template and adapts
 radial clusters by shell (``ultraspec.spectra``).  The second part holds the
@@ -23,9 +24,7 @@ rows one point at a time, each label read off its digit row.
 from __future__ import annotations
 
 import bisect
-import cmath
 import dataclasses
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -34,15 +33,12 @@ import numpy as np
 
 from ultraspec import (
     ZERO_SHELL,
-    CharacterPhase,
     Field,
-    FieldElement,
     Grid,
     HamiltonianModel,
     Radial,
     Shell,
     UltraspecError,
-    fields,
 )
 from ultraspec.spectra import (
     DEFAULT_RADIAL_TOL,
@@ -60,8 +56,17 @@ EIGENSPACE_TOL = 1e-6  # shell_adapt's relative eigen-residual bound
 # ---------------------------------------------------------------------------
 
 
-class ResidueField(fields.ResidueField):
-    """F_q arithmetic through coefficient tuples: every operation decodes and encodes."""
+class ResidueField:
+    """F_q arithmetic through coefficient tuples: every operation decodes and encodes.
+
+    It shares nothing with ``ultraspec.fields.ResidueField``: a product is
+    reduced by long division by the monic ``modulus``, and powers and traces
+    are built on that product.
+    """
+
+    def __init__(self, p: int, f: int, modulus: Sequence[int]):
+        self.p, self.f, self.q = p, f, p**f
+        self.modulus = tuple(int(c) % p for c in modulus)
 
     def decode(self, a: int) -> tuple:
         p = self.p
@@ -78,23 +83,23 @@ class ResidueField(fields.ResidueField):
         return self.encode(-c for c in self.decode(a))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
         p, f = self.p, self.f
         ca, cb = self.decode(a), self.decode(b)
         conv = [0] * (2 * f - 1)
         for i, ci in enumerate(ca):
-            if ci:
-                for j, cj in enumerate(cb):
-                    conv[i + j] += ci * cj
-        out = [c % p for c in conv[:f]]
-        for k in range(f, 2 * f - 1):
+            for j, cj in enumerate(cb):
+                conv[i + j] += ci * cj
+        for k in range(2 * f - 2, f - 1, -1):  # subtract conv[k] * z**(k - f) * modulus
             c = conv[k] % p
-            if c:
-                red = self._high_powers[k]
-                for i in range(f):
-                    out[i] = (out[i] + c * red[i]) % p
-        return self.encode(out)
+            for i, m in enumerate(self.modulus):
+                conv[k - f + i] -= c * m
+        return self.encode(conv[:f])
+
+    def pow(self, a: int, k: int) -> int:
+        result = 1
+        for _ in range(k):
+            result = self.mul(result, a)
+        return result
 
     def trace(self, a: int) -> int:
         """Trace to the prime field: sum of Frobenius images, returned in {0..p-1}."""
@@ -115,6 +120,32 @@ def oracle_field(field: Field) -> Field:
     return dataclasses.replace(field, residue=ResidueField(rf.p, rf.f, rf.modulus))
 
 
+@dataclass(frozen=True)
+class FieldElement:
+    """Finite expansion sum_i digits[i] * b**(lo + i), its first and last digits nonzero.
+
+    The zero element is ``FieldElement(0, ())``.
+    """
+
+    lo: int
+    digits: tuple
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.digits
+
+    def digit_at(self, exp: int) -> int:
+        if not self.digits or exp < self.lo or exp >= self.lo + len(self.digits):
+            return 0
+        return self.digits[exp - self.lo]
+
+    def pairs(self) -> list:
+        return [(self.lo + i, d) for i, d in enumerate(self.digits) if d]
+
+
+ZERO = FieldElement(0, ())
+
+
 def _canonical(lo: int, digits: Iterable[int]) -> FieldElement:
     digits = list(digits)
     start = 0
@@ -124,7 +155,7 @@ def _canonical(lo: int, digits: Iterable[int]) -> FieldElement:
     while end > start and digits[end - 1] == 0:
         end -= 1
     if start == end:
-        return FieldElement(0, ())
+        return ZERO
     return FieldElement(lo + start, tuple(digits[start:end]))
 
 
@@ -170,7 +201,7 @@ def elem_add(field: Field, x: FieldElement, y: FieldElement) -> FieldElement:
 def elem_mul(field: Field, x: FieldElement, y: FieldElement) -> FieldElement:
     """Exact product by digit convolution plus carry normalization."""
     if x.is_zero or y.is_zero:
-        return field.zero()
+        return ZERO
     lo = x.lo + y.lo
     conv = [0] * (len(x.digits) + len(y.digits) - 1)
     if field.is_laurent:
@@ -203,7 +234,7 @@ def elem_neg(field: Field, x: FieldElement, mod_exp: Union[int, None] = None) ->
     if mod_exp is None:
         raise ValueError("Eisenstein negation needs a truncation exponent mod_exp")
     if mod_exp <= x.lo:
-        return field.zero()
+        return ZERO
     p, e = field.p, field.e
     out = []
     carry = {}
@@ -241,7 +272,7 @@ def beta_monomial_phase(field: Field, m: int, digit: int = 1) -> Fraction:
     return _padic_fractional(Fraction(digit * field.e, field.p ** (-k)), field.p)
 
 
-def character_phase(field: Field, x: FieldElement) -> CharacterPhase:
+def character_phase(field: Field, x: FieldElement) -> Fraction:
     """Exact rational phase r with chi(x) = exp(2*pi*i*r).
 
     Eisenstein: r = { tr(b**(-d) * x) } with tr(b**j) = e * p**(j/e) when
@@ -249,9 +280,9 @@ def character_phase(field: Field, x: FieldElement) -> CharacterPhase:
     with the residue-field Frobenius trace.
     """
     if x.is_zero:
-        return CharacterPhase(Fraction(0))
+        return Fraction(0)
     if field.is_laurent:
-        return CharacterPhase(beta_monomial_phase(field, -1, x.digit_at(-1)))
+        return beta_monomial_phase(field, -1, x.digit_at(-1))
     e, p, d = field.e, field.p, field.d
     total = Fraction(0)
     for offset, digit in enumerate(x.digits):
@@ -263,23 +294,12 @@ def character_phase(field: Field, x: FieldElement) -> CharacterPhase:
             if k >= 0:
                 continue  # integer contribution, no fractional part
             total += Fraction(digit * e, p ** (-k))
-    return CharacterPhase(_padic_fractional(total, p))
-
-
-def beta_power(m: int) -> FieldElement:
-    """The element b**m."""
-    return FieldElement(m, (1,))
+    return _padic_fractional(total, p)
 
 
 def abs_value(field: Field, x: FieldElement) -> float:
     """Canonical absolute value q**(-valuation); 0 for the zero element."""
     return 0.0 if x.is_zero else float(field.q) ** (-x.lo)
-
-
-def character(field: Field, x: FieldElement) -> complex:
-    """Unit complex chi(x), the float view of the exact ``ultraspec.character_phase``."""
-    r = fields.character_phase(field, x).r
-    return 1.0 + 0.0j if r == 0 else cmath.exp(2j * math.pi * float(r))
 
 
 # ---------------------------------------------------------------------------

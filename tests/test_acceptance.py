@@ -21,17 +21,17 @@ from ultraspec import (
     ZeroCellConvention,
     assemble_hamiltonian,
     build_grid,
-    character_phase,
     convergence_report,
     eigensolve,
-    elem_add,
     fourier_matrix,
     make_field,
     position_diagonal,
     project_cutoff,
     project_smooth,
 )
+from ultraspec.fields import add_rows
 from oracles import classification
+from test_fields import phases
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -174,22 +174,14 @@ def test_structural_identity_suite():
                             cs = project_cutoff(grid, k, project_smooth(grid, k, f))
                             sc = project_smooth(grid, k, project_cutoff(grid, k, f))
                             assert np.abs(cs - sc).max() <= LINEAR_TOL
-            grid = build_grid(field, 3)
-            for _ in range(200):
-                x = grid.point(pyrng.randrange(grid.size))
-                y = grid.point(pyrng.randrange(grid.size))
-                lhs = character_phase(field, elem_add(field, x, y)).r
-                rhs = (character_phase(field, x).r + character_phase(field, y).r) % 1
-                assert lhs == rhs
-            assert all(
-                character_phase(field, grid.point(i)).r == 0
-                for i in range(grid.size)
-                if grid.shells[i] <= 0
-            )
-            assert any(
-                grid.shells[i] == 1 and character_phase(field, grid.point(i)).r != 0
-                for i in range(grid.size)
-            )
+            grid = build_grid(field, 3)  # digit rows at exponents -3, ..., 2
+            pairs = [(pyrng.randrange(grid.size), pyrng.randrange(grid.size)) for _ in range(200)]
+            x, y = (grid.digits[[pair[k] for pair in pairs]] for k in (0, 1))
+            total, a, b = (phases(field, z, -3) for z in (add_rows(field, x, y), x, y))
+            assert total == [(r + s) % 1 for r, s in zip(a, b)]
+            every = list(zip(phases(field, grid.digits, -3), grid.shells))
+            assert all(r == 0 for r, shell in every if shell <= 0)
+            assert any(r != 0 for r, shell in every if shell == 1)
 
 
 def test_free_model_oracle(field):

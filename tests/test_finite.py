@@ -19,8 +19,6 @@ from ultraspec import (
     assemble_hamiltonian,
     build_grid,
     eigensolve,
-    elem_from_pairs,
-    elem_mul,
     fourier_apply,
     fourier_matrix,
     fourier_unitarity_defect,
@@ -34,9 +32,9 @@ from ultraspec import (
 )
 import ultraspec.finite as finite
 import ultraspec.verify as verify
-from ultraspec.fields import phase_rows
+from ultraspec.fields import mul_rows, phase_rows
 import oracles
-from oracles import character
+from test_fields import digit_rows, row_elements
 from test_tree import GRIDS, grid_id, potentials
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "q3sqrt3_ho.cfg"
@@ -94,46 +92,27 @@ def test_grid_past_the_int64_index_range_is_refused(spec, n):
     assert grid.size == size // field.q**2 and sum(grid.shell_sizes.values()) == grid.size
 
 
+def index_of(grid, rows) -> list:
+    """The grid index of each digit row: big-endian base q over exponents -n, ..., n - 1."""
+    width = 2 * grid.n
+    return (np.asarray(rows) @ grid.field.q ** np.arange(width - 1, -1, -1)).tolist()
+
+
 def test_grid_index_round_trip(grid_n2):
     for i in (0, 1, 17, 80):
-        assert grid_n2.reduce_element(grid_n2.point(i)) == i
+        assert index_of(grid_n2, grid_n2.digits[i]) == i
 
 
 def test_grid_points_are_built_on_first_read(q3sqrt3):
     big = build_grid(q3sqrt3, 5)  # N = 59049: no digit row is built, and no list of points
     assert "digits" not in vars(big) and not hasattr(big, "points")
     grid = build_grid(q3sqrt3, 1)
-    assert [grid.reduce_element(grid.point(i)) for i in range(grid.size)] == list(range(grid.size))
-
-
-@pytest.mark.parametrize(
-    "spec", [EisensteinExtension(p=3, e=2), LaurentField(p=2, f=2)], ids=["Q3e2", "F4t"]
-)
-def test_reduce_element_is_the_digit_dot_product(spec):
-    # the Horner sum against the dot product of the window's digits with q**(2n-1-pos)
-    field = make_field(spec)
-    grid = build_grid(field, 2)
-    q, n = field.q, grid.n
-    weights = q ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
-
-    def dot_index(x):
-        return int(np.dot(np.array([x.digit_at(pos - n) for pos in range(2 * n)]), weights))
-
-    rng = np.random.default_rng(16)
-    outside = [  # digits on both sides of the window, or on one side only
-        elem_from_pairs(field, zip(range(lo, lo + width), rng.integers(1, q, width)))
-        for lo, width in [(-n - 3, 2 * n + 6), (-n - 2, 3), (n - 1, 4), (n, 2), (-n - 4, 2)]
-        for _ in range(5)
-    ]
-    elements = [grid.point(i) for i in range(grid.size)] + outside
-    assert [grid.reduce_element(x) for x in elements] == [dot_index(x) for x in elements]
-    assert [grid.reduce_element(x) for x in elements[: grid.size]] == list(range(grid.size))
+    assert index_of(grid, grid.digits) == list(range(grid.size))
 
 
 def test_grid_point_is_one_exact_element(grid_n2):
-    points = [grid_n2.point(i) for i in range(grid_n2.size)]
-    assert [grid_n2.reduce_element(x) for x in points] == list(range(grid_n2.size))
-    assert grid_n2.point(grid_n2.zero_index).is_zero
+    assert index_of(grid_n2, grid_n2.digits) == list(range(grid_n2.size))
+    assert not grid_n2.digits[grid_n2.zero_index].any()
     # verify's exact checks read |x| <= 1 as the first q**n indices and shell 1 as the next block
     q, n = 3, 2
     assert (grid_n2.shells[: q**n] <= 0).all()
@@ -172,12 +151,9 @@ def test_fourier_of_cell_indicator_matches_character_sum(spec):
             f = np.zeros(grid.size)
             f[z] = 1.0
             out = fourier_apply(grid, f)
-            expected = np.array(
-                [
-                    np.conj(character(field, elem_mul(field, x, grid.point(z)))) / field.q**n
-                    for x in map(grid.point, range(grid.size))
-                ]
-            )
+            zs = np.broadcast_to(grid.digits[z], grid.digits.shape)
+            numerators, den = phase_rows(field, mul_rows(field, grid.digits, zs), -2 * n)
+            expected = np.exp(-2j * np.pi * numerators / den) / field.q**n
             assert np.abs(out - expected).max() < 1e-13, (n, z)
         n += 1
 
@@ -230,9 +206,8 @@ def test_neg_indices_match_exact_negation(spec):
     n = 1
     while field.q ** (2 * n) <= 729:
         grid = build_grid(field, n)
-        points = map(grid.point, range(grid.size))
-        oracle = [grid.reduce_element(oracles.elem_neg(slow, x, mod_exp=n)) for x in points]
-        assert verify.neg_indices(grid).tolist() == oracle, n
+        minus = [oracles.elem_neg(slow, x, mod_exp=n) for x in row_elements(grid.digits, -n)]
+        assert verify.neg_indices(grid).tolist() == index_of(grid, digit_rows(minus, -n, 2 * n)), n
         n += 1
 
 
@@ -339,7 +314,7 @@ def test_batch_phases_match_phase_table_at_one(spec):
         grid = build_grid(field, n)
         table = verify._PhaseTable(grid)
         one = field.q ** (n - 1)  # the single digit 1 at exponent 0, position n
-        assert grid.point(one) == field.one()
+        assert grid.digits[one].tolist() == [0] * n + [1] + [0] * (n - 1)
         numerators, den = phase_rows(field, grid.digits, -n)
         assert table.denominator % den == 0
         expected = table.numerators(grid)[:, one]

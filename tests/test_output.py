@@ -18,7 +18,6 @@ from ultraspec import (
     assemble_hamiltonian,
     build_grid,
     eigensolve,
-    format_element,
     load_config,
     make_field,
 )
@@ -195,8 +194,10 @@ def test_bundle_matches_oracle_on_every_family_shape(shape, fmt, tmp_path, ho_po
 
 
 def test_rows_label_points_with_format_element(grid_n2):
+    # each point's digit text read off its digit row (oracles.point_labels)
+    texts = [digits for digits, _ in oracles.point_labels(grid_n2)]
     expected = [
-        [i, format_element(grid_n2.point(i)), "-inf" if shell == ZERO_SHELL else str(int(shell))]
+        [i, texts[i], "-inf" if shell == ZERO_SHELL else str(int(shell))]
         for i, shell in enumerate(grid_n2.shells)
     ]
     assert [row[:3] for row in grid_rows(grid_n2)] == expected
@@ -231,8 +232,8 @@ def test_row_views_match_per_row_oracle(field, n, request):
 
 def test_csv_quotes_comma_bearing_digits(grid_n1, tmp_path):
     path = write_eigenvector_bundle(tmp_path / "v.csv", hand_made_report(grid_n1), "csv")
-    index = next(i for i in range(grid_n1.size) if "," in format_element(grid_n1.point(i)))
-    digits = format_element(grid_n1.point(index))
+    labels = oracles.point_labels(grid_n1)
+    index, digits = next((i, d) for i, (d, _) in enumerate(labels) if "," in d)
     line = path.read_text().splitlines()[1 + index]
     assert line.startswith(f'0,{index},"{digits}",')
     assert next(csv.reader([line]))[2] == digits
@@ -329,7 +330,7 @@ def _label_grids(limit=4096):
 def test_digit_labels_match_format_element(spec, n):
     grid = build_grid(make_field(spec), n)
     digits, shells = _point_labels(grid)
-    assert digits == [format_element(grid.point(i)) for i in range(grid.size)]
+    assert digits == [text for text, _ in oracles.point_labels(grid)]
     assert shells == [_format_shell(k) for k in grid.shells.tolist()]
 
 
