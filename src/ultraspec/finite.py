@@ -7,8 +7,8 @@ the grid is a q-ary tree and every shell |x| = q**k is one run of indices,
 [q**(n+k-1), q**(n+k)) for k = 1-n, ..., n, with the zero cell at index 0;
 the shells <= k are a prefix, and a level-n function lifted to level m
 repeats each value q**(m-n) times over the first q**(m+n) indices.  ``Grid``
-owns this layout (``shell_run``, ``ball_size``, ``depth_runs``) and every
-shell operation is a slice of it.
+owns this layout (``shell_run``, ``ball_size``, and the shell sizes in index
+order and by tree depth) and every shell operation is a slice of it.
 
 The kinetic operator F* diag(|xi|**alpha) F is a convolution by a radial
 kernel, so its entry (i, j) depends only on s, the first digit position
@@ -17,7 +17,10 @@ operator takes 2n + 1 values kappa_s.  Assembly computes them in closed
 form from rank-zero character sums, and the Hamiltonian is shell data:
 those values and the 2n + 1 shell values of the symbol and the potential,
 applied by block sums over the tree or in closed form on shell-constant
-functions, never as a dense matrix.  No solve builds digits, phases or a
+functions, never as a dense matrix.  ``HamiltonianModel`` is the one home of
+H_n by tree depth: it derives, once each, the kernel steps, the sums
+``far``, the wavelet symbol sigma_d and the radial block on the shell
+indicators, which ``spectra`` solves.  No solve builds digits, phases or a
 Fourier transform.  ``verify`` owns the exact-phase Fourier calculus, and
 it (at every grid size) and the dense test oracles check kappa against
 F* diag(|xi|**alpha) F.  The residual gate, which checks each eigenvector
@@ -96,10 +99,10 @@ class Grid:
     is [q**(n+k-1), q**(n+k)), and the zero cell (``ZERO_SHELL``) is [0, 1).
     The points with |x| <= q**k are the prefix [0, ``ball_size(k)``), so a
     level-n function lifts to level m by repeating each value q**(m-n)
-    times over the first q**(m+n) indices.  ``digits`` and the point
-    labels ``shells`` are built on first read; ``digits[i]`` is point i as a
-    digit row at exponents -n, ..., n - 1, the form the exact kernels of
-    ``fields`` take.  The solver reads only the runs.
+    times over the first q**(m+n) indices.  ``digits`` is built on first
+    read; ``digits[i]`` is point i as a digit row at exponents -n, ..., n - 1,
+    the form the exact kernels of ``fields`` take.  The solver reads only the
+    runs and their sizes.
     """
 
     def __init__(self, field: Field, n: int):
@@ -122,9 +125,11 @@ class Grid:
         return digits
 
     @cached_property
-    def shells(self) -> np.ndarray:
-        """The shell label of every point, in index order; built on first read from the runs."""
-        return self.spread_shells(list(self.shell_sizes))
+    def depth_sizes(self) -> np.ndarray:
+        """m_d, the int64 size of shell n - d at tree depth d: ``shell_sizes`` reversed."""
+        sizes = np.array(list(self.shell_sizes.values())[::-1], dtype=np.int64)
+        sizes.flags.writeable = False  # shared: the radial families' ``repeats`` are views of it
+        return sizes
 
     def spread_shells(self, values) -> np.ndarray:
         """One value per shell, in index order, repeated over the shell runs."""
@@ -153,15 +158,6 @@ class Grid:
         if k < 1 - self.n:  # ZERO_SHELL among them
             return 1
         return self.field.q ** (self.n + math.floor(k))
-
-    def depth_runs(self) -> list:
-        """The shell runs by tree depth d = 0, ..., 2n: shell n - d, the zero cell last.
-
-        Depth d is the position of a point's first nonzero digit, so this is
-        the reverse of index order, and each run's ``start`` is a point with
-        a single digit 1 at position d.
-        """
-        return [self.shell_run(k) for k in reversed(self.shell_labels())]
 
 
 def check_grid_cap(p: int, f: int, n: int, cap: int) -> None:
@@ -318,7 +314,7 @@ def position_diagonal(grid: Grid, potential, convention=ZeroCellConvention.AVERA
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HamiltonianModel:
     """H_n = a * F* diag(|xi|**alpha) F + diag(v) as shell data.
 
@@ -330,7 +326,10 @@ class HamiltonianModel:
     are the whole operator, held in O(n): ``apply`` computes H v on the
     grid, ``apply_shells`` H u on the shell-constant functions, ``far``
     their common kernel sums and ``max_abs`` the largest entry; no dense
-    matrix and no array of N rows is kept.
+    matrix and no array of N rows is kept.  By tree depth d (shell n - d,
+    m_d = ``grid.depth_sizes`` points) it gives the wavelet ``symbol`` and
+    ``radial_block()``.  It is frozen, so ``steps``, ``far`` and ``symbol``,
+    derived once on first read, cannot go stale (``dataclasses.replace``).
     """
 
     grid: Grid
@@ -343,40 +342,61 @@ class HamiltonianModel:
     def size(self) -> int:
         return self.grid.size
 
-    def apply(self, v) -> np.ndarray:
-        """H v for an (N,) or (N, k) array v, by block sums over the tree; the shape is kept.
+    @cached_property
+    def steps(self) -> np.ndarray:
+        """The kernel steps dk_s = kappa_s - kappa_{s-1}, s = 0, ..., 2n, with kappa_{-1} = 0."""
+        return np.diff(self.kernel, prepend=0.0)
 
-        Points sharing their first s digits form contiguous blocks of
-        q**(2n - s) indices.  With B_s v the sum of v over each point's
-        block, H v = sum_s (kappa_s - kappa_{s-1}) B_s v + pot * v,
-        kappa_{-1} = 0 and B_2n v = v: sums go up the tree, terms down it,
-        O(N) per vector.
-        """
-        q, width = self.grid.field.q, 2 * self.grid.n
-        cols = np.reshape(v, (self.size, -1))
-        k = cols.shape[1]
-        steps = np.diff(self.kernel, prepend=0.0)
-        sums = [cols]  # sums[t] has one row per block of the first 2n - t digits
-        for _ in range(width):
-            sums.append(sums[-1].reshape(len(sums[-1]) // q, q, k).sum(axis=1))
-        terms = steps[0] * sums[width]
-        for s in range(1, width):
-            terms = np.repeat(terms, q, axis=0) + steps[s] * sums[width - s]
-        pot = self.grid.spread_shells(self.potential_shells)
-        out = np.reshape(pot + steps[width], (-1, 1)) * cols
-        leaves = out.reshape(self.size // q, q, k)  # splits the leading axis only: a view of out
-        leaves += terms[:, None, :]
-        return out.reshape(np.shape(v))
-
+    @cached_property
     def far(self) -> np.ndarray:
-        """far_d = sum_{s > d} (kappa_s - kappa_{s-1}) q**(2n - s) by depth d = 0, ..., 2n.
+        """far_d = sum_{s > d} dk_s q**(2n - s) by depth d = 0, ..., 2n.
 
         The block sums B_s with s > d stay inside a child of a depth-d node,
         so H scales a function constant on each child there by far_d + pot.
         """
         q, width = self.grid.field.q, 2 * self.grid.n
-        blocks = np.diff(self.kernel, prepend=0.0) * float(q) ** (width - np.arange(width + 1))
+        blocks = self.steps * float(q) ** (width - np.arange(width + 1))
         return np.append(np.cumsum(blocks[::-1])[::-1][1:], 0.0)
+
+    @cached_property
+    def symbol(self) -> np.ndarray:
+        """The symbol by depth, sigma_d = a |xi|**alpha on dual shell d + 1 - n; sigma_2n = 0."""
+        return np.append(self.kinetic_coeff * self.kinetic_shells[1:], 0.0)
+
+    def radial_block(self) -> np.ndarray:
+        """P^T H P on the normalized shell indicators P by depth, a new (2n+1)-square array.
+
+        Entry (d, e) is sqrt(m_d m_e) kappa_min(d,e), a min-kernel
+        (semiseparable) matrix, plus sigma_d + v_d on the diagonal.
+        """
+        m = self.grid.depth_sizes.astype(np.float64)  # m_d m_e can overflow int64
+        depths = np.arange(m.size)
+        block = np.sqrt(np.outer(m, m)) * self.kernel[np.minimum.outer(depths, depths)]
+        block[depths, depths] += self.symbol + self.potential_shells[::-1]
+        return block
+
+    def apply(self, v) -> np.ndarray:
+        """H v for an (N,) or (N, k) array v, by block sums over the tree; the shape is kept.
+
+        Points sharing their first s digits form contiguous blocks of
+        q**(2n - s) indices.  With B_s v the sum of v over each point's
+        block, H v = sum_s dk_s B_s v + pot * v, with B_2n v = v: sums go
+        up the tree, terms down it, O(N) per vector.
+        """
+        q, width = self.grid.field.q, 2 * self.grid.n
+        cols = np.reshape(v, (self.size, -1))
+        k = cols.shape[1]
+        sums = [cols]  # sums[t] has one row per block of the first 2n - t digits
+        for _ in range(width):
+            sums.append(sums[-1].reshape(len(sums[-1]) // q, q, k).sum(axis=1))
+        terms = self.steps[0] * sums[width]
+        for s in range(1, width):
+            terms = np.repeat(terms, q, axis=0) + self.steps[s] * sums[width - s]
+        pot = self.grid.spread_shells(self.potential_shells)
+        out = np.reshape(pot + self.steps[width], (-1, 1)) * cols
+        leaves = out.reshape(self.size // q, q, k)  # splits the leading axis only: a view of out
+        leaves += terms[:, None, :]
+        return out.reshape(np.shape(v))
 
     def apply_shells(self, u) -> np.ndarray:
         """H u for a shell-constant u given by its 2n + 1 shell values, in O(n) per vector.
@@ -385,17 +405,14 @@ class HamiltonianModel:
         rows of a radial template; the shape is kept.  By depth d (shell
         n - d, m_d points) the block sums of ``apply`` are B_s u = tail_s =
         sum_{e >= s} m_e u_e for s <= d, and q**(2n - s) u_d for s > d, so
-        (H u)_d = sum_{s <= d} dk_s tail_s + (``far``_d + pot_d) u_d with
-        dk_s = kappa_s - kappa_{s-1}: the kernel steps of ``apply``, not
-        the symbol.
+        (H u)_d = sum_{s <= d} dk_s tail_s + (``far``_d + pot_d) u_d: the
+        kernel steps of ``apply``, not the symbol.
         """
-        width = 2 * self.grid.n
-        by_depth = np.reshape(u, (width + 1, -1))[::-1]
-        sizes = np.array([len(run) for run in self.grid.depth_runs()], dtype=np.float64)
-        steps = np.diff(self.kernel, prepend=0.0)
-        tails = np.cumsum((sizes[:, None] * by_depth)[::-1], axis=0)[::-1]
-        near = np.cumsum(steps[:, None] * tails, axis=0)
-        out = near + (self.far() + self.potential_shells[::-1])[:, None] * by_depth
+        by_depth = np.reshape(u, (2 * self.grid.n + 1, -1))[::-1]
+        sizes = self.grid.depth_sizes[:, None]
+        tails = np.cumsum((sizes * by_depth)[::-1], axis=0)[::-1]
+        near = np.cumsum(self.steps[:, None] * tails, axis=0)
+        out = near + (self.far + self.potential_shells[::-1])[:, None] * by_depth
         return out[::-1].reshape(np.shape(u))
 
     def max_abs(self) -> float:
@@ -411,18 +428,13 @@ def _tree_kernel(grid: Grid, kin: np.ndarray) -> np.ndarray:
 
     kappa(x) = q**(-2n) sum_xi kin(xi) chi(x xi), and the character sum
     over B_j / B_{-n} is q**(j+n) when |x| q**j <= 1 and 0 otherwise.  For
-    |x| = q**(n-s) only the shells at depth >= 2n - s sum in full, and the
-    shell at depth 2n - s - 1 contributes -q**s times its value.
+    |x| = q**(n-s) only the shells at depth >= 2n - s, the first s + 1 in
+    index order, sum in full, and the next one contributes -q**s times its
+    value.
     """
     q, width = grid.field.q, 2 * grid.n
-    values = kin[::-1]  # by depth: shell n - d, zero cell last
-    sizes = np.array([len(run) for run in grid.depth_runs()], dtype=np.float64)
-    tail = np.cumsum((sizes * values)[::-1])[::-1]  # tail[d] = sum over depths >= d
-    kappa = np.empty(width + 1)
-    for s in range(width + 1):
-        kappa[s] = tail[width - s]
-        if s < width:
-            kappa[s] -= float(q) ** s * values[width - s - 1]
+    kappa = np.cumsum(grid.depth_sizes[::-1] * kin)
+    kappa[:-1] -= [float(q) ** s for s in range(width)] * kin[1:]
     return kappa * float(q) ** (-width)
 
 

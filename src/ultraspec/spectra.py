@@ -25,7 +25,7 @@ projections restricted to the span jointly block-diagonalized); each
 family is classified once, off its template, as radial or shell, and a
 cluster as radial, shell or mixed; and clusters are tracked across grid
 levels.  A cluster's block of eigenvectors is built from the families on
-its own, the N eigenvalues and the N x N matrix only when a caller reads them.
+its own, the N x N matrix only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -292,8 +292,7 @@ class SpectrumReport:
     dense N x N matrix of orthonormal, phase-fixed columns in spectrum
     order, is ``columns(range(N))``, built the first time it is read and
     then kept; no command reads it (the ``spectrum`` bundle is written from
-    each family's ``placement``).  So are ``eigenvalues``, each family's
-    value repeated over its columns, and ``family_classifications``, one
+    each family's ``placement``).  So is ``family_classifications``, one
     per family with the report's ``shell_tol`` (see ``classify_family``),
     which ``summary_rows`` reads; each column shares its family's.
     """
@@ -313,10 +312,6 @@ class SpectrumReport:
         # each family starts where the one before it stops, and the last stops at N
         if self._starts + [grid.size] != [0, *accumulate(f.multiplicity for f in self.families)]:
             raise ValueError("the families must cover each of the N sorted columns exactly once")
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        return np.repeat([f.value for f in self.families], [f.multiplicity for f in self.families])
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
@@ -389,18 +384,19 @@ def _fold_phases(template: np.ndarray):
 def _tree_eigensystem(model: HamiltonianModel):
     """The eigenvector families of H_n from its tree structure, each with its first sorted column.
 
-    With c = model.kernel, depths d = 0..2n (shell n - d, the zero cell at
-    2n), sizes m_d, potentials v_d and symbols sigma_d = a |xi|**alpha on
-    shell d + 1 - n (sigma_2n = 0), the spectrum is the union of
-      * the radial block P^T H P on the normalized shell indicators P:
-        sqrt(m_d m_e) c_min(d,e), plus sigma_d + v_d on the diagonal;
+    By depth d = 0..2n (shell n - d, the zero cell at 2n), with m_d the
+    shell sizes, v_d the potentials and sigma_d = ``model.symbol``, the
+    spectrum is the union of
+      * the eigenpairs of ``model.radial_block()``, P^T H P on the
+        normalized shell indicators P, which ``eigh`` solves here;
       * Haar wavelets on the children of every tree node at depth d < 2n,
         with eigenvalue sigma_d + v(shell): q - 1 per node off the path to
         0, and q - 2 per node on it (those spanning the nonzero children
         only; the rest of that node is radial).
-    Each radial eigenvector is a one-column family (see VectorFamily),
-    phase-fixed by shell.  At a = 0 there is no radial block: H = diag(pot)
-    is constant on each shell run, and the families are the point basis.
+    Each radial eigenvector is a one-column family (see VectorFamily), its
+    block eigenvector scaled by 1/sqrt(m_d) and phase-fixed by shell.  At
+    a = 0 there is no radial block: H = diag(pot) is constant on each shell
+    run, and the families are the point basis.
     The families, each one value repeated, are sorted as units, stably in
     the order: per depth, node 0 and then the other nodes by id, then the
     radial eigenvectors by value; each family's ``start`` is set to its
@@ -410,7 +406,6 @@ def _tree_eigensystem(model: HamiltonianModel):
     grid = model.grid
     q, n = grid.field.q, grid.n
     width = 2 * n
-    c = model.kernel
     families = []
     if model.kinetic_coeff == 0:
         for k, value in zip(grid.shell_labels(), model.potential_shells):
@@ -420,16 +415,8 @@ def _tree_eigensystem(model: HamiltonianModel):
             families.append(VectorFamily(width - 1, k, value, len(run), first, template, zeros, 1))
     else:
         v = model.potential_shells[::-1]  # by depth: shell n - d, zero cell last
-        # the symbol a |xi|**alpha on shell d + 1 - n, index-order shell d + 1; 0 at zero
-        symbol = np.append(model.kinetic_coeff * model.kinetic_shells[1:], 0.0)
-        sizes = [len(run) for run in grid.depth_runs()]
-        m = np.array(sizes, dtype=np.float64)
-
-        depths = np.arange(width + 1)
-        radial_block = np.sqrt(np.outer(m, m)) * c[np.minimum.outer(depths, depths)]
-        radial_block[depths, depths] += symbol + v
         try:
-            radial_values, radial_vectors = np.linalg.eigh(radial_block)
+            radial_values, radial_vectors = np.linalg.eigh(model.radial_block())
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"eigensolver failed: {exc}") from exc
 
@@ -454,15 +441,16 @@ def _tree_eigensystem(model: HamiltonianModel):
                 multiplicity = count * template.shape[1]
                 if multiplicity == 0:  # q = 2: no wavelet on the path
                     continue
-                value = symbol[d] + v[e]
+                value = model.symbol[d] + v[e]
                 shell = float(n - e)
                 families.append(
                     VectorFamily(d, shell, value, multiplicity, first, template, off_support, child)
                 )
         # index order runs through the depths backwards, each shell one run
+        m = grid.depth_sizes
         templates = _fix_phases((radial_vectors / np.sqrt(m)[:, None])[::-1])
         for value, template in zip(radial_values, np.hsplit(templates, width + 1)):
-            families.append(VectorFamily(0, None, value, 1, 0, template, np.zeros(1), sizes[::-1]))
+            families.append(VectorFamily(0, None, value, 1, 0, template, np.zeros(1), m[::-1]))
 
     ordered = sorted(families, key=lambda f: f.value)  # stable: ties keep the order above
     for f, start in zip(ordered, accumulate((f.multiplicity for f in ordered), initial=0)):
@@ -479,20 +467,18 @@ def _tree_residuals(model: HamiltonianModel, families) -> None:
     the shell residuals r_k, with m_k = ``repeats`` the shell sizes.  Any
     other family is checked on its first node, at depth d, in closed form:
     template row u_c is constant on child c, so on the points of child c
-    in shell k (counted by child and shell; only node 0's child 0 spans
-    several) H v = kappa_d S + (far_d + pot_k) u_c, with S = ``repeats`` *
-    sum_c u_c and far_d from ``model.far``.  Off the node, at the (q - 1)
+    in shell k (counted by child and shell from the runs of
+    ``grid.depth_sizes``; only node 0's child 0 spans several) H v =
+    kappa_d S + (far_d + pot_k) u_c, with S = ``repeats`` * sum_c u_c and
+    far_d from ``model.far``.  Off the node, at the m_s = (q - 1)
     q**(2n-1-s) points whose digits first differ from the node's at s < d,
     it is kappa_s S, so a template that is not zero-sum fails here too.  A
     count of 0 weighs nothing, not even an overflowed term: NaN stays NaN,
     overflow is inf.
     """
-    q, n = model.grid.field.q, model.grid.n
-    far = model.far()
-    sizes = np.array(list(model.grid.shell_sizes.values()))[:, None]
-    ends = np.cumsum(sizes, axis=0)  # the shell runs end here, one row per shell k
-    starts, children = ends - sizes, np.arange(q)[:, None, None]
-    off_points = (q - 1) * float(q) ** (2 * n - 1 - np.arange(2 * n))  # by first digit off a node
+    q, far, sizes = model.grid.field.q, model.far, model.grid.depth_sizes
+    ends = np.cumsum(sizes[::-1, None], axis=0)  # the shell runs end here, one row per shell k
+    starts, children = ends - sizes[::-1, None], np.arange(q)[:, None, None]
     for f in families:
         if f.shell is None:
             shells = model.apply_shells(f.template) - f.value * f.template
@@ -504,7 +490,7 @@ def _tree_residuals(model: HamiltonianModel, families) -> None:
         counts = np.maximum(np.minimum(first + child, ends) - np.maximum(first, starts), 0)
         shift = far[d] + model.potential_shells[:, None] - f.value  # (shell k, 1)
         on_node = np.where(counts > 0, model.kernel[d] * node_sum + shift * u[:, None, :], 0.0)
-        off_node = off_points[:d] @ (model.kernel[:d, None] * node_sum) ** 2
+        off_node = sizes[:d] @ (model.kernel[:d, None] * node_sum) ** 2
         f.residual = float(np.sqrt((counts * on_node**2).sum(axis=(0, 1)) + off_node).max())
 
 
@@ -520,8 +506,8 @@ def eigensolve(
     The eigenpairs are the radial block's and the closed-form Haar
     wavelets, every eigenvector a family (see ``_tree_eigensystem``), so
     no array of N rows is built: the families are clustered as (value,
-    count) units, the report's ``eigenvalues`` and dense ``eigenvectors``
-    built when first read.  Eigenvectors are Euclidean-normalized and
+    count) units, the report's dense ``eigenvectors`` built when first
+    read.  Eigenvectors are Euclidean-normalized and
     phase-fixed (largest entry real positive, ties to the lowest index).
     The largest family residual ||Hv - lambda v|| (``_tree_residuals``) is
     checked against tol * max(1, max|H|) * size; a NaN fails the check.

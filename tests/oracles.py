@@ -18,7 +18,9 @@ families are lifted to N rows and classified column by column.
 
 The table writers (``ultraspec.output``) zip their row views from whole
 label columns built along the digit tree.  The third part builds the same
-rows one point at a time, each label read off its digit row.
+rows one point at a time, each label read off its digit row.  The sorted
+eigenvalues of a report and the shell label of every point, N-entry arrays
+that no command needs, are built here too.
 """
 
 from __future__ import annotations
@@ -441,6 +443,11 @@ def numeric_summary_rows(report, radial_tol=DEFAULT_RADIAL_TOL) -> list:
     return rows
 
 
+def sorted_eigenvalues(report) -> np.ndarray:
+    """The N sorted eigenvalues of ``report``: each family's value repeated over its columns."""
+    return np.repeat([f.value for f in report.families], [f.multiplicity for f in report.families])
+
+
 def classification(report, i: int):
     """Sorted column i's classification, the one its family's vectors share."""
     i = range(report.grid.size)[i]  # an IndexError past the columns, as in a list
@@ -453,12 +460,17 @@ def classification(report, i: int):
 # ---------------------------------------------------------------------------
 
 
+def point_shells(grid: Grid) -> np.ndarray:
+    """The shell label of every point, in index order: each label repeated over its run."""
+    return grid.spread_shells(grid.shell_labels())
+
+
 def point_labels(grid: Grid) -> list:
     """(digits, shell) label texts of each point: its digit row's nonzero ``exponent:digit``."""
     n = grid.n
     return [
         (",".join(f"{pos - n}:{d}" for pos, d in enumerate(row) if d), _format_shell(shell))
-        for row, shell in zip(grid.digits.tolist(), grid.shells.tolist())
+        for row, shell in zip(grid.digits.tolist(), point_shells(grid).tolist())
     ]
 
 

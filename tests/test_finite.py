@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -34,6 +35,7 @@ import ultraspec.finite as finite
 import ultraspec.verify as verify
 from ultraspec.fields import mul_rows, phase_rows
 import oracles
+from oracles import point_shells
 from test_fields import digit_rows, row_elements
 from test_tree import GRIDS, grid_id, potentials
 
@@ -115,9 +117,9 @@ def test_grid_point_is_one_exact_element(grid_n2):
     assert not grid_n2.digits[grid_n2.zero_index].any()
     # verify's exact checks read |x| <= 1 as the first q**n indices and shell 1 as the next block
     q, n = 3, 2
-    assert (grid_n2.shells[: q**n] <= 0).all()
-    assert (grid_n2.shells[q**n : q ** (n + 1)] == 1).all()
-    assert (grid_n2.shells[q ** (n + 1) :] > 1).all()
+    assert (point_shells(grid_n2)[: q**n] <= 0).all()
+    assert (point_shells(grid_n2)[q**n : q ** (n + 1)] == 1).all()
+    assert (point_shells(grid_n2)[q ** (n + 1) :] > 1).all()
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +168,7 @@ def test_fourier_of_constant_is_zero_cell_spike(grid_n2):
 
 
 def test_fourier_fixes_unit_ball_indicator(grid_n2):
-    ball = (grid_n2.shells <= 0).astype(complex)
+    ball = (point_shells(grid_n2) <= 0).astype(complex)
     assert np.abs(fourier_apply(grid_n2, ball) - ball).max() < 1e-12
 
 
@@ -281,7 +283,7 @@ def test_fourier_works_in_positive_characteristic():
     grid = build_grid(f9, 1)
     fmat = fourier_matrix(grid)
     assert np.abs(fmat.conj().T @ fmat - np.eye(grid.size)).max() < 1e-12
-    ball = (grid.shells <= 0).astype(complex)
+    ball = (point_shells(grid) <= 0).astype(complex)
     assert np.abs(fmat @ ball - ball).max() < 1e-12
 
 
@@ -349,13 +351,15 @@ def test_shell_runs_match_digit_rows(spec):
             # the first nonzero digit of every row in shell k is at position n - k
             assert (np.argmax(rows != 0, axis=1) == n - int(k)).all(), (n, k)
             assert rows[:, n - int(k)].all(), (n, k)
-        assert grid.depth_runs() == runs[::-1]
+        assert grid.depth_sizes.tolist() == [len(run) for run in runs[::-1]]
+        assert grid.depth_sizes.dtype == np.int64 and not grid.depth_sizes.flags.writeable
         assert grid.shell_sizes == {k: len(run) for k, run in zip(labels, runs)}
         # the labels built on first read against the argmax of the digit rows
         first = np.argmax(digits != 0, axis=1)
         expected = np.where(digits.any(axis=1), n - first, ZERO_SHELL)
         assert "shells" not in vars(grid)
-        assert np.array_equal(grid.shells, expected) and grid.shells.dtype == np.float64
+        shells = point_shells(grid)
+        assert np.array_equal(shells, expected) and shells.dtype == np.float64
         for k in range(-n - 1, n + 2):
             assert grid.ball_size(k) == int((expected <= k).sum()), (n, k)
         assert grid.ball_size(ZERO_SHELL) == 1
@@ -380,7 +384,7 @@ def test_cutoff_matches_shell_mask_at_every_radius(spec, n):
     ]
     for k in (-n - 1, -n, *range(1 - n, n), n, n + 1, ZERO_SHELL):
         for f in inputs:
-            mask = (grid.shells <= k).reshape((-1,) + (1,) * (f.ndim - 1))
+            mask = (point_shells(grid) <= k).reshape((-1,) + (1,) * (f.ndim - 1))
             out = project_cutoff(grid, k, f)
             assert out.dtype == f.dtype
             assert np.array_equal(out, np.where(mask, f, 0)), k
@@ -398,7 +402,7 @@ def test_cutoff_at_top_level_is_identity(grid_n2):
 
 
 def test_cutoff_removes_outer_shell(grid_n2):
-    f = (grid_n2.shells == grid_n2.n).astype(float)
+    f = (point_shells(grid_n2) == grid_n2.n).astype(float)
     assert not project_cutoff(grid_n2, grid_n2.n - 1, f).any()
 
 
@@ -492,10 +496,10 @@ def test_table_potential_average_matches_monomial(q3sqrt3):
 
 def test_position_diagonal_values(grid_n2, ho_potential):
     diag = position_diagonal(grid_n2, ho_potential)
-    assert diag[grid_n2.shells == 2][0] == pytest.approx(40.5)
+    assert diag[point_shells(grid_n2) == 2][0] == pytest.approx(40.5)
     kin = position_diagonal(grid_n2, 2.0)
     for k in (-1, 0, 1, 2):
-        assert kin[grid_n2.shells == k][0] == pytest.approx(3.0 ** (2 * k))
+        assert kin[point_shells(grid_n2) == k][0] == pytest.approx(3.0 ** (2 * k))
     assert kin[grid_n2.zero_index] == pytest.approx(1 / 117)
     kin_pow = position_diagonal(grid_n2, 2.0, ZeroCellConvention.POWER_OF_AVERAGE)
     assert kin_pow[grid_n2.zero_index] == pytest.approx(1 / 144)
@@ -595,7 +599,7 @@ def test_apply_follows_first_differing_digit(grid_n2, ho_potential):
     model = assemble_hamiltonian(grid_n2, 2.0, 0.5, ho_potential)
     rng = np.random.default_rng(12)
     for kernel in (rng.standard_normal(5) * 100, np.array([-500.0, 3.0, 0.0, 2.0, 1.0])):
-        model.kernel = kernel
+        model = dataclasses.replace(model, kernel=kernel)
         oracle = kernel[depth] + np.diag(grid_n2.spread_shells(model.potential_shells))
         assert model.max_abs() == np.abs(oracle).max()
         block = rand_fn(rng, (grid_n2.size, 2))
@@ -629,6 +633,33 @@ def test_apply_shells_is_apply_on_shell_constant_functions(spec, n):
                 single = model.apply_shells(shells[:, 1])
                 assert single.shape == (2 * n + 1,)
                 assert np.abs(single - out[:, 1]).max() <= tol
+
+
+# every grid of the dense Fourier oracle's fields with N <= 729
+RADIAL_BLOCK_GRIDS = [
+    (spec, n)
+    for spec in DENSE_ORACLE_FIELDS
+    for n in range(1, 5)
+    if make_field(spec).q ** (2 * n) <= 729
+]
+
+
+@pytest.mark.parametrize("spec, n", RADIAL_BLOCK_GRIDS, ids=[grid_id(g) for g in RADIAL_BLOCK_GRIDS])
+def test_radial_block_is_h_on_the_shell_indicators(spec, n, ho_potential, fourier_operator):
+    # P^T H P with P the normalized shell indicators by depth, shell n - d in column d
+    grid = build_grid(make_field(spec), n)
+    indicators = np.zeros((grid.size, 2 * n + 1))
+    for d, k in enumerate(reversed(grid.shell_labels())):
+        run = grid.shell_run(k)
+        indicators[run.start : run.stop, d] = 1.0 / np.sqrt(len(run))
+    for convention in ZeroCellConvention:
+        for a in (0.75, 0.0):
+            model = assemble_hamiltonian(grid, 1.5, a, ho_potential, convention)
+            block = model.radial_block()
+            assert block.dtype == np.float64 and block.shape == (2 * n + 1,) * 2
+            oracle = indicators.T @ fourier_operator(model) @ indicators
+            tol = 1e-12 * max(1.0, float(np.abs(block).max()))
+            assert np.abs(block - oracle).max() <= tol, (convention, a)
 
 
 def test_assembly_memory_is_linear_in_grid_size(q3sqrt3, ho_potential):

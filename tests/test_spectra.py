@@ -39,7 +39,9 @@ from oracles import (
     classification,
     classify_eigenvector,
     numeric_classifications,
+    point_shells,
     shell_adapt,
+    sorted_eigenvalues,
 )
 from test_tree import GRIDS, dense_families, grid_id, potentials
 
@@ -73,7 +75,7 @@ def test_diagonal_model_eigensolve(grid_n2):
     pot = MonomialPotential(c=1.0, s=1.0)
     model = assemble_hamiltonian(grid_n2, alpha=2.0, a=0.0, potential=pot)
     report = eigensolve(model)
-    assert np.abs(report.eigenvalues - np.sort(position_diagonal(grid_n2, pot))).max() < 1e-12
+    assert np.abs(sorted_eigenvalues(report) - np.sort(position_diagonal(grid_n2, pot))).max() < 1e-12
     # eigenvectors are a permuted standard basis, phase-fixed to +1 pivots
     for j in range(model.size):
         col = np.abs(report.eigenvectors[:, j])
@@ -97,7 +99,7 @@ def test_diagonal_model_is_the_sorted_point_basis(spec, n, potential_kind, conve
     report = eigensolve(model)
     pot = grid.spread_shells(model.potential_shells)
     order = np.argsort(pot, kind="stable")
-    assert report.eigenvalues.tobytes() == pot[order].tobytes()
+    assert sorted_eigenvalues(report).tobytes() == pot[order].tobytes()
     vectors = report.eigenvectors
     assert vectors.tobytes() == np.eye(grid.size)[:, order].tobytes()
     assert [f.residual for f in report.families] == [0.0] * len(report.families)
@@ -140,11 +142,11 @@ def test_empty_blocks_keep_their_shape(grid_n1, grid_n2, canonical_model):
 
 
 def test_canonical_lowest_eigenvalue(canonical_report):
-    assert canonical_report.eigenvalues[0] == pytest.approx(0.6684, abs=5e-4)
+    assert sorted_eigenvalues(canonical_report)[0] == pytest.approx(0.6684, abs=5e-4)
 
 
 def test_reference_ground_state_column_has_unit_euclidean_norm(grid_n2):
-    counts = {k: int((grid_n2.shells == k).sum()) for k in grid_n2.shell_labels()}
+    counts = {k: int((point_shells(grid_n2) == k).sum()) for k in grid_n2.shell_labels()}
     total = sum(counts[k] * REFERENCE_GROUND_STATE[k] ** 2 for k in counts)
     assert total == pytest.approx(1.0, abs=1e-4)
 
@@ -153,19 +155,19 @@ def test_eigensolve_invariants(canonical_report, canonical_model, fourier_operat
     report = canonical_report
     n = canonical_model.size
     oracle = fourier_operator(canonical_model)
-    assert (np.diff(report.eigenvalues) >= -1e-12).all()
+    assert (np.diff(sorted_eigenvalues(report)) >= -1e-12).all()
     gram = report.eigenvectors.conj().T @ report.eigenvectors
     assert np.abs(gram - np.eye(n)).max() < 1e-10
     bound = 1e-9 * np.abs(oracle).max() * n
     assert max(f.residual for f in report.families) < bound
     trace = float(np.trace(oracle).real)
-    assert float(report.eigenvalues.sum()) == pytest.approx(trace, rel=1e-8)
+    assert float(sorted_eigenvalues(report).sum()) == pytest.approx(trace, rel=1e-8)
 
 
 def test_free_model_report_matches_kinetic_multiset(grid_n2, zero_potential):
     model = assemble_hamiltonian(grid_n2, alpha=2.0, a=1.0, potential=zero_potential)
     report = eigensolve(model)
-    assert np.abs(report.eigenvalues - np.sort(position_diagonal(grid_n2, 2.0))).max() < 1e-10
+    assert np.abs(sorted_eigenvalues(report) - np.sort(position_diagonal(grid_n2, 2.0))).max() < 1e-10
 
 
 def test_eigensolve_memory_stays_below_four_dense_matrices(q3sqrt3, ho_potential):
@@ -274,7 +276,7 @@ def test_residual_gate_stands_for_every_column(spec, n, a, ho_potential):
     assert not hasattr(report, "residuals")  # one residual per family, no N-length array
     vectors = report.eigenvectors
     hv = model.apply(vectors)
-    hv -= vectors * report.eigenvalues
+    hv -= vectors * sorted_eigenvalues(report)
     full = np.linalg.norm(hv, axis=0)
     threshold = spectra.DEFAULT_RESIDUAL_TOL * max(1.0, model.max_abs()) * grid.size
     assert full.max() <= threshold
@@ -449,10 +451,43 @@ def test_solve_depends_on_the_field_only_through_q(q, ho_potential, tmp_path):
                     path = tmp_path / "eigenvalues.csv"
                     write_table(path, SPECTRUM_HEADER, spectrum_rows(report))
                     data = [model.kernel, model.kinetic_shells, model.potential_shells]
-                    data.append(report.eigenvalues)
+                    data.append(sorted_eigenvalues(report))
                     seen.append([x.tobytes() for x in data] + [path.read_bytes()])
                 assert seen[1:] == seen[:1] * 2, (n, convention, a)
         n += 1
+
+
+# fields of one q, with the levels each group is solved at
+EQUAL_Q_GROUPS = {
+    2: ([EisensteinExtension(p=2, e=1), EisensteinExtension(p=2, e=3), LaurentField(p=2, f=1)], 6),
+    3: ([EisensteinExtension(p=3, e=e) for e in (1, 2, 4)] + [LaurentField(p=3, f=1)], 6),
+    5: ([EisensteinExtension(p=5, e=e) for e in (1, 2, 4)] + [LaurentField(p=5, f=1)], 4),
+}
+
+
+def family_bytes(report):
+    """Everything a report's families and summary hold, as comparable bytes and values."""
+    families = [
+        (f.depth, f.shell, f.value, f.multiplicity, f.first_node, f.start, f.residual)
+        + (np.asarray(f.repeats).tobytes(), f.template.tobytes(), f.off_support.tobytes())
+        for f in report.families
+    ]
+    return families, report.summary_rows()
+
+
+@pytest.mark.parametrize("q", sorted(EQUAL_Q_GROUPS))
+def test_equal_q_gives_bit_identical_families(q, ho_potential):
+    # the solve reads only q: every family, residual and summary row is the same bytes
+    specs, top = EQUAL_Q_GROUPS[q]
+    fields = [make_field(spec) for spec in specs]
+    assert {field.q for field in fields} == {q}
+    for n in range(1, top + 1):
+        for convention in ZeroCellConvention:
+            seen = []
+            for field in fields:
+                model = assemble_hamiltonian(build_grid(field, n), 2.0, 0.5, ho_potential, convention)
+                seen.append(family_bytes(eigensolve(model)))
+            assert seen[1:] == seen[:1] * (len(seen) - 1), (n, convention)
 
 
 @pytest.mark.parametrize("a", [0.75, 0.0])
@@ -499,7 +534,7 @@ def test_eigenvector_scatter_matches_whole_column_phase_fix(spec, n, ho_potentia
     for family in report.families:
         members = slice(family.start, family.start + family.multiplicity)
         covered[members] += 1
-        assert np.all(report.eigenvalues[members] == family.value)
+        assert np.all(sorted_eigenvalues(report)[members] == family.value)
         if family.shell is None:  # a radial eigenvector, repeated over each shell
             expected = np.repeat(family.template, family.repeats, axis=0)
             assert vectors[:, members].tobytes() == expected.tobytes()
@@ -568,7 +603,7 @@ def test_dense_report_is_one_family_per_column(canonical_model, fourier_operator
 def test_families_must_cover_every_column_once(canonical_model):
     grid = canonical_model.grid
     families = spectra._tree_eigensystem(canonical_model)
-    values = SpectrumReport(families, [], grid).eigenvalues
+    values = sorted_eigenvalues(SpectrumReport(families, [], grid))
     radial = [f for f in families if f.shell is None]
     assert len(radial) == 2 * grid.n + 1
     dense = dense_families(values, np.eye(grid.size))
@@ -611,7 +646,7 @@ def test_unit_sort_matches_expanded_stable_sort(spec, n, a, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     families = spectra._tree_eigensystem(model)
-    eigenvalues = SpectrumReport(families, [], grid).eigenvalues
+    eigenvalues = sorted_eigenvalues(SpectrumReport(families, [], grid))
     radial_values = solved[0][0] if solved else np.empty(0)
     assert len(solved) == (a != 0)
     # the radial eigenvectors come last, one family each, in the order of their values
@@ -797,7 +832,7 @@ def test_cluster_bisection_matches_greedy_loop_on_spectra(spec, n, ho_potential)
     counts = [f.multiplicity for f in report.families]
     expanded = []
     for cluster_tol in (1e-8, 1e-6, 1e-4):
-        clusters = assert_matches_greedy(values, counts, cluster_tol, report.eigenvalues)
+        clusters = assert_matches_greedy(values, counts, cluster_tol, sorted_eigenvalues(report))
         for c in clusters:
             units = [f for f in report.families if f.start in c.indices]
             if len({f.value for f in units}) > 1 and max(f.multiplicity for f in units) > 1:
@@ -818,7 +853,7 @@ def test_ground_state_is_radial_and_positive(canonical_report):
 
 
 def test_shell_indicator_classifies_as_shell(grid_n2):
-    v = (grid_n2.shells == 1).astype(complex)
+    v = (point_shells(grid_n2) == 1).astype(complex)
     v /= np.linalg.norm(v)
     cls = classify_eigenvector(grid_n2, v)
     assert cls.kind == "shell" and cls.k == 1.0 and cls.leakage == 0.0
@@ -832,7 +867,7 @@ def test_classification_invariances(grid_n2, canonical_report):
     assert rotated.kind == base.kind
     # permute points within shell 2
     perm = np.arange(grid_n2.size)
-    shell2 = np.flatnonzero(grid_n2.shells == 2)
+    shell2 = np.flatnonzero(point_shells(grid_n2) == 2)
     perm[shell2] = rng.permutation(shell2)
     permuted = classify_eigenvector(grid_n2, v[perm])
     assert permuted.kind == base.kind
@@ -844,7 +879,7 @@ def test_mixed_classification_profile(grid_n2):
     rng = np.random.default_rng(10)
     v = np.zeros(grid_n2.size, dtype=complex)
     for k in (0.0, 1.0):
-        mask = grid_n2.shells == k
+        mask = point_shells(grid_n2) == k
         v[mask] = rng.standard_normal(int(mask.sum()))
     v /= np.linalg.norm(v)
     cls = classify_eigenvector(grid_n2, v)
@@ -976,7 +1011,7 @@ def test_embedding_is_constant_on_refined_cells(q3sqrt3, grid_n1, grid_n2):
 
 
 def test_embedding_preserves_shell_support(grid_n1, grid_n2):
-    indicator = (grid_n1.shells == 1).astype(float)
+    indicator = (point_shells(grid_n1) == 1).astype(float)
     indicator /= np.linalg.norm(indicator)
     lifted = embed_function(grid_n1, grid_n2, indicator)
     cls = classify_eigenvector(grid_n2, lifted)
