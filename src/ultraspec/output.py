@@ -21,13 +21,20 @@ into record pieces built once per row, and no N x N matrix, nor any block
 of its columns, is built.  At n = 3 (N = 729) it takes 0.031 s as CSV and
 0.063 s as JSON, against 0.075 and 0.091 s with a sort of each column's
 values.
+
+Each file is written as a new file: an existing entry at its path is
+unlinked first, never truncated in place, so a rerun into the same
+directory does not wait on the writeback of the last run's files, and a
+hard link or symlink at an output path is replaced, not written through.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import weakref
+from contextlib import contextmanager
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
@@ -241,11 +248,34 @@ def _records(head: str, columns: list, affixes: list, end: str) -> list:
 
 
 def _write(path, fmt: str, texts) -> Path:
+    """Write ``texts`` to ``path`` as a new file: the only place an output file is opened.
+
+    An existing entry at ``path`` is unlinked and the file created anew
+    (``O_EXCL``), never truncated in place, so a hard link or a symlink there
+    is replaced, not written through.  On ext4, a file truncated and
+    rewritten starts its writeback at ``close()``, and a later truncating
+    open of it waits for that writeback; a new file's blocks are not flushed
+    early.  A temporary file renamed over the path would be flushed the
+    same way.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="" if fmt == "csv" else None) as handle:
+    path.unlink(missing_ok=True)
+    with open(path, "x", newline="" if fmt == "csv" else None) as handle:
         handle.writelines(texts)
     return path
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, then restore its previous state."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def write_table(path, header, rows, fmt: str = "csv"):
@@ -253,17 +283,21 @@ def write_table(path, header, rows, fmt: str = "csv"):
 
     The bytes are ``csv.writer(lineterminator="\\n")``'s of each cell's ``_fmt``,
     or ``json.dumps(records, indent=1, sort_keys=True, default=_fmt) + "\\n"``.
+    The cyclic garbage collector is paused while the rows are held, and its
+    previous state restored on return or raise.
     """
     head, order, affixes, close, end = _layout(header, fmt)
-    rows = list(rows)
-    if not rows:
-        return _write(path, fmt, ["[]\n" if fmt == "json" else head])
-    if set(map(len, rows)) != {len(header)}:
-        raise ValueError(f"each row of this table needs {len(header)} cells")
-    if not header:  # records of no columns are all ``close``
-        return _write(path, fmt, ["".join([head] + [close] * (len(rows) - 1) + [end])])
-    texts = [_column(list(map(itemgetter(c), rows)), fmt, len(header) == 1) for c in order]
-    return _write(path, fmt, ["".join(_records(head, texts, affixes, end))])
+    # the N row lists are live at once: a generation-2 collection would walk them all
+    with _collector_paused():
+        rows = list(rows)
+        if not rows:
+            return _write(path, fmt, ["[]\n" if fmt == "json" else head])
+        if set(map(len, rows)) != {len(header)}:
+            raise ValueError(f"each row of this table needs {len(header)} cells")
+        if not header:  # records of no columns are all ``close``
+            return _write(path, fmt, ["".join([head] + [close] * (len(rows) - 1) + [end])])
+        texts = [_column(list(map(itemgetter(c), rows)), fmt, len(header) == 1) for c in order]
+        return _write(path, fmt, ["".join(_records(head, texts, affixes, end))])
 
 
 def write_eigenvector_bundle(path, report: SpectrumReport, fmt: str = "csv"):

@@ -180,12 +180,32 @@ def test_spectrum_diagonal_listing_when_kinetic_off(tmp_path, capsys):
     assert "9.0000            54" in lines
 
 
+def files(out):
+    """Each file's name and bytes in the directory ``out``."""
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
 def test_spectrum_output_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["spectrum", "--config", str(REPO_CONFIG), "--out", str(out1)]) == 0
     assert main(["spectrum", "--config", str(REPO_CONFIG), "--out", str(out2)]) == 0
     for name in ("grid.csv", "eigenvalues.csv", "ground_state.csv", "eigenvectors.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    # a rerun into the same directory, and a level 2 run over level 3's longer files
+    def spectrum(config, out, fmt):
+        argv = ["spectrum", "--config", str(config), "--out", str(out), "--format", fmt]
+        assert main(argv) == 0
+        return files(out)
+
+    n3 = write_config(tmp_path, dict(json.loads(REPO_CONFIG.read_text()), n=3), "n3.cfg")
+    for fmt in ("csv", "json"):
+        fresh = spectrum(REPO_CONFIG, tmp_path / f"{fmt}_fresh", fmt)
+        spectrum(REPO_CONFIG, tmp_path / f"{fmt}_reused", fmt)
+        assert spectrum(REPO_CONFIG, tmp_path / f"{fmt}_reused", fmt) == fresh and len(fresh) == 4
+        longer = spectrum(n3, tmp_path / f"{fmt}_shrunk", fmt)
+        assert spectrum(REPO_CONFIG, tmp_path / f"{fmt}_shrunk", fmt) == fresh
+        assert all(len(fresh[name]) < len(longer[name]) for name in longer)
 
 
 def test_spectrum_json_format(tmp_path):
@@ -242,6 +262,29 @@ def test_verify_passes_on_canonical_config(tmp_path, capsys):
     assert code == 0
     assert "FAIL" not in capsys.readouterr().out
     assert (tmp_path / "verify_report.csv").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_rerun_into_the_same_out_is_byte_identical(tmp_path, fmt):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    for out in (fresh, reused, reused):
+        argv = ["verify", "--config", str(REPO_CONFIG), "--out", str(out), "--format", fmt]
+        assert main(argv) == 0
+    assert files(reused) == files(fresh) and list(files(fresh)) == [f"verify_report.{fmt}"]
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("spectrum", "grid.csv"), ("spectrum", "eigenvectors.csv"), ("verify", "verify_report.csv")],
+)
+def test_output_file_path_that_is_a_directory_exits_one(tmp_path, capsys, command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    (out / name / "kept").write_text("kept\n")
+    assert main([command, "--config", str(REPO_CONFIG), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert (out / name / "kept").read_text() == "kept\n"
 
 
 def test_verify_passes_in_positive_characteristic(tmp_path, capsys):
@@ -426,6 +469,8 @@ def test_converge_output_is_deterministic(tmp_path, fmt):
         assert main(["converge", "--config", str(config), "--out", str(out), "--format", fmt]) == 0
     for name in (f"level_clusters.{fmt}", f"trajectories.{fmt}"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert main(["converge", "--config", str(config), "--out", str(out1), "--format", fmt]) == 0
+    assert files(out1) == files(out2) and len(files(out1)) == 2
 
 
 def test_spectrum_and_converge_never_expand_the_eigenvalues(tmp_path, monkeypatch):

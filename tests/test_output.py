@@ -3,7 +3,10 @@
 import copy
 import csv
 import dataclasses
+import functools
+import gc
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -300,6 +303,26 @@ def test_bundle_past_the_row_cap_is_refused_before_any_file(
     assert list(tmp_path.iterdir()) == [config]
 
 
+def test_bundle_past_the_row_cap_leaves_existing_outputs_in_place(
+    canonical_report, tmp_path, monkeypatch, capsys
+):
+    config = tmp_path / "run.cfg"
+    config.write_text(json.dumps(dict(json.loads((CONFIGS / "q3sqrt3_ho.cfg").read_text()), n=2)))
+    argv = ["spectrum", "--config", str(config), "--out", str(tmp_path / "cli")]
+    assert ultraspec.cli.main(argv) == 0
+    paths = write_spectrum_outputs(tmp_path / "lib", canonical_report, "csv")
+    paths += sorted((tmp_path / "cli").iterdir())
+    before = {path: (path.stat().st_ino, path.read_bytes()) for path in paths}
+    capsys.readouterr()
+    monkeypatch.setattr(ultraspec.output, "BUNDLE_ROW_CAP", 81**2 - 1)
+    with pytest.raises(GridTooLarge, match="exceed the row cap"):
+        write_spectrum_outputs(tmp_path / "lib", canonical_report, "csv")
+    assert ultraspec.cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: level 2: ")
+    assert {path: (path.stat().st_ino, path.read_bytes()) for path in paths} == before
+
+
 LABEL_FIELDS = {
     **{
         f"Q{p}" + (f"e{e}" if e > 1 else ""): EisensteinExtension(p=p, e=e)
@@ -389,6 +412,68 @@ def test_write_table_rejects_unknown_format_and_ragged_rows(tmp_path):
         with pytest.raises(ValueError, match="needs 2 cells"):
             write_table(tmp_path / f"r.{fmt}", ["a", "b"], [[1, 2], [3]], fmt)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_table_pauses_the_collector_and_restores_its_state(tmp_path):
+    seen = []
+
+    def rows():
+        seen.append(gc.isenabled())
+        yield [1, 2]
+
+    assert gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            seen.clear()
+            write_table(tmp_path / "t.csv", ["a", "b"], rows())
+            assert seen == [False] and gc.isenabled() == enabled
+            with pytest.raises(ValueError, match="needs 2 cells"):
+                write_table(tmp_path / "r.csv", ["a", "b"], [[1, 2], [3]])
+            assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+
+
+# a file is replaced at its path, never truncated in place
+WRITERS = {
+    "table": lambda path, report, fmt: write_table(path, GRID_HEADER, grid_rows(report.grid), fmt),
+    "bundle": lambda path, report, fmt: write_eigenvector_bundle(path, report, fmt),
+}
+
+
+@pytest.fixture(params=[(w, fmt) for w in WRITERS for fmt in FORMATS], ids="-".join)
+def write(request, canonical_report):
+    """A writer of one file at a path: the grid table or the bundle, as CSV or JSON."""
+    writer, fmt = request.param
+    return functools.partial(WRITERS[writer], report=canonical_report, fmt=fmt)
+
+
+def test_writer_replaces_a_longer_file(write, tmp_path):
+    expected = write(tmp_path / "fresh").read_bytes()
+    path = tmp_path / "out"
+    path.write_bytes(expected + b"a stale tail\n" * 1000)
+    assert write(path).read_bytes() == expected
+
+
+def test_writer_replaces_a_hard_link_and_keeps_its_sibling(write, tmp_path):
+    expected = write(tmp_path / "fresh").read_bytes()
+    path, sibling = tmp_path / "out", tmp_path / "sibling"
+    sibling.write_bytes(b"the old bytes\n")
+    os.link(sibling, path)
+    assert write(path).read_bytes() == expected
+    assert sibling.read_bytes() == b"the old bytes\n"
+    assert path.stat().st_nlink == sibling.stat().st_nlink == 1
+
+
+def test_writer_replaces_a_symlink_and_keeps_its_target(write, tmp_path):
+    expected = write(tmp_path / "fresh").read_bytes()
+    path, target = tmp_path / "out", tmp_path / "target"
+    target.write_bytes(b"the old bytes\n")
+    path.symlink_to(target)
+    assert write(path).read_bytes() == expected
+    assert not path.is_symlink() and path.is_file()
+    assert target.read_bytes() == b"the old bytes\n"
 
 
 def _sampled_report(report, picks):
